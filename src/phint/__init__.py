@@ -12,10 +12,9 @@ from .energy import (EnergyReport, OrderFit, delta_h_bar, delta_h_tilde,
                      dissipation_decomposition, order_fit, reference_solution,
                      relative_errors, supplied_energy)
 from .integrator import (SolverConfig, StageSolution, Trajectory, dense_eval,
-                         simulate, solve_stages, solve_stages_partitioned,
-                         step)
-from .models import (FeedbackConfig, InputSignal, PartitionedPHModel, PHModel,
-                     closed_loop, oscillator, partitioned_oscillator,
+                         simulate, solve_stages, step)
+from .models import (FeedbackConfig, InputSignal, PHModel, closed_loop,
+                     mechanical, oscillator, partitioned_oscillator,
                      pulse_input, rigid_body, zero_input)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

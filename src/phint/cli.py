@@ -15,7 +15,7 @@ from . import collocation as coll
 from . import dirac, energy
 from .errors import ConfigurationError, SolverDivergenceError
 from .integrator import SolverConfig, simulate
-from .models import (FeedbackConfig, PartitionedPHModel, oscillator,
+from .models import (PORTLEVEL, FeedbackConfig, oscillator,
                      partitioned_oscillator, pulse_input, rigid_body,
                      zero_input)
 
@@ -65,9 +65,12 @@ def _build(args):
         x0 = np.array([float(v) for v in args.x0.split(",")])
     else:
         x0 = np.array(DEFAULT_X0[args.model])
-    m = model.m if hasattr(model, "m") else 1
+    m = model.m
     if args.input not in INPUTS:
         raise ConfigurationError(f"unknown input {args.input!r}")
+    if args.input == "pulse" and m == 0:
+        raise ConfigurationError(f"model {args.model!r} has no input port; "
+                                 "use --input zero")
     signal = _build_input(args.input, max(m, 1))
     feedback = None
     if args.r > 0.0:
@@ -81,8 +84,12 @@ def _build(args):
 
 def _reference_for(args):
     """Closed-form reference, when the configuration matches one of the two
-    oscillator experiments; None otherwise."""
+    oscillator experiments; None otherwise.  Port-level damping applies
+    u_i = -r (G'(M e))_i, which does not converge to the continuous closed
+    loop, so it has no reference."""
     if args.model not in ("oscillator", "partitioned-oscillator"):
+        return None
+    if args.r > 0.0 and args.feedback_mode == PORTLEVEL:
         return None
     if args.x0 is not None and tuple(float(v) for v in args.x0.split(",")) != (0.0, -1.0):
         return None
@@ -137,39 +144,37 @@ def cmd_tableau(args) -> int:
 
 def _run(args, h, retain_stages=False):
     model, scheme, x0, signal, feedback = _build(args)
-    return model, scheme, simulate(model, scheme, x0, signal, h, args.t_end,
-                                   feedback=feedback, cfg=SolverConfig(),
-                                   retain_stages=retain_stages)
+    traj = simulate(model, scheme, x0, signal, h, args.t_end, feedback=feedback,
+                    cfg=SolverConfig(), retain_stages=retain_stages)
+    return model, scheme, signal, traj
 
 
 def cmd_simulate(args) -> int:
-    model, scheme, traj = _run(args, args.h)
+    model, scheme, signal, traj = _run(args, args.h)
     reference = _reference_for(args)
-    full = model.to_phmodel() if isinstance(model, PartitionedPHModel) else model
-    signal = _build_input(args.input, max(full.m, 1))
     r = args.r
 
     n = traj.states.shape[1]
     header = ["t"] + [f"x{i+1}" for i in range(n)] + ["u", "y", "H"]
     rows = []
     for t, x in zip(traj.times, traj.states):
-        y = full.output(x) if full.m > 0 else np.zeros(1)
-        v = signal(t) if full.m > 0 else np.zeros(1)
-        u = v - r * y if full.m > 0 else np.zeros(1)
+        y = model.output(x) if model.m > 0 else np.zeros(1)
+        v = signal(t) if model.m > 0 else np.zeros(1)
+        u = v - r * y if model.m > 0 else np.zeros(1)
         rows.append([_fmt(t)] + [_fmt(v_) for v_ in x]
-                    + [_fmt(u[0]), _fmt(y[0]), _fmt(full.H(x))])
+                    + [_fmt(u[0]), _fmt(y[0]), _fmt(model.H(x))])
     _write_csv(f"{args.out}_traj.csv", header, rows)
 
     header = ["k", "t_k", "dh_tilde", "dh_bar", "supplied"]
     if reference is not None:
         header.append("dh_exact")
-    report = energy.EnergyReport.from_trajectory(traj, reference)
+        dh_exact = np.diff([reference(t)[1] for t in traj.times])
     rows = []
     for k in range(len(traj.dh_tilde)):
         row = [str(k + 1), _fmt(traj.times[k + 1]), _fmt(traj.dh_tilde[k]),
                _fmt(traj.dh_bar[k]), _fmt(traj.supplied[k])]
         if reference is not None:
-            row.append(_fmt(report.dh_exact[k]))
+            row.append(_fmt(dh_exact[k]))
         rows.append(row)
     _write_csv(f"{args.out}_energy.csv", header, rows)
     return 0
@@ -190,7 +195,7 @@ def cmd_converge(args) -> int:
     rows = []
     points_t, points_b = [], []
     for h in h_list:
-        _, scheme, traj = _run(args, h)
+        _, scheme, _, traj = _run(args, h)
         report = energy.EnergyReport.from_trajectory(traj, reference)
         rows.append([args.scheme, str(args.stages), _fmt(h),
                      str(len(traj.dh_tilde)), _fmt(report.dh_tot_ref),
@@ -210,15 +215,14 @@ def cmd_converge(args) -> int:
 
 
 def cmd_check(args) -> int:
-    model, scheme, traj = _run(args, args.h, retain_stages=True)
-    full = model.to_phmodel() if isinstance(model, PartitionedPHModel) else model
+    model, scheme, _, traj = _run(args, args.h, retain_stages=True)
     c1 = coll.check_c1(scheme.M, 1e-14)
-    c2 = full.constant_structure
+    c2 = model.constant_structure
     max_power = 0.0
     max_skew = 0.0
     max_struct = 0.0
     for sol in traj.stage_solutions:
-        blocks = dirac.assemble_blocks(full, sol.stage_x, scheme)
+        blocks = dirac.assemble_blocks(model, sol.stage_x, scheme)
         bond = dirac.DiscreteBond(f=sol.f.ravel(), e=sol.e.ravel(),
                                   u=sol.u.ravel(), y=sol.y.ravel())
         scale = max(1.0, sol.h * np.linalg.norm(sol.e) * np.linalg.norm(sol.f))
@@ -257,7 +261,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--x0", default=None,
                        help="comma-separated initial state")
         p.add_argument("--out", default=None)
-        p.add_argument("--retain-stages", action="store_true")
 
     p = sub.add_parser("tableau", help="dump scheme coefficients")
     p.add_argument("--scheme", default="gauss", choices=[coll.GAUSS, coll.LOBATTO])
@@ -291,8 +294,9 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         code = 2
     except SolverDivergenceError as err:
-        print(f"solver failure at step {err.step_index}: {err} "
-              f"(residual {err.residual})", file=sys.stderr)
+        residual = "" if err.residual is None else f" (residual {err.residual})"
+        print(f"solver failure at step {err.step_index}: {err}{residual}",
+              file=sys.stderr)
         code = 3
     if argv is None:
         sys.exit(code)

@@ -3,10 +3,13 @@
 Sign convention throughout: flows are f = -xdot, so stage updates read
 x_i = x0 - h sum_j a_ij f_j.
 
-Linear models with constant structure are advanced by one direct solve of the
-stage system (the matrix is factored once per run); everything else goes
-through Newton iteration on the stacked stage states with a finite-difference
-Jacobian.
+Both stage solvers use one block tableau: A on every state of a monolithic
+model, or, for a separable (q, p) model under a Lobatto scheme, the IIIA
+matrix A on the q rows and the IIIB matrix A_hat on the p rows (a partitioned
+Runge-Kutta method).  Linear models with constant structure are advanced by
+one direct solve of the stage system (the matrix is factored once per run);
+everything else goes through Newton iteration on the stacked stage states
+with a finite-difference Jacobian.
 """
 from __future__ import annotations
 
@@ -16,19 +19,19 @@ import numpy as np
 
 from . import collocation as coll
 from .errors import ConfigurationError, SolverDivergenceError
-from .models import PORTLEVEL, STAGEWISE, PartitionedPHModel, zero_input
+from .models import STAGEWISE, zero_input
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-12
     max_iter: int = 50
-    method: str = "auto"  # auto | direct-linear | newton
+    method: str = "auto"  # auto | newton
 
     def __post_init__(self):
         if self.tol <= 0 or self.max_iter < 1:
             raise ConfigurationError("need tol > 0 and max_iter >= 1")
-        if self.method not in ("auto", "direct-linear", "newton"):
+        if self.method not in ("auto", "newton"):
             raise ConfigurationError(f"unknown solver method {self.method!r}")
 
 
@@ -47,7 +50,6 @@ class StageSolution:
     x_end: np.ndarray
     iterations: int = 0
     residual: float = 0.0
-    partitioned: bool = False
 
 
 @dataclass
@@ -73,6 +75,16 @@ def _input_samples(input_signal, feedback, t0, h, c, m):
     return np.array([sig(t0 + ci * h) for ci in c]).reshape(len(c), m)
 
 
+def _stage_tableau(model, scheme) -> np.ndarray:
+    """sn x sn tableau of the stacked stage states: A (x) I_n, or A on the q
+    rows and A_hat on the p rows of every stage of a separable model."""
+    if model.n_q is None:
+        return np.kron(scheme.A, np.eye(model.n))
+    on_q = (np.arange(model.n) < model.n_q).astype(float)
+    return (np.kron(scheme.A, np.diag(on_q))
+            + np.kron(scheme.A_hat, np.diag(1.0 - on_q)))
+
+
 class _LinearStepper:
     """Direct stage solve for linear models with constant J and G."""
 
@@ -88,24 +100,20 @@ class _LinearStepper:
         self.Jc = model.J(probe)
         self.Gc = model.G(probe)
         self.Q = model.Q
-        A, M = scheme.A, scheme.M
-        drift = self.Jc @ self.Q
-        mat = np.eye(s * n) - h * np.kron(A, drift)
+        Is = np.eye(s)
+        # stacked drift -f = D X + (I_s (x) G) w of the stage states X
+        D = np.kron(Is, self.Jc @ self.Q)
         r = 0.0 if feedback is None else feedback.r
         if r > 0.0:
-            GGQ = self.Gc @ self.Gc.T @ self.Q
-            T = A if feedback.mode == STAGEWISE else A @ M
-            mat += h * r * np.kron(T, GGQ)
-            K = np.eye(s) if feedback.mode == STAGEWISE else M
+            K = Is if feedback.mode == STAGEWISE else scheme.M
             self.K = np.kron(K, self.Gc.T @ self.Q)
+            D -= r * np.kron(K, self.Gc @ self.Gc.T @ self.Q)
         else:
             self.K = None
         self.r = r
-        self.mat_inv = np.linalg.inv(mat)
-        self.AkG = h * np.kron(A, self.Gc)
-
-    def H(self, x):
-        return self.model.H(x)
+        T = _stage_tableau(model, scheme)
+        self.mat_inv = np.linalg.inv(np.eye(s * n) - h * (T @ D))
+        self.AkG = h * (T @ np.kron(Is, self.Gc))
 
     def step(self, x0, t0) -> StageSolution:
         s, n, h = self.s, self.n, self.h
@@ -119,8 +127,7 @@ class _LinearStepper:
         f = -(e @ self.Jc.T + u @ self.Gc.T)
         x_end = x0 - h * (self.scheme.b @ f)
         y = (self.scheme.M @ e) @ self.Gc
-        return StageSolution(t0=t0, h=h, x0=np.asarray(x0, dtype=float),
-                             stage_x=stage_x, f=f, e=e, u=u, y=y, x_end=x_end)
+        return StageSolution(t0=t0, h=h, x0=x0, stage_x=stage_x, f=f, e=e, u=u, y=y, x_end=x_end)
 
 
 class _NewtonStepper:
@@ -134,9 +141,6 @@ class _NewtonStepper:
         self.feedback = feedback
         self.cfg = cfg
         self.n, self.s, self.m = model.n, scheme.s, model.m
-
-    def H(self, x):
-        return self.model.H(x)
 
     def _stage_efu(self, stage_x, w):
         model, s, m = self.model, self.s, self.m
@@ -161,12 +165,14 @@ class _NewtonStepper:
     def _residual(self, X, x0, w):
         stage_x = X.reshape(self.s, self.n)
         _, _, f = self._stage_efu(stage_x, w)
-        R = stage_x - x0[None, :] + self.h * (self.scheme.A @ f)
-        return R.ravel()
+        Af = self.scheme.A @ f
+        n_q = self.model.n_q
+        if n_q is not None:
+            Af[:, n_q:] = self.scheme.A_hat @ f[:, n_q:]
+        return (stage_x - x0[None, :] + self.h * Af).ravel()
 
     def step(self, x0, t0) -> StageSolution:
         s, n, h = self.s, self.n, self.h
-        x0 = np.asarray(x0, dtype=float)
         w = _input_samples(self.input_signal, self.feedback, t0, h,
                            self.scheme.c, self.m)
         X = np.tile(x0, s)
@@ -203,85 +209,21 @@ class _NewtonStepper:
                              iterations=it, residual=res)
 
 
-class _PartitionedStepper:
-    """Direct stage solve for the Lobatto IIIA/IIIB pair on a linear
-    partitioned mechanical system; states stacked as x = (q, p)."""
-
-    def __init__(self, pmodel, scheme, input_signal, h, feedback, cfg):
-        if scheme.kind != coll.LOBATTO:
-            raise ConfigurationError("partitioned models require a Lobatto pair")
-        self.pmodel = pmodel
-        self.scheme = scheme
-        self.input_signal = input_signal
-        self.h = h
-        self.feedback = feedback
-        n, s = pmodel.n, scheme.s
-        self.n, self.s = n, s
-        Q, P, G = pmodel.Q, pmodel.P, pmodel.G
-        A, Ah, M = scheme.A, scheme.A_hat, scheme.M
-        Isn = np.eye(s * n)
-        r = 0.0 if feedback is None else feedback.r
-        lower_right = Isn.copy()
-        if r > 0.0:
-            GGP = G @ G.T @ P
-            T = Ah if feedback.mode == STAGEWISE else Ah @ M
-            lower_right += h * r * np.kron(T, GGP)
-            K = np.eye(s) if feedback.mode == STAGEWISE else M
-            self.K = np.kron(K, G.T @ P)
-        else:
-            self.K = None
-        self.r = r
-        big = np.block([[Isn, -h * np.kron(A, P)],
-                        [h * np.kron(Ah, Q), lower_right]])
-        self.big_inv = np.linalg.inv(big)
-        self.AhkG = h * np.kron(Ah, G)
-
-    def H(self, x):
-        n = self.n
-        return self.pmodel.H(x[:n], x[n:])
-
-    def step(self, x0, t0) -> StageSolution:
-        s, n, h = self.s, self.n, self.h
-        pm = self.pmodel
-        x0 = np.asarray(x0, dtype=float)
-        q0, p0 = x0[:n], x0[n:]
-        w = _input_samples(self.input_signal, self.feedback, t0, h,
-                           self.scheme.c, pm.m)
-        rhs = np.concatenate([np.tile(q0, s),
-                              np.tile(p0, s) + self.AhkG @ w.ravel()])
-        Z = self.big_inv @ rhs
-        q_st = Z[:s * n].reshape(s, n)
-        p_st = Z[s * n:].reshape(s, n)
-        e_q = q_st @ pm.Q.T
-        e_p = p_st @ pm.P.T
-        if self.K is None:
-            u = w
-        else:
-            u = w - self.r * (self.K @ Z[s * n:]).reshape(s, -1)
-        f_q = -e_p
-        f_p = e_q - u @ pm.G.T
-        b = self.scheme.b
-        q_end = q0 - h * (b @ f_q)
-        p_end = p0 - h * (b @ f_p)
-        y = (self.scheme.M @ e_p) @ pm.G
-        return StageSolution(
-            t0=t0, h=h, x0=x0,
-            stage_x=np.hstack([q_st, p_st]),
-            f=np.hstack([f_q, f_p]),
-            e=np.hstack([e_q, e_p]),
-            u=u, y=y,
-            x_end=np.concatenate([q_end, p_end]),
-            partitioned=True)
-
-
 def _make_stepper(model, scheme, input_signal, h, feedback, cfg):
-    if isinstance(model, PartitionedPHModel):
-        return _PartitionedStepper(model, scheme, input_signal, h, feedback, cfg)
-    if cfg.method == "direct-linear" and not (model.linear and model.constant_structure):
-        raise ConfigurationError("direct-linear solve needs a linear constant-structure model")
-    if cfg.method != "newton" and model.linear and model.constant_structure:
+    if model.n_q is not None and scheme.A_hat is None:
+        raise ConfigurationError("separable (q, p) models require a Lobatto pair")
+    if cfg.method == "auto" and model.linear and model.constant_structure:
         return _LinearStepper(model, scheme, input_signal, h, feedback, cfg)
     return _NewtonStepper(model, scheme, input_signal, h, feedback, cfg)
+
+
+def _initial_state(model, x0) -> np.ndarray:
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (model.n,):
+        raise ConfigurationError(f"x0 must have {model.n} entries, got shape {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise ConfigurationError(f"x0 must be finite, got {x0}")
+    return x0
 
 
 def solve_stages(model, scheme, x0, input_signal, t0, h,
@@ -289,18 +231,10 @@ def solve_stages(model, scheme, x0, input_signal, t0, h,
     """Solve the implicit stage equations of one sampling interval."""
     if h <= 0:
         raise ConfigurationError("step size h must be positive")
+    x0 = _initial_state(model, x0)
     cfg = cfg or SolverConfig()
     stepper = _make_stepper(model, scheme, input_signal, h, feedback, cfg)
-    return stepper.step(np.asarray(x0, dtype=float), t0)
-
-
-def solve_stages_partitioned(pmodel, scheme, q0, p0, input_signal, t0, h,
-                             cfg: SolverConfig | None = None,
-                             feedback=None) -> StageSolution:
-    """Partitioned variant: IIIA tableau on the q-stages, IIIB on the p-stages."""
-    x0 = np.concatenate([np.atleast_1d(np.asarray(q0, dtype=float)),
-                         np.atleast_1d(np.asarray(p0, dtype=float))])
-    return solve_stages(pmodel, scheme, x0, input_signal, t0, h, cfg, feedback)
+    return stepper.step(x0, t0)
 
 
 def step(model, scheme, x0, input_signal, t0, h,
@@ -322,18 +256,18 @@ def simulate(model, scheme, x0, input_signal, h, t_end,
              feedback=None, cfg: SolverConfig | None = None,
              retain_stages: bool = False) -> Trajectory:
     """Run N = t_end / h fixed steps, chaining intervals and recording the
-    per-step energy triple (dH_tilde, dH_bar, supplied)."""
+    per-step energy triple (dH_tilde, dH_bar, supplied).  A state that turns
+    non-finite raises SolverDivergenceError with the index of its step."""
     if h <= 0:
         raise ConfigurationError("step size h must be positive")
     n_float = t_end / h
     N = int(round(n_float))
     if N < 1 or abs(n_float - N) > 1e-9 * max(1.0, N):
         raise ConfigurationError(f"t_end/h = {n_float} is not an integer step count")
+    x = _initial_state(model, x0)
     cfg = cfg or SolverConfig()
     stepper = _make_stepper(model, scheme, input_signal, h, feedback, cfg)
-    x = np.asarray(x0, dtype=float)
-    dim = x.size
-    states = np.empty((N + 1, dim))
+    states = np.empty((N + 1, model.n))
     states[0] = x
     dh_tilde = np.empty(N)
     dh_bar = np.empty(N)
@@ -348,14 +282,17 @@ def simulate(model, scheme, x0, input_signal, h, t_end,
             err.step_index = k
             raise
         dh_tilde[k] = -h * float(np.sum((M @ sol.f) * sol.e))
-        dh_bar[k] = stepper.H(sol.x_end) - stepper.H(x)
+        dh_bar[k] = model.H(sol.x_end) - model.H(x)
         supplied[k] = h * float(np.sum(sol.y * sol.u))
         if retain_stages:
             retained.append(sol)
         x = sol.x_end
         states[k + 1] = x
-    return Trajectory(scheme_label=scheme.label,
-                      model_name=getattr(model, "name", ""),
+    bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
+    if bad.size:
+        raise SolverDivergenceError("state is not finite",
+                                    step_index=int(bad[0]) - 1)
+    return Trajectory(scheme_label=scheme.label, model_name=model.name,
                       h=h, times=np.arange(N + 1) * h, states=states,
                       dh_tilde=dh_tilde, dh_bar=dh_bar, supplied=supplied,
                       stage_solutions=retained)

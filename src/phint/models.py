@@ -2,7 +2,8 @@
 
 A model is the quadruple (H, gradH, J, G) of Eq-free callables over the state,
 plus the two flags the discretization machinery dispatches on: whether the
-interconnection matrix is constant and whether gradH is linear (gradH = Q x).
+interconnection matrix is constant and whether gradH is linear (gradH = Q x),
+and, for a separable (q, p) model, the number n_q of position coordinates.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ class PHModel:
     """Explicit port-Hamiltonian system xdot = J(x) gradH(x) + G(x) u."""
 
     def __init__(self, n, m, H, gradH, J, G, *, constant_structure, linear,
-                 Q=None, name="", skew_structure=True):
+                 Q=None, name="", n_q=None):
         self.n = int(n)
         self.m = int(m)
         self._H = H
@@ -32,9 +33,9 @@ class PHModel:
         self.linear = bool(linear)
         self.Q = None if Q is None else np.asarray(Q, dtype=float)
         self.name = name
-        # closed-loop models carry a non-skew structure map; flagged so the
-        # Dirac checks know to fall back to the underlying lossless pair
-        self.skew_structure = bool(skew_structure)
+        # separable (q, p) models: the first n_q states are positions, which
+        # Lobatto pairs advance with A and the momenta with A_hat
+        self.n_q = None if n_q is None else int(n_q)
 
     def H(self, x) -> float:
         return float(self._H(np.asarray(x, dtype=float)))
@@ -51,57 +52,6 @@ class PHModel:
     def output(self, x, *_):
         """Collocated continuous-time output y = G(x)^T gradH(x)."""
         return self.G(x).T @ self.gradH(x)
-
-
-@dataclass(frozen=True)
-class PartitionedPHModel:
-    """Linear PH system of simple mechanical type with states (q, p):
-    qdot = P p, pdot = -Q q + G u, H = (q'Qq + p'Pp)/2."""
-
-    n: int
-    Q: np.ndarray
-    P: np.ndarray
-    G: np.ndarray
-    name: str = "partitioned"
-
-    def __post_init__(self):
-        for mat, label in ((self.Q, "Q"), (self.P, "P")):
-            if not np.allclose(mat, mat.T):
-                raise ConfigurationError(f"{label} must be symmetric")
-            try:
-                np.linalg.cholesky(mat)
-            except np.linalg.LinAlgError:
-                raise ConfigurationError(f"{label} must be positive definite") from None
-            mat.setflags(write=False)
-        self.G.setflags(write=False)
-
-    @property
-    def m(self) -> int:
-        return self.G.shape[1]
-
-    def H(self, q, p) -> float:
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        return float(0.5 * (q @ self.Q @ q + p @ self.P @ p))
-
-    def effort_q(self, q) -> np.ndarray:
-        return self.Q @ np.atleast_1d(np.asarray(q, dtype=float))
-
-    def effort_p(self, p) -> np.ndarray:
-        return self.P @ np.atleast_1d(np.asarray(p, dtype=float))
-
-    def to_phmodel(self) -> PHModel:
-        """Full-state view x = (q, p) used for Dirac-structure bookkeeping."""
-        n = self.n
-        J = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
-        Gfull = np.vstack([np.zeros_like(self.G), self.G])
-        Qfull = np.block([[self.Q, np.zeros((n, n))], [np.zeros((n, n)), self.P]])
-        return PHModel(2 * n, self.m,
-                       H=lambda x: 0.5 * x @ Qfull @ x,
-                       gradH=lambda x: Qfull @ x,
-                       J=lambda x: J, G=lambda x: Gfull,
-                       constant_structure=True, linear=True, Q=Qfull,
-                       name=self.name)
 
 
 @dataclass(frozen=True)
@@ -160,10 +110,37 @@ def oscillator() -> PHModel:
                    name="oscillator")
 
 
-def partitioned_oscillator() -> PartitionedPHModel:
+def mechanical(Q, P, G, name="mechanical") -> PHModel:
+    """Linear PH system of simple mechanical type with states x = (q, p):
+    qdot = P p, pdot = -Q q + G u, H = (q'Qq + p'Pp)/2.  Lobatto schemes
+    integrate it as the IIIA/IIIB pair."""
+    Q, P, G = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (Q, P, G))
+    n = Q.shape[0]
+    for mat, label in ((Q, "Q"), (P, "P")):
+        if mat.shape != (n, n) or not np.allclose(mat, mat.T):
+            raise ConfigurationError(f"{label} must be symmetric of size {n}")
+        try:
+            np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            raise ConfigurationError(f"{label} must be positive definite") from None
+    if G.shape[0] != n:
+        raise ConfigurationError(f"G must have {n} rows")
+    Z = np.zeros((n, n))
+    J = np.block([[Z, np.eye(n)], [-np.eye(n), Z]])
+    Gfull = np.vstack([np.zeros_like(G), G])
+    Qfull = np.block([[Q, Z], [Z, P]])
+    return PHModel(2 * n, G.shape[1],
+                   H=lambda x: 0.5 * x @ Qfull @ x,
+                   gradH=lambda x: Qfull @ x,
+                   J=lambda x: J, G=lambda x: Gfull,
+                   constant_structure=True, linear=True, Q=Qfull,
+                   name=name, n_q=n)
+
+
+def partitioned_oscillator() -> PHModel:
     """The same oscillator in separated (q, p) form, consumed by Lobatto pairs."""
-    return PartitionedPHModel(n=1, Q=np.eye(1), P=np.eye(1), G=np.eye(1),
-                              name="partitioned-oscillator")
+    return mechanical(np.eye(1), np.eye(1), np.eye(1),
+                      name="partitioned-oscillator")
 
 
 _RIGID_BODY_Q = np.diag([1.0, 1.0 / 2.0, 1.0 / 3.0])
@@ -208,4 +185,4 @@ def closed_loop(model: PHModel, cfg: FeedbackConfig) -> PHModel:
                    H=model.H, gradH=model.gradH, J=Jcl, G=model.G,
                    constant_structure=model.constant_structure,
                    linear=model.linear, Q=model.Q,
-                   name=f"{model.name}-damped", skew_structure=(r == 0.0))
+                   name=f"{model.name}-damped", n_q=model.n_q)

@@ -120,3 +120,59 @@ def test_damped_simulation_runs(tmp_path):
     # energy decays: every stored increment negative
     dh_bar = [float(l.split(",")[3]) for l in lines[1:]]
     assert max(dh_bar) < 0.0
+
+
+def test_simulate_before_pulse_writes_exact_increments(tmp_path):
+    # the lossless reference stores no net energy before the pulse at t = 8
+    out = tmp_path / "early"
+    assert run(["simulate", "--t-end", "1", "--out", str(out)]) == 0
+    lines = read(tmp_path / "early_energy.csv").splitlines()
+    assert lines[0].endswith("dh_exact")
+    assert len(lines) == 1 + 10
+    assert max(abs(float(l.split(",")[-1])) for l in lines[1:]) < 1e-15
+
+
+PORTLEVEL = ["--input", "zero", "--r", "0.1", "--feedback-mode", "portlevel",
+             "--t-end", "10"]
+
+
+def test_converge_portlevel_has_no_reference(capsys):
+    assert run(["converge", "--scheme", "gauss", "--stages", "2"] + PORTLEVEL) == 2
+    assert "reference" in capsys.readouterr().err
+
+
+def test_simulate_portlevel_omits_exact_increments(tmp_path):
+    out = tmp_path / "port"
+    assert run(["simulate", "--out", str(out)] + PORTLEVEL) == 0
+    lines = read(tmp_path / "port_energy.csv").splitlines()
+    assert lines[0] == "k,t_k,dh_tilde,dh_bar,supplied"
+    assert max(float(l.split(",")[2]) for l in lines[1:]) <= 1e-14
+
+
+@pytest.mark.parametrize("model,x0", [("oscillator", "1,2,3"),
+                                      ("oscillator", "nan,1"),
+                                      ("partitioned-oscillator", "nan,1"),
+                                      ("partitioned-oscillator", "1"),
+                                      ("rigid-body", "1,1")])
+def test_simulate_rejects_bad_x0(tmp_path, capsys, model, x0):
+    scheme = ["--scheme", "lobatto", "--stages", "3"]
+    extra = ["--input", "zero"] if model == "rigid-body" else []
+    code = run(["simulate", "--model", model, *scheme, *extra, "--t-end", "1",
+                f"--x0={x0}", "--out", str(tmp_path / "bad")])
+    assert code == 2
+    assert "x0 must" in capsys.readouterr().err
+    assert not (tmp_path / "bad_traj.csv").exists()
+
+
+def test_pulse_on_portless_model_rejected(tmp_path, capsys):
+    code = run(["simulate", "--model", "rigid-body", "--input", "pulse",
+                "--t-end", "1", "--out", str(tmp_path / "rb")])
+    assert code == 2
+    assert "no input port" in capsys.readouterr().err
+
+
+def test_partitioned_rejects_gauss(tmp_path, capsys):
+    code = run(["simulate", "--model", "partitioned-oscillator", "--scheme",
+                "gauss", "--t-end", "1", "--out", str(tmp_path / "pg")])
+    assert code == 2
+    assert "Lobatto pair" in capsys.readouterr().err

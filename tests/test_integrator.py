@@ -5,9 +5,10 @@ import pytest
 import phint.collocation as coll
 from phint.errors import ConfigurationError, SolverDivergenceError
 from phint.integrator import (SolverConfig, dense_eval, simulate, solve_stages,
-                              solve_stages_partitioned, step)
-from phint.models import (FeedbackConfig, oscillator, partitioned_oscillator,
-                          pulse_input, rigid_body, zero_input)
+                              step)
+from phint.models import (FeedbackConfig, InputSignal, oscillator,
+                          partitioned_oscillator, pulse_input, rigid_body,
+                          zero_input)
 
 X0 = np.array([0.0, -1.0])
 A_OSC = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -84,21 +85,36 @@ def test_gauss_conserves_energy_and_casimir_rigid_body():
     assert np.max(np.abs(cas - cas[0])) < 1e-13
 
 
-def test_newton_matches_direct_solve():
-    scheme = coll.make_scheme(coll.GAUSS, 2)
-    model = oscillator()
-    args = (model, scheme, X0, pulse_input(), 8.3, 0.2)
-    direct = solve_stages(*args)
-    newton = solve_stages(*args, cfg=SolverConfig(method="newton"))
+ALL_SCHEMES = ([(coll.GAUSS, s) for s in range(1, 9)]
+               + [(coll.LOBATTO, s) for s in (2, 3, 4)])
+DIFFERENTIAL_CASES = [
+    pytest.param(kind, s, factory, mode,
+                 id=f"{kind}{s}-{factory.__name__}-{mode or 'open'}")
+    for kind, s in ALL_SCHEMES
+    for factory in (oscillator, partitioned_oscillator)
+    for mode in (None, "stagewise", "portlevel")
+    if kind == coll.LOBATTO or factory is oscillator]
+
+
+@pytest.mark.parametrize("kind,s,factory,mode", DIFFERENTIAL_CASES)
+def test_newton_matches_direct_solve(kind, s, factory, mode):
+    # the generic Newton path is the oracle of the direct block-tableau solve,
+    # monolithic and Lobatto-pair alike
+    scheme = coll.make_scheme(kind, s)
+    feedback = None if mode is None else FeedbackConfig(r=0.1, mode=mode,
+                                                        v=pulse_input())
+    args = (factory(), scheme, X0, pulse_input(), 8.3, 0.2)
+    direct = solve_stages(*args, feedback=feedback)
+    newton = solve_stages(*args, cfg=SolverConfig(method="newton"),
+                          feedback=feedback)
     assert np.max(np.abs(direct.x_end - newton.x_end)) < 1e-11
+    for name in ("stage_x", "f", "e", "u", "y", "x_end"):
+        diff = np.max(np.abs(getattr(direct, name) - getattr(newton, name)))
+        assert diff <= 1e-13, (name, diff)
     assert newton.iterations >= 1
 
 
 def test_solver_dispatch_errors():
-    with pytest.raises(ConfigurationError):
-        solve_stages(rigid_body(), coll.make_scheme(coll.GAUSS, 2),
-                     np.ones(3), zero_input(0), 0.0, 0.1,
-                     cfg=SolverConfig(method="direct-linear"))
     with pytest.raises(ConfigurationError):
         SolverConfig(tol=-1.0)
     with pytest.raises(ConfigurationError):
@@ -115,10 +131,11 @@ def test_solver_divergence_reported():
 
 
 def test_partitioned_requires_lobatto():
-    with pytest.raises(ConfigurationError):
-        solve_stages_partitioned(partitioned_oscillator(),
-                                 coll.make_scheme(coll.GAUSS, 2),
-                                 0.0, -1.0, pulse_input(), 0.0, 0.1)
+    for method in ("auto", "newton"):
+        with pytest.raises(ConfigurationError):
+            solve_stages(partitioned_oscillator(), coll.make_scheme(coll.GAUSS, 2),
+                         X0, pulse_input(), 0.0, 0.1,
+                         cfg=SolverConfig(method=method))
 
 
 def test_partitioned_matches_full_oscillator_order():
@@ -126,9 +143,37 @@ def test_partitioned_matches_full_oscillator_order():
     # exact flow to the scheme's order
     pm = partitioned_oscillator()
     scheme = coll.make_scheme(coll.LOBATTO, 3)
-    sol = solve_stages_partitioned(pm, scheme, 0.0, -1.0, zero_input(), 0.0, 0.1)
+    sol = solve_stages(pm, scheme, X0, zero_input(), 0.0, 0.1)
     assert np.max(np.abs(sol.x_end - exact_rotation(X0, 0.1))) < 1e-7
-    assert sol.partitioned
+    # block tableau: IIIA on the q stages, IIIB on the p stages
+    q_stages = sol.x0[0] - sol.h * (scheme.A @ sol.f[:, 0])
+    p_stages = sol.x0[1] - sol.h * (scheme.A_hat @ sol.f[:, 1])
+    assert np.max(np.abs(sol.stage_x[:, 0] - q_stages)) < 1e-15
+    assert np.max(np.abs(sol.stage_x[:, 1] - p_stages)) < 1e-15
+    iiia = solve_stages(oscillator(), scheme, X0, zero_input(), 0.0, 0.1)
+    assert np.max(np.abs(sol.stage_x - iiia.stage_x)) > 1e-6
+
+
+@pytest.mark.parametrize("factory", [oscillator, partitioned_oscillator])
+@pytest.mark.parametrize("x0", [[0.0, -1.0, 2.0], [1.0], [[0.0, -1.0]],
+                                [np.nan, 1.0], [0.0, np.inf]])
+def test_initial_state_validation(factory, x0):
+    scheme = coll.make_scheme(coll.LOBATTO, 3)
+    with pytest.raises(ConfigurationError, match="x0 must"):
+        simulate(factory(), scheme, x0, zero_input(), 0.1, 1.0)
+    with pytest.raises(ConfigurationError, match="x0 must"):
+        solve_stages(factory(), scheme, x0, zero_input(), 0.0, 0.1)
+
+
+@pytest.mark.parametrize("method", ["auto", "newton"])
+def test_non_finite_state_reported(method):
+    # the input turns NaN at t = 0.3; Gauss-1 first samples it on step 3
+    signal = InputSignal(fn=lambda t: np.array([np.nan if t >= 0.3 else 0.0]),
+                         name="nan")
+    with pytest.raises(SolverDivergenceError) as exc:
+        simulate(oscillator(), coll.make_scheme(coll.GAUSS, 1), X0, signal,
+                 0.1, 1.0, cfg=SolverConfig(method=method, max_iter=3))
+    assert exc.value.step_index == 3
 
 
 def test_step_size_validation():

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from phint.errors import ConfigurationError
-from phint.models import (FeedbackConfig, PartitionedPHModel, closed_loop,
-                          oscillator, partitioned_oscillator, pulse_input,
-                          rigid_body, zero_input)
+from phint.models import (FeedbackConfig, closed_loop, mechanical, oscillator,
+                          partitioned_oscillator, pulse_input, rigid_body,
+                          zero_input)
 
 RNG = np.random.default_rng(42)
 
@@ -20,7 +20,8 @@ def fd_grad(H, x, delta=1e-6):
     return g
 
 
-@pytest.mark.parametrize("factory", [oscillator, rigid_body])
+@pytest.mark.parametrize("factory", [oscillator, partitioned_oscillator,
+                                     rigid_body])
 def test_gradients_match_finite_differences(factory):
     model = factory()
     for _ in range(5):
@@ -59,22 +60,25 @@ def test_rigid_body_flags_and_energy():
 
 def test_partitioned_oscillator_matches_full_form():
     pm = partitioned_oscillator()
-    full = pm.to_phmodel()
-    q, p = 0.7, -0.2
-    assert pm.H(q, p) == pytest.approx(full.H(np.array([q, p])))
-    assert np.allclose(pm.effort_q(q), [0.7])
-    assert np.allclose(pm.effort_p(p), [-0.2])
-    assert np.allclose(full.gradH(np.array([q, p])), [q, p])
-    assert np.allclose(full.J(np.zeros(2)), [[0, 1], [-1, 0]])
-    assert full.m == 1
+    x = np.array([0.7, -0.2])
+    assert pm.H(x) == pytest.approx(oscillator().H(x))
+    assert np.allclose(pm.gradH(x), [0.7, -0.2])
+    assert np.allclose(pm.J(np.zeros(2)), [[0, 1], [-1, 0]])
+    assert np.allclose(pm.G(x), [[0.0], [1.0]])
+    assert pm.n == 2 and pm.n_q == 1 and pm.m == 1
+    assert pm.constant_structure and pm.linear
+    assert oscillator().n_q is None
 
 
 def test_partitioned_model_validation():
     with pytest.raises(ConfigurationError):
-        PartitionedPHModel(n=1, Q=np.array([[-1.0]]), P=np.eye(1), G=np.eye(1))
+        mechanical(np.array([[-1.0]]), np.eye(1), np.eye(1))
     with pytest.raises(ConfigurationError):
-        PartitionedPHModel(n=2, Q=np.array([[1.0, 0.5], [0.0, 1.0]]),
-                           P=np.eye(2), G=np.eye(2))
+        mechanical(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2), np.eye(2))
+    with pytest.raises(ConfigurationError):
+        mechanical(np.eye(2), np.eye(3), np.eye(2))
+    with pytest.raises(ConfigurationError):
+        mechanical(np.eye(2), np.eye(2), np.ones((3, 1)))
 
 
 def test_pulse_input_profile():
@@ -109,7 +113,8 @@ def test_closed_loop_drift_eigenvalues():
     drift = model.J(np.zeros(2)) @ model.Q
     eig = np.linalg.eigvals(drift)
     assert np.allclose(sorted(eig.real), [-0.05, -0.05])
-    assert not model.skew_structure
+    J = model.J(np.zeros(2))
+    assert np.max(np.abs(J + J.T)) > 0.0
 
 
 def test_closed_loop_requires_port_and_stagewise():
