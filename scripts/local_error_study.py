@@ -20,7 +20,7 @@ import numpy as np
 
 import phint.collocation as coll
 from phint.energy import DAMPED_FREE, order_fit, reference_solution
-from phint.integrator import step
+from phint.integrator import solve_stages
 from phint.models import FeedbackConfig, oscillator, zero_input
 
 AMPLITUDE = 10.0
@@ -32,7 +32,8 @@ def energy_gap(model, scheme, fb, h):
     x0u, _ = reference_solution(DAMPED_FREE, 0.0, r=0.1)
     x1u, h1u = reference_solution(DAMPED_FREE, h, r=0.1)
     x0 = AMPLITUDE * x0u
-    x_end, _ = step(model, scheme, x0, zero_input(), 0.0, h, feedback=fb)
+    x_end = solve_stages(model, scheme, x0, zero_input(), 0.0, h,
+                         feedback=fb).x_end
     h0u = 0.5 * float(x0u @ x0u)
     return abs((model.H(x_end) - model.H(x0))
                - AMPLITUDE**2 * (h1u - h0u))

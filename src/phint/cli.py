@@ -223,11 +223,9 @@ def cmd_check(args) -> int:
     max_struct = 0.0
     for sol in traj.stage_solutions:
         blocks = dirac.assemble_blocks(model, sol.stage_x, scheme)
-        bond = dirac.DiscreteBond(f=sol.f.ravel(), e=sol.e.ravel(),
-                                  u=sol.u.ravel(), y=sol.y.ravel())
         scale = max(1.0, sol.h * np.linalg.norm(sol.e) * np.linalg.norm(sol.f))
         max_power = max(max_power,
-                        abs(dirac.power_residual(blocks, bond, sol.h)) / scale)
+                        abs(dirac.power_residual(sol, scheme)) / scale)
         skew, _ = dirac.kernel_check(blocks)
         max_skew = max(max_skew, skew)
         max_struct = max(max_struct,

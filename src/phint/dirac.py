@@ -1,4 +1,4 @@
-"""Per-interval block structure matrices and discrete Dirac-structure checks.
+"""Bond formulas, block structure matrices and discrete Dirac-structure checks.
 
 Block matrices are kept in factored form (s diagonal blocks plus the s x s
 mass-matrix factor); dense s(n+m) matrices are materialized only inside
@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .energy import delta_h_tilde, supplied_energy
 
 
 @dataclass(frozen=True)
@@ -26,17 +28,6 @@ class BlockStructure:
         return len(self.J_blocks)
 
 
-@dataclass(frozen=True)
-class DiscreteBond:
-    """Stacked stage flows, efforts, inputs and the discrete output of one
-    sampling interval."""
-
-    f: np.ndarray
-    e: np.ndarray
-    u: np.ndarray
-    y: np.ndarray
-
-
 def assemble_blocks(model, stage_states, scheme) -> BlockStructure:
     """Evaluate J and G at each stage state of one interval."""
     stage_states = np.asarray(stage_states, dtype=float)
@@ -50,20 +41,17 @@ def assemble_blocks(model, stage_states, scheme) -> BlockStructure:
                           n=model.n, m=model.m)
 
 
-def apply_mass(blocks: BlockStructure, vec: np.ndarray) -> np.ndarray:
-    """(M (x) I_n) vec for a stacked sn-vector."""
-    stacked = vec.reshape(blocks.s, blocks.n)
-    return (blocks.M @ stacked).ravel()
+def discrete_output(K, G, e) -> np.ndarray:
+    """Rows G_i' (K e)_i of the stacked efforts e (s, n).  K = M gives the
+    discrete output y = G'(M (x) I_n) e, K = I_s the stagewise collocated
+    output.  G is one (n, m) matrix or a per-stage stack (s, n, m)."""
+    return np.vecmat(K @ e, G)
 
 
-def discrete_output(blocks: BlockStructure, e: np.ndarray) -> np.ndarray:
-    """y = Gblk' (M (x) I_n) e, stacked per stage."""
-    s, n, m = blocks.s, blocks.n, blocks.m
-    Me = apply_mass(blocks, np.asarray(e, dtype=float).reshape(s * n)).reshape(s, n)
-    y = np.empty((s, m))
-    for i in range(s):
-        y[i] = blocks.G_blocks[i].T @ Me[i]
-    return y.ravel()
+def stage_flows(J, G, e, u) -> np.ndarray:
+    """Stage flows f with -f_i = J_i e_i + G_i u_i.  J and G are one matrix
+    each, or per-stage stacks (s, n, n) and (s, n, m)."""
+    return -(np.matvec(J, e) + np.matvec(G, u))
 
 
 def structure_residual(blocks: BlockStructure, f, e, u) -> float:
@@ -79,11 +67,10 @@ def structure_residual(blocks: BlockStructure, f, e, u) -> float:
     return worst
 
 
-def power_residual(blocks: BlockStructure, bond: DiscreteBond, h: float) -> float:
-    """h (M e)' f + h y' u; vanishes iff the interval's bond variables lie on
-    a discrete Dirac structure."""
-    Me = apply_mass(blocks, bond.e)
-    return float(h * (Me @ bond.f) + h * (bond.y @ bond.u))
+def power_residual(sol, scheme) -> float:
+    """h y'u - dH_tilde = h y'u + h (M e)'f of one interval; vanishes iff its
+    bond variables lie on a discrete Dirac structure."""
+    return supplied_energy(sol) - delta_h_tilde(sol, scheme)
 
 
 def kernel_check(blocks: BlockStructure, rank_threshold: float = 1e-10):
@@ -104,15 +91,3 @@ def kernel_check(blocks: BlockStructure, rank_threshold: float = 1e-10):
     sv = np.linalg.svd(np.hstack([F, E]), compute_uv=False)
     rank_ok = bool(sv.min() > rank_threshold)
     return skew_defect, rank_ok
-
-
-def mass_structure_skew_defect(blocks: BlockStructure) -> float:
-    """max |(M J) + (M J)'| on the dense block matrices; the quantity whose
-    vanishing characterizes the discrete Dirac structure."""
-    s, n = blocks.s, blocks.n
-    Mblk = np.kron(blocks.M, np.eye(n))
-    Jblk = np.zeros((s * n, s * n))
-    for i in range(s):
-        Jblk[i * n:(i + 1) * n, i * n:(i + 1) * n] = blocks.J_blocks[i]
-    MJ = Mblk @ Jblk
-    return float(np.max(np.abs(MJ + MJ.T)))

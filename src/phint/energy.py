@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import BlockStructure, discrete_output
 from .errors import ConfigurationError, FeedbackModeError
 from .models import PORTLEVEL, STAGEWISE
 
@@ -27,10 +26,9 @@ def delta_h_tilde(sol, scheme) -> float:
     return -sol.h * float(np.sum((scheme.M @ sol.f) * sol.e))
 
 
-def supplied_energy(sol, blocks: BlockStructure, scheme) -> float:
+def supplied_energy(sol) -> float:
     """h (y^k)' u^k with the discrete output y^k = Gblk' (M (x) I) e^k."""
-    y = discrete_output(blocks, sol.e.ravel())
-    return sol.h * float(y @ sol.u.ravel())
+    return sol.h * float(np.sum(sol.y * sol.u))
 
 
 def delta_h_bar(model, x0, x_end) -> float:
@@ -176,15 +174,14 @@ def order_fit(points, tail: int | None = None) -> OrderFit:
                     max_deviation=dev, points=tuple(usable))
 
 
-def dissipation_decomposition(sol, blocks: BlockStructure, scheme,
-                              r: float, v_samples, mode: str = PORTLEVEL):
+def dissipation_decomposition(sol, r: float, v_samples, mode: str = PORTLEVEL):
     """Split dH_tilde of a damped step into the dissipated term -r h y'y and
     the external term h y'v (port-level feedback only)."""
     if mode != PORTLEVEL:
         raise FeedbackModeError(
             "dissipation_decomposition is exact only under portlevel feedback; "
             "use stagewise_dissipation for the stagewise analogue")
-    y = discrete_output(blocks, sol.e.ravel())
+    y = sol.y.ravel()
     dissipated = -r * sol.h * float(y @ y)
     external = sol.h * float(y @ np.asarray(v_samples, dtype=float).ravel())
     return dissipated, external

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import collocation as coll
+from .dirac import discrete_output, stage_flows
+from .energy import delta_h_bar, delta_h_tilde, supplied_energy
 from .errors import ConfigurationError, SolverDivergenceError
 from .models import STAGEWISE, zero_input
 
@@ -65,16 +67,6 @@ class Trajectory:
     stage_solutions: list = field(default_factory=list)
 
 
-def _input_samples(input_signal, feedback, t0, h, c, m):
-    """Stage samples of the exogenous signal (u, or v under feedback)."""
-    if m == 0:
-        return np.zeros((len(c), 0))
-    sig = feedback.v if feedback is not None else input_signal
-    if sig is None:
-        sig = zero_input(m)
-    return np.array([sig(t0 + ci * h) for ci in c]).reshape(len(c), m)
-
-
 def _stage_tableau(model, scheme) -> np.ndarray:
     """sn x sn tableau of the stacked stage states: A (x) I_n, or A on the q
     rows and A_hat on the p rows of every stage of a separable model."""
@@ -85,17 +77,49 @@ def _stage_tableau(model, scheme) -> np.ndarray:
             + np.kron(scheme.A_hat, np.diag(1.0 - on_q)))
 
 
-class _LinearStepper:
-    """Direct stage solve for linear models with constant J and G."""
+class _Stepper:
+    """Set-up shared by both stage solvers: the exogenous signal and the
+    output feedback u = w - r G'(K e), with K = I_s (stagewise) or M
+    (portlevel), K = None without damping."""
 
     def __init__(self, model, scheme, input_signal, h, feedback, cfg):
-        self.model = model
-        self.scheme = scheme
-        self.input_signal = input_signal
-        self.h = h
-        self.feedback = feedback
-        n, s = model.n, scheme.s
-        self.n, self.s = n, s
+        self.model, self.scheme, self.h, self.cfg = model, scheme, h, cfg
+        self.n, self.s, self.m = model.n, scheme.s, model.m
+        self.signal = feedback.v if feedback is not None else input_signal
+        if self.signal is None:
+            self.signal = zero_input(self.m)
+        self.r = 0.0 if feedback is None or self.m == 0 else feedback.r
+        self.K = None
+        if self.r > 0.0:
+            self.K = np.eye(self.s) if feedback.mode == STAGEWISE else scheme.M
+
+    def _inputs(self, t0):
+        """Stage samples w of the exogenous signal (u, or v under feedback)."""
+        if self.m == 0:
+            return np.zeros((self.s, 0))
+        h, sig = self.h, self.signal
+        w = [sig(t0 + ci * h) for ci in self.scheme.c]
+        return np.array(w).reshape(self.s, self.m)
+
+    def _flows(self, e, J, G, w):
+        """Stage inputs u and flows f of efforts e under structure J, G."""
+        u = w if self.K is None else w - self.r * discrete_output(self.K, G, e)
+        return u, stage_flows(J, G, e, u)
+
+    def _solution(self, x0, t0, stage_x, e, J, G, w, **solver) -> StageSolution:
+        u, f = self._flows(e, J, G, w)
+        x_end = x0 - self.h * (self.scheme.b @ f)
+        y = discrete_output(self.scheme.M, G, e)
+        return StageSolution(t0=t0, h=self.h, x0=x0, stage_x=stage_x, f=f, e=e,
+                             u=u, y=y, x_end=x_end, **solver)
+
+
+class _LinearStepper(_Stepper):
+    """Direct stage solve for linear models with constant J and G."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        model, scheme, n, s = self.model, self.scheme, self.n, self.s
         probe = np.zeros(n)
         self.Jc = model.J(probe)
         self.Gc = model.G(probe)
@@ -103,68 +127,37 @@ class _LinearStepper:
         Is = np.eye(s)
         # stacked drift -f = D X + (I_s (x) G) w of the stage states X
         D = np.kron(Is, self.Jc @ self.Q)
-        r = 0.0 if feedback is None else feedback.r
-        if r > 0.0:
-            K = Is if feedback.mode == STAGEWISE else scheme.M
-            self.K = np.kron(K, self.Gc.T @ self.Q)
-            D -= r * np.kron(K, self.Gc @ self.Gc.T @ self.Q)
-        else:
-            self.K = None
-        self.r = r
+        if self.K is not None:
+            D -= self.r * np.kron(self.K, self.Gc @ self.Gc.T @ self.Q)
         T = _stage_tableau(model, scheme)
-        self.mat_inv = np.linalg.inv(np.eye(s * n) - h * (T @ D))
-        self.AkG = h * (T @ np.kron(Is, self.Gc))
+        self.mat_inv = np.linalg.inv(np.eye(s * n) - self.h * (T @ D))
+        self.AkG = self.h * (T @ np.kron(Is, self.Gc))
 
     def step(self, x0, t0) -> StageSolution:
-        s, n, h = self.s, self.n, self.h
-        w = _input_samples(self.input_signal, self.feedback, t0, h,
-                           self.scheme.c, self.model.m)
-        rhs = np.tile(x0, s) + self.AkG @ w.ravel()
-        X = self.mat_inv @ rhs
-        stage_x = X.reshape(s, n)
-        e = stage_x @ self.Q.T
-        u = w if self.K is None else w - self.r * (self.K @ X).reshape(s, -1)
-        f = -(e @ self.Jc.T + u @ self.Gc.T)
-        x_end = x0 - h * (self.scheme.b @ f)
-        y = (self.scheme.M @ e) @ self.Gc
-        return StageSolution(t0=t0, h=h, x0=x0, stage_x=stage_x, f=f, e=e, u=u, y=y, x_end=x_end)
+        w = self._inputs(t0)
+        X = self.mat_inv @ (np.tile(x0, self.s) + self.AkG @ w.ravel())
+        stage_x = X.reshape(self.s, self.n)
+        return self._solution(x0, t0, stage_x, stage_x @ self.Q.T,
+                              self.Jc, self.Gc, w)
 
 
-class _NewtonStepper:
+class _NewtonStepper(_Stepper):
     """Newton iteration on the stacked stage states, FD Jacobian."""
 
-    def __init__(self, model, scheme, input_signal, h, feedback, cfg):
-        self.model = model
-        self.scheme = scheme
-        self.input_signal = input_signal
-        self.h = h
-        self.feedback = feedback
-        self.cfg = cfg
-        self.n, self.s, self.m = model.n, scheme.s, model.m
-
-    def _stage_efu(self, stage_x, w):
-        model, s, m = self.model, self.s, self.m
+    def _structure(self, stage_x):
+        """Efforts and stacked J, G at the stage states (G is not evaluated
+        on a portless model)."""
+        model = self.model
         e = np.array([model.gradH(x) for x in stage_x])
-        Gs = [model.G(x) for x in stage_x]
-        if self.feedback is not None and self.feedback.r > 0.0 and m > 0:
-            r = self.feedback.r
-            if self.feedback.mode == STAGEWISE:
-                u = w - r * np.array([Gs[i].T @ e[i] for i in range(s)])
-            else:
-                Me = self.scheme.M @ e
-                u = w - r * np.array([Gs[i].T @ Me[i] for i in range(s)])
-        else:
-            u = w
-        f = np.empty_like(e)
-        for i in range(s):
-            f[i] = -(self.model.J(stage_x[i]) @ e[i])
-            if m > 0:
-                f[i] -= Gs[i] @ u[i]
-        return e, u, f
+        J = np.array([model.J(x) for x in stage_x])
+        G = (np.array([model.G(x) for x in stage_x]) if self.m
+             else np.zeros((self.n, 0)))
+        return e, J, G
 
     def _residual(self, X, x0, w):
         stage_x = X.reshape(self.s, self.n)
-        _, _, f = self._stage_efu(stage_x, w)
+        e, J, G = self._structure(stage_x)
+        _, f = self._flows(e, J, G, w)
         Af = self.scheme.A @ f
         n_q = self.model.n_q
         if n_q is not None:
@@ -172,9 +165,8 @@ class _NewtonStepper:
         return (stage_x - x0[None, :] + self.h * Af).ravel()
 
     def step(self, x0, t0) -> StageSolution:
-        s, n, h = self.s, self.n, self.h
-        w = _input_samples(self.input_signal, self.feedback, t0, h,
-                           self.scheme.c, self.m)
+        s, n = self.s, self.n
+        w = self._inputs(t0)
         X = np.tile(x0, s)
         tol = self.cfg.tol
         fd_step = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(x0))
@@ -200,13 +192,8 @@ class _NewtonStepper:
                 f"stage equations did not converge below {tol} "
                 f"in {self.cfg.max_iter} iterations", residual=res)
         stage_x = X.reshape(s, n)
-        e, u, f = self._stage_efu(stage_x, w)
-        x_end = x0 - h * (self.scheme.b @ f)
-        Me = self.scheme.M @ e
-        y = np.array([self.model.G(stage_x[i]).T @ Me[i] for i in range(s)])
-        return StageSolution(t0=t0, h=h, x0=x0, stage_x=stage_x, f=f, e=e,
-                             u=u, y=y.reshape(s, self.m), x_end=x_end,
-                             iterations=it, residual=res)
+        return self._solution(x0, t0, stage_x, *self._structure(stage_x), w,
+                              iterations=it, residual=res)
 
 
 def _make_stepper(model, scheme, input_signal, h, feedback, cfg):
@@ -237,13 +224,6 @@ def solve_stages(model, scheme, x0, input_signal, t0, h,
     return stepper.step(x0, t0)
 
 
-def step(model, scheme, x0, input_signal, t0, h,
-         cfg: SolverConfig | None = None, feedback=None):
-    """One integration step; returns (x_end, StageSolution)."""
-    sol = solve_stages(model, scheme, x0, input_signal, t0, h, cfg, feedback)
-    return sol.x_end, sol
-
-
 def dense_eval(sol: StageSolution, scheme, tau: float) -> np.ndarray:
     """Collocation polynomial x(t0 + tau h) = x0 - h sum_j f_j int_0^tau l_j."""
     if not 0.0 <= tau <= 1.0:
@@ -256,8 +236,9 @@ def simulate(model, scheme, x0, input_signal, h, t_end,
              feedback=None, cfg: SolverConfig | None = None,
              retain_stages: bool = False) -> Trajectory:
     """Run N = t_end / h fixed steps, chaining intervals and recording the
-    per-step energy triple (dH_tilde, dH_bar, supplied).  A state that turns
-    non-finite raises SolverDivergenceError with the index of its step."""
+    per-step energy triple (dH_tilde, dH_bar, supplied).  A state or energy
+    that turns non-finite raises SolverDivergenceError with the index of the
+    first such step."""
     if h <= 0:
         raise ConfigurationError("step size h must be positive")
     n_float = t_end / h
@@ -273,7 +254,6 @@ def simulate(model, scheme, x0, input_signal, h, t_end,
     dh_bar = np.empty(N)
     supplied = np.empty(N)
     retained = []
-    M = scheme.M
     for k in range(N):
         t0 = k * h
         try:
@@ -281,17 +261,20 @@ def simulate(model, scheme, x0, input_signal, h, t_end,
         except SolverDivergenceError as err:
             err.step_index = k
             raise
-        dh_tilde[k] = -h * float(np.sum((M @ sol.f) * sol.e))
-        dh_bar[k] = model.H(sol.x_end) - model.H(x)
-        supplied[k] = h * float(np.sum(sol.y * sol.u))
+        dh_tilde[k] = delta_h_tilde(sol, scheme)
+        dh_bar[k] = delta_h_bar(model, x, sol.x_end)
+        supplied[k] = supplied_energy(sol)
         if retain_stages:
             retained.append(sol)
         x = sol.x_end
         states[k + 1] = x
-    bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
+    # state row k + 1 and energy row k both belong to step k
+    bad = np.concatenate([
+        np.flatnonzero(~np.isfinite(states).all(axis=1)) - 1,
+        np.flatnonzero(~np.isfinite([dh_tilde, dh_bar, supplied]).all(axis=0))])
     if bad.size:
-        raise SolverDivergenceError("state is not finite",
-                                    step_index=int(bad[0]) - 1)
+        raise SolverDivergenceError("state or energy is not finite",
+                                    step_index=int(bad.min()))
     return Trajectory(scheme_label=scheme.label, model_name=model.name,
                       h=h, times=np.arange(N + 1) * h, states=states,
                       dh_tilde=dh_tilde, dh_bar=dh_bar, supplied=supplied,

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import phint.collocation as coll
-from phint.dirac import DiscreteBond, assemble_blocks, kernel_check, power_residual
+from phint.dirac import assemble_blocks, kernel_check, power_residual
 from phint.energy import (DAMPED_FREE, LOSSLESS_FORCED, EnergyReport,
                           SLOPE_FIT_TAIL, order_fit, reference_solution)
-from phint.integrator import simulate, solve_stages, step
+from phint.integrator import simulate, solve_stages
 from phint.models import (FeedbackConfig, oscillator, partitioned_oscillator,
                           pulse_input, rigid_body, zero_input)
 
@@ -162,7 +162,8 @@ def test_criterion_5_local_energy_error_order():
     def gap(scheme, h):
         x1u, h1u = reference_solution(DAMPED_FREE, h, r=0.1)
         x0 = amp * x0u
-        x_end, _ = step(model, scheme, x0, zero_input(), 0.0, h, feedback=fb)
+        x_end = solve_stages(model, scheme, x0, zero_input(), 0.0, h,
+                             feedback=fb).x_end
         dh_bar = model.H(x_end) - model.H(x0)
         h0u = 0.5 * float(x0u @ x0u)
         return abs(dh_bar - amp * amp * (h1u - h0u))
@@ -222,11 +223,9 @@ def test_criterion_7_structure_suite():
         for k in range(steps):
             sol = solve_stages(model, scheme, x, signal, k * h, h)
             blocks = assemble_blocks(model, sol.stage_x, scheme)
-            bond = DiscreteBond(f=sol.f.ravel(), e=sol.e.ravel(),
-                                u=sol.u.ravel(), y=sol.y.ravel())
             scale = max(1.0, h * np.linalg.norm(sol.e) * np.linalg.norm(sol.f))
             worst_power = max(worst_power,
-                              abs(power_residual(blocks, bond, h)) / scale)
+                              abs(power_residual(sol, scheme)) / scale)
             skew, rank_ok = kernel_check(blocks)
             worst_skew = max(worst_skew, skew)
             assert rank_ok
@@ -243,10 +242,7 @@ def test_criterion_7_structure_suite():
     # deliberate violation: non-diagonal mass with state-dependent structure
     scheme = coll.make_scheme("lobatto", 3)
     sol = solve_stages(rigid_body(), scheme, xr, zero_input(0), 0.0, 0.5)
-    blocks = assemble_blocks(rigid_body(), sol.stage_x, scheme)
-    bond = DiscreteBond(f=sol.f.ravel(), e=sol.e.ravel(),
-                        u=sol.u.ravel(), y=sol.y.ravel())
-    violation = abs(power_residual(blocks, bond, 0.5))
+    violation = abs(power_residual(sol, scheme))
     ok = worst_power <= 1e-12 and worst_skew <= 1e-12 and violation > 1e-6
     report("criterion 7 structure suite", ok,
            f"max power residual {worst_power:.2e}, max skew {worst_skew:.2e} "
@@ -302,8 +298,8 @@ def test_criterion_8_property_suite():
         xp, xm = X0.copy(), X0.copy()
         xp[k] += delta
         xm[k] -= delta
-        fp, _ = step(pm, scheme, xp, zero_input(), 0.0, h)
-        fm, _ = step(pm, scheme, xm, zero_input(), 0.0, h)
+        fp = solve_stages(pm, scheme, xp, zero_input(), 0.0, h).x_end
+        fm = solve_stages(pm, scheme, xm, zero_input(), 0.0, h).x_end
         jac[:, k] = (fp - fm) / (2 * delta)
     det = float(np.linalg.det(jac))
     ok = ok and abs(det - 1.0) <= 1e-9

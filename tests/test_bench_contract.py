@@ -1,0 +1,71 @@
+"""The benchmark's traced run wraps phint's public functions by name
+(perfbench/tracing.py).  Installing its tracer on the imported package, running
+a traced check and a traced Newton run, and undoing the patches must work, so
+that renaming a wrapped function fails here rather than in the benchmark."""
+import importlib
+import pathlib
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import phint.cli
+import phint.collocation
+import phint.dirac
+import phint.energy
+import phint.errors
+import phint.integrator
+import phint.models
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+PROG = SimpleNamespace(collocation=phint.collocation, integrator=phint.integrator,
+                       models=phint.models, energy=phint.energy,
+                       dirac=phint.dirac, cli=phint.cli, errors=phint.errors)
+
+
+def snapshot():
+    """Identity of every module attribute, CLI model factory and the
+    EnergyReport constructor the tracer may replace."""
+    names = {(mod, key): id(val) for mod, module in vars(PROG).items()
+             for key, val in vars(module).items()}
+    names["MODELS"] = {k: id(v) for k, v in phint.cli.MODELS.items()}
+    names["from_trajectory"] = id(
+        phint.energy.EnergyReport.__dict__["from_trajectory"])
+    return names
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("tracing")
+
+
+def test_tracer_wraps_and_restores_phint(tracing, capsys):
+    before = snapshot()
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer, PROG)
+    try:
+        assert snapshot() != before
+        code = phint.cli.main(["check", "--model", "rigid-body", "--input",
+                               "zero", "--x0", "1,1,1", "--h", "0.1",
+                               "--t-end", "0.3"])
+        assert code == 0
+        scheme = phint.collocation.make_scheme("gauss", 2)
+        model = tracer.wrap_model(phint.models.rigid_body())
+        phint.integrator.simulate(model, scheme, np.ones(3),
+                                  phint.models.zero_input(0), 0.1, 0.3,
+                                  retain_stages=True)
+    finally:
+        patches.undo()
+    assert snapshot() == before
+    spans = {rec[tracing.NAME] for rec in tracer.spans}
+    for name in ("cli.main", "integrator.simulate", "collocation.make_scheme",
+                 "dirac.assemble_blocks", "dirac.kernel_check",
+                 "dirac.power_residual", "dirac.structure_residual"):
+        assert name in spans
+    newton = tracer.simulate_runs[-1]
+    assert newton["iterations"] > 0 and newton["steps"] == 3
+    # J calls = s * (iterations + s*n*builds + steps); raises otherwise
+    assert tracing.newton_builds(newton["j_calls"], newton["s"], newton["n"],
+                                 newton["steps"], newton["iterations"]) >= 1
+    assert "PASS" in capsys.readouterr().out

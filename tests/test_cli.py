@@ -176,3 +176,13 @@ def test_partitioned_rejects_gauss(tmp_path, capsys):
                 "gauss", "--t-end", "1", "--out", str(tmp_path / "pg")])
     assert code == 2
     assert "Lobatto pair" in capsys.readouterr().err
+
+
+def test_simulate_overflowing_energy_exits_3(tmp_path, capsys):
+    # finite states whose energy overflows must not give NaN CSVs
+    code = run(["simulate", "--x0=1e200,1e200", "--t-end", "1",
+                "--out", str(tmp_path / "big")])
+    assert code == 3
+    assert "solver failure at step 0" in capsys.readouterr().err
+    assert not (tmp_path / "big_traj.csv").exists()
+    assert not (tmp_path / "big_energy.csv").exists()

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 import phint.collocation as coll
-from phint.dirac import (DiscreteBond, apply_mass, assemble_blocks,
-                         discrete_output, kernel_check,
-                         mass_structure_skew_defect, power_residual,
-                         structure_residual)
-from phint.integrator import solve_stages
+from phint.dirac import (assemble_blocks, discrete_output, kernel_check,
+                         power_residual, stage_flows, structure_residual)
+from phint.integrator import StageSolution, simulate, solve_stages
 from phint.models import oscillator, pulse_input, rigid_body, zero_input
 
 RNG = np.random.default_rng(7)
@@ -28,44 +26,51 @@ def test_assemble_blocks_shapes_and_errors():
         assemble_blocks(model, np.zeros((3, 2)), scheme)
 
 
-def test_apply_mass_matches_kron():
-    scheme = coll.make_scheme(coll.LOBATTO, 3)
-    _, blocks = oscillator_blocks(scheme)
-    v = RNG.normal(size=scheme.s * 2)
-    expect = np.kron(scheme.M, np.eye(2)) @ v
-    assert np.allclose(apply_mass(blocks, v), expect, atol=1e-14)
+def output_weight_and_ports(scheme, weight, stacked):
+    """K = M or I_s, and the oscillator's G as one matrix or a stage stack."""
+    K = scheme.M if weight == "M" else np.eye(scheme.s)
+    G = oscillator().G(np.zeros(2))
+    return K, (np.array([G] * scheme.s) if stacked else G)
 
 
-def test_discrete_output_single_stage():
-    # s=1: M = [1], so y is just g' e
+@pytest.mark.parametrize("stacked", [False, True], ids=["constant", "stacked"])
+@pytest.mark.parametrize("weight", ["M", "I"])
+def test_discrete_output_single_stage(weight, stacked):
+    # s=1: M = I_1 = [1], so y is just g' e
     scheme = coll.make_scheme(coll.GAUSS, 1)
-    _, blocks = oscillator_blocks(scheme)
-    e = np.array([0.3, -1.2])
-    assert discrete_output(blocks, e) == pytest.approx([-1.2])
+    K, G = output_weight_and_ports(scheme, weight, stacked)
+    e = np.array([[0.3, -1.2]])
+    assert discrete_output(K, G, e).ravel() == pytest.approx([-1.2])
 
 
-def test_discrete_output_mass_weighted():
-    # 3-stage Lobatto: y_1 = 2/15 e_p1 + 1/15 e_p2 - 1/30 e_p3, etc.
+@pytest.mark.parametrize("stacked", [False, True], ids=["constant", "stacked"])
+@pytest.mark.parametrize("weight", ["M", "I"])
+def test_discrete_output_mass_weighted(weight, stacked):
+    # 3-stage Lobatto: y_1 = 2/15 e_p1 + 1/15 e_p2 - 1/30 e_p3, etc.;
+    # K = I_s gives the stagewise outputs e_pi
     scheme = coll.make_scheme(coll.LOBATTO, 3)
-    _, blocks = oscillator_blocks(scheme)
-    e = RNG.normal(size=6)
-    ep = e.reshape(3, 2)[:, 1]
-    y = discrete_output(blocks, e)
+    K, G = output_weight_and_ports(scheme, weight, stacked)
+    e = RNG.normal(size=(3, 2))
+    ep = e[:, 1]
+    y = discrete_output(K, G, e)
     M = np.array([[2 / 15, 1 / 15, -1 / 30],
                   [1 / 15, 8 / 15, 1 / 15],
                   [-1 / 30, 1 / 15, 2 / 15]])
-    assert np.allclose(y, M @ ep, atol=1e-14)
+    expect = M @ ep if weight == "M" else ep
+    assert y.shape == (3, 1)
+    assert np.allclose(y.ravel(), expect, atol=1e-14)
 
 
-def consistent_bond(blocks, scheme, e, u):
-    """Bond variables generated from the stage structure equation."""
+def consistent_bond(blocks, scheme, e, u, h):
+    """Interval whose flows and output are generated from the stage structure
+    equation at the given efforts and inputs."""
     s, n, m = blocks.s, blocks.n, blocks.m
+    J, G = np.array(blocks.J_blocks), np.array(blocks.G_blocks)
     e2 = e.reshape(s, n)
     u2 = u.reshape(s, m)
-    f = np.array([-(blocks.J_blocks[i] @ e2[i] + blocks.G_blocks[i] @ u2[i])
-                  for i in range(s)])
-    y = discrete_output(blocks, e)
-    return DiscreteBond(f=f.ravel(), e=e, u=u, y=y)
+    return StageSolution(t0=0.0, h=h, x0=None, stage_x=None,
+                         f=stage_flows(J, G, e2, u2), e=e2, u=u2,
+                         y=discrete_output(scheme.M, G, e2), x_end=None)
 
 
 @pytest.mark.parametrize("kind,s", [(coll.GAUSS, 1), (coll.GAUSS, 3),
@@ -76,10 +81,10 @@ def test_power_residual_vanishes_for_constant_structure(kind, s):
     _, blocks = oscillator_blocks(scheme)
     e = RNG.normal(size=scheme.s * 2)
     u = RNG.normal(size=scheme.s * 1)
-    bond = consistent_bond(blocks, scheme, e, u)
     h = 0.37
+    bond = consistent_bond(blocks, scheme, e, u, h)
     scale = max(1.0, h * np.linalg.norm(e) * np.linalg.norm(bond.f))
-    assert abs(power_residual(blocks, bond, h)) <= 1e-13 * scale
+    assert abs(power_residual(bond, scheme)) <= 1e-13 * scale
 
 
 def test_power_residual_vanishes_for_diagonal_mass():
@@ -89,8 +94,8 @@ def test_power_residual_vanishes_for_diagonal_mass():
     states = RNG.normal(size=(2, 3))
     blocks = assemble_blocks(model, states, scheme)
     e = RNG.normal(size=6)
-    bond = consistent_bond(blocks, scheme, e, np.zeros(0))
-    assert abs(power_residual(blocks, bond, 0.25)) <= 1e-13
+    bond = consistent_bond(blocks, scheme, e, np.zeros(0), 0.25)
+    assert abs(power_residual(bond, scheme)) <= 1e-13
 
 
 def test_power_residual_detects_violation():
@@ -100,8 +105,21 @@ def test_power_residual_detects_violation():
     states = np.array([[1.0, 0.2, -0.5], [0.1, 1.3, 0.4], [-0.7, 0.6, 1.1]])
     blocks = assemble_blocks(model, states, scheme)
     e = RNG.normal(size=9)
-    bond = consistent_bond(blocks, scheme, e, np.zeros(0))
-    assert abs(power_residual(blocks, bond, 0.25)) > 1e-6
+    bond = consistent_bond(blocks, scheme, e, np.zeros(0), 0.25)
+    assert abs(power_residual(bond, scheme)) > 1e-6
+
+
+def test_power_residual_is_the_simulated_balance_gap():
+    # phint check's residual and simulate's energy columns come from the same
+    # formulas, so they agree bit for bit, also where the balance fails
+    # (Lobatto-3 on the state-dependent rigid-body structure)
+    scheme = coll.make_scheme(coll.LOBATTO, 3)
+    traj = simulate(rigid_body(), scheme, np.array([1.0, 1.0, 1.0]),
+                    zero_input(0), 0.1, 2.0, retain_stages=True)
+    gaps = np.array([power_residual(sol, scheme)
+                     for sol in traj.stage_solutions])
+    assert np.max(np.abs(gaps)) > 1e-11
+    assert np.array_equal(traj.supplied - traj.dh_tilde, gaps)
 
 
 def test_structure_residual_roundtrip():
@@ -109,7 +127,7 @@ def test_structure_residual_roundtrip():
     model, blocks = oscillator_blocks(scheme)
     e = RNG.normal(size=4)
     u = RNG.normal(size=2)
-    bond = consistent_bond(blocks, scheme, e, u)
+    bond = consistent_bond(blocks, scheme, e, u, 0.1)
     assert structure_residual(blocks, bond.f, e, u) < 1e-14
     assert structure_residual(blocks, bond.f + 1e-3, e, u) > 1e-4
 
@@ -158,5 +176,3 @@ def test_mass_skew_defect_consistent_with_kernel_defect():
     sandwich = Mblk @ (E11 + E11.T) @ Mblk
     direct = Mblk @ Jblk + (Mblk @ Jblk).T
     assert np.max(np.abs(sandwich - direct)) < 1e-13
-    assert mass_structure_skew_defect(blocks) == pytest.approx(
-        np.max(np.abs(direct)), abs=1e-13)

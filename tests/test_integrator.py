@@ -4,8 +4,7 @@ import pytest
 
 import phint.collocation as coll
 from phint.errors import ConfigurationError, SolverDivergenceError
-from phint.integrator import (SolverConfig, dense_eval, simulate, solve_stages,
-                              step)
+from phint.integrator import SolverConfig, dense_eval, simulate, solve_stages
 from phint.models import (FeedbackConfig, InputSignal, oscillator,
                           partitioned_oscillator, pulse_input, rigid_body,
                           zero_input)
@@ -24,7 +23,7 @@ def test_midpoint_step_matches_rational_map():
     # (I - h/2 A) x1 = (I + h/2 A) x0 exactly
     h = 0.1
     scheme = coll.make_scheme(coll.GAUSS, 1)
-    x_end, sol = step(oscillator(), scheme, X0, zero_input(), 0.0, h)
+    x_end = solve_stages(oscillator(), scheme, X0, zero_input(), 0.0, h).x_end
     expect = np.linalg.solve(np.eye(2) - 0.5 * h * A_OSC,
                              (np.eye(2) + 0.5 * h * A_OSC) @ X0)
     assert np.max(np.abs(x_end - expect)) < 1e-15
@@ -33,7 +32,8 @@ def test_midpoint_step_matches_rational_map():
 
 def test_equilibrium_is_fixed_point():
     scheme = coll.make_scheme(coll.GAUSS, 2)
-    x_end, _ = step(oscillator(), scheme, np.zeros(2), zero_input(), 0.0, 0.3)
+    x_end = solve_stages(oscillator(), scheme, np.zeros(2), zero_input(),
+                         0.0, 0.3).x_end
     assert np.all(x_end == 0.0)
 
 
@@ -176,6 +176,17 @@ def test_non_finite_state_reported(method):
     assert exc.value.step_index == 3
 
 
+def test_non_finite_energy_reported():
+    # from t = 0.3 the input is 1e200: the states stay finite (~1e199) but
+    # their energy overflows, first on step 3 of Gauss-1 (energy row 3)
+    signal = InputSignal(fn=lambda t: np.array([1e200 if t >= 0.3 else 0.0]),
+                         name="huge")
+    with pytest.raises(SolverDivergenceError, match="not finite") as exc:
+        simulate(oscillator(), coll.make_scheme(coll.GAUSS, 1), X0, signal,
+                 0.1, 1.0)
+    assert exc.value.step_index == 3
+
+
 def test_step_size_validation():
     scheme = coll.make_scheme(coll.GAUSS, 1)
     with pytest.raises(ConfigurationError):
@@ -190,8 +201,8 @@ def test_two_step_chaining_is_exact():
     scheme = coll.make_scheme(coll.GAUSS, 2)
     model = oscillator()
     traj = simulate(model, scheme, X0, pulse_input(), 0.5, 1.0)
-    x1, _ = step(model, scheme, X0, pulse_input(), 0.0, 0.5)
-    x2, _ = step(model, scheme, x1, pulse_input(), 0.5, 0.5)
+    x1 = solve_stages(model, scheme, X0, pulse_input(), 0.0, 0.5).x_end
+    x2 = solve_stages(model, scheme, x1, pulse_input(), 0.5, 0.5).x_end
     assert np.array_equal(traj.states[1], x1)
     assert np.array_equal(traj.states[2], x2)
 
@@ -211,7 +222,7 @@ def test_one_step_state_error_order(kind, s, hs):
     model = oscillator()
     errs = []
     for h in hs:
-        x_end, _ = step(model, scheme, X0, zero_input(), 0.0, h)
+        x_end = solve_stages(model, scheme, X0, zero_input(), 0.0, h).x_end
         errs.append(np.linalg.norm(x_end - exact_rotation(X0, h)))
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert abs(slope - (scheme.order + 1)) <= 0.3
@@ -225,7 +236,7 @@ def test_one_step_map_is_symplectic(kind, s):
     h, delta = 0.3, 1e-5
 
     def phi(x):
-        out, _ = step(model, scheme, x, zero_input(), 0.0, h)
+        out = solve_stages(model, scheme, x, zero_input(), 0.0, h).x_end
         return out
 
     jac = np.empty((2, 2))

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phint.collocation as coll
-from phint.dirac import DiscreteBond, assemble_blocks, discrete_output, power_residual
+from phint.dirac import assemble_blocks, discrete_output, power_residual
 from phint.energy import order_fit
-from phint.integrator import dense_eval, solve_stages, step
+from phint.integrator import StageSolution, dense_eval, solve_stages
 from phint.models import PHModel, pulse_input, zero_input
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
@@ -36,7 +36,7 @@ def test_gauss_conserves_quadratic_energy(seed, s, x1, x2, h):
     model = random_linear_ph(seed)
     scheme = coll.make_scheme(coll.GAUSS, s)
     x0 = np.array([x1, x2])
-    x_end, _ = step(model, scheme, x0, zero_input(), 0.0, h)
+    x_end = solve_stages(model, scheme, x0, zero_input(), 0.0, h).x_end
     scale = max(1.0, model.H(x0))
     assert abs(model.H(x_end) - model.H(x0)) <= 1e-11 * scale
 
@@ -58,10 +58,11 @@ def test_constant_structure_bond_balance(seed, kind_s, h):
     e2, u2 = e.reshape(-1, 2), u.reshape(-1, 1)
     f = np.array([-(blocks.J_blocks[i] @ e2[i] + blocks.G_blocks[i] @ u2[i])
                   for i in range(scheme.s)])
-    bond = DiscreteBond(f=f.ravel(), e=e, u=u,
-                        y=discrete_output(blocks, e))
+    y = discrete_output(scheme.M, np.array(blocks.G_blocks), e2)
+    bond = StageSolution(t0=0.0, h=h, x0=None, stage_x=None, f=f, e=e2, u=u2,
+                         y=y, x_end=None)
     scale = max(1.0, h * np.linalg.norm(e) * np.linalg.norm(f))
-    assert abs(power_residual(blocks, bond, h)) <= 1e-12 * scale
+    assert abs(power_residual(bond, scheme)) <= 1e-12 * scale
 
 
 @settings(max_examples=25, deadline=None)
