@@ -1,10 +1,9 @@
 """Structure-preserving collocation integrators for explicit port-Hamiltonian
 systems, with discrete Dirac-structure checks and energy-balance diagnostics."""
 
-from .collocation import (GAUSS, LOBATTO, ButcherTableau, CollocationScheme,
-                          butcher_from_nodes, check_c1, gauss_legendre_nodes,
-                          iiib_from_iiia, lagrange_polynomial, lobatto_nodes,
-                          make_scheme, mass_matrix,
+from .collocation import (GAUSS, LOBATTO, CollocationScheme, check_c1,
+                          gauss_legendre_nodes, iiib_from_iiia,
+                          lagrange_polynomial, lobatto_nodes, make_scheme,
                           quadratic_invariant_residual)
 from .dirac import (BlockStructure, assemble_blocks, discrete_output,
                     kernel_check, power_residual, stage_flows)

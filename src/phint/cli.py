@@ -125,7 +125,7 @@ def cmd_tableau(args) -> int:
     emit("order", scheme.order)
     emit("c1", coll.check_c1(scheme.M, 1e-14))
     emit("quadratic_invariant_residual",
-         coll.quadratic_invariant_residual(scheme.tableau))
+         coll.quadratic_invariant_residual(scheme))
     if args.format == "csv":
         lines = [",".join(("name", "i", "j", "value"))]
         lines.extend(",".join(r) for r in rows)

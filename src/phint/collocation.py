@@ -9,6 +9,7 @@ to float; the published values are then exact to one rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb, factorial
 
 import numpy as np
@@ -116,42 +117,21 @@ def lagrange_polynomial(nodes, i: int) -> np.ndarray:
                          _lagrange_coeffs_mp([mpf(v) for v in c], i)])
 
 
-@dataclass(frozen=True)
-class ButcherTableau:
-    """Runge-Kutta coefficients (c, A, b) of a collocation method."""
-
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.c, self.A, self.b):
-            arr.setflags(write=False)
-        s = self.c.size
-        if self.A.shape != (s, s) or self.b.shape != (s,):
-            raise SchemeConstructionError("tableau shape mismatch")
-        if np.max(np.abs(self.A.sum(axis=1) - self.c)) > _ROW_SUM_TOL:
-            raise SchemeConstructionError("row-sum consistency sum_j a_ij = c_i violated")
-        if abs(self.b.sum() - 1.0) > _ROW_SUM_TOL:
-            raise SchemeConstructionError("weights do not sum to 1")
-
-    @property
-    def s(self) -> int:
-        return self.c.size
+def _integrals_mp(basis, taus) -> np.ndarray:
+    """Rows int_0^tau l_j(sigma) dsigma, one per tau, over the mp basis."""
+    anti = [_antiderivative_mp(p) for p in basis]
+    return np.array([[float(_eval_mp(L, t)) for L in anti] for t in taus])
 
 
 def _tables_mp(c_mp):
-    """(A, b, M) as float arrays from exact integration over mp nodes."""
+    """(A, b, M) as float arrays from exact integration over mp nodes: rows
+    a_i = int_0^{c_i} l_j, b = int_0^1 l_j and the Gram matrix
+    m_ij = int_0^1 l_i l_j, symmetric by construction (upper triangle
+    computed, then mirrored)."""
     s = len(c_mp)
-    A = np.empty((s, s))
-    b = np.empty(s)
-    M = np.empty((s, s))
     basis = [_lagrange_coeffs_mp(c_mp, i) for i in range(s)]
-    for j in range(s):
-        L = _antiderivative_mp(basis[j])
-        for i in range(s):
-            A[i, j] = float(_eval_mp(L, c_mp[i]))
-        b[j] = float(_eval_mp(L, mpf(1)))
+    Ab = _integrals_mp(basis, [*c_mp, mpf(1)])
+    M = np.empty((s, s))
     for i in range(s):
         for j in range(i, s):
             prod = [mpf(0)] * (len(basis[i]) + len(basis[j]) - 1)
@@ -160,24 +140,7 @@ def _tables_mp(c_mp):
                     prod[k + l] += a * bb
             M[i, j] = float(_eval_mp(_antiderivative_mp(prod), mpf(1)))
             M[j, i] = M[i, j]
-    return A, b, M
-
-
-def butcher_from_nodes(nodes) -> ButcherTableau:
-    """Collocation tableau: a_ij = int_0^{c_i} l_j, b_j = int_0^1 l_j."""
-    c = _validate_nodes(nodes)
-    with mp.workdps(_DPS):
-        A, b, _ = _tables_mp([mpf(v) for v in c])
-    return ButcherTableau(c=c, A=A, b=b)
-
-
-def mass_matrix(nodes) -> np.ndarray:
-    """Gram matrix m_ij = int_0^1 l_i l_j of the Lagrange basis, symmetric by
-    construction (upper triangle computed, then mirrored)."""
-    c = _validate_nodes(nodes)
-    with mp.workdps(_DPS):
-        _, _, M = _tables_mp([mpf(v) for v in c])
-    return M
+    return Ab[:-1], Ab[-1], M
 
 
 def lagrange_integral_weights(nodes, tau: float) -> np.ndarray:
@@ -186,16 +149,13 @@ def lagrange_integral_weights(nodes, tau: float) -> np.ndarray:
     c = _validate_nodes(nodes)
     with mp.workdps(_DPS):
         c_mp = [mpf(v) for v in c]
-        t = mpf(tau)
-        return np.array([
-            float(_eval_mp(_antiderivative_mp(_lagrange_coeffs_mp(c_mp, j)), t))
-            for j in range(c.size)])
+        basis = [_lagrange_coeffs_mp(c_mp, j) for j in range(c.size)]
+        return _integrals_mp(basis, [mpf(tau)])[0]
 
 
-def iiib_from_iiia(tableau: ButcherTableau) -> np.ndarray:
+def iiib_from_iiia(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Companion coefficients from the symplectic-pair identity,
     a_hat_ij = b_j - (b_j / b_i) a_ji."""
-    A, b = tableau.A, tableau.b
     if np.any(b == 0.0):
         raise ZeroDivisionError("pair construction needs nonzero weights")
     return b[None, :] - (b[None, :] / b[:, None]) * A.T
@@ -209,88 +169,84 @@ def check_c1(M: np.ndarray, tol: float) -> bool:
     return bool(np.max(np.abs(off), initial=0.0) <= tol)
 
 
-def quadratic_invariant_residual(tableau: ButcherTableau) -> float:
+def quadratic_invariant_residual(scheme: CollocationScheme) -> float:
     """max_ij |a_ij b_i + a_ji b_j - b_i b_j|; zero exactly for the schemes
     that conserve quadratic invariants."""
-    A, b = tableau.A, tableau.b
+    A, b = scheme.A, scheme.b
     R = A * b[:, None] + A.T * b[None, :] - np.outer(b, b)
     return float(np.max(np.abs(R)))
 
 
-def symplectic_pair_residual(tableau: ButcherTableau, A_hat: np.ndarray) -> float:
+def symplectic_pair_residual(scheme: CollocationScheme) -> float:
     """max_ij |b_i a_hat_ij + b_j a_ji - b_i b_j| for a partitioned pair."""
-    b, A = tableau.b, tableau.A
-    R = b[:, None] * A_hat + A.T * b[None, :] - np.outer(b, b)
+    A, b = scheme.A, scheme.b
+    R = b[:, None] * scheme.A_hat + A.T * b[None, :] - np.outer(b, b)
     return float(np.max(np.abs(R)))
 
 
 @dataclass(frozen=True)
 class CollocationScheme:
-    """Immutable bundle of everything a discrete-time step needs: tableau(x),
-    mass matrix and advertised order."""
+    """Everything a discrete-time step needs: nodes c, tableau (A, b), mass
+    matrix M, advertised order and, for a Lobatto pair, the IIIB companion
+    A_hat.  The arrays are read-only."""
 
     kind: str
-    tableau: ButcherTableau
+    c: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
     M: np.ndarray
     order: int
     A_hat: np.ndarray | None = None
 
     def __post_init__(self):
-        self.M.setflags(write=False)
-        if self.A_hat is not None:
-            self.A_hat.setflags(write=False)
+        for arr in (self.c, self.A, self.b, self.M, self.A_hat):
+            if arr is not None:
+                arr.setflags(write=False)
+        s = self.c.size
+        if self.A.shape != (s, s) or self.b.shape != (s,):
+            raise SchemeConstructionError("tableau shape mismatch")
+        if np.max(np.abs(self.A.sum(axis=1) - self.c)) > _ROW_SUM_TOL:
+            raise SchemeConstructionError("row-sum consistency sum_j a_ij = c_i violated")
+        if abs(self.b.sum() - 1.0) > _ROW_SUM_TOL:
+            raise SchemeConstructionError("weights do not sum to 1")
 
     @property
     def s(self) -> int:
-        return self.tableau.s
-
-    @property
-    def c(self) -> np.ndarray:
-        return self.tableau.c
-
-    @property
-    def A(self) -> np.ndarray:
-        return self.tableau.A
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.tableau.b
+        return self.c.size
 
     @property
     def label(self) -> str:
         return f"{self.kind}-s{self.s}"
 
 
+@cache
 def make_scheme(kind: str, s: int) -> CollocationScheme:
     """Assemble and validate a Gauss-Legendre scheme or a Lobatto IIIA/IIIB
-    pair; construction fails with the violated check named."""
+    pair, once per (kind, s); construction fails with the violated check
+    named."""
+    stage_range = {GAUSS: GAUSS_STAGE_RANGE, LOBATTO: LOBATTO_STAGE_RANGE}
+    if kind not in stage_range:
+        raise ValueError(f"unknown scheme kind {kind!r}")
+    if s not in stage_range[kind]:
+        raise ValueError(f"unsupported {kind} stage count {s}")
+    with mp.workdps(_DPS):
+        # keep full node precision through the tables so the (C1)
+        # orthogonality survives the float cast
+        if kind == GAUSS and s >= 4:
+            c_mp = _gauss_nodes_mp(s)
+        else:
+            nodes = gauss_legendre_nodes(s) if kind == GAUSS else lobatto_nodes(s)
+            c_mp = [mpf(v) for v in nodes]
+        A, b, M = _tables_mp(c_mp)
+        c = np.array([float(v) for v in c_mp])
     if kind == GAUSS:
-        if s not in GAUSS_STAGE_RANGE:
-            raise ValueError(f"unsupported gauss stage count {s}")
-        with mp.workdps(_DPS):
-            # keep full node precision through the tables so the (C1)
-            # orthogonality survives the float cast
-            if s <= 3:
-                c_mp = [mpf(v) for v in gauss_legendre_nodes(s)]
-            else:
-                c_mp = _gauss_nodes_mp(s)
-            A, b, M = _tables_mp(c_mp)
-            c = np.array([float(v) for v in c_mp])
-        tab = ButcherTableau(c=c, A=A, b=b)
         if not check_c1(M, _C1_TOL):
             raise SchemeConstructionError("gauss mass matrix violates (C1)")
-        if np.max(np.abs(np.diag(M) - tab.b)) > _C1_TOL:
+        if np.max(np.abs(np.diag(M) - b)) > _C1_TOL:
             raise SchemeConstructionError("gauss m_ii != b_i")
-        return CollocationScheme(kind=GAUSS, tableau=tab, M=M, order=2 * s)
-    if kind == LOBATTO:
-        if s not in LOBATTO_STAGE_RANGE:
-            raise ValueError(f"unsupported lobatto stage count {s}")
-        c = lobatto_nodes(s)
-        tab = butcher_from_nodes(c)
-        A_hat = iiib_from_iiia(tab)
-        if symplectic_pair_residual(tab, A_hat) > _SYMPLECTIC_PAIR_TOL:
-            raise SchemeConstructionError("symplectic-pair condition violated")
-        M = mass_matrix(c)
-        return CollocationScheme(kind=LOBATTO, tableau=tab, M=M,
-                                 order=2 * s - 2, A_hat=A_hat)
-    raise ValueError(f"unknown scheme kind {kind!r}")
+        return CollocationScheme(GAUSS, c, A, b, M, order=2 * s)
+    scheme = CollocationScheme(LOBATTO, c, A, b, M, order=2 * s - 2,
+                               A_hat=iiib_from_iiia(A, b))
+    if symplectic_pair_residual(scheme) > _SYMPLECTIC_PAIR_TOL:
+        raise SchemeConstructionError("symplectic-pair condition violated")
+    return scheme

@@ -199,7 +199,7 @@ class _NewtonStepper(_Stepper):
 def _make_stepper(model, scheme, input_signal, h, feedback, cfg):
     if model.n_q is not None and scheme.A_hat is None:
         raise ConfigurationError("separable (q, p) models require a Lobatto pair")
-    if cfg.method == "auto" and model.linear and model.constant_structure:
+    if cfg.method == "auto" and model.Q is not None and model.constant_structure:
         return _LinearStepper(model, scheme, input_signal, h, feedback, cfg)
     return _NewtonStepper(model, scheme, input_signal, h, feedback, cfg)
 
@@ -254,20 +254,22 @@ def simulate(model, scheme, x0, input_signal, h, t_end,
     dh_bar = np.empty(N)
     supplied = np.empty(N)
     retained = []
-    for k in range(N):
-        t0 = k * h
-        try:
-            sol = stepper.step(x, t0)
-        except SolverDivergenceError as err:
-            err.step_index = k
-            raise
-        dh_tilde[k] = delta_h_tilde(sol, scheme)
-        dh_bar[k] = delta_h_bar(model, x, sol.x_end)
-        supplied[k] = supplied_energy(sol)
-        if retain_stages:
-            retained.append(sol)
-        x = sol.x_end
-        states[k + 1] = x
+    # overflow is reported below with its step index, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N):
+            t0 = k * h
+            try:
+                sol = stepper.step(x, t0)
+            except SolverDivergenceError as err:
+                err.step_index = k
+                raise
+            dh_tilde[k] = delta_h_tilde(sol, scheme)
+            dh_bar[k] = delta_h_bar(model, x, sol.x_end)
+            supplied[k] = supplied_energy(sol)
+            if retain_stages:
+                retained.append(sol)
+            x = sol.x_end
+            states[k + 1] = x
     # state row k + 1 and energy row k both belong to step k
     bad = np.concatenate([
         np.flatnonzero(~np.isfinite(states).all(axis=1)) - 1,

@@ -1,9 +1,10 @@
 """Explicit port-Hamiltonian test systems, input signals and damping feedback.
 
 A model is the quadruple (H, gradH, J, G) of Eq-free callables over the state,
-plus the two flags the discretization machinery dispatches on: whether the
-interconnection matrix is constant and whether gradH is linear (gradH = Q x),
-and, for a separable (q, p) model, the number n_q of position coordinates.
+plus what the discretization machinery dispatches on: whether the
+interconnection matrix is constant, the matrix Q of a linear gradH = Q x (None
+otherwise) and, for a separable (q, p) model, the number n_q of position
+coordinates.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ PORTLEVEL = "portlevel"
 class PHModel:
     """Explicit port-Hamiltonian system xdot = J(x) gradH(x) + G(x) u."""
 
-    def __init__(self, n, m, H, gradH, J, G, *, constant_structure, linear,
+    def __init__(self, n, m, H, gradH, J, G, *, constant_structure,
                  Q=None, name="", n_q=None):
         self.n = int(n)
         self.m = int(m)
@@ -30,7 +31,6 @@ class PHModel:
         self._J = J
         self._G = G
         self.constant_structure = bool(constant_structure)
-        self.linear = bool(linear)
         self.Q = None if Q is None else np.asarray(Q, dtype=float)
         self.name = name
         # separable (q, p) models: the first n_q states are positions, which
@@ -49,25 +49,23 @@ class PHModel:
     def G(self, x) -> np.ndarray:
         return np.asarray(self._G(np.asarray(x, dtype=float)), dtype=float).reshape(self.n, self.m)
 
-    def output(self, x, *_):
+    def output(self, x):
         """Collocated continuous-time output y = G(x)^T gradH(x)."""
         return self.G(x).T @ self.gradH(x)
 
 
 @dataclass(frozen=True)
 class InputSignal:
-    """Named time function t -> R^m, defined for all t >= 0."""
+    """Time function t -> R^m, defined for all t >= 0."""
 
     fn: Callable[[float], np.ndarray]
-    name: str
-    m: int = 1
 
     def __call__(self, t: float) -> np.ndarray:
         return np.atleast_1d(np.asarray(self.fn(float(t)), dtype=float))
 
 
 def zero_input(m: int = 1) -> InputSignal:
-    return InputSignal(fn=lambda t: np.zeros(m), name="zero", m=m)
+    return InputSignal(fn=lambda t: np.zeros(m))
 
 
 def pulse_input() -> InputSignal:
@@ -78,7 +76,7 @@ def pulse_input() -> InputSignal:
             return np.array([np.sin(np.pi * (t - 8.0) / 2.0) ** 2])
         return np.array([0.0])
 
-    return InputSignal(fn=fn, name="pulse")
+    return InputSignal(fn=fn)
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,7 @@ def oscillator() -> PHModel:
                    H=lambda x: 0.5 * x @ x,
                    gradH=lambda x: x.copy(),
                    J=lambda x: J, G=lambda x: g,
-                   constant_structure=True, linear=True, Q=Q,
+                   constant_structure=True, Q=Q,
                    name="oscillator")
 
 
@@ -133,7 +131,7 @@ def mechanical(Q, P, G, name="mechanical") -> PHModel:
                    H=lambda x: 0.5 * x @ Qfull @ x,
                    gradH=lambda x: Qfull @ x,
                    J=lambda x: J, G=lambda x: Gfull,
-                   constant_structure=True, linear=True, Q=Qfull,
+                   constant_structure=True, Q=Qfull,
                    name=name, n_q=n)
 
 
@@ -160,7 +158,7 @@ def rigid_body() -> PHModel:
                    gradH=lambda x: _RIGID_BODY_Q @ x,
                    J=_cross_matrix,
                    G=lambda x: np.zeros((3, 0)),
-                   constant_structure=False, linear=True, Q=_RIGID_BODY_Q,
+                   constant_structure=False, Q=_RIGID_BODY_Q,
                    name="rigid-body")
 
 
@@ -183,6 +181,5 @@ def closed_loop(model: PHModel, cfg: FeedbackConfig) -> PHModel:
 
     return PHModel(model.n, model.m,
                    H=model.H, gradH=model.gradH, J=Jcl, G=model.G,
-                   constant_structure=model.constant_structure,
-                   linear=model.linear, Q=model.Q,
+                   constant_structure=model.constant_structure, Q=model.Q,
                    name=f"{model.name}-damped", n_q=model.n_q)

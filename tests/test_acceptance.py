@@ -277,9 +277,8 @@ def test_criterion_8_property_suite():
             quad_worst = max(quad_worst,
                              abs(float(scheme.b @ scheme.c**k) - 1.0 / (k + 1)))
         if kind == "lobatto":
-            pair_worst = max(pair_worst, coll.symplectic_pair_residual(
-                scheme.tableau, scheme.A_hat))
-        qres = coll.quadratic_invariant_residual(scheme.tableau)
+            pair_worst = max(pair_worst, coll.symplectic_pair_residual(scheme))
+        qres = coll.quadratic_invariant_residual(scheme)
         if kind == "gauss":
             ok = ok and qres < 1e-14
         else:

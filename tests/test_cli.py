@@ -178,6 +178,7 @@ def test_partitioned_rejects_gauss(tmp_path, capsys):
     assert "Lobatto pair" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_overflowing_energy_exits_3(tmp_path, capsys):
     # finite states whose energy overflows must not give NaN CSVs
     code = run(["simulate", "--x0=1e200,1e200", "--t-end", "1",

@@ -73,32 +73,33 @@ def test_gauss_nodes_are_legendre_roots(s):
 
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_gauss_tableau_closed_form(s):
-    tab = coll.butcher_from_nodes(GAUSS_NODES[s])
-    assert np.max(np.abs(tab.A - GAUSS_A[s])) < 1e-14
-    assert np.max(np.abs(tab.b - GAUSS_B[s])) < 1e-14
+    scheme = coll.make_scheme(coll.GAUSS, s)
+    assert np.max(np.abs(scheme.A - GAUSS_A[s])) < 1e-14
+    assert np.max(np.abs(scheme.b - GAUSS_B[s])) < 1e-14
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_lobatto_tableau_closed_form(s):
-    tab = coll.butcher_from_nodes(LOBATTO_NODES[s])
-    assert np.max(np.abs(tab.A - LOBATTO_A[s])) < 1e-14
-    assert np.max(np.abs(tab.b - LOBATTO_B[s])) < 1e-14
+    scheme = coll.make_scheme(coll.LOBATTO, s)
+    assert np.max(np.abs(scheme.A - LOBATTO_A[s])) < 1e-14
+    assert np.max(np.abs(scheme.b - LOBATTO_B[s])) < 1e-14
 
 
 def test_companion_tableau_closed_form():
     # s=2: A_hat rows all (1/2, 0); s=3 from the pair identity, checked
     # against the standard table
-    tab2 = coll.butcher_from_nodes(LOBATTO_NODES[2])
-    assert np.max(np.abs(coll.iiib_from_iiia(tab2) - [[0.5, 0.0], [0.5, 0.0]])) < 1e-14
-    tab3 = coll.butcher_from_nodes(LOBATTO_NODES[3])
+    lob2 = coll.make_scheme(coll.LOBATTO, 2)
+    assert np.max(np.abs(coll.iiib_from_iiia(lob2.A, lob2.b) - [[0.5, 0.0], [0.5, 0.0]])) < 1e-14
+    lob3 = coll.make_scheme(coll.LOBATTO, 3)
     expect = np.array([[1 / 6, -1 / 6, 0.0],
                        [1 / 6, 1 / 3, 0.0],
                        [1 / 6, 5 / 6, 0.0]])
-    assert np.max(np.abs(coll.iiib_from_iiia(tab3) - expect)) < 1e-14
+    assert np.max(np.abs(coll.iiib_from_iiia(lob3.A, lob3.b) - expect)) < 1e-14
+    assert np.max(np.abs(lob3.A_hat - expect)) < 1e-14
 
 
 def test_lobatto3_mass_matrix_closed_form():
-    M = coll.mass_matrix(LOBATTO_NODES[3])
+    M = coll.make_scheme(coll.LOBATTO, 3).M
     assert np.max(np.abs(M - LOBATTO3_M)) < 1e-14
 
 
@@ -158,7 +159,7 @@ def test_mass_matrix_symmetric_positive_definite(all_schemes):
 
 def test_quadratic_invariant_residual_signatures(all_schemes):
     for (kind, s), scheme in all_schemes.items():
-        res = coll.quadratic_invariant_residual(scheme.tableau)
+        res = coll.quadratic_invariant_residual(scheme)
         if kind == coll.GAUSS:
             assert res < 1e-14
         else:
@@ -168,15 +169,15 @@ def test_quadratic_invariant_residual_signatures(all_schemes):
 def test_lobatto3_quadratic_invariant_residual_value():
     # largest entry of a_ij b_i + a_ji b_j - b_i b_j sits in the corners:
     # |0 + 1/6 * 1/6 - 1/36 * ... | -> 1/36 by direct enumeration
-    tab = coll.butcher_from_nodes(LOBATTO_NODES[3])
-    assert abs(coll.quadratic_invariant_residual(tab) - 1.0 / 36.0) < 1e-14
+    scheme = coll.make_scheme(coll.LOBATTO, 3)
+    assert abs(coll.quadratic_invariant_residual(scheme) - 1.0 / 36.0) < 1e-14
 
 
 def test_symplectic_pair_residual(all_schemes):
     for (kind, s), scheme in all_schemes.items():
         if kind != coll.LOBATTO:
             continue
-        assert coll.symplectic_pair_residual(scheme.tableau, scheme.A_hat) < 1e-13
+        assert coll.symplectic_pair_residual(scheme) < 1e-13
 
 
 def test_lagrange_basis_cardinal_property(all_schemes):
@@ -215,6 +216,17 @@ def test_scheme_orders_and_labels(all_schemes):
         assert (scheme.A_hat is None) == (kind == coll.GAUSS)
 
 
+def test_make_scheme_is_cached_and_read_only(all_schemes):
+    for (kind, s), scheme in all_schemes.items():
+        assert coll.make_scheme(kind, s) is coll.make_scheme(kind, s)
+        for name in ("c", "A", "b", "M", "A_hat"):
+            arr = getattr(scheme, name)
+            if arr is None:
+                continue
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
 @pytest.mark.parametrize("kind,s", [(coll.GAUSS, 0), (coll.GAUSS, 9),
                                     (coll.LOBATTO, 1), (coll.LOBATTO, 5)])
 def test_unsupported_stage_counts(kind, s):
@@ -224,21 +236,26 @@ def test_unsupported_stage_counts(kind, s):
 
 def test_bad_nodes_rejected():
     with pytest.raises(ValueError):
-        coll.butcher_from_nodes([0.3, 0.2])
+        coll.lagrange_integral_weights([0.3, 0.2], 0.5)
     with pytest.raises(ValueError):
-        coll.butcher_from_nodes([-0.1, 0.5])
+        coll.lagrange_integral_weights([-0.1, 0.5], 0.5)
     with pytest.raises(ValueError):
-        coll.mass_matrix([])
+        coll.lagrange_integral_weights([], 0.5)
+
+
+def scheme_record(c, A, b):
+    return coll.CollocationScheme(coll.LOBATTO, np.array(c), np.array(A),
+                                  np.array(b), np.eye(len(c)), order=2)
 
 
 def test_tableau_validation():
-    c = np.array([0.0, 1.0])
-    A = np.array([[0.0, 0.0], [0.3, 0.3]])  # row sums != c
+    c = [0.0, 1.0]
+    with pytest.raises(SchemeConstructionError):  # row sums != c
+        scheme_record(c, [[0.0, 0.0], [0.3, 0.3]], [0.5, 0.5])
     with pytest.raises(SchemeConstructionError):
-        coll.ButcherTableau(c=c, A=A, b=np.array([0.5, 0.5]))
-    A = np.array([[0.0, 0.0], [0.5, 0.5]])
+        scheme_record(c, [[0.0, 0.0], [0.5, 0.5]], [0.4, 0.5])
     with pytest.raises(SchemeConstructionError):
-        coll.ButcherTableau(c=c, A=A, b=np.array([0.4, 0.5]))
+        scheme_record(c, [[0.5]], [0.5, 0.5])
 
 
 def test_check_c1_validates_tol():
@@ -247,16 +264,8 @@ def test_check_c1_validates_tol():
 
 
 def test_pair_construction_needs_nonzero_weights():
-    tab = coll.ButcherTableau(c=np.array([0.0, 1.0]),
-                              A=np.array([[0.0, 0.0], [0.5, 0.5]]),
-                              b=np.array([0.5, 0.5]))
-    bad = coll.ButcherTableau(c=np.array([0.5]), A=np.array([[0.5]]),
-                              b=np.array([1.0]))
-    assert coll.iiib_from_iiia(tab).shape == (2, 2)
-    zero_b = object.__new__(coll.ButcherTableau)
-    object.__setattr__(zero_b, "c", np.array([0.0, 1.0]))
-    object.__setattr__(zero_b, "A", np.array([[0.0, 0.0], [0.5, 0.5]]))
-    object.__setattr__(zero_b, "b", np.array([1.0, 0.0]))
+    A = np.array([[0.0, 0.0], [0.5, 0.5]])
+    assert coll.iiib_from_iiia(A, np.array([0.5, 0.5])).shape == (2, 2)
     with pytest.raises(ZeroDivisionError):
-        coll.iiib_from_iiia(zero_b)
-    assert bad.s == 1
+        coll.iiib_from_iiia(A, np.array([1.0, 0.0]))
+    assert scheme_record([0.5], [[0.5]], [1.0]).s == 1

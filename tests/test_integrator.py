@@ -168,19 +168,18 @@ def test_initial_state_validation(factory, x0):
 @pytest.mark.parametrize("method", ["auto", "newton"])
 def test_non_finite_state_reported(method):
     # the input turns NaN at t = 0.3; Gauss-1 first samples it on step 3
-    signal = InputSignal(fn=lambda t: np.array([np.nan if t >= 0.3 else 0.0]),
-                         name="nan")
+    signal = InputSignal(fn=lambda t: np.array([np.nan if t >= 0.3 else 0.0]))
     with pytest.raises(SolverDivergenceError) as exc:
         simulate(oscillator(), coll.make_scheme(coll.GAUSS, 1), X0, signal,
                  0.1, 1.0, cfg=SolverConfig(method=method, max_iter=3))
     assert exc.value.step_index == 3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_energy_reported():
     # from t = 0.3 the input is 1e200: the states stay finite (~1e199) but
     # their energy overflows, first on step 3 of Gauss-1 (energy row 3)
-    signal = InputSignal(fn=lambda t: np.array([1e200 if t >= 0.3 else 0.0]),
-                         name="huge")
+    signal = InputSignal(fn=lambda t: np.array([1e200 if t >= 0.3 else 0.0]))
     with pytest.raises(SolverDivergenceError, match="not finite") as exc:
         simulate(oscillator(), coll.make_scheme(coll.GAUSS, 1), X0, signal,
                  0.1, 1.0)

@@ -46,12 +46,12 @@ def test_oscillator_basics():
     assert np.allclose(model.J(x), [[0, 1], [-1, 0]])
     assert model.G(x).shape == (2, 1)
     assert model.output(x) == pytest.approx(-0.4)
-    assert model.constant_structure and model.linear
+    assert model.constant_structure and model.Q is not None
 
 
 def test_rigid_body_flags_and_energy():
     model = rigid_body()
-    assert model.m == 0 and not model.constant_structure and model.linear
+    assert model.m == 0 and not model.constant_structure and model.Q is not None
     x = np.array([1.0, 1.0, 1.0])
     assert model.H(x) == pytest.approx(0.5 * (1 + 0.5 + 1 / 3))
     # the structure map moves with the state
@@ -66,7 +66,7 @@ def test_partitioned_oscillator_matches_full_form():
     assert np.allclose(pm.J(np.zeros(2)), [[0, 1], [-1, 0]])
     assert np.allclose(pm.G(x), [[0.0], [1.0]])
     assert pm.n == 2 and pm.n_q == 1 and pm.m == 1
-    assert pm.constant_structure and pm.linear
+    assert pm.constant_structure and pm.Q is not None
     assert oscillator().n_q is None
 
 

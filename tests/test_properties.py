@@ -25,7 +25,7 @@ def random_linear_ph(seed, n=2, m=1):
                    H=lambda x: 0.5 * x @ Q @ x,
                    gradH=lambda x: Q @ x,
                    J=lambda x: J, G=lambda x: G,
-                   constant_structure=True, linear=True, Q=Q,
+                   constant_structure=True, Q=Q,
                    name=f"random-{seed}")
 
 
