@@ -59,6 +59,8 @@ def _build_input(name, m):
 def _build(args):
     if args.model not in MODELS:
         raise ConfigurationError(f"unknown model {args.model!r}")
+    if not (np.isfinite(args.r) and args.r >= 0.0):
+        raise ConfigurationError(f"--r must be a finite gain >= 0, got {args.r}")
     model = MODELS[args.model]()
     scheme = coll.make_scheme(args.scheme, args.stages)
     if args.x0 is not None:
@@ -183,7 +185,11 @@ def cmd_simulate(args) -> int:
 def cmd_converge(args) -> int:
     h_list = (tuple(float(v) for v in args.h_list.split(","))
               if args.h_list else DEFAULT_H_LIST)
+    if not np.isfinite(args.t_end):
+        raise ConfigurationError(f"--t-end must be finite, got {args.t_end}")
     for h in h_list:
+        if not (np.isfinite(h) and h > 0.0):
+            raise ConfigurationError(f"--h-list entries must be finite and positive, got {h}")
         if abs(args.t_end / h - round(args.t_end / h)) > 1e-9:
             raise ConfigurationError(f"h={h} does not divide t_end={args.t_end}")
     reference = _reference_for(args)

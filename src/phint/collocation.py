@@ -1,10 +1,13 @@
-"""Collocation node sets, Butcher tableaux and mass matrices.
+"""Collocation node sets, Butcher tableaux, mass matrices and dense-output
+coefficients.
 
 All coefficient integrals are evaluated by exact antidifferentiation of the
 Lagrange basis polynomials in the monomial basis.  The monomial basis loses
 several digits to cancellation at the larger stage counts, so the
 construction runs in 40-digit arithmetic and only the final tables are cast
-to float; the published values are then exact to one rounding.
+to float; the published values are then exact to one rounding.  The same
+pass stores int_0^tau l_j in the shifted Legendre basis P_k(2 tau - 1),
+whose float coefficients stay small, so dense output is a float evaluation.
 """
 from __future__ import annotations
 
@@ -123,11 +126,23 @@ def _integrals_mp(basis, taus) -> np.ndarray:
     return np.array([[float(_eval_mp(L, t)) for L in anti] for t in taus])
 
 
+def _legendre_coeffs_mp(basis):
+    """(s, s+1) coefficients W[j, k] of P_k(2 tau - 1) in int_0^tau l_j, from
+    the exact map tau^i = sum_{k<=i} (2k+1) i!^2 / ((i-k)! (i+k+1)!) P_k."""
+    anti = [_antiderivative_mp(p) for p in basis]
+    deg = len(anti[0])
+    T = [[mpf((2 * k + 1) * factorial(i) ** 2)
+          / (factorial(i - k) * factorial(i + k + 1)) for k in range(i + 1)]
+         for i in range(deg)]
+    return np.array([[float(sum(L[i] * T[i][k] for i in range(k, deg)))
+                      for k in range(deg)] for L in anti])
+
+
 def _tables_mp(c_mp):
-    """(A, b, M) as float arrays from exact integration over mp nodes: rows
-    a_i = int_0^{c_i} l_j, b = int_0^1 l_j and the Gram matrix
+    """(A, b, M, W) as float arrays from exact integration over mp nodes:
+    rows a_i = int_0^{c_i} l_j, b = int_0^1 l_j, the Gram matrix
     m_ij = int_0^1 l_i l_j, symmetric by construction (upper triangle
-    computed, then mirrored)."""
+    computed, then mirrored), and the dense-output coefficients W."""
     s = len(c_mp)
     basis = [_lagrange_coeffs_mp(c_mp, i) for i in range(s)]
     Ab = _integrals_mp(basis, [*c_mp, mpf(1)])
@@ -140,7 +155,7 @@ def _tables_mp(c_mp):
                     prod[k + l] += a * bb
             M[i, j] = float(_eval_mp(_antiderivative_mp(prod), mpf(1)))
             M[j, i] = M[i, j]
-    return Ab[:-1], Ab[-1], M
+    return Ab[:-1], Ab[-1], M, _legendre_coeffs_mp(basis)
 
 
 def lagrange_integral_weights(nodes, tau: float) -> np.ndarray:
@@ -187,24 +202,28 @@ def symplectic_pair_residual(scheme: CollocationScheme) -> float:
 @dataclass(frozen=True)
 class CollocationScheme:
     """Everything a discrete-time step needs: nodes c, tableau (A, b), mass
-    matrix M, advertised order and, for a Lobatto pair, the IIIB companion
-    A_hat.  The arrays are read-only."""
+    matrix M, dense-output coefficients W (W[j, k] multiplies P_k(2 tau - 1)
+    in int_0^tau l_j), advertised order and, for a Lobatto pair, the IIIB
+    companion A_hat.  The arrays are read-only."""
 
     kind: str
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
     M: np.ndarray
+    W: np.ndarray
     order: int
     A_hat: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.c, self.A, self.b, self.M, self.A_hat):
+        for arr in (self.c, self.A, self.b, self.M, self.W, self.A_hat):
             if arr is not None:
                 arr.setflags(write=False)
         s = self.c.size
         if self.A.shape != (s, s) or self.b.shape != (s,):
             raise SchemeConstructionError("tableau shape mismatch")
+        if self.W.shape != (s, s + 1):
+            raise SchemeConstructionError("dense-output coefficient shape mismatch")
         if np.max(np.abs(self.A.sum(axis=1) - self.c)) > _ROW_SUM_TOL:
             raise SchemeConstructionError("row-sum consistency sum_j a_ij = c_i violated")
         if abs(self.b.sum() - 1.0) > _ROW_SUM_TOL:
@@ -237,15 +256,15 @@ def make_scheme(kind: str, s: int) -> CollocationScheme:
         else:
             nodes = gauss_legendre_nodes(s) if kind == GAUSS else lobatto_nodes(s)
             c_mp = [mpf(v) for v in nodes]
-        A, b, M = _tables_mp(c_mp)
+        A, b, M, W = _tables_mp(c_mp)
         c = np.array([float(v) for v in c_mp])
     if kind == GAUSS:
         if not check_c1(M, _C1_TOL):
             raise SchemeConstructionError("gauss mass matrix violates (C1)")
         if np.max(np.abs(np.diag(M) - b)) > _C1_TOL:
             raise SchemeConstructionError("gauss m_ii != b_i")
-        return CollocationScheme(GAUSS, c, A, b, M, order=2 * s)
-    scheme = CollocationScheme(LOBATTO, c, A, b, M, order=2 * s - 2,
+        return CollocationScheme(GAUSS, c, A, b, M, W, order=2 * s)
+    scheme = CollocationScheme(LOBATTO, c, A, b, M, W, order=2 * s - 2,
                                A_hat=iiib_from_iiia(A, b))
     if symplectic_pair_residual(scheme) > _SYMPLECTIC_PAIR_TOL:
         raise SchemeConstructionError("symplectic-pair condition violated")

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import collocation as coll
 from .dirac import discrete_output, stage_flows
 from .energy import delta_h_bar, delta_h_tilde, supplied_energy
 from .errors import ConfigurationError, SolverDivergenceError
@@ -213,11 +212,16 @@ def _initial_state(model, x0) -> np.ndarray:
     return x0
 
 
+def _check_finite(name, value, positive=False):
+    if not np.isfinite(value) or (positive and value <= 0):
+        need = "finite and positive" if positive else "finite"
+        raise ConfigurationError(f"{name} must be {need}, got {value}")
+
+
 def solve_stages(model, scheme, x0, input_signal, t0, h,
                  cfg: SolverConfig | None = None, feedback=None) -> StageSolution:
     """Solve the implicit stage equations of one sampling interval."""
-    if h <= 0:
-        raise ConfigurationError("step size h must be positive")
+    _check_finite("step size h", h, positive=True)
     x0 = _initial_state(model, x0)
     cfg = cfg or SolverConfig()
     stepper = _make_stepper(model, scheme, input_signal, h, feedback, cfg)
@@ -225,11 +229,16 @@ def solve_stages(model, scheme, x0, input_signal, t0, h,
 
 
 def dense_eval(sol: StageSolution, scheme, tau: float) -> np.ndarray:
-    """Collocation polynomial x(t0 + tau h) = x0 - h sum_j f_j int_0^tau l_j."""
+    """Collocation polynomial x(t0 + tau h) = x0 - h sum_j f_j int_0^tau l_j,
+    with int_0^tau l_j = sum_k W[j, k] P_k(2 tau - 1) and P_0..P_s from
+    Bonnet's recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    weights = coll.lagrange_integral_weights(scheme.c, tau)
-    return sol.x0 - sol.h * (weights @ sol.f)
+    x = 2.0 * tau - 1.0
+    p = [1.0, x]
+    for k in range(1, scheme.s):
+        p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+    return sol.x0 - sol.h * ((scheme.W @ p) @ sol.f)
 
 
 def simulate(model, scheme, x0, input_signal, h, t_end,
@@ -239,8 +248,8 @@ def simulate(model, scheme, x0, input_signal, h, t_end,
     per-step energy triple (dH_tilde, dH_bar, supplied).  A state or energy
     that turns non-finite raises SolverDivergenceError with the index of the
     first such step."""
-    if h <= 0:
-        raise ConfigurationError("step size h must be positive")
+    _check_finite("step size h", h, positive=True)
+    _check_finite("t_end", t_end)
     n_float = t_end / h
     N = int(round(n_float))
     if N < 1 or abs(n_float - N) > 1e-9 * max(1.0, N):

@@ -89,8 +89,8 @@ class FeedbackConfig:
     v: InputSignal = field(default_factory=zero_input)
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ConfigurationError("damping gain r must be >= 0")
+        if not (np.isfinite(self.r) and self.r >= 0):
+            raise ConfigurationError(f"damping gain r must be finite and >= 0, got {self.r}")
         if self.mode not in (STAGEWISE, PORTLEVEL):
             raise ConfigurationError(f"unknown feedback mode {self.mode!r}")
 

@@ -52,17 +52,23 @@ def test_tracer_wraps_and_restores_phint(tracing, capsys):
         assert code == 0
         scheme = phint.collocation.make_scheme("gauss", 2)
         model = tracer.wrap_model(phint.models.rigid_body())
-        phint.integrator.simulate(model, scheme, np.ones(3),
-                                  phint.models.zero_input(0), 0.1, 0.3,
-                                  retain_stages=True)
+        traj = phint.integrator.simulate(model, scheme, np.ones(3),
+                                         phint.models.zero_input(0), 0.1, 0.3,
+                                         retain_stages=True)
+        sol = traj.stage_solutions[-1]
+        x_end = phint.integrator.dense_eval(sol, scheme, 1.0)
     finally:
         patches.undo()
     assert snapshot() == before
     spans = {rec[tracing.NAME] for rec in tracer.spans}
     for name in ("cli.main", "integrator.simulate", "collocation.make_scheme",
                  "dirac.assemble_blocks", "dirac.kernel_check",
-                 "dirac.power_residual", "dirac.structure_residual"):
+                 "dirac.power_residual", "dirac.structure_residual",
+                 "integrator.dense_eval"):
         assert name in spans
+    # dense output reads the stored coefficients, not the mpmath weights
+    assert np.max(np.abs(x_end - sol.x_end)) < 1e-14
+    assert tracer.leaves["collocation.lagrange_integral_weights"][0] == 0
     newton = tracer.simulate_runs[-1]
     assert newton["iterations"] > 0 and newton["steps"] == 3
     # J calls = s * (iterations + s*n*builds + steps); raises otherwise

@@ -79,6 +79,31 @@ def test_converge_rejects_non_divisor_h(capsys):
     assert run(["converge", "--t-end", "18", "--h-list", "0.7"]) == 2
 
 
+@pytest.mark.parametrize("h_list", ["0", "-0.1", "0.1,nan"])
+def test_converge_rejects_non_positive_h(capsys, h_list):
+    assert run(["converge", "--t-end", "18", f"--h-list={h_list}"]) == 2
+    assert "--h-list entries must be finite and positive" in capsys.readouterr().err
+
+
+def test_converge_rejects_non_finite_t_end(capsys):
+    assert run(["converge", "--t-end", "nan", "--h-list", "0.1"]) == 2
+    assert "--t-end must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["--r", "nan"], "--r must be a finite gain", id="r-nan"),
+    pytest.param(["--r", "inf"], "--r must be a finite gain", id="r-inf"),
+    pytest.param(["--r=-0.1"], "--r must be a finite gain", id="r-negative"),
+    pytest.param(["--h", "nan"], "step size h must be finite", id="h-nan"),
+    pytest.param(["--t-end", "nan"], "t_end must be finite", id="t_end-nan"),
+])
+def test_simulate_rejects_non_finite_arguments(tmp_path, capsys, argv, message):
+    code = run(["simulate", *argv, "--out", str(tmp_path / "bad")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "bad_traj.csv").exists()
+
+
 def test_converge_needs_reference(capsys):
     assert run(["converge", "--model", "rigid-body", "--input", "zero",
                 "--t-end", "18"]) == 2

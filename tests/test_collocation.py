@@ -219,7 +219,7 @@ def test_scheme_orders_and_labels(all_schemes):
 def test_make_scheme_is_cached_and_read_only(all_schemes):
     for (kind, s), scheme in all_schemes.items():
         assert coll.make_scheme(kind, s) is coll.make_scheme(kind, s)
-        for name in ("c", "A", "b", "M", "A_hat"):
+        for name in ("c", "A", "b", "M", "W", "A_hat"):
             arr = getattr(scheme, name)
             if arr is None:
                 continue
@@ -243,9 +243,10 @@ def test_bad_nodes_rejected():
         coll.lagrange_integral_weights([], 0.5)
 
 
-def scheme_record(c, A, b):
+def scheme_record(c, A, b, W=None):
+    W = np.zeros((len(c), len(c) + 1)) if W is None else np.array(W)
     return coll.CollocationScheme(coll.LOBATTO, np.array(c), np.array(A),
-                                  np.array(b), np.eye(len(c)), order=2)
+                                  np.array(b), np.eye(len(c)), W, order=2)
 
 
 def test_tableau_validation():
@@ -256,6 +257,8 @@ def test_tableau_validation():
         scheme_record(c, [[0.0, 0.0], [0.5, 0.5]], [0.4, 0.5])
     with pytest.raises(SchemeConstructionError):
         scheme_record(c, [[0.5]], [0.5, 0.5])
+    with pytest.raises(SchemeConstructionError):  # W must be (s, s + 1)
+        scheme_record(c, [[0.0, 0.0], [0.5, 0.5]], [0.5, 0.5], np.zeros((2, 2)))
 
 
 def test_check_c1_validates_tol():

@@ -10,6 +10,9 @@ from phint.models import (FeedbackConfig, InputSignal, oscillator,
                           zero_input)
 
 X0 = np.array([0.0, -1.0])
+ALL_SCHEMES = ([(coll.GAUSS, s) for s in range(1, 9)]
+               + [(coll.LOBATTO, s) for s in (2, 3, 4)])
+SCHEME_IDS = [f"{kind}{s}" for kind, s in ALL_SCHEMES]
 A_OSC = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
@@ -51,15 +54,44 @@ def test_stage_reconstruction_identities(kind, s):
     assert np.max(np.abs(sol.x_end - recon_end)) <= tol
 
 
-def test_dense_eval_endpoints_and_stages():
-    scheme = coll.make_scheme(coll.LOBATTO, 3)
+@pytest.mark.parametrize("kind,s", ALL_SCHEMES, ids=SCHEME_IDS)
+def test_dense_eval_endpoints_and_stages(kind, s):
+    scheme = coll.make_scheme(kind, s)
     sol = solve_stages(oscillator(), scheme, X0, pulse_input(), 8.0, 0.5)
     assert np.max(np.abs(dense_eval(sol, scheme, 0.0) - sol.x0)) < 1e-14
     assert np.max(np.abs(dense_eval(sol, scheme, 1.0) - sol.x_end)) < 1e-14
     for i, ci in enumerate(scheme.c):
         assert np.max(np.abs(dense_eval(sol, scheme, ci) - sol.stage_x[i])) < 1e-13
+    # the stored float coefficients agree with the 40-digit Lagrange weights
+    taus = [0.0, *scheme.c, 1.0, *np.random.default_rng(s).random(8)]
+    for tau in taus:
+        w = coll.lagrange_integral_weights(scheme.c, tau)
+        expect = sol.x0 - sol.h * (w @ sol.f)
+        assert np.max(np.abs(dense_eval(sol, scheme, tau) - expect)) < 1e-14
     with pytest.raises(ValueError):
         dense_eval(sol, scheme, 1.5)
+
+
+class _NoMpmath:
+    def __getattr__(self, name):
+        raise AssertionError(f"mpmath used on the dense-output path: mp.{name}")
+
+
+def test_dense_eval_runs_without_mpmath(monkeypatch):
+    cases = []
+    for kind, s in ALL_SCHEMES:
+        scheme = coll.make_scheme(kind, s)
+        cases.append((scheme, solve_stages(oscillator(), scheme, X0,
+                                           pulse_input(), 8.0, 0.5)))
+
+    def no_oracle(*args):
+        raise AssertionError("dense_eval called lagrange_integral_weights")
+
+    monkeypatch.setattr(coll, "lagrange_integral_weights", no_oracle)
+    monkeypatch.setattr(coll, "mp", _NoMpmath())
+    for scheme, sol in cases:
+        assert np.max(np.abs(dense_eval(sol, scheme, 1.0) - sol.x_end)) < 1e-14
+        assert np.all(np.isfinite(dense_eval(sol, scheme, 0.3)))
 
 
 def test_dense_derivative_reproduces_flows():
@@ -85,8 +117,6 @@ def test_gauss_conserves_energy_and_casimir_rigid_body():
     assert np.max(np.abs(cas - cas[0])) < 1e-13
 
 
-ALL_SCHEMES = ([(coll.GAUSS, s) for s in range(1, 9)]
-               + [(coll.LOBATTO, s) for s in (2, 3, 4)])
 DIFFERENTIAL_CASES = [
     pytest.param(kind, s, factory, mode,
                  id=f"{kind}{s}-{factory.__name__}-{mode or 'open'}")
@@ -194,6 +224,12 @@ def test_step_size_validation():
         simulate(oscillator(), scheme, X0, zero_input(), -0.1, 1.0)
     with pytest.raises(ConfigurationError):
         simulate(oscillator(), scheme, X0, zero_input(), 0.3, 1.0)
+    with pytest.raises(ConfigurationError, match="step size h must be finite"):
+        solve_stages(oscillator(), scheme, X0, zero_input(), 0.0, np.nan)
+    with pytest.raises(ConfigurationError, match="step size h must be finite"):
+        simulate(oscillator(), scheme, X0, zero_input(), np.inf, 1.0)
+    with pytest.raises(ConfigurationError, match="t_end must be finite"):
+        simulate(oscillator(), scheme, X0, zero_input(), 0.1, np.nan)
 
 
 def test_two_step_chaining_is_exact():

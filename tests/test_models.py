@@ -102,8 +102,9 @@ def test_zero_input_shape():
 
 def test_feedback_config_validation():
     FeedbackConfig(r=0.0)
-    with pytest.raises(ConfigurationError):
-        FeedbackConfig(r=-0.1)
+    for r in (-0.1, np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="finite and >= 0"):
+            FeedbackConfig(r=r)
     with pytest.raises(ConfigurationError):
         FeedbackConfig(r=0.1, mode="perstep")
 

@@ -11,6 +11,8 @@ from phint.integrator import StageSolution, dense_eval, solve_stages
 from phint.models import PHModel, pulse_input, zero_input
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
+ALL_SCHEMES = ([(coll.GAUSS, s) for s in coll.GAUSS_STAGE_RANGE]
+               + [(coll.LOBATTO, s) for s in coll.LOBATTO_STAGE_RANGE])
 
 
 def random_linear_ph(seed, n=2, m=1):
@@ -80,11 +82,11 @@ def test_stage_reconstruction_property(seed, s, h, x1, x2):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**6), tau=st.floats(0.0, 1.0),
-       h=st.floats(1e-3, 0.5))
-def test_dense_eval_stays_polynomial_consistent(seed, tau, h):
+       h=st.floats(1e-3, 0.5), kind_s=st.sampled_from(ALL_SCHEMES))
+def test_dense_eval_stays_polynomial_consistent(seed, tau, h, kind_s):
     # evaluating at tau and re-deriving from the Lagrange antiderivatives agree
     model = random_linear_ph(seed)
-    scheme = coll.make_scheme(coll.GAUSS, 3)
+    scheme = coll.make_scheme(*kind_s)
     sol = solve_stages(model, scheme, np.array([1.0, 0.0]), zero_input(),
                        0.0, h)
     w = coll.lagrange_integral_weights(scheme.c, tau)
