@@ -1,44 +1,31 @@
-"""Bond formulas, block structure matrices and discrete Dirac-structure checks.
+"""Bond formulas and discrete Dirac-structure checks.
 
-Block matrices are kept in factored form (s diagonal blocks plus the s x s
-mass-matrix factor); dense s(n+m) matrices are materialized only inside
-kernel_check, where the explicit kernel representation is needed.
+The checks take the stage structure J (s, n, n), G (s, n, m) of one interval,
+or of a run stacked along a leading interval axis, and return one value per
+interval.  kernel_check makes no rank test: [F E][F E]' = I + E E' >= I with
+F = I, so [F E] has full row rank (singular values >= 1) for any E.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import delta_h_tilde, supplied_energy
 
 
-@dataclass(frozen=True)
-class BlockStructure:
-    """Stage evaluations J_i = J(x_i), G_i = G(x_i) and the mass-matrix factor."""
-
-    J_blocks: tuple
-    G_blocks: tuple
-    M: np.ndarray  # s x s factor; the full matrix is M (x) I_n
-    n: int
-    m: int
-
-    @property
-    def s(self) -> int:
-        return len(self.J_blocks)
-
-
-def assemble_blocks(model, stage_states, scheme) -> BlockStructure:
-    """Evaluate J and G at each stage state of one interval."""
-    stage_states = np.asarray(stage_states, dtype=float)
-    s = scheme.s
-    if stage_states.shape != (s, model.n):
-        raise ValueError(f"expected {s} stage states of dimension {model.n}, "
-                         f"got shape {stage_states.shape}")
-    Js = tuple(model.J(x) for x in stage_states)
-    Gs = tuple(model.G(x) for x in stage_states)
-    return BlockStructure(J_blocks=Js, G_blocks=Gs, M=scheme.M,
-                          n=model.n, m=model.m)
+def assemble_blocks(model, stage_states, scheme):
+    """Stacks J(x_i) and G(x_i) over stage states (..., s, n): one call of
+    model.J and model.G per state; returns (..., s, n, n) and (..., s, n, m)."""
+    X = np.asarray(stage_states, dtype=float)
+    n, m = model.n, model.m
+    if X.shape[-2:] != (scheme.s, n):
+        raise ValueError(f"expected {scheme.s} stage states of dimension {n}, "
+                         f"got shape {X.shape}")
+    J = np.empty(X.shape + (n,))
+    G = np.empty(X.shape + (m,))
+    for idx in np.ndindex(X.shape[:-1]):
+        J[idx] = model.J(X[idx])
+        G[idx] = model.G(X[idx])
+    return J, G
 
 
 def discrete_output(K, G, e) -> np.ndarray:
@@ -54,40 +41,29 @@ def stage_flows(J, G, e, u) -> np.ndarray:
     return -(np.matvec(J, e) + np.matvec(G, u))
 
 
-def structure_residual(blocks: BlockStructure, f, e, u) -> float:
-    """max-norm defect of -f_i = J_i e_i + G_i u_i over the stages."""
-    s, n, m = blocks.s, blocks.n, blocks.m
-    f = np.asarray(f, dtype=float).reshape(s, n)
-    e = np.asarray(e, dtype=float).reshape(s, n)
-    u = np.asarray(u, dtype=float).reshape(s, m)
-    worst = 0.0
-    for i in range(s):
-        res = f[i] + blocks.J_blocks[i] @ e[i] + blocks.G_blocks[i] @ u[i]
-        worst = max(worst, float(np.max(np.abs(res), initial=0.0)))
-    return worst
+def structure_residual(J, G, f, e, u):
+    """Max-norm defect of -f_i = J_i e_i + G_i u_i over the stages of each
+    interval."""
+    res = f + np.matvec(J, e) + np.matvec(G, u)
+    return np.max(np.abs(res), axis=(-2, -1), initial=0.0)
 
 
-def power_residual(sol, scheme) -> float:
-    """h y'u - dH_tilde = h y'u + h (M e)'f of one interval; vanishes iff its
+def power_residual(sol, scheme):
+    """h y'u - dH_tilde = h y'u + h (M e)'f of each interval; vanishes iff its
     bond variables lie on a discrete Dirac structure."""
     return supplied_energy(sol) - delta_h_tilde(sol, scheme)
 
 
-def kernel_check(blocks: BlockStructure, rank_threshold: float = 1e-10):
-    """Dense kernel-representation test: skew defect of E F' + F E' with
-    F = I and E = [[J M^-1, G], [-G', 0]], plus full-row-rank of [F E]."""
-    s, n, m = blocks.s, blocks.n, blocks.m
-    Mblk = np.kron(blocks.M, np.eye(n))
-    Jblk = np.zeros((s * n, s * n))
-    Gblk = np.zeros((s * n, s * m))
-    for i in range(s):
-        Jblk[i * n:(i + 1) * n, i * n:(i + 1) * n] = blocks.J_blocks[i]
-        Gblk[i * n:(i + 1) * n, i * m:(i + 1) * m] = blocks.G_blocks[i]
-    Minv = np.linalg.inv(Mblk)
-    E = np.block([[Jblk @ Minv, Gblk],
-                  [-Gblk.T, np.zeros((s * m, s * m))]])
-    skew_defect = float(np.max(np.abs(E + E.T)))
-    F = np.eye(s * (n + m))
-    sv = np.linalg.svd(np.hstack([F, E]), compute_uv=False)
-    rank_ok = bool(sv.min() > rank_threshold)
-    return skew_defect, rank_ok
+def kernel_check(J, M):
+    """Skew defect of E F' + F E' with F = I, E = [[J M^-1, G], [-G', 0]], per
+    interval.  The G blocks cancel in E + E', whose (i, j) block is
+    (M^-1)_ij (J_i + J_j'), so the defect is max_ij |(M^-1)_ij| |J_i + J_j'|:
+    zero under C1 (diagonal M, skew J_i) and C2 (constant skew J).  Reduced
+    one stage row i at a time; no (..., s, s, n, n) array is formed."""
+    Minv = np.abs(np.linalg.inv(M))
+    Jt = np.swapaxes(J, -1, -2)
+    defect = np.zeros(J.shape[:-3])
+    for i in range(M.shape[0]):
+        row = np.max(np.abs(J[..., i:i + 1, :, :] + Jt), axis=(-2, -1))
+        defect = np.maximum(defect, np.max(Minv[i] * row, axis=-1))
+    return defect

@@ -21,14 +21,16 @@ LOSSLESS_FORCED = "lossless-forced"
 DAMPED_FREE = "damped-free"
 
 
-def delta_h_tilde(sol, scheme) -> float:
-    """Supplied-energy approximation -h e' (M (x) I) f of one interval."""
-    return -sol.h * float(np.sum((scheme.M @ sol.f) * sol.e))
+def delta_h_tilde(sol, scheme):
+    """Supplied-energy approximation -h e' (M (x) I) f of one interval, or of
+    each interval of a stacked solution."""
+    return -sol.h * ((scheme.M @ sol.f) * sol.e).sum(axis=(-2, -1))
 
 
-def supplied_energy(sol) -> float:
-    """h (y^k)' u^k with the discrete output y^k = Gblk' (M (x) I) e^k."""
-    return sol.h * float(np.sum(sol.y * sol.u))
+def supplied_energy(sol):
+    """h (y^k)' u^k with the discrete output y^k = Gblk' (M (x) I) e^k, of one
+    interval or of each interval of a stacked solution."""
+    return sol.h * (sol.y * sol.u).sum(axis=(-2, -1))
 
 
 def delta_h_bar(model, x0, x_end) -> float:

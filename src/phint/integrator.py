@@ -13,7 +13,7 @@ with a finite-difference Jacobian.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -51,6 +51,13 @@ class StageSolution:
     x_end: np.ndarray
     iterations: int = 0
     residual: float = 0.0
+
+
+def stack_stages(solutions) -> StageSolution:
+    """The given intervals as one StageSolution whose fields carry a leading
+    interval axis: t0 and h of shape (N,), stage_x (N, s, n) and so on."""
+    return StageSolution(*(np.array([getattr(sol, fld.name) for sol in solutions])
+                           for fld in fields(StageSolution)))
 
 
 @dataclass

@@ -222,13 +222,11 @@ def test_criterion_7_structure_suite():
         x = x0
         for k in range(steps):
             sol = solve_stages(model, scheme, x, signal, k * h, h)
-            blocks = assemble_blocks(model, sol.stage_x, scheme)
+            J, _ = assemble_blocks(model, sol.stage_x, scheme)
             scale = max(1.0, h * np.linalg.norm(sol.e) * np.linalg.norm(sol.f))
             worst_power = max(worst_power,
                               abs(power_residual(sol, scheme)) / scale)
-            skew, rank_ok = kernel_check(blocks)
-            worst_skew = max(worst_skew, skew)
-            assert rank_ok
+            worst_skew = max(worst_skew, kernel_check(J, scheme.M))
             x = sol.x_end
 
     xr = np.array([1.0, 1.0, 1.0])

@@ -2,7 +2,11 @@
 import numpy as np
 import pytest
 
+import phint.collocation as coll
 from phint.cli import main
+from phint.dirac import assemble_blocks, kernel_check, power_residual
+from phint.integrator import simulate
+from phint.models import rigid_body, zero_input
 
 
 def run(argv):
@@ -104,6 +108,13 @@ def test_simulate_rejects_non_finite_arguments(tmp_path, capsys, argv, message):
     assert not (tmp_path / "bad_traj.csv").exists()
 
 
+@pytest.mark.parametrize("r", ["nan", "-0.1"])
+def test_converge_rejects_bad_gain(capsys, r):
+    # the gain is checked before the reference lookup, so the message names it
+    assert run(["converge", f"--r={r}", "--t-end", "18"]) == 2
+    assert "--r must be a finite gain >= 0" in capsys.readouterr().err
+
+
 def test_converge_needs_reference(capsys):
     assert run(["converge", "--model", "rigid-body", "--input", "zero",
                 "--t-end", "18"]) == 2
@@ -132,6 +143,36 @@ def test_check_detects_violation(capsys):
                 "--input", "zero", "--x0", "1,1,1"])
     assert code == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_check_reports_worst_steps(capsys):
+    # the two lines before the verdict name the interval of the largest
+    # normalised power residual and of the largest skew defect, recomputed
+    # here one interval at a time; from (1, 1, 1) over 50 steps neither
+    # worst interval is the first
+    h, t_end = 0.1, 5.0
+    code = run(["check", "--model", "rigid-body", "--scheme", "lobatto",
+                "--stages", "3", "--h", str(h), "--t-end", str(t_end),
+                "--input", "zero", "--x0", "1,1,1"])
+    assert code == 4
+    lines = capsys.readouterr().out.splitlines()
+    scheme = coll.make_scheme("lobatto", 3)
+    model = rigid_body()
+    traj = simulate(model, scheme, np.ones(3), zero_input(0), h, t_end,
+                    retain_stages=True)
+    power, skew = [], []
+    for sol in traj.stage_solutions:
+        scale = max(1.0, h * np.linalg.norm(sol.e) * np.linalg.norm(sol.f))
+        power.append(abs(power_residual(sol, scheme)) / scale)
+        J, _ = assemble_blocks(model, sol.stage_x, scheme)
+        skew.append(kernel_check(J, scheme.M))
+    expect = []
+    for name, values in (("power residual", power), ("kernel skew defect", skew)):
+        k = int(np.argmax(values))
+        assert k > 0
+        expect.append(f"worst {name} at step {k + 1} (t = "
+                      f"{traj.times[k]:.17g} to {traj.times[k + 1]:.17g})")
+    assert lines[-3:] == expect + ["FAIL"]
 
 
 def test_damped_simulation_runs(tmp_path):

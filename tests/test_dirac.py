@@ -1,15 +1,19 @@
 """Discrete interconnection structure: block assembly, discrete output,
-power residual and the kernel-representation checks."""
+power residual and the kernel-representation checks, per interval and on the
+stacked arrays of a run."""
 import numpy as np
 import pytest
 
 import phint.collocation as coll
 from phint.dirac import (assemble_blocks, discrete_output, kernel_check,
                          power_residual, stage_flows, structure_residual)
-from phint.integrator import StageSolution, simulate, solve_stages
+from phint.integrator import StageSolution, simulate, solve_stages, stack_stages
 from phint.models import oscillator, pulse_input, rigid_body, zero_input
 
 RNG = np.random.default_rng(7)
+
+SCHEMES = ([(coll.GAUSS, s) for s in coll.GAUSS_STAGE_RANGE]
+           + [(coll.LOBATTO, s) for s in coll.LOBATTO_STAGE_RANGE])
 
 
 def oscillator_blocks(scheme):
@@ -18,12 +22,40 @@ def oscillator_blocks(scheme):
     return model, assemble_blocks(model, states, scheme)
 
 
+def dense_kernel_matrix(J, G, M):
+    """Oracle: the dense s(n+m) kernel matrix E = [[J M^-1, G], [-G', 0]] of
+    one interval, with J and G placed block-diagonally and M^-1 taken of the
+    full M (x) I_n."""
+    s, n, m = G.shape
+    Minv = np.linalg.inv(np.kron(M, np.eye(n)))
+    Jblk = np.zeros((s * n, s * n))
+    Gblk = np.zeros((s * n, s * m))
+    for i in range(s):
+        Jblk[i * n:(i + 1) * n, i * n:(i + 1) * n] = J[i]
+        Gblk[i * n:(i + 1) * n, i * m:(i + 1) * m] = G[i]
+    return np.block([[Jblk @ Minv, Gblk],
+                     [-Gblk.T, np.zeros((s * m, s * m))]])
+
+
+def dense_skew_defect(J, G, M) -> float:
+    """Oracle: max |E F' + F E'| with F = I."""
+    E = dense_kernel_matrix(J, G, M)
+    return float(np.max(np.abs(E + E.T)))
+
+
 def test_assemble_blocks_shapes_and_errors():
     scheme = coll.make_scheme(coll.GAUSS, 2)
-    model, blocks = oscillator_blocks(scheme)
-    assert blocks.s == 2 and blocks.n == 2 and blocks.m == 1
+    model, (J, G) = oscillator_blocks(scheme)
+    assert J.shape == (2, 2, 2) and G.shape == (2, 2, 1)
     with pytest.raises(ValueError):
         assemble_blocks(model, np.zeros((3, 2)), scheme)
+    # a stack of intervals gives one block per stage state, in order
+    states = RNG.normal(size=(4, 2, 3))
+    J, G = assemble_blocks(rigid_body(), states, scheme)
+    assert J.shape == (4, 2, 3, 3) and G.shape == (4, 2, 3, 0)
+    assert np.array_equal(J[3, 1], rigid_body().J(states[3, 1]))
+    with pytest.raises(ValueError):
+        assemble_blocks(rigid_body(), np.zeros((4, 3, 3)), scheme)
 
 
 def output_weight_and_ports(scheme, weight, stacked):
@@ -64,8 +96,8 @@ def test_discrete_output_mass_weighted(weight, stacked):
 def consistent_bond(blocks, scheme, e, u, h):
     """Interval whose flows and output are generated from the stage structure
     equation at the given efforts and inputs."""
-    s, n, m = blocks.s, blocks.n, blocks.m
-    J, G = np.array(blocks.J_blocks), np.array(blocks.G_blocks)
+    J, G = blocks
+    s, n, m = G.shape
     e2 = e.reshape(s, n)
     u2 = u.reshape(s, m)
     return StageSolution(t0=0.0, h=h, x0=None, stage_x=None,
@@ -128,16 +160,14 @@ def test_structure_residual_roundtrip():
     e = RNG.normal(size=4)
     u = RNG.normal(size=2)
     bond = consistent_bond(blocks, scheme, e, u, 0.1)
-    assert structure_residual(blocks, bond.f, e, u) < 1e-14
-    assert structure_residual(blocks, bond.f + 1e-3, e, u) > 1e-4
+    assert structure_residual(*blocks, bond.f, bond.e, bond.u) < 1e-14
+    assert structure_residual(*blocks, bond.f + 1e-3, bond.e, bond.u) > 1e-4
 
 
 def test_kernel_check_constant_structure():
     scheme = coll.make_scheme(coll.GAUSS, 2)
-    _, blocks = oscillator_blocks(scheme)
-    skew, rank_ok = kernel_check(blocks)
-    assert skew <= 1e-12
-    assert rank_ok
+    _, (J, _) = oscillator_blocks(scheme)
+    assert kernel_check(J, scheme.M) <= 1e-12
 
 
 def test_kernel_check_rigid_body_stages():
@@ -145,19 +175,70 @@ def test_kernel_check_rigid_body_stages():
     scheme = coll.make_scheme(coll.GAUSS, 2)
     sol = solve_stages(model, scheme, np.array([1.0, 1.0, 1.0]),
                        zero_input(0), 0.0, 0.1)
-    blocks = assemble_blocks(model, sol.stage_x, scheme)
-    skew, rank_ok = kernel_check(blocks)
-    assert skew <= 1e-12
-    assert rank_ok
+    J, _ = assemble_blocks(model, sol.stage_x, scheme)
+    assert kernel_check(J, scheme.M) <= 1e-12
 
 
 def test_kernel_check_flags_violation():
     model = rigid_body()
     scheme = coll.make_scheme(coll.LOBATTO, 3)
     states = np.array([[1.0, 0.2, -0.5], [0.1, 1.3, 0.4], [-0.7, 0.6, 1.1]])
-    blocks = assemble_blocks(model, states, scheme)
-    skew, _ = kernel_check(blocks)
-    assert skew > 1e-6
+    J, _ = assemble_blocks(model, states, scheme)
+    assert kernel_check(J, scheme.M) > 1e-6
+
+
+@pytest.mark.parametrize("model_name", ["oscillator", "rigid-body"])
+@pytest.mark.parametrize("kind,s", SCHEMES, ids=[f"{k}{s}" for k, s in SCHEMES])
+def test_kernel_check_matches_dense_oracle(kind, s, model_name):
+    # the closed-form defect max_ij |(M^-1)_ij| |J_i + J_j'| against the
+    # dense kernel matrix, on random stages over six decades of state scale
+    model = oscillator() if model_name == "oscillator" else rigid_body()
+    scheme = coll.make_scheme(kind, s)
+    rng = np.random.default_rng([s, model.n])
+    scales = (1e-3, 1.0, 10.0, 1e3)
+    states = np.array([scale * rng.normal(size=(scheme.s, model.n))
+                       for scale in scales])
+    J, G = assemble_blocks(model, states, scheme)
+    factored = kernel_check(J, scheme.M)
+    assert factored.shape == (len(scales),)
+    for k in range(len(scales)):
+        dense = dense_skew_defect(J[k], G[k], scheme.M)
+        assert abs(factored[k] - dense) <= 1e-14 * max(1.0, dense)
+        assert kernel_check(J[k], scheme.M) == factored[k]
+
+
+@pytest.mark.parametrize("size", [1, 3, 8, 24])
+def test_kernel_representation_has_full_row_rank(size):
+    # [F E] with F = I: [I E][I E]' = I + E E' >= I, so every singular value
+    # is at least 1 and the rank condition of a kernel representation holds
+    # for any E; phint check therefore makes no rank test
+    rng = np.random.default_rng(size)
+    for scale in (1e-3, 1.0, 10.0, 1e2):
+        E = scale * rng.normal(size=(size, size))
+        sv = np.linalg.svd(np.hstack([np.eye(size), E]), compute_uv=False)
+        assert sv.min() >= 1.0 - 1e-12
+
+
+def test_stacked_checks_match_each_interval():
+    # phint check runs the four checks once on the stacked run; every entry
+    # equals the check of that interval alone
+    model = rigid_body()
+    scheme = coll.make_scheme(coll.LOBATTO, 3)
+    traj = simulate(model, scheme, np.array([1.0, 1.0, 1.0]), zero_input(0),
+                    0.1, 1.0, retain_stages=True)
+    sol = stack_stages(traj.stage_solutions)
+    J, G = assemble_blocks(model, sol.stage_x, scheme)
+    power = power_residual(sol, scheme)
+    skew = kernel_check(J, scheme.M)
+    struct = structure_residual(J, G, sol.f, sol.e, sol.u)
+    assert power.shape == skew.shape == struct.shape == (10,)
+    for k, one in enumerate(traj.stage_solutions):
+        Jk, Gk = assemble_blocks(model, one.stage_x, scheme)
+        assert np.array_equal(J[k], Jk) and np.array_equal(G[k], Gk)
+        assert power[k] == power_residual(one, scheme)
+        assert skew[k] == kernel_check(Jk, scheme.M)
+        assert struct[k] == structure_residual(Jk, Gk, one.f, one.e, one.u)
+    assert np.min(skew) > 1e-6
 
 
 def test_mass_skew_defect_consistent_with_kernel_defect():
@@ -166,13 +247,13 @@ def test_mass_skew_defect_consistent_with_kernel_defect():
     model = rigid_body()
     scheme = coll.make_scheme(coll.LOBATTO, 3)
     states = RNG.normal(size=(3, 3))
-    blocks = assemble_blocks(model, states, scheme)
-    s, n = blocks.s, blocks.n
+    J, G = assemble_blocks(model, states, scheme)
+    s, n = J.shape[:2]
     Mblk = np.kron(scheme.M, np.eye(n))
     Jblk = np.zeros((s * n, s * n))
     for i in range(s):
-        Jblk[i * n:(i + 1) * n, i * n:(i + 1) * n] = blocks.J_blocks[i]
-    E11 = Jblk @ np.linalg.inv(Mblk)
+        Jblk[i * n:(i + 1) * n, i * n:(i + 1) * n] = J[i]
+    E11 = dense_kernel_matrix(J, G, scheme.M)[:s * n, :s * n]
     sandwich = Mblk @ (E11 + E11.T) @ Mblk
     direct = Mblk @ Jblk + (Mblk @ Jblk).T
     assert np.max(np.abs(sandwich - direct)) < 1e-13

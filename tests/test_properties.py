@@ -54,13 +54,12 @@ def test_constant_structure_bond_balance(seed, kind_s, h):
     model = random_linear_ph(seed)
     scheme = coll.make_scheme(*kind_s)
     rng = np.random.default_rng(seed + 1)
-    blocks = assemble_blocks(model, rng.normal(size=(scheme.s, 2)), scheme)
+    J, G = assemble_blocks(model, rng.normal(size=(scheme.s, 2)), scheme)
     e = rng.normal(size=scheme.s * 2)
     u = rng.normal(size=scheme.s)
     e2, u2 = e.reshape(-1, 2), u.reshape(-1, 1)
-    f = np.array([-(blocks.J_blocks[i] @ e2[i] + blocks.G_blocks[i] @ u2[i])
-                  for i in range(scheme.s)])
-    y = discrete_output(scheme.M, np.array(blocks.G_blocks), e2)
+    f = np.array([-(J[i] @ e2[i] + G[i] @ u2[i]) for i in range(scheme.s)])
+    y = discrete_output(scheme.M, G, e2)
     bond = StageSolution(t0=0.0, h=h, x0=None, stage_x=None, f=f, e=e2, u=u2,
                          y=y, x_end=None)
     scale = max(1.0, h * np.linalg.norm(e) * np.linalg.norm(f))
