@@ -156,13 +156,13 @@ def cmd_simulate(args) -> int:
     reference = _reference_for(args)
     r = args.r
 
-    n = traj.states.shape[1]
+    n, m = traj.states.shape[1], model.m
     header = ["t"] + [f"x{i+1}" for i in range(n)] + ["u", "y", "H"]
+    v = signal(traj.times) if m else np.zeros((len(traj.times), 1))
     rows = []
-    for t, x in zip(traj.times, traj.states):
-        y = model.output(x) if model.m > 0 else np.zeros(1)
-        v = signal(t) if model.m > 0 else np.zeros(1)
-        u = v - r * y if model.m > 0 else np.zeros(1)
+    for t, x, v_t in zip(traj.times, traj.states, v):
+        y = model.output(x) if m else np.zeros(1)
+        u = v_t - r * y
         rows.append([_fmt(t)] + [_fmt(v_) for v_ in x]
                     + [_fmt(u[0]), _fmt(y[0]), _fmt(model.H(x))])
     _write_csv(f"{args.out}_traj.csv", header, rows)
@@ -170,7 +170,7 @@ def cmd_simulate(args) -> int:
     header = ["k", "t_k", "dh_tilde", "dh_bar", "supplied"]
     if reference is not None:
         header.append("dh_exact")
-        dh_exact = np.diff([reference(t)[1] for t in traj.times])
+        dh_exact = np.diff(reference(traj.times)[1])
     rows = []
     for k in range(len(traj.dh_tilde)):
         row = [str(k + 1), _fmt(traj.times[k + 1]), _fmt(traj.dh_tilde[k]),

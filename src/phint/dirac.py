@@ -13,13 +13,19 @@ from .energy import delta_h_tilde, supplied_energy
 
 
 def assemble_blocks(model, stage_states, scheme):
-    """Stacks J(x_i) and G(x_i) over stage states (..., s, n): one call of
-    model.J and model.G per state; returns (..., s, n, n) and (..., s, n, m)."""
+    """Stacks J(x_i) and G(x_i) over stage states (..., s, n); returns
+    (..., s, n, n) and (..., s, n, m).  A constant-structure model is
+    evaluated once and broadcast (read-only views), any other model once per
+    state."""
     X = np.asarray(stage_states, dtype=float)
     n, m = model.n, model.m
     if X.shape[-2:] != (scheme.s, n):
         raise ValueError(f"expected {scheme.s} stage states of dimension {n}, "
                          f"got shape {X.shape}")
+    if model.constant_structure:
+        x = X.reshape(-1, n)[0]
+        return (np.broadcast_to(model.J(x), X.shape + (n,)),
+                np.broadcast_to(model.G(x), X.shape + (m,)))
     J = np.empty(X.shape + (n,))
     G = np.empty(X.shape + (m,))
     for idx in np.ndindex(X.shape[:-1]):
@@ -38,7 +44,9 @@ def discrete_output(K, G, e) -> np.ndarray:
 def stage_flows(J, G, e, u) -> np.ndarray:
     """Stage flows f with -f_i = J_i e_i + G_i u_i.  J and G are one matrix
     each, or per-stage stacks (s, n, n) and (s, n, m)."""
-    return -(np.matvec(J, e) + np.matvec(G, u))
+    f = np.matvec(J, e)
+    f += np.matvec(G, u)
+    return np.negative(f, out=f)
 
 
 def structure_residual(J, G, f, e, u):

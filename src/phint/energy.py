@@ -24,7 +24,9 @@ DAMPED_FREE = "damped-free"
 def delta_h_tilde(sol, scheme):
     """Supplied-energy approximation -h e' (M (x) I) f of one interval, or of
     each interval of a stacked solution."""
-    return -sol.h * ((scheme.M @ sol.f) * sol.e).sum(axis=(-2, -1))
+    Mf = scheme.M @ sol.f
+    Mf *= sol.e
+    return -sol.h * Mf.sum(axis=(-2, -1))
 
 
 def supplied_energy(sol):
@@ -33,9 +35,14 @@ def supplied_energy(sol):
     return sol.h * (sol.y * sol.u).sum(axis=(-2, -1))
 
 
-def delta_h_bar(model, x0, x_end) -> float:
-    """Stored-energy increment H(x_end) - H(x0), evaluated exactly."""
-    return model.H(x_end) - model.H(x0)
+def delta_h_bar(model, x0, x_end=None):
+    """Stored-energy increment H(x_end) - H(x0), evaluated exactly.  Given a
+    state sequence x0 (N+1, n) alone, the increments of its N steps, with H
+    evaluated once per state."""
+    if x_end is not None:
+        return float(delta_h_bar(model, np.array([x0, x_end]))[0])
+    H = np.fromiter((model.H(x) for x in x0), float, len(x0))
+    return H[1:] - H[:-1]
 
 
 @dataclass(frozen=True)
@@ -56,14 +63,15 @@ class EnergyReport:
 
     @classmethod
     def from_trajectory(cls, traj, reference=None):
-        """reference: callable t -> (state, H); used for exact increments."""
+        """reference: callable times (k,) -> (states (k, n), H (k,)), called
+        once for the exact increments."""
         dh_tilde_tot = float(traj.dh_tilde.sum())
         dh_bar_tot = float(traj.dh_bar.sum())
         dh_exact = None
         dh_tot_ref = eps_t = eps_b = p_av = None
         if reference is not None:
             times = traj.times
-            h_ref = np.array([reference(t)[1] for t in times])
+            h_ref = reference(times)[1]
             dh_exact = np.diff(h_ref)
             dh_tot_ref = float(h_ref[-1] - h_ref[0])
             eps_t, eps_b = relative_errors(dh_tilde_tot, dh_bar_tot, dh_tot_ref)
@@ -93,44 +101,48 @@ def relative_errors(dh_tilde_tot, dh_bar_tot, dh_tot_ref):
 _OMEGA_P = math.pi
 _PART_CONST = 0.5
 _PART_COS = -1.0 / (2.0 * (1.0 - _OMEGA_P ** 2))
+# free rotation from x(8) = (-sin 8, -cos 8) on the pulse
+_C, _S = -math.sin(8.0) - _PART_CONST - _PART_COS, -math.cos(8.0)
 
 
-def _lossless_pulse_constants():
-    q8, p8 = -math.sin(8.0), -math.cos(8.0)
-    C = q8 - _PART_CONST - _PART_COS
-    S = p8
-    return q8, p8, C, S
+def _pulse_state(sg):
+    """Lossless state on the pulse, sg = t - 8 in [0, 2]."""
+    q = (_C * np.cos(sg) + _S * np.sin(sg)
+         + _PART_CONST + _PART_COS * np.cos(_OMEGA_P * sg))
+    p = (-_C * np.sin(sg) + _S * np.cos(sg)
+         - _PART_COS * _OMEGA_P * np.sin(_OMEGA_P * sg))
+    return np.stack([q, p], axis=-1)
 
 
-def _lossless_state(t: float) -> np.ndarray:
-    if t < 8.0:
-        return np.array([-math.sin(t), -math.cos(t)])
-    _, _, C, S = _lossless_pulse_constants()
-    if t <= 10.0:
-        sg = t - 8.0
-        q = (C * math.cos(sg) + S * math.sin(sg)
-             + _PART_CONST + _PART_COS * math.cos(_OMEGA_P * sg))
-        p = (-C * math.sin(sg) + S * math.cos(sg)
-             - _PART_COS * _OMEGA_P * math.sin(_OMEGA_P * sg))
-        return np.array([q, p])
-    x10 = _lossless_state(10.0)
-    dt = t - 10.0
-    cs, sn = math.cos(dt), math.sin(dt)
-    return np.array([x10[0] * cs + x10[1] * sn,
-                     -x10[0] * sn + x10[1] * cs])
+def _rotate(x, dt):
+    """Free rotation of the state x over the times dt: states (..., 2)."""
+    cs, sn = np.cos(dt), np.sin(dt)
+    return np.stack([x[0] * cs + x[1] * sn, -x[0] * sn + x[1] * cs], axis=-1)
 
 
-def _damped_state(t: float, r: float = 0.1) -> np.ndarray:
+def _lossless_state(t) -> np.ndarray:
+    """States (..., 2) at the times t (...): each branch is evaluated on all
+    of t and selected by t < 8, 8 <= t <= 10, t > 10."""
+    free, pulse = _rotate((0.0, -1.0), t), _pulse_state(t - 8.0)
+    after = _rotate(_pulse_state(2.0), t - 10.0)
+    t = t[..., None]
+    return np.where(t < 8.0, free, np.where(t <= 10.0, pulse, after))
+
+
+def _damped_state(t, r: float = 0.1) -> np.ndarray:
+    """States (..., 2) of the damped free oscillator at the times t (...)."""
     w = math.sqrt(1.0 - r * r / 4.0)
-    damp = math.exp(-r * t / 2.0)
-    q = -damp * math.sin(w * t) / w
-    p = damp * ((r / (2.0 * w)) * math.sin(w * t) - math.cos(w * t))
-    return np.array([q, p])
+    damp = np.exp(-r * t / 2.0)
+    q = -damp * np.sin(w * t) / w
+    p = damp * ((r / (2.0 * w)) * np.sin(w * t) - np.cos(w * t))
+    return np.stack([q, p], axis=-1)
 
 
-def reference_solution(experiment: str, t: float, r: float = 0.1):
-    """Exact state and energy of the named oscillator experiment at time t."""
-    if t < 0.0:
+def reference_solution(experiment: str, t, r: float = 0.1):
+    """Exact states (..., 2) and energies (...) of the named oscillator
+    experiment at the times t (a scalar or an array of any shape)."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
         raise ValueError("reference defined for t >= 0")
     if experiment == LOSSLESS_FORCED:
         x = _lossless_state(t)
@@ -138,7 +150,7 @@ def reference_solution(experiment: str, t: float, r: float = 0.1):
         x = _damped_state(t, r)
     else:
         raise ConfigurationError(f"unknown experiment {experiment!r}")
-    return x, 0.5 * float(x @ x)
+    return x, 0.5 * np.vecdot(x, x)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ x_i = x0 - h sum_j a_ij f_j.
 Both stage solvers use one block tableau: A on every state of a monolithic
 model, or, for a separable (q, p) model under a Lobatto scheme, the IIIA
 matrix A on the q rows and the IIIB matrix A_hat on the p rows (a partitioned
-Runge-Kutta method).  Linear models with constant structure are advanced by
-one direct solve of the stage system (the matrix is factored once per run);
-everything else goes through Newton iteration on the stacked stage states
-with a finite-difference Jacobian.
+Runge-Kutta method).  A run samples its inputs in one call.  A linear model
+with constant structure then advances by one affine recurrence built once per
+run; everything else goes through Newton iteration on the stacked stage
+states with a finite-difference Jacobian, one interval at a time.  Both feed
+one stacked pass that forms f, e, u and y of every interval.
 """
 from __future__ import annotations
 
@@ -86,7 +87,8 @@ def _stage_tableau(model, scheme) -> np.ndarray:
 class _Stepper:
     """Set-up shared by both stage solvers: the exogenous signal and the
     output feedback u = w - r G'(K e), with K = I_s (stagewise) or M
-    (portlevel), K = None without damping."""
+    (portlevel), K = None without damping.  run(x0, t0) returns the states
+    (N+1, n) and the stacked StageSolution of the intervals starting at t0."""
 
     def __init__(self, model, scheme, input_signal, h, feedback, cfg):
         self.model, self.scheme, self.h, self.cfg = model, scheme, h, cfg
@@ -100,28 +102,30 @@ class _Stepper:
             self.K = np.eye(self.s) if feedback.mode == STAGEWISE else scheme.M
 
     def _inputs(self, t0):
-        """Stage samples w of the exogenous signal (u, or v under feedback)."""
+        """Stage samples w (N, s, m) of the exogenous signal (u, or v under
+        feedback) on the intervals starting at t0 (N,): one signal call."""
+        times = t0[:, None] + self.scheme.c * self.h
         if self.m == 0:
-            return np.zeros((self.s, 0))
-        h, sig = self.h, self.signal
-        w = [sig(t0 + ci * h) for ci in self.scheme.c]
-        return np.array(w).reshape(self.s, self.m)
+            return np.zeros(times.shape + (0,))
+        return self.signal(times)
 
     def _flows(self, e, J, G, w):
         """Stage inputs u and flows f of efforts e under structure J, G."""
         u = w if self.K is None else w - self.r * discrete_output(self.K, G, e)
         return u, stage_flows(J, G, e, u)
 
-    def _solution(self, x0, t0, stage_x, e, J, G, w, **solver) -> StageSolution:
+    def _solution(self, t0, states, stage_x, e, J, G, w, **solver) -> StageSolution:
+        """Bond variables of every interval of a run, in one stacked pass."""
         u, f = self._flows(e, J, G, w)
-        x_end = x0 - self.h * (self.scheme.b @ f)
         y = discrete_output(self.scheme.M, G, e)
-        return StageSolution(t0=t0, h=self.h, x0=x0, stage_x=stage_x, f=f, e=e,
-                             u=u, y=y, x_end=x_end, **solver)
+        return StageSolution(t0=t0, h=self.h, x0=states[:-1], stage_x=stage_x,
+                             f=f, e=e, u=u, y=y, x_end=states[1:], **solver)
 
 
 class _LinearStepper(_Stepper):
-    """Direct stage solve for linear models with constant J and G."""
+    """Affine recurrence for linear models with constant J and G: the stage
+    states are X = S x0 + T w and the step is x+ = x0 + (Delta x0 + Gamma w),
+    with the maps built once per run."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -131,24 +135,41 @@ class _LinearStepper(_Stepper):
         self.Gc = model.G(probe)
         self.Q = model.Q
         Is = np.eye(s)
-        # stacked drift -f = D X + (I_s (x) G) w of the stage states X
+        # stacked drift -f = D X + IG w of the stage states X
         D = np.kron(Is, self.Jc @ self.Q)
         if self.K is not None:
             D -= self.r * np.kron(self.K, self.Gc @ self.Gc.T @ self.Q)
-        T = _stage_tableau(model, scheme)
-        self.mat_inv = np.linalg.inv(np.eye(s * n) - self.h * (T @ D))
-        self.AkG = self.h * (T @ np.kron(Is, self.Gc))
+        IG = np.kron(Is, self.Gc)
+        hT = self.h * _stage_tableau(model, scheme)
+        # X = 1 (x) x0 - h T f  <=>  (I - h T D) X = 1 (x) x0 + h T IG w
+        ST = np.linalg.solve(np.eye(s * n) - hT @ D,
+                             np.hstack([np.tile(np.eye(n), (s, 1)), hT @ IG]))
+        self.S, self.T = ST[:, :n], ST[:, n:]
+        # x+ - x0 = -h (b' (x) I) f, kept as an increment: a step matrix
+        # I + Delta rounds away the O(h) part Delta x0 at every step
+        hB = self.h * np.kron(scheme.b, np.eye(n))
+        self.Delta = hB @ D @ self.S
+        self.Gamma = hB @ (D @ self.T + IG)
 
-    def step(self, x0, t0) -> StageSolution:
+    def run(self, x0, t0):
         w = self._inputs(t0)
-        X = self.mat_inv @ (np.tile(x0, self.s) + self.AkG @ w.ravel())
-        stage_x = X.reshape(self.s, self.n)
-        return self._solution(x0, t0, stage_x, stage_x @ self.Q.T,
-                              self.Jc, self.Gc, w)
+        wf = w.reshape(len(t0), -1)
+        drive = np.matvec(self.Gamma, wf)
+        states = np.empty((len(t0) + 1, self.n))
+        states[0] = x0
+        for k in range(len(t0)):
+            x = states[k]
+            states[k + 1] = x + (self.Delta @ x + drive[k])
+        X = np.matvec(self.S, states[:-1])
+        X += np.matvec(self.T, wf)
+        stage_x = X.reshape(len(t0), self.s, self.n)
+        return states, self._solution(t0, states, stage_x, stage_x @ self.Q.T,
+                                      self.Jc, self.Gc, w)
 
 
 class _NewtonStepper(_Stepper):
-    """Newton iteration on the stacked stage states, FD Jacobian."""
+    """Newton iteration on the stacked stage states, FD Jacobian, one
+    interval at a time."""
 
     def _structure(self, stage_x):
         """Efforts and stacked J, G at the stage states (G is not evaluated
@@ -157,7 +178,7 @@ class _NewtonStepper(_Stepper):
         e = np.array([model.gradH(x) for x in stage_x])
         J = np.array([model.J(x) for x in stage_x])
         G = (np.array([model.G(x) for x in stage_x]) if self.m
-             else np.zeros((self.n, 0)))
+             else np.zeros((self.s, self.n, 0)))
         return e, J, G
 
     def _residual(self, X, x0, w):
@@ -170,9 +191,10 @@ class _NewtonStepper(_Stepper):
             Af[:, n_q:] = self.scheme.A_hat @ f[:, n_q:]
         return (stage_x - x0[None, :] + self.h * Af).ravel()
 
-    def step(self, x0, t0) -> StageSolution:
+    def _step(self, x0, w):
+        """One interval: stage states, efforts, J, G, iteration count, final
+        residual and end state."""
         s, n = self.s, self.n
-        w = self._inputs(t0)
         X = np.tile(x0, s)
         tol = self.cfg.tol
         fd_step = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(x0))
@@ -198,8 +220,34 @@ class _NewtonStepper(_Stepper):
                 f"stage equations did not converge below {tol} "
                 f"in {self.cfg.max_iter} iterations", residual=res)
         stage_x = X.reshape(s, n)
-        return self._solution(x0, t0, stage_x, *self._structure(stage_x), w,
-                              iterations=it, residual=res)
+        e, J, G = self._structure(stage_x)
+        _, f = self._flows(e, J, G, w)
+        return stage_x, e, J, G, it, res, x0 - self.h * (self.scheme.b @ f)
+
+    def run(self, x0, t0):
+        w = self._inputs(t0)
+        x, steps = x0, []
+        for k, wk in enumerate(w):
+            try:
+                steps.append(self._step(x, wk))
+            except SolverDivergenceError as err:
+                err.step_index = k
+                raise
+            x = steps[-1][-1]
+        stage_x, e, J, G, its, res, x_end = map(np.array, zip(*steps))
+        states = np.vstack([x0, x_end])
+        return states, self._solution(t0, states, stage_x, e, J, G, w,
+                                      iterations=its, residual=res)
+
+
+def _intervals(sol: StageSolution) -> list:
+    """The intervals of a stacked run as StageSolutions of views; per-interval
+    scalars (t0, h, iterations, residual) as Python numbers."""
+    N = len(sol.t0)
+    cols = [np.broadcast_to(v, (N,) + np.shape(v)[1:])
+            for v in (getattr(sol, fld.name) for fld in fields(StageSolution))]
+    cols = [c.tolist() if c.ndim == 1 else c for c in cols]
+    return [StageSolution(*(c[k] for c in cols)) for k in range(N)]
 
 
 def _make_stepper(model, scheme, input_signal, h, feedback, cfg):
@@ -227,12 +275,14 @@ def _check_finite(name, value, positive=False):
 
 def solve_stages(model, scheme, x0, input_signal, t0, h,
                  cfg: SolverConfig | None = None, feedback=None) -> StageSolution:
-    """Solve the implicit stage equations of one sampling interval."""
+    """Solve the implicit stage equations of one sampling interval: the
+    one-interval run of the stepper simulate uses."""
     _check_finite("step size h", h, positive=True)
     x0 = _initial_state(model, x0)
     cfg = cfg or SolverConfig()
     stepper = _make_stepper(model, scheme, input_signal, h, feedback, cfg)
-    return stepper.step(x0, t0)
+    _, sol = stepper.run(x0, np.array([float(t0)]))
+    return _intervals(sol)[0]
 
 
 def dense_eval(sol: StageSolution, scheme, tau: float) -> np.ndarray:
@@ -264,28 +314,12 @@ def simulate(model, scheme, x0, input_signal, h, t_end,
     x = _initial_state(model, x0)
     cfg = cfg or SolverConfig()
     stepper = _make_stepper(model, scheme, input_signal, h, feedback, cfg)
-    states = np.empty((N + 1, model.n))
-    states[0] = x
-    dh_tilde = np.empty(N)
-    dh_bar = np.empty(N)
-    supplied = np.empty(N)
-    retained = []
     # overflow is reported below with its step index, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(N):
-            t0 = k * h
-            try:
-                sol = stepper.step(x, t0)
-            except SolverDivergenceError as err:
-                err.step_index = k
-                raise
-            dh_tilde[k] = delta_h_tilde(sol, scheme)
-            dh_bar[k] = delta_h_bar(model, x, sol.x_end)
-            supplied[k] = supplied_energy(sol)
-            if retain_stages:
-                retained.append(sol)
-            x = sol.x_end
-            states[k + 1] = x
+        states, sol = stepper.run(x, np.arange(N) * h)
+        dh_tilde = delta_h_tilde(sol, scheme)
+        dh_bar = delta_h_bar(model, states)
+        supplied = supplied_energy(sol)
     # state row k + 1 and energy row k both belong to step k
     bad = np.concatenate([
         np.flatnonzero(~np.isfinite(states).all(axis=1)) - 1,
@@ -296,4 +330,4 @@ def simulate(model, scheme, x0, input_signal, h, t_end,
     return Trajectory(scheme_label=scheme.label, model_name=model.name,
                       h=h, times=np.arange(N + 1) * h, states=states,
                       dh_tilde=dh_tilde, dh_bar=dh_bar, supplied=supplied,
-                      stage_solutions=retained)
+                      stage_solutions=_intervals(sol) if retain_stages else [])

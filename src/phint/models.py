@@ -56,25 +56,31 @@ class PHModel:
 
 @dataclass(frozen=True)
 class InputSignal:
-    """Time function t -> R^m, defined for all t >= 0."""
+    """Time function t -> R^m, defined for all t >= 0.  fn is array-valued:
+    it maps the k sample times (k,) to the samples (k, m); a call on times of
+    any shape returns t.shape + (m,) from one fn call."""
 
-    fn: Callable[[float], np.ndarray]
+    fn: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, t: float) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.fn(float(t)), dtype=float))
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        u = np.asarray(self.fn(t.ravel()), dtype=float)
+        if u.ndim != 2 or u.shape[0] != t.size:
+            raise ValueError(f"input signal must map {t.size} sample times to a "
+                             f"({t.size}, m) array, got shape {u.shape}")
+        return u.reshape(t.shape + u.shape[1:])
 
 
 def zero_input(m: int = 1) -> InputSignal:
-    return InputSignal(fn=lambda t: np.zeros(m))
+    return InputSignal(fn=lambda t: np.zeros((len(t), m)))
 
 
 def pulse_input() -> InputSignal:
     """Pulse excitation: sin^2(pi (t - 8) / 2) on [8, 10], zero elsewhere."""
 
     def fn(t):
-        if 8.0 <= t <= 10.0:
-            return np.array([np.sin(np.pi * (t - 8.0) / 2.0) ** 2])
-        return np.array([0.0])
+        on = (8.0 <= t) & (t <= 10.0)
+        return np.where(on, np.sin(np.pi * (t - 8.0) / 2.0) ** 2, 0.0)[:, None]
 
     return InputSignal(fn=fn)
 
@@ -101,7 +107,7 @@ def oscillator() -> PHModel:
     g = np.array([[0.0], [1.0]])
     Q = np.eye(2)
     return PHModel(2, 1,
-                   H=lambda x: 0.5 * x @ x,
+                   H=lambda x: 0.5 * (x @ x),
                    gradH=lambda x: x.copy(),
                    J=lambda x: J, G=lambda x: g,
                    constant_structure=True, Q=Q,
@@ -128,7 +134,7 @@ def mechanical(Q, P, G, name="mechanical") -> PHModel:
     Gfull = np.vstack([np.zeros_like(G), G])
     Qfull = np.block([[Q, Z], [Z, P]])
     return PHModel(2 * n, G.shape[1],
-                   H=lambda x: 0.5 * x @ Qfull @ x,
+                   H=lambda x: 0.5 * (x @ Qfull @ x),
                    gradH=lambda x: Qfull @ x,
                    J=lambda x: J, G=lambda x: Gfull,
                    constant_structure=True, Q=Qfull,
@@ -154,7 +160,7 @@ def rigid_body() -> PHModel:
     """Free rigid body with principal inertias (1, 2, 3): autonomous, quadratic
     H, genuinely state-dependent interconnection matrix."""
     return PHModel(3, 0,
-                   H=lambda x: 0.5 * x @ _RIGID_BODY_Q @ x,
+                   H=lambda x: 0.5 * (x @ _RIGID_BODY_Q @ x),
                    gradH=lambda x: _RIGID_BODY_Q @ x,
                    J=_cross_matrix,
                    G=lambda x: np.zeros((3, 0)),

@@ -65,6 +65,21 @@ def output_weight_and_ports(scheme, weight, stacked):
     return K, (np.array([G] * scheme.s) if stacked else G)
 
 
+def test_assemble_blocks_evaluates_constant_structure_once():
+    scheme = coll.make_scheme(coll.GAUSS, 3)
+    model = oscillator()
+    calls = []
+    J0, G0 = model.J, model.G
+    model.J = lambda x: calls.append("J") or J0(x)
+    model.G = lambda x: calls.append("G") or G0(x)
+    states = RNG.normal(size=(5, 3, 2))
+    J, G = assemble_blocks(model, states, scheme)
+    assert calls == ["J", "G"]
+    assert J.shape == (5, 3, 2, 2) and G.shape == (5, 3, 2, 1)
+    assert np.array_equal(J, np.broadcast_to(J0(states[0, 0]), J.shape))
+    assert np.array_equal(G, np.broadcast_to(G0(states[0, 0]), G.shape))
+
+
 @pytest.mark.parametrize("stacked", [False, True], ids=["constant", "stacked"])
 @pytest.mark.parametrize("weight", ["M", "I"])
 def test_discrete_output_single_stage(weight, stacked):

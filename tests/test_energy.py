@@ -51,6 +51,20 @@ def test_reference_segments_join_continuously():
         assert np.max(np.abs(hi - lo)) < 1e-8
 
 
+def test_reference_array_matches_scalar_calls():
+    # one call on all sample times gives the scalar values, on every branch
+    times = np.array([0.0, 3.3, 7.99, 8.0, 8.5, 9.75, 10.0, 10.01, 17.2, 18.0])
+    for experiment, r in ((LOSSLESS_FORCED, 0.1), (DAMPED_FREE, 0.1),
+                          (DAMPED_FREE, 0.3)):
+        x, H = reference_solution(experiment, times, r=r)
+        assert x.shape == (len(times), 2) and H.shape == (len(times),)
+        for k, t in enumerate(times):
+            xk, Hk = reference_solution(experiment, t, r=r)
+            assert np.array_equal(x[k], xk) and H[k] == Hk
+    with pytest.raises(ValueError):
+        reference_solution(LOSSLESS_FORCED, np.array([1.0, -1e-9]))
+
+
 def test_reference_validation():
     with pytest.raises(ValueError):
         reference_solution(LOSSLESS_FORCED, -1.0)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import phint.collocation as coll
+from phint.energy import delta_h_bar, delta_h_tilde, supplied_energy
 from phint.errors import ConfigurationError, SolverDivergenceError
 from phint.integrator import SolverConfig, dense_eval, simulate, solve_stages
 from phint.models import (FeedbackConfig, InputSignal, oscillator,
@@ -144,6 +145,60 @@ def test_newton_matches_direct_solve(kind, s, factory, mode):
     assert newton.iterations >= 1
 
 
+def _feedback(mode):
+    return None if mode is None else FeedbackConfig(r=0.1, mode=mode,
+                                                    v=pulse_input())
+
+
+@pytest.mark.parametrize("kind,s,factory,mode", DIFFERENTIAL_CASES)
+def test_affine_run_matches_newton_trajectory(kind, s, factory, mode):
+    # whole runs across the pulse on [8, 10]: the affine recurrence of the
+    # linear path against the Newton path, states and every energy row
+    scheme = coll.make_scheme(kind, s)
+    args = (factory(), scheme, X0, pulse_input(), 0.5, 10.0)
+    affine = simulate(*args, feedback=_feedback(mode))
+    newton = simulate(*args, feedback=_feedback(mode),
+                      cfg=SolverConfig(method="newton"))
+    assert np.max(np.abs(affine.states - newton.states)) <= 1e-11
+    for name in ("dh_tilde", "dh_bar", "supplied"):
+        diff = np.max(np.abs(getattr(affine, name) - getattr(newton, name)))
+        assert diff <= 1e-13, (name, diff)
+
+
+@pytest.mark.parametrize("method", ["auto", "newton"])
+@pytest.mark.parametrize("kind,s,factory,mode", DIFFERENTIAL_CASES)
+def test_energy_rows_are_the_interval_formulas(kind, s, factory, mode, method):
+    # the stacked energy pass of simulate is the per-interval formula: each
+    # row equals the formula on the retained interval, bit for bit
+    scheme = coll.make_scheme(kind, s)
+    model = factory()
+    traj = simulate(model, scheme, X0, pulse_input(), 0.5, 10.0,
+                    feedback=_feedback(mode), cfg=SolverConfig(method=method),
+                    retain_stages=True)
+    sols = traj.stage_solutions
+    assert np.array_equal(traj.dh_tilde,
+                          [delta_h_tilde(sol, scheme) for sol in sols])
+    assert np.array_equal(traj.supplied, [supplied_energy(sol) for sol in sols])
+    assert np.array_equal(traj.dh_bar, [delta_h_bar(model, sol.x0, sol.x_end)
+                                        for sol in sols])
+    assert np.array_equal(traj.states[1:], [sol.x_end for sol in sols])
+
+
+def test_simulate_samples_the_input_once():
+    calls = []
+    pulse = pulse_input()
+
+    def fn(t):
+        calls.append(t.shape)
+        return pulse.fn(t)
+
+    scheme = coll.make_scheme(coll.GAUSS, 3)
+    traj = simulate(oscillator(), scheme, X0, InputSignal(fn=fn), 0.1, 18.0)
+    assert calls == [(180 * 3,)]
+    reference = simulate(oscillator(), scheme, X0, pulse, 0.1, 18.0)
+    assert np.array_equal(traj.states, reference.states)
+
+
 def test_solver_dispatch_errors():
     with pytest.raises(ConfigurationError):
         SolverConfig(tol=-1.0)
@@ -198,7 +253,7 @@ def test_initial_state_validation(factory, x0):
 @pytest.mark.parametrize("method", ["auto", "newton"])
 def test_non_finite_state_reported(method):
     # the input turns NaN at t = 0.3; Gauss-1 first samples it on step 3
-    signal = InputSignal(fn=lambda t: np.array([np.nan if t >= 0.3 else 0.0]))
+    signal = InputSignal(fn=lambda t: np.where(t >= 0.3, np.nan, 0.0)[:, None])
     with pytest.raises(SolverDivergenceError) as exc:
         simulate(oscillator(), coll.make_scheme(coll.GAUSS, 1), X0, signal,
                  0.1, 1.0, cfg=SolverConfig(method=method, max_iter=3))
@@ -209,7 +264,7 @@ def test_non_finite_state_reported(method):
 def test_non_finite_energy_reported():
     # from t = 0.3 the input is 1e200: the states stay finite (~1e199) but
     # their energy overflows, first on step 3 of Gauss-1 (energy row 3)
-    signal = InputSignal(fn=lambda t: np.array([1e200 if t >= 0.3 else 0.0]))
+    signal = InputSignal(fn=lambda t: np.where(t >= 0.3, 1e200, 0.0)[:, None])
     with pytest.raises(SolverDivergenceError, match="not finite") as exc:
         simulate(oscillator(), coll.make_scheme(coll.GAUSS, 1), X0, signal,
                  0.1, 1.0)

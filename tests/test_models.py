@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from phint.errors import ConfigurationError
-from phint.models import (FeedbackConfig, closed_loop, mechanical, oscillator,
-                          partitioned_oscillator, pulse_input, rigid_body,
-                          zero_input)
+from phint.models import (FeedbackConfig, InputSignal, closed_loop, mechanical,
+                          oscillator, partitioned_oscillator, pulse_input,
+                          rigid_body, zero_input)
 
 RNG = np.random.default_rng(42)
 
@@ -98,6 +98,24 @@ def test_zero_input_shape():
     z = zero_input(3)
     assert z(5.0).shape == (3,)
     assert np.all(z(5.0) == 0.0)
+
+
+def test_input_signal_array_contract():
+    # fn maps k sample times (k,) to (k, m); a call returns t.shape + (m,)
+    u = pulse_input()
+    times = np.array([[7.5, 8.5], [9.0, 10.5], [8.0, 10.0]])
+    samples = u(times)
+    assert samples.shape == (3, 2, 1)
+    for t, sample in zip(times.ravel(), samples.reshape(-1, 1)):
+        assert np.array_equal(sample, u(t))
+    on = (8.0 <= times) & (times <= 10.0)
+    expect = np.where(on, np.sin(np.pi * (times - 8.0) / 2.0) ** 2, 0.0)
+    assert np.array_equal(samples[..., 0], expect)
+    assert zero_input(2)(times).shape == (3, 2, 2)
+    assert zero_input(0)(times).shape == (3, 2, 0)
+    bad = InputSignal(fn=lambda t: np.zeros(len(t)))
+    with pytest.raises(ValueError, match=r"\(2, m\) array"):
+        bad(np.array([0.0, 1.0]))
 
 
 def test_feedback_config_validation():
