@@ -8,8 +8,9 @@ model, or, for a separable (q, p) model under a Lobatto scheme, the IIIA
 matrix A on the q rows and the IIIB matrix A_hat on the p rows (a partitioned
 Runge-Kutta method).  A run samples its inputs in one call.  A linear model
 with constant structure then advances by one affine recurrence built once per
-run; everything else goes through Newton iteration on the stacked stage
-states with a finite-difference Jacobian, one interval at a time.  Both feed
+run; everything else goes through simplified Newton iteration on the stacked
+stage states, one interval at a time, with a finite-difference iteration
+matrix and start values carried from the previous interval.  Both feed
 one stacked pass that forms f, e, u and y of every interval.
 """
 from __future__ import annotations
@@ -50,7 +51,7 @@ class StageSolution:
     u: np.ndarray        # (s, m)
     y: np.ndarray        # (s, m) discrete output, rows G_i' (M e)_i
     x_end: np.ndarray
-    iterations: int = 0
+    iterations: int = 0  # Newton residual evaluations, FD columns excluded
     residual: float = 0.0
 
 
@@ -109,6 +110,12 @@ class _Stepper:
             return np.zeros(times.shape + (0,))
         return self.signal(times)
 
+    def _efforts(self, stage_x):
+        """Efforts at the stage states: stage_x Q' when gradH = Q x."""
+        if self.model.Q is not None:
+            return stage_x @ self.model.Q.T
+        return np.array([self.model.gradH(x) for x in stage_x])
+
     def _flows(self, e, J, G, w):
         """Stage inputs u and flows f of efforts e under structure J, G."""
         u = w if self.K is None else w - self.r * discrete_output(self.K, G, e)
@@ -163,23 +170,25 @@ class _LinearStepper(_Stepper):
         X = np.matvec(self.S, states[:-1])
         X += np.matvec(self.T, wf)
         stage_x = X.reshape(len(t0), self.s, self.n)
-        return states, self._solution(t0, states, stage_x, stage_x @ self.Q.T,
-                                      self.Jc, self.Gc, w)
+        return states, self._solution(t0, states, stage_x,
+                                      self._efforts(stage_x), self.Jc, self.Gc, w)
 
 
 class _NewtonStepper(_Stepper):
-    """Newton iteration on the stacked stage states, FD Jacobian, one
-    interval at a time."""
+    """Simplified Newton iteration on the stacked stage states with a
+    finite-difference Jacobian, one interval at a time.  The inverted
+    iteration matrix is carried across steps, and a step starts from the
+    previous interval's collocation polynomial at its nodes; if that warm
+    attempt fails, the step restarts from x0 with a fresh Jacobian."""
 
     def _structure(self, stage_x):
         """Efforts and stacked J, G at the stage states (G is not evaluated
         on a portless model)."""
         model = self.model
-        e = np.array([model.gradH(x) for x in stage_x])
         J = np.array([model.J(x) for x in stage_x])
         G = (np.array([model.G(x) for x in stage_x]) if self.m
              else np.zeros((self.s, self.n, 0)))
-        return e, J, G
+        return self._efforts(stage_x), J, G
 
     def _residual(self, X, x0, w):
         stage_x = X.reshape(self.s, self.n)
@@ -191,50 +200,75 @@ class _NewtonStepper(_Stepper):
             Af[:, n_q:] = self.scheme.A_hat @ f[:, n_q:]
         return (stage_x - x0[None, :] + self.h * Af).ravel()
 
-    def _step(self, x0, w):
-        """One interval: stage states, efforts, J, G, iteration count, final
-        residual and end state."""
-        s, n = self.s, self.n
-        X = np.tile(x0, s)
-        tol = self.cfg.tol
+    def _rebuild(self, X, R, x0, w):
+        """Invert the finite-difference Jacobian of the residual at X."""
         fd_step = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(x0))
-        res = np.inf
-        lu = None
-        for it in range(1, self.cfg.max_iter + 1):
+        Jac = np.empty((X.size, X.size))
+        for k in range(X.size):
+            Xp = X.copy()
+            Xp[k] += fd_step
+            Jac[:, k] = (self._residual(Xp, x0, w) - R) / fd_step
+        try:
+            self.inv = np.linalg.inv(Jac)
+        except np.linalg.LinAlgError:
+            raise SolverDivergenceError("stage Jacobian is singular") from None
+
+    def _newton(self, X, x0, w, warm):
+        """Iterate from X with the carried matrix, rebuilt when the residual
+        contracts by less than a factor 0.1; a warm attempt gives up when its
+        second residual does not halve.  Counts its residual evaluations in
+        self.iterations and returns the stages and the last residual."""
+        tol, res = self.cfg.tol, np.inf
+        for it in range(self.cfg.max_iter):
             R = self._residual(X, x0, w)
+            self.iterations += 1
             prev, res = res, float(np.max(np.abs(R)))
             if res <= tol:
-                break
-            # modified Newton: keep the factored Jacobian while the residual
-            # contracts, rebuild when progress stalls
-            if lu is None or res > 0.5 * prev:
-                Jac = np.empty((s * n, s * n))
-                for k in range(s * n):
-                    Xp = X.copy()
-                    Xp[k] += fd_step
-                    Jac[:, k] = (self._residual(Xp, x0, w) - R) / fd_step
-                lu = np.linalg.inv(Jac)
-            X = X - lu @ R
-        else:
-            raise SolverDivergenceError(
-                f"stage equations did not converge below {tol} "
-                f"in {self.cfg.max_iter} iterations", residual=res)
-        stage_x = X.reshape(s, n)
+                # the last correction needs no further residual evaluation
+                return (X if self.inv is None else X - self.inv @ R), res
+            if not np.isfinite(res) or (warm and it == 1 and res > 0.5 * prev):
+                raise SolverDivergenceError("stage iteration diverges",
+                                            residual=res)
+            if self.inv is None or res > 0.1 * prev:
+                self._rebuild(X, R, x0, w)
+            X = X - self.inv @ R
+        raise SolverDivergenceError(
+            f"stage equations did not converge below {tol} "
+            f"in {self.cfg.max_iter} iterations", residual=res)
+
+    def _step(self, x0, w, guess):
+        """One interval from the stage guess (None: cold start): stage states,
+        efforts, J, G, flows, iteration count, final residual, end state."""
+        self.iterations = 0
+        if guess is not None:
+            try:
+                X, res = self._newton(guess, x0, w, warm=True)
+            except SolverDivergenceError:
+                guess = None
+        if guess is None:
+            self.inv = None
+            X, res = self._newton(np.tile(x0, self.s), x0, w, warm=False)
+        stage_x = X.reshape(self.s, self.n)
         e, J, G = self._structure(stage_x)
         _, f = self._flows(e, J, G, w)
-        return stage_x, e, J, G, it, res, x0 - self.h * (self.scheme.b @ f)
+        return (stage_x, e, J, G, f, self.iterations, res,
+                x0 - self.h * (self.scheme.b @ f))
 
     def run(self, x0, t0):
         w = self._inputs(t0)
-        x, steps = x0, []
+        x, guess, steps = x0, None, []
+        self.inv = None
+        # E[i, j] = int_0^{1 + c_i} l_j carries the polynomial to the next nodes
+        E = dense_weights(self.scheme, 1.0 + self.scheme.c).T
         for k, wk in enumerate(w):
             try:
-                steps.append(self._step(x, wk))
+                steps.append(self._step(x, wk, guess))
             except SolverDivergenceError as err:
                 err.step_index = k
                 raise
+            guess = (x - self.h * (E @ steps[-1][4])).ravel()
             x = steps[-1][-1]
-        stage_x, e, J, G, its, res, x_end = map(np.array, zip(*steps))
+        stage_x, e, J, G, _, its, res, x_end = map(np.array, zip(*steps))
         states = np.vstack([x0, x_end])
         return states, self._solution(t0, states, stage_x, e, J, G, w,
                                       iterations=its, residual=res)
@@ -285,17 +319,22 @@ def solve_stages(model, scheme, x0, input_signal, t0, h,
     return _intervals(sol)[0]
 
 
-def dense_eval(sol: StageSolution, scheme, tau: float) -> np.ndarray:
-    """Collocation polynomial x(t0 + tau h) = x0 - h sum_j f_j int_0^tau l_j,
-    with int_0^tau l_j = sum_k W[j, k] P_k(2 tau - 1) and P_0..P_s from
-    Bonnet's recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
+def dense_weights(scheme, tau) -> np.ndarray:
+    """The integrals int_0^tau l_j, shape (s,) + shape(tau), for a float or
+    an array tau: sum_k W[j, k] P_k(2 tau - 1), P_k from Bonnet's recurrence
+    (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}; a float stays a Python float."""
     x = 2.0 * tau - 1.0
-    p = [1.0, x]
+    p = [x ** 0, x]
     for k in range(1, scheme.s):
         p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
-    return sol.x0 - sol.h * ((scheme.W @ p) @ sol.f)
+    return scheme.W @ p
+
+
+def dense_eval(sol: StageSolution, scheme, tau: float) -> np.ndarray:
+    """Collocation polynomial x(t0 + tau h) = x0 - h sum_j f_j int_0^tau l_j."""
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError("tau must lie in [0, 1]")
+    return sol.x0 - sol.h * (dense_weights(scheme, tau) @ sol.f)
 
 
 def simulate(model, scheme, x0, input_signal, h, t_end,

@@ -5,8 +5,9 @@ import pytest
 import phint.collocation as coll
 from phint.energy import delta_h_bar, delta_h_tilde, supplied_energy
 from phint.errors import ConfigurationError, SolverDivergenceError
-from phint.integrator import SolverConfig, dense_eval, simulate, solve_stages
-from phint.models import (FeedbackConfig, InputSignal, oscillator,
+from phint.integrator import (SolverConfig, dense_eval, dense_weights, simulate,
+                              solve_stages)
+from phint.models import (FeedbackConfig, InputSignal, PHModel, oscillator,
                           partitioned_oscillator, pulse_input, rigid_body,
                           zero_input)
 
@@ -71,6 +72,23 @@ def test_dense_eval_endpoints_and_stages(kind, s):
         assert np.max(np.abs(dense_eval(sol, scheme, tau) - expect)) < 1e-14
     with pytest.raises(ValueError):
         dense_eval(sol, scheme, 1.5)
+
+
+@pytest.mark.parametrize("kind,s", ALL_SCHEMES, ids=SCHEME_IDS)
+def test_extrapolation_weights_match_integrated_basis(kind, s):
+    # E[i, j] = int_0^{1 + c_i} l_j carries a step's collocation polynomial to
+    # the next interval's nodes; the weights reach 6.2e3 at Gauss-8, so the
+    # bound is relative to their size
+    scheme = coll.make_scheme(kind, s)
+    E = dense_weights(scheme, 1.0 + scheme.c).T
+    oracle = np.empty((s, s))
+    for j in range(s):
+        L = np.polynomial.Polynomial(coll.lagrange_polynomial(scheme.c, j)).integ()
+        oracle[:, j] = L(1.0 + scheme.c) - L(0.0)
+    assert np.max(np.abs(E - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(E)))
+    # the same weights at tau in [0, 1] are the rows of A and b
+    assert np.max(np.abs(dense_weights(scheme, scheme.c).T - scheme.A)) < 1e-14
+    assert np.max(np.abs(dense_weights(scheme, 1.0) - scheme.b)) < 1e-14
 
 
 class _NoMpmath:
@@ -213,6 +231,46 @@ def test_solver_divergence_reported():
                  np.array([1.0, 1.0, 1.0]), zero_input(0), 0.5, 1.0, cfg=cfg)
     assert exc.value.step_index == 0
     assert exc.value.residual > 0.0
+
+
+def test_singular_stage_jacobian_is_a_divergence():
+    # xdot = 20 x under Gauss-1 at h = 0.1: the stage equation
+    # X - x0 - h a 20 X = 0 has the zero Jacobian 1 - 0.1 * 0.5 * 20
+    model = PHModel(1, 0, H=lambda x: 0.5 * (x @ x), gradH=lambda x: x,
+                    J=lambda x: [[20.0]], G=lambda x: np.zeros((1, 0)),
+                    constant_structure=False)
+    with pytest.raises(SolverDivergenceError, match="singular") as exc:
+        simulate(model, coll.make_scheme(coll.GAUSS, 1), np.array([1.0]),
+                 zero_input(0), 0.1, 1.0)
+    assert exc.value.step_index == 0
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("x0", [[1.0, 1.0, 1.0], [3.0, -7.0, 5.0]])
+def test_warm_started_run_matches_chained_cold_solves(s, x0):
+    # simulate carries the iteration matrix and extrapolated start values
+    # across steps; solve_stages is always a cold one-interval run
+    model, scheme, h = rigid_body(), coll.make_scheme(coll.GAUSS, s), 0.01
+    traj = simulate(model, scheme, x0, zero_input(0), h, 200 * h)
+    x = np.array(x0)
+    for k in range(200):
+        x = solve_stages(model, scheme, x, zero_input(0), k * h, h).x_end
+        assert np.max(np.abs(traj.states[k + 1] - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_newton_work_budget():
+    # J is called s times per residual: s * (iterations + s n builds + steps)
+    # calls per run; a Jacobian rebuilt on every step alone costs 2 * 6 * 100
+    model, s, n, steps = rigid_body(), 2, 3, 100
+    calls = []
+    cross = model.J
+    model.J = lambda x: calls.append(1) or cross(x)
+    traj = simulate(model, coll.make_scheme(coll.GAUSS, s), np.ones(3),
+                    zero_input(0), 0.01, 1.0, retain_stages=True)
+    iterations = sum(sol.iterations for sol in traj.stage_solutions)
+    builds, rem = divmod(len(calls) // s - iterations - steps, s * n)
+    assert len(calls) % s == 0 and rem == 0 and builds >= 1
+    assert len(calls) <= 1000
 
 
 def test_partitioned_requires_lobatto():
