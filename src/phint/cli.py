@@ -14,7 +14,7 @@ import numpy as np
 from . import collocation as coll
 from . import dirac, energy
 from .errors import ConfigurationError, SolverDivergenceError
-from .integrator import SolverConfig, simulate, stack_stages
+from .integrator import SolverConfig, simulate
 from .models import (PORTLEVEL, FeedbackConfig, oscillator,
                      partitioned_oscillator, pulse_input, rigid_body,
                      zero_input)
@@ -232,7 +232,7 @@ def cmd_check(args) -> int:
     model, scheme, _, traj = _run(args, args.h, retain_stages=True)
     c1 = coll.check_c1(scheme.M, 1e-14)
     c2 = model.constant_structure
-    sol = stack_stages(traj.stage_solutions)
+    sol = traj.stages
     J, G = dirac.assemble_blocks(model, sol.stage_x, scheme)
     e, f = (v.reshape(len(v), -1) for v in (sol.e, sol.f))
     # Frobenius norms as sqrt(x.x), the form np.linalg.norm takes on one interval

@@ -15,7 +15,8 @@ one stacked pass that forms f, e, u and y of every interval.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -32,8 +33,9 @@ class SolverConfig:
     method: str = "auto"  # auto | newton
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ConfigurationError("need tol > 0 and max_iter >= 1")
+        _check_finite("tol", self.tol, positive=True)
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ConfigurationError(f"max_iter must be an integer >= 1, got {self.max_iter}")
         if self.method not in ("auto", "newton"):
             raise ConfigurationError(f"unknown solver method {self.method!r}")
 
@@ -72,7 +74,12 @@ class Trajectory:
     dh_tilde: np.ndarray             # (N,)
     dh_bar: np.ndarray               # (N,)
     supplied: np.ndarray             # (N,) h (y^k)' u^k
-    stage_solutions: list = field(default_factory=list)
+    stages: StageSolution | None = None  # stacked intervals, when retained
+
+    @cached_property
+    def stage_solutions(self) -> list:
+        """The retained intervals as StageSolutions of views of stages."""
+        return [] if self.stages is None else _intervals(self.stages)
 
 
 def _stage_tableau(model, scheme) -> np.ndarray:
@@ -114,7 +121,8 @@ class _Stepper:
         """Efforts at the stage states: stage_x Q' when gradH = Q x."""
         if self.model.Q is not None:
             return stage_x @ self.model.Q.T
-        return np.array([self.model.gradH(x) for x in stage_x])
+        flat = stage_x.reshape(-1, self.n)
+        return np.array([self.model.gradH(x) for x in flat]).reshape(stage_x.shape)
 
     def _flows(self, e, J, G, w):
         """Stage inputs u and flows f of efforts e under structure J, G."""
@@ -182,34 +190,32 @@ class _NewtonStepper(_Stepper):
     attempt fails, the step restarts from x0 with a fresh Jacobian."""
 
     def _structure(self, stage_x):
-        """Efforts and stacked J, G at the stage states (G is not evaluated
-        on a portless model)."""
-        model = self.model
-        J = np.array([model.J(x) for x in stage_x])
-        G = (np.array([model.G(x) for x in stage_x]) if self.m
-             else np.zeros((self.s, self.n, 0)))
+        """Efforts and stacked J, G at stage states (..., s, n): J and G are
+        called once per state, G not at all on a portless model."""
+        model, flat = self.model, stage_x.reshape(-1, self.n)
+        J = np.array([model.J(x) for x in flat]).reshape(stage_x.shape + (self.n,))
+        G = (np.array([model.G(x) for x in flat]) if self.m
+             else np.zeros(0)).reshape(stage_x.shape + (self.m,))
         return self._efforts(stage_x), J, G
 
     def _residual(self, X, x0, w):
-        stage_x = X.reshape(self.s, self.n)
+        """Stage residuals (..., s n) of stacked stage states X (..., s n)."""
+        stage_x = X.reshape(X.shape[:-1] + (self.s, self.n))
         e, J, G = self._structure(stage_x)
         _, f = self._flows(e, J, G, w)
         Af = self.scheme.A @ f
         n_q = self.model.n_q
         if n_q is not None:
-            Af[:, n_q:] = self.scheme.A_hat @ f[:, n_q:]
-        return (stage_x - x0[None, :] + self.h * Af).ravel()
+            Af[..., n_q:] = self.scheme.A_hat @ f[..., n_q:]
+        return (stage_x - x0 + self.h * Af).reshape(X.shape)
 
     def _rebuild(self, X, R, x0, w):
-        """Invert the finite-difference Jacobian of the residual at X."""
+        """Invert the finite-difference Jacobian of the residual at X: its
+        column k is row k of the residuals of the stacked guesses X + fd I."""
         fd_step = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(x0))
-        Jac = np.empty((X.size, X.size))
-        for k in range(X.size):
-            Xp = X.copy()
-            Xp[k] += fd_step
-            Jac[:, k] = (self._residual(Xp, x0, w) - R) / fd_step
+        Rp = self._residual(X + fd_step * np.eye(X.size), x0, w)
         try:
-            self.inv = np.linalg.inv(Jac)
+            self.inv = np.linalg.inv(((Rp - R) / fd_step).T)
         except np.linalg.LinAlgError:
             raise SolverDivergenceError("stage Jacobian is singular") from None
 
@@ -369,4 +375,4 @@ def simulate(model, scheme, x0, input_signal, h, t_end,
     return Trajectory(scheme_label=scheme.label, model_name=model.name,
                       h=h, times=np.arange(N + 1) * h, states=states,
                       dh_tilde=dh_tilde, dh_bar=dh_bar, supplied=supplied,
-                      stage_solutions=_intervals(sol) if retain_stages else [])
+                      stages=sol if retain_stages else None)

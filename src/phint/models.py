@@ -148,12 +148,16 @@ def partitioned_oscillator() -> PHModel:
 
 
 _RIGID_BODY_Q = np.diag([1.0, 1.0 / 2.0, 1.0 / 3.0])
+_CROSS_INDEX = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
+_CROSS_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 
 
 def _cross_matrix(x):
-    return np.array([[0.0, -x[2], x[1]],
-                     [x[2], 0.0, -x[0]],
-                     [-x[1], x[0], 0.0]])
+    """[[0, -x2, x1], [x2, 0, -x0], [-x1, x0, 0]] as a gather times signs; the
+    product's diagonal (-0.0 for x_i < 0, nan for inf) is reset to 0.0."""
+    out = x[_CROSS_INDEX] * _CROSS_SIGN
+    out.flat[::4] = 0.0
+    return out
 
 
 def rigid_body() -> PHModel:

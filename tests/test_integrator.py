@@ -1,12 +1,15 @@
 """Stage solves, stepping, dense output, conservation and solver dispatch."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import phint.collocation as coll
 from phint.energy import delta_h_bar, delta_h_tilde, supplied_energy
 from phint.errors import ConfigurationError, SolverDivergenceError
-from phint.integrator import (SolverConfig, dense_eval, dense_weights, simulate,
-                              solve_stages)
+from phint.integrator import (SolverConfig, StageSolution, _make_stepper,
+                              dense_eval, dense_weights, simulate,
+                              solve_stages, stack_stages)
 from phint.models import (FeedbackConfig, InputSignal, PHModel, oscillator,
                           partitioned_oscillator, pulse_input, rigid_body,
                           zero_input)
@@ -202,6 +205,22 @@ def test_energy_rows_are_the_interval_formulas(kind, s, factory, mode, method):
     assert np.array_equal(traj.states[1:], [sol.x_end for sol in sols])
 
 
+@pytest.mark.parametrize("method", ["auto", "newton"])
+def test_retained_stages_are_one_stacked_record(method):
+    # simulate keeps the run's stacked record; the per-interval views are
+    # built from it on first access, once, and stack back to it
+    args = (oscillator(), coll.make_scheme(coll.GAUSS, 2), X0, pulse_input(),
+            0.5, 10.0)
+    traj = simulate(*args, cfg=SolverConfig(method=method), retain_stages=True)
+    restacked = stack_stages(traj.stage_solutions)
+    for fld in fields(StageSolution):
+        kept, views = getattr(traj.stages, fld.name), getattr(restacked, fld.name)
+        assert np.array_equal(np.broadcast_to(kept, views.shape), views), fld.name
+    assert traj.stage_solutions is traj.stage_solutions
+    bare = simulate(*args, cfg=SolverConfig(method=method))
+    assert bare.stages is None and bare.stage_solutions == []
+
+
 def test_simulate_samples_the_input_once():
     calls = []
     pulse = pulse_input()
@@ -222,6 +241,16 @@ def test_solver_dispatch_errors():
         SolverConfig(tol=-1.0)
     with pytest.raises(ConfigurationError):
         SolverConfig(method="secant")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": 0.0}, {"tol": np.inf}, {"tol": np.nan},
+    {"max_iter": 0}, {"max_iter": 2.5}])
+def test_solver_config_needs_finite_tol_and_integer_max_iter(kwargs):
+    # tol = inf would accept unconverged stages silently, tol = nan would run
+    # every iteration and then report a divergence
+    with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+        SolverConfig(**kwargs)
 
 
 def test_solver_divergence_reported():
@@ -271,6 +300,54 @@ def test_newton_work_budget():
     builds, rem = divmod(len(calls) // s - iterations - steps, s * n)
     assert len(calls) % s == 0 and rem == 0 and builds >= 1
     assert len(calls) <= 1000
+
+
+def _column_jacobian(stepper, X, R, x0, w):
+    """Finite-difference Jacobian of the stage residual, one residual
+    evaluation per column: the oracle of the stacked build."""
+    fd_step = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(x0))
+    Jac = np.empty((X.size, X.size))
+    for k in range(X.size):
+        Xp = X.copy()
+        Xp[k] += fd_step
+        Jac[:, k] = (stepper._residual(Xp, x0, w) - R) / fd_step
+    return Jac
+
+
+def _pendulum():
+    # non-quadratic H, no Q: the efforts come from gradH, one call per state
+    return PHModel(2, 1, H=lambda x: 0.5 * x[1] ** 2 + 1.0 - np.cos(x[0]),
+                   gradH=lambda x: np.array([np.sin(x[0]), x[1]]),
+                   J=lambda x: A_OSC, G=lambda x: np.array([[0.0], [1.0]]),
+                   constant_structure=True)
+
+
+BUILD_CASES = (
+    [(rigid_body, coll.GAUSS, s, scale, None)
+     for s in (1, 2, 3, 4) for scale in (1.0, 1e3)]
+    + [(oscillator, coll.GAUSS, 3, 1.0, mode)
+       for mode in ("stagewise", "portlevel")]
+    + [(_pendulum, coll.GAUSS, 2, 1.0, "portlevel")]
+    + [(partitioned_oscillator, coll.LOBATTO, 3, 1.0, mode)
+       for mode in (None, "stagewise", "portlevel")])
+
+
+@pytest.mark.parametrize("factory,kind,s,scale,mode", BUILD_CASES)
+def test_stacked_jacobian_build_matches_column_loop(factory, kind, s, scale, mode):
+    # all columns from one stacked residual call: the iteration matrix is the
+    # one the per-column loop gives, bit for bit
+    model, scheme = factory(), coll.make_scheme(kind, s)
+    signal = pulse_input() if model.m else zero_input(0)
+    stepper = _make_stepper(model, scheme, signal, 0.1, _feedback(mode),
+                            SolverConfig(method="newton"))
+    rng = np.random.default_rng(s)
+    x0 = scale * rng.normal(size=model.n)
+    X = np.tile(x0, s) + 1e-2 * scale * rng.normal(size=s * model.n)
+    w = stepper._inputs(np.array([8.3]))[0]
+    R = stepper._residual(X, x0, w)
+    stepper._rebuild(X, R, x0, w)
+    assert np.array_equal(stepper.inv,
+                          np.linalg.inv(_column_jacobian(stepper, X, R, x0, w)))
 
 
 def test_partitioned_requires_lobatto():

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from phint.errors import ConfigurationError
-from phint.models import (FeedbackConfig, InputSignal, closed_loop, mechanical,
-                          oscillator, partitioned_oscillator, pulse_input,
-                          rigid_body, zero_input)
+from phint.models import (FeedbackConfig, InputSignal, _cross_matrix,
+                          closed_loop, mechanical, oscillator,
+                          partitioned_oscillator, pulse_input, rigid_body,
+                          zero_input)
 
 RNG = np.random.default_rng(42)
 
@@ -56,6 +57,24 @@ def test_rigid_body_flags_and_energy():
     assert model.H(x) == pytest.approx(0.5 * (1 + 0.5 + 1 / 3))
     # the structure map moves with the state
     assert not np.allclose(model.J(x), model.J(2 * x))
+
+
+def test_cross_matrix_is_the_literal_matrix():
+    # bit for bit, the sign of every zero included: -x_i of a zero x_i is
+    # -0.0 off the diagonal, and the diagonal is +0.0 for any x
+    rng = np.random.default_rng(7)
+    xs = rng.choice([0.0, -0.0, 1.0], size=(200, 3)) * rng.normal(size=(200, 3))
+    for x in xs:
+        literal = np.array([[0.0, -x[2], x[1]],
+                            [x[2], 0.0, -x[0]],
+                            [-x[1], x[0], 0.0]])
+        J = _cross_matrix(x)
+        assert np.array_equal(J, literal)
+        assert np.array_equal(np.signbit(J), np.signbit(literal))
+        y = rng.normal(size=3)
+        rounding = 4 * np.finfo(float).eps * np.linalg.norm(x) * np.linalg.norm(y)
+        assert np.max(np.abs(rigid_body().J(x) @ y - np.cross(x, y))) <= rounding
+    assert np.signbit(xs).any() and (xs == 0.0).any() and (xs < 0.0).any()
 
 
 def test_partitioned_oscillator_matches_full_form():
