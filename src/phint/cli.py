@@ -171,12 +171,15 @@ def cmd_simulate(args) -> int:
     if reference is not None:
         header.append("dh_exact")
         dh_exact = np.diff(reference(traj.times)[1])
+    header.append("balance_residual")
+    balance = np.abs(traj.dh_bar - traj.supplied)
     rows = []
     for k in range(len(traj.dh_tilde)):
         row = [str(k + 1), _fmt(traj.times[k + 1]), _fmt(traj.dh_tilde[k]),
                _fmt(traj.dh_bar[k]), _fmt(traj.supplied[k])]
         if reference is not None:
             row.append(_fmt(dh_exact[k]))
+        row.append(_fmt(balance[k]))
         rows.append(row)
     _write_csv(f"{args.out}_energy.csv", header, rows)
     return 0

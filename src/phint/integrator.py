@@ -8,13 +8,16 @@ model, or, for a separable (q, p) model under a Lobatto scheme, the IIIA
 matrix A on the q rows and the IIIB matrix A_hat on the p rows (a partitioned
 Runge-Kutta method).  A run samples its inputs in one call.  A linear model
 with constant structure then advances by one affine recurrence built once per
-run; everything else goes through simplified Newton iteration on the stacked
+run and evaluated in chunks of about sqrt(N) steps, with no Python loop over
+the steps (models above CHUNK_MAX_N states keep one step per chunk);
+everything else goes through simplified Newton iteration on the stacked
 stage states, one interval at a time, with a finite-difference iteration
 matrix and start values carried from the previous interval.  Both feed
 one stacked pass that forms f, e, u and y of every interval.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -82,14 +85,21 @@ class Trajectory:
         return [] if self.stages is None else _intervals(self.stages)
 
 
+def _kron(a, b) -> np.ndarray:
+    """np.kron(a, b) of two matrices, bit for bit, as one broadcast outer
+    product: entry (i r + k, j t + l) is a[i, j] b[k, l]."""
+    (p, q), (r, t) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * t)
+
+
 def _stage_tableau(model, scheme) -> np.ndarray:
     """sn x sn tableau of the stacked stage states: A (x) I_n, or A on the q
     rows and A_hat on the p rows of every stage of a separable model."""
     if model.n_q is None:
-        return np.kron(scheme.A, np.eye(model.n))
+        return _kron(scheme.A, np.eye(model.n))
     on_q = (np.arange(model.n) < model.n_q).astype(float)
-    return (np.kron(scheme.A, np.diag(on_q))
-            + np.kron(scheme.A_hat, np.diag(1.0 - on_q)))
+    return (_kron(scheme.A, np.diag(on_q))
+            + _kron(scheme.A_hat, np.diag(1.0 - on_q)))
 
 
 class _Stepper:
@@ -140,7 +150,7 @@ class _Stepper:
 class _LinearStepper(_Stepper):
     """Affine recurrence for linear models with constant J and G: the stage
     states are X = S x0 + T w and the step is x+ = x0 + (Delta x0 + Gamma w),
-    with the maps built once per run."""
+    with the maps built once per run and the steps taken in chunks."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -151,10 +161,10 @@ class _LinearStepper(_Stepper):
         self.Q = model.Q
         Is = np.eye(s)
         # stacked drift -f = D X + IG w of the stage states X
-        D = np.kron(Is, self.Jc @ self.Q)
+        D = _kron(Is, self.Jc @ self.Q)
         if self.K is not None:
-            D -= self.r * np.kron(self.K, self.Gc @ self.Gc.T @ self.Q)
-        IG = np.kron(Is, self.Gc)
+            D -= self.r * _kron(self.K, self.Gc @ self.Gc.T @ self.Q)
+        IG = _kron(Is, self.Gc)
         hT = self.h * _stage_tableau(model, scheme)
         # X = 1 (x) x0 - h T f  <=>  (I - h T D) X = 1 (x) x0 + h T IG w
         ST = np.linalg.solve(np.eye(s * n) - hT @ D,
@@ -162,7 +172,7 @@ class _LinearStepper(_Stepper):
         self.S, self.T = ST[:, :n], ST[:, n:]
         # x+ - x0 = -h (b' (x) I) f, kept as an increment: a step matrix
         # I + Delta rounds away the O(h) part Delta x0 at every step
-        hB = self.h * np.kron(scheme.b, np.eye(n))
+        hB = self.h * _kron(scheme.b[None], np.eye(n))
         self.Delta = hB @ D @ self.S
         self.Gamma = hB @ (D @ self.T + IG)
 
@@ -170,16 +180,58 @@ class _LinearStepper(_Stepper):
         w = self._inputs(t0)
         wf = w.reshape(len(t0), -1)
         drive = np.matvec(self.Gamma, wf)
-        states = np.empty((len(t0) + 1, self.n))
-        states[0] = x0
-        for k in range(len(t0)):
-            x = states[k]
-            states[k + 1] = x + (self.Delta @ x + drive[k])
+        states = _affine_states(self.Delta, x0, drive,
+                                _chunk_length(len(t0), self.n))
         X = np.matvec(self.S, states[:-1])
         X += np.matvec(self.T, wf)
         stage_x = X.reshape(len(t0), self.s, self.n)
         return states, self._solution(t0, states, stage_x,
                                       self._efforts(stage_x), self.Jc, self.Gc, w)
+
+
+# largest state dimension advanced in chunks of steps.  Building P_j costs
+# sqrt(N) n^3 and saves about N per-step Python overheads: on mass-spring
+# chains (2-core x86-64 host, one BLAS thread) chunks ran 1.3-2.5x faster
+# than the per-step loop up to n = 64 and lost from n = 80-96 at N <= 1000
+# (3x slower at n = 200, N = 1000)
+CHUNK_MAX_N = 64
+
+
+def _chunk_length(N, n) -> int:
+    """Steps per chunk of the affine recurrence: about sqrt(N), which balances
+    the loops over the steps of a chunk and over the chunks; 1 (the plain
+    per-step loop) for states larger than CHUNK_MAX_N."""
+    return 1 if n > CHUNK_MAX_N else max(1, math.isqrt(N))
+
+
+def _affine_states(Delta, x0, drive, L) -> np.ndarray:
+    """States (N+1, n) of x_{k+1} = x_k + (Delta x_k + drive_k) from x0, in
+    chunks of L steps.  With P_j = (I + Delta)^j - I and z_j the state j steps
+    into a chunk started from zero, the states of chunk c are
+    x_{cL+j} = x_{cL} + (P_j x_{cL} + z_j): P_j and the z_j of all chunks
+    at once take L steps each, the chunk starts C = ceil(N / L) more.  Every
+    update stays an increment, as in the per-step loop that L = 1 gives."""
+    N, n = drive.shape
+    C = -(-N // L)
+    d = np.concatenate([drive, np.zeros((C * L - N, n))]).reshape(C, L, n)
+    # P_1 = Delta and z_1 = d_0 exactly, since P_0 = 0 and z_0 = 0
+    P = np.empty((L + 1, n, n))
+    z = np.empty((L + 1, C, n))
+    P[1], z[1] = Delta, d[:, 0]
+    for j in range(1, L):
+        P[j + 1] = P[j] + (Delta + Delta @ P[j])
+        z[j + 1] = z[j] + (z[j] @ Delta.T + d[:, j])
+    states = np.empty((C * L + 1, n))
+    starts = states[::L]
+    starts[0] = x0
+    PL, zL = P[L], z[L]
+    for c in range(C):
+        x = starts[c]
+        starts[c + 1] = x + (PL @ x + zL[c])
+    within = states[:-1].reshape(C, L, n)
+    within[:, 1:] = starts[:-1, None] + (np.matvec(P[1:L], starts[:-1, None])
+                                         + z[1:L].swapaxes(0, 1))
+    return states[:N + 1]
 
 
 class _NewtonStepper(_Stepper):

@@ -31,7 +31,7 @@ class PHModel:
         self._J = J
         self._G = G
         self.constant_structure = bool(constant_structure)
-        self.Q = None if Q is None else np.asarray(Q, dtype=float)
+        self.Q = None if Q is None else _energy_matrix(Q, self.n)
         self.name = name
         # separable (q, p) models: the first n_q states are positions, which
         # Lobatto pairs advance with A and the momenta with A_hat
@@ -52,6 +52,20 @@ class PHModel:
     def output(self, x):
         """Collocated continuous-time output y = G(x)^T gradH(x)."""
         return self.G(x).T @ self.gradH(x)
+
+
+def _energy_matrix(Q, n) -> np.ndarray:
+    """Q of gradH = Q x as a float (n, n) array: finite and exactly symmetric,
+    since H = x'Qx/2 + const sees only the symmetric part and the stored
+    energy increment 1/2 (x+ - x)' Q (x+ + x) needs Q = Q'."""
+    Q = np.asarray(Q, dtype=float)
+    if Q.shape != (n, n):
+        raise ConfigurationError(f"Q must have shape ({n}, {n}), got {Q.shape}")
+    if not np.all(np.isfinite(Q)):
+        raise ConfigurationError("Q must be finite")
+    if not np.array_equal(Q, Q.T):
+        raise ConfigurationError("Q must be symmetric")
+    return Q
 
 
 @dataclass(frozen=True)
@@ -127,6 +141,9 @@ def mechanical(Q, P, G, name="mechanical") -> PHModel:
             np.linalg.cholesky(mat)
         except np.linalg.LinAlgError:
             raise ConfigurationError(f"{label} must be positive definite") from None
+    # symmetric to the allclose tolerance above; the model takes the exactly
+    # symmetric part, which leaves an already symmetric matrix bit for bit
+    Q, P = 0.5 * (Q + Q.T), 0.5 * (P + P.T)
     if G.shape[0] != n:
         raise ConfigurationError(f"G must have {n} rows")
     Z = np.zeros((n, n))

@@ -2,11 +2,12 @@
 import numpy as np
 import pytest
 
+import phint.cli as cli
 import phint.collocation as coll
 from phint.cli import main
 from phint.dirac import assemble_blocks, kernel_check, power_residual
 from phint.integrator import simulate
-from phint.models import rigid_body, zero_input
+from phint.models import PHModel, rigid_body, zero_input
 
 
 def run(argv):
@@ -52,8 +53,13 @@ def test_simulate_writes_both_csvs(tmp_path):
     assert traj[0] == "t,x1,x2,u,y,H"
     assert len(traj) == 1 + 181
     energy = read(tmp_path / "run_energy.csv").splitlines()
-    assert energy[0] == "k,t_k,dh_tilde,dh_bar,supplied,dh_exact"
+    assert energy[0] == "k,t_k,dh_tilde,dh_bar,supplied,dh_exact,balance_residual"
     assert len(energy) == 1 + 180
+    # balance_residual is |dh_bar - supplied| of the row, exact under C1/C2
+    for line in energy[1:]:
+        row = [float(v) for v in line.split(",")]
+        assert row[-1] == abs(row[3] - row[4])
+        assert row[-1] <= 1e-15
 
 
 def test_simulate_deterministic(tmp_path):
@@ -182,7 +188,7 @@ def test_damped_simulation_runs(tmp_path):
                 "--input", "zero", "--r", "0.1", "--out", str(out)])
     assert code == 0
     lines = read(tmp_path / "damped_energy.csv").splitlines()
-    assert lines[0].endswith("dh_exact")
+    assert lines[0].endswith("dh_exact,balance_residual")
     # energy decays: every stored increment negative
     dh_bar = [float(l.split(",")[3]) for l in lines[1:]]
     assert max(dh_bar) < 0.0
@@ -193,9 +199,9 @@ def test_simulate_before_pulse_writes_exact_increments(tmp_path):
     out = tmp_path / "early"
     assert run(["simulate", "--t-end", "1", "--out", str(out)]) == 0
     lines = read(tmp_path / "early_energy.csv").splitlines()
-    assert lines[0].endswith("dh_exact")
+    col = lines[0].split(",").index("dh_exact")
     assert len(lines) == 1 + 10
-    assert max(abs(float(l.split(",")[-1])) for l in lines[1:]) < 1e-15
+    assert max(abs(float(l.split(",")[col])) for l in lines[1:]) < 1e-15
 
 
 PORTLEVEL = ["--input", "zero", "--r", "0.1", "--feedback-mode", "portlevel",
@@ -211,7 +217,7 @@ def test_simulate_portlevel_omits_exact_increments(tmp_path):
     out = tmp_path / "port"
     assert run(["simulate", "--out", str(out)] + PORTLEVEL) == 0
     lines = read(tmp_path / "port_energy.csv").splitlines()
-    assert lines[0] == "k,t_k,dh_tilde,dh_bar,supplied"
+    assert lines[0] == "k,t_k,dh_tilde,dh_bar,supplied,balance_residual"
     assert max(float(l.split(",")[2]) for l in lines[1:]) <= 1e-14
 
 
@@ -253,3 +259,20 @@ def test_simulate_overflowing_energy_exits_3(tmp_path, capsys):
     assert "solver failure at step 0" in capsys.readouterr().err
     assert not (tmp_path / "big_traj.csv").exists()
     assert not (tmp_path / "big_energy.csv").exists()
+
+
+def test_model_with_asymmetric_q_exits_2(tmp_path, capsys, monkeypatch):
+    # PHModel validates Q when it is built, so a bad model factory is a
+    # configuration error of the command, not a solver failure
+    def lopsided():
+        Q = np.array([[1.0, 0.5], [0.0, 1.0]])
+        return PHModel(2, 1, H=lambda x: 0.5 * x @ Q @ x, gradH=lambda x: Q @ x,
+                       J=lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                       G=lambda x: np.array([[0.0], [1.0]]),
+                       constant_structure=True, Q=Q)
+
+    monkeypatch.setitem(cli.MODELS, "oscillator", lopsided)
+    code = run(["simulate", "--t-end", "1", "--out", str(tmp_path / "q")])
+    assert code == 2
+    assert "Q must be symmetric" in capsys.readouterr().err
+    assert not (tmp_path / "q_traj.csv").exists()

@@ -12,8 +12,8 @@ from phint.energy import (DAMPED_FREE, LOSSLESS_FORCED, EnergyReport, OrderFit,
                           stagewise_dissipation, supplied_energy)
 from phint.errors import ConfigurationError, FeedbackModeError
 from phint.integrator import simulate, solve_stages
-from phint.models import (FeedbackConfig, oscillator, partitioned_oscillator,
-                          pulse_input, zero_input)
+from phint.models import (FeedbackConfig, PHModel, oscillator,
+                          partitioned_oscillator, pulse_input, zero_input)
 
 X0 = np.array([0.0, -1.0])
 
@@ -107,6 +107,31 @@ def test_delta_h_bar_trivial_and_telescoping():
     traj = simulate(model, scheme, X0, pulse_input(), 0.1, 18.0)
     total = model.H(traj.states[-1]) - model.H(traj.states[0])
     assert abs(traj.dh_bar.sum() - total) <= 1e-13 * max(1.0, abs(total))
+
+
+def _quadratic_model(Q, offset=0.0, with_q=True):
+    Q = np.asarray(Q, dtype=float)
+    return PHModel(len(Q), 1, H=lambda x: 0.5 * (x @ Q @ x) + offset,
+                   gradH=lambda x: Q @ x,
+                   J=lambda x: np.zeros((len(Q), len(Q))),
+                   G=lambda x: np.ones((len(Q), 1)),
+                   constant_structure=True, Q=Q if with_q else None)
+
+
+def test_delta_h_bar_ignores_a_constant_in_h():
+    # with Q the increment is the quadratic form, which never calls H; per
+    # state, the offset 7 costs the increments of small energies their digits
+    Q = [[2.0, 0.5], [0.5, 1.0]]
+    states = 1e-5 * np.random.default_rng(3).normal(size=(50, 2))
+    plain = delta_h_bar(_quadratic_model(Q), states)
+    assert np.array_equal(delta_h_bar(_quadratic_model(Q, offset=7.0), states),
+                          plain)
+    no_q = _quadratic_model(Q, with_q=False)
+    per_state = delta_h_bar(no_q, states)
+    h_max = max(no_q.H(x) for x in states)
+    assert np.max(np.abs(plain - per_state)) <= 1e-14 * h_max
+    offset_per_state = delta_h_bar(_quadratic_model(Q, 7.0, with_q=False), states)
+    assert np.max(np.abs(plain - offset_per_state)) > 1e-17
 
 
 def test_gauss_step_has_exact_balance():

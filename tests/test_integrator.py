@@ -7,12 +7,14 @@ import pytest
 import phint.collocation as coll
 from phint.energy import delta_h_bar, delta_h_tilde, supplied_energy
 from phint.errors import ConfigurationError, SolverDivergenceError
-from phint.integrator import (SolverConfig, StageSolution, _make_stepper,
-                              dense_eval, dense_weights, simulate,
-                              solve_stages, stack_stages)
-from phint.models import (FeedbackConfig, InputSignal, PHModel, oscillator,
-                          partitioned_oscillator, pulse_input, rigid_body,
-                          zero_input)
+from phint.integrator import (CHUNK_MAX_N, SolverConfig, StageSolution,
+                              _affine_states, _chunk_length, _kron,
+                              _make_stepper, _stage_tableau, dense_eval,
+                              dense_weights, simulate, solve_stages,
+                              stack_stages)
+from phint.models import (FeedbackConfig, InputSignal, PHModel, mechanical,
+                          oscillator, partitioned_oscillator, pulse_input,
+                          rigid_body, zero_input)
 
 X0 = np.array([0.0, -1.0])
 ALL_SCHEMES = ([(coll.GAUSS, s) for s in range(1, 9)]
@@ -348,6 +350,129 @@ def test_stacked_jacobian_build_matches_column_loop(factory, kind, s, scale, mod
     stepper._rebuild(X, R, x0, w)
     assert np.array_equal(stepper.inv,
                           np.linalg.inv(_column_jacobian(stepper, X, R, x0, w)))
+
+
+def test_pendulum_energy_is_one_h_call_per_state():
+    # without Q the stored-energy increments evaluate H once per state
+    model, calls = _pendulum(), []
+    energy = model.H
+    model.H = lambda x: calls.append(1) or energy(x)
+    traj = simulate(model, coll.make_scheme(coll.GAUSS, 2), X0, pulse_input(),
+                    0.5, 10.0)
+    assert len(calls) == len(traj.states) == 21
+    assert np.array_equal(traj.dh_bar, np.diff([energy(x) for x in traj.states]))
+
+
+KRON_CASES = [(np.arange(6.0).reshape(2, 3) - 2.5, np.eye(3)),
+              (np.array([[1.0, -0.0], [np.pi, 1e-300]]),
+               np.array([[-2.0, 3.0], [0.0, np.e]])),
+              (np.eye(3), np.zeros((2, 0))),
+              (np.array([[0.5, 0.25, 0.25]]), np.eye(4))]
+
+
+@pytest.mark.parametrize("a,b", KRON_CASES)
+def test_kron_is_numpy_kron(a, b):
+    assert np.array_equal(_kron(a, b), np.kron(a, b))
+    assert _kron(a, b).shape == np.kron(a, b).shape
+
+
+@pytest.mark.parametrize("kind,s", ALL_SCHEMES, ids=SCHEME_IDS)
+def test_stage_tableau_is_the_kron_sum(kind, s):
+    # bit for bit the tableau the np.kron form gave, monolithic and paired
+    scheme = coll.make_scheme(kind, s)
+    I2 = np.eye(2)
+    assert np.array_equal(_stage_tableau(oscillator(), scheme),
+                          np.kron(scheme.A, I2))
+    if kind == coll.LOBATTO:
+        pair = (np.kron(scheme.A, np.diag([1.0, 0.0]))
+                + np.kron(scheme.A_hat, np.diag([0.0, 1.0])))
+        assert np.array_equal(_stage_tableau(partitioned_oscillator(), scheme),
+                              pair)
+
+
+def _loop_states(Delta, x0, drive):
+    """The per-step recurrence x+ = x + (Delta x + drive_k): the oracle of the
+    chunked evaluation."""
+    states = np.empty((len(drive) + 1, len(x0)))
+    states[0] = x0
+    for k, d in enumerate(drive):
+        x = states[k]
+        states[k + 1] = x + (Delta @ x + d)
+    return states
+
+
+def _assert_close_states(states, oracle):
+    bound = 1e-12 * np.maximum(1.0, np.max(np.abs(oracle), axis=1))
+    assert states.shape == oracle.shape
+    assert np.all(np.max(np.abs(states - oracle), axis=1) <= bound)
+
+
+RECURRENCE_CASES = [
+    pytest.param(kind, s, mode, id=f"{kind}{s}-{mode or 'open'}")
+    for kind, s in [(coll.GAUSS, s) for s in (1, 2, 3, 4)]
+    + [(coll.LOBATTO, 3), (coll.LOBATTO, 4)]
+    for mode in (None, "stagewise", "portlevel")]
+
+
+@pytest.mark.parametrize("kind,s,mode", RECURRENCE_CASES)
+def test_chunked_run_matches_per_step_loop(kind, s, mode):
+    # step counts around a full square of chunks (L = 60) and a long run;
+    # Gauss on the oscillator, the Lobatto pair on the separable form
+    model = partitioned_oscillator() if kind == coll.LOBATTO else oscillator()
+    stepper = _make_stepper(model, coll.make_scheme(kind, s), pulse_input(),
+                            0.01, _feedback(mode), SolverConfig())
+    for N in (1, 2, 3, 3599, 3600, 3601, 36000):
+        t0 = np.arange(N) * 0.01
+        states, sol = stepper.run(X0, t0)
+        w = stepper._inputs(t0).reshape(N, -1)
+        oracle = _loop_states(stepper.Delta, X0, np.matvec(stepper.Gamma, w))
+        _assert_close_states(states, oracle)
+        assert np.array_equal(sol.x_end, states[1:])
+
+
+def test_chunk_lengths_all_agree_with_the_loop():
+    # every chunk length, partial last chunks and L > N included; L = 1 is the
+    # per-step loop itself
+    rng = np.random.default_rng(11)
+    n, N = 4, 50
+    Delta = 0.05 * rng.normal(size=(n, n))
+    x0, drive = rng.normal(size=n), 0.1 * rng.normal(size=(N, n))
+    oracle = _loop_states(Delta, x0, drive)
+    assert np.array_equal(_affine_states(Delta, x0, drive, 1), oracle)
+    for L in range(2, 60):
+        _assert_close_states(_affine_states(Delta, x0, drive, L), oracle)
+
+
+def test_chunk_rule():
+    assert _chunk_length(1, 2) == 1
+    assert _chunk_length(3, 2) == 1 and _chunk_length(4, 2) == 2
+    assert _chunk_length(3600, 2) == 60 and _chunk_length(3601, 2) == 60
+    assert _chunk_length(36000, CHUNK_MAX_N) == 189
+    assert _chunk_length(36000, CHUNK_MAX_N + 1) == 1
+
+
+def _chain(cells):
+    """Driven mass-spring chain of 2 cells states, force on the first mass."""
+    K = 2.0 * np.eye(cells) - np.eye(cells, k=1) - np.eye(cells, k=-1)
+    G = np.zeros((cells, 1))
+    G[0, 0] = 1.0
+    return mechanical(K, np.eye(cells), G, name="chain")
+
+
+def test_large_chain_keeps_the_per_step_loop():
+    # 200 states: the chunk rule gives L = 1, the loop bit for bit; chunks of
+    # sqrt(N) steps still agree, at their larger set-up cost
+    model, N = _chain(100), 400
+    stepper = _make_stepper(model, coll.make_scheme(coll.LOBATTO, 3),
+                            pulse_input(), 0.05, None, SolverConfig())
+    x0 = np.random.default_rng(5).normal(size=model.n)
+    t0 = np.arange(N) * 0.05
+    states, _ = stepper.run(x0, t0)
+    drive = np.matvec(stepper.Gamma, stepper._inputs(t0).reshape(N, -1))
+    oracle = _loop_states(stepper.Delta, x0, drive)
+    assert _chunk_length(N, model.n) == 1
+    assert np.array_equal(states, oracle)
+    _assert_close_states(_affine_states(stepper.Delta, x0, drive, 20), oracle)
 
 
 def test_partitioned_requires_lobatto():

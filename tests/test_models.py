@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from phint.errors import ConfigurationError
-from phint.models import (FeedbackConfig, InputSignal, _cross_matrix,
+from phint.models import (FeedbackConfig, InputSignal, PHModel, _cross_matrix,
                           closed_loop, mechanical, oscillator,
                           partitioned_oscillator, pulse_input, rigid_body,
                           zero_input)
@@ -98,6 +98,40 @@ def test_partitioned_model_validation():
         mechanical(np.eye(2), np.eye(3), np.eye(2))
     with pytest.raises(ConfigurationError):
         mechanical(np.eye(2), np.eye(2), np.ones((3, 1)))
+
+
+def _with_q(Q, n=2):
+    return PHModel(n, 1, H=lambda x: 0.5 * (x @ x), gradH=lambda x: x,
+                   J=lambda x: np.zeros((n, n)), G=lambda x: np.ones((n, 1)),
+                   constant_structure=True, Q=Q)
+
+
+@pytest.mark.parametrize("Q,match", [
+    ([[1.0, np.nan], [np.nan, 1.0]], "finite"),
+    ([[np.inf, 0.0], [0.0, 1.0]], "finite"),
+    (np.eye(3), r"shape \(2, 2\)"),
+    (np.ones(2), r"shape \(2, 2\)"),
+    ([[1.0, 0.5], [0.5 + 1e-15, 1.0]], "symmetric"),
+    ([[1.0, 1.0], [0.0, 1.0]], "symmetric")])
+def test_energy_matrix_validation(Q, match):
+    # the stored-energy increment 1/2 (x+ - x)' Q (x+ + x) is H(x+) - H(x)
+    # only for a symmetric Q
+    with pytest.raises(ConfigurationError, match=match):
+        _with_q(Q)
+    assert np.array_equal(_with_q([[2, 1], [1, 2]]).Q, [[2.0, 1.0], [1.0, 2.0]])
+    assert _with_q(None).Q is None
+
+
+def test_mechanical_takes_the_symmetric_part():
+    # within allclose of symmetric is accepted, and the model's Q is the
+    # exactly symmetric part; a symmetric input is kept bit for bit
+    K = np.array([[2.0, -1.0], [-1.0 + 1e-12, 2.0]])
+    model = mechanical(K, np.eye(2), np.eye(2))
+    assert np.array_equal(model.Q, model.Q.T)
+    assert np.array_equal(model.Q[:2, :2], 0.5 * (K + K.T))
+    sym = RNG.normal(size=(3, 3))
+    sym = sym @ sym.T + 3.0 * np.eye(3)
+    assert np.array_equal(mechanical(sym, sym, np.eye(3)).Q[:3, :3], sym)
 
 
 def test_pulse_input_profile():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import phint.collocation as coll
 from phint.dirac import assemble_blocks, discrete_output, power_residual
-from phint.energy import order_fit
+from phint.energy import delta_h_bar, order_fit
 from phint.integrator import StageSolution, dense_eval, solve_stages
 from phint.models import PHModel, pulse_input, zero_input
 
@@ -41,6 +41,19 @@ def test_gauss_conserves_quadratic_energy(seed, s, x1, x2, h):
     x_end = solve_stages(model, scheme, x0, zero_input(), 0.0, h).x_end
     scale = max(1.0, model.H(x0))
     assert abs(model.H(x_end) - model.H(x0)) <= 1e-11 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 6),
+       scale=st.floats(1e-3, 1e3))
+def test_quadratic_increment_matches_energy_difference(seed, n, scale):
+    # the one-pass quadratic form against H evaluated once per state
+    model = random_linear_ph(seed, n=n)
+    states = scale * np.random.default_rng(seed + 1).normal(size=(20, n))
+    H = np.array([model.H(x) for x in states])
+    dh = delta_h_bar(model, states)
+    assert dh.shape == (19,)
+    assert np.max(np.abs(dh - np.diff(H))) <= 1e-13 * max(1.0, np.max(H))
 
 
 @settings(max_examples=25, deadline=None)
