@@ -41,11 +41,20 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write(path, lines):
+    """Lines, each ended by LF, to the file path, or to stdout without one."""
+    text = "\n".join(lines) + "\n"
+    if path:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _write_csv(path, header, table):
+    """A header and the rows of a float table, every value as %.17g."""
+    row = ",".join(["%.17g"] * table.shape[1])
+    _write(path, [",".join(header), *(row % tuple(r) for r in table.tolist())])
 
 
 def _build_input(name, m):
@@ -68,8 +77,6 @@ def _build(args):
     else:
         x0 = np.array(DEFAULT_X0[args.model])
     m = model.m
-    if args.input not in INPUTS:
-        raise ConfigurationError(f"unknown input {args.input!r}")
     if args.input == "pulse" and m == 0:
         raise ConfigurationError(f"model {args.model!r} has no input port; "
                                  "use --input zero")
@@ -135,12 +142,7 @@ def cmd_tableau(args) -> int:
         lines = [f"{name}[{i},{j}] = {val}" if j else
                  (f"{name}[{i}] = {val}" if i else f"{name} = {val}")
                  for name, i, j, val in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, lines)
     return 0
 
 
@@ -152,36 +154,33 @@ def _run(args, h, retain_stages=False):
 
 
 def cmd_simulate(args) -> int:
-    model, scheme, signal, traj = _run(args, args.h)
+    if not args.out:
+        raise ConfigurationError("simulate writes two CSVs and needs --out PREFIX")
+    model, _, signal, traj = _run(args, args.h)
     reference = _reference_for(args)
-    r = args.r
+    times, states = traj.times, traj.states
 
-    n, m = traj.states.shape[1], model.m
-    header = ["t"] + [f"x{i+1}" for i in range(n)] + ["u", "y", "H"]
-    v = signal(traj.times) if m else np.zeros((len(traj.times), 1))
-    rows = []
-    for t, x, v_t in zip(traj.times, traj.states, v):
-        y = model.output(x) if m else np.zeros(1)
-        u = v_t - r * y
-        rows.append([_fmt(t)] + [_fmt(v_) for v_ in x]
-                    + [_fmt(u[0]), _fmt(y[0]), _fmt(model.H(x))])
-    _write_csv(f"{args.out}_traj.csv", header, rows)
+    # the first port: collocated output y = G(x)' gradH(x) and u = v - r y
+    v = y = np.zeros((len(times), 1))
+    if model.m:
+        _, G = dirac.assemble_blocks(model, states)
+        y = np.vecmat(dirac.efforts(model, states), G)
+        v = signal(times)
+    # H once per state, so that a constant in H shows in the column
+    H = np.fromiter((model.H(x) for x in states), float, len(states))
+    header = ["t", *(f"x{i+1}" for i in range(states.shape[1])), "u", "y", "H"]
+    _write_csv(f"{args.out}_traj.csv", header, np.column_stack(
+        [times, states, v[:, 0] - args.r * y[:, 0], y[:, 0], H]))
 
     header = ["k", "t_k", "dh_tilde", "dh_bar", "supplied"]
+    cols = [np.arange(1, len(times)), times[1:], traj.dh_tilde, traj.dh_bar,
+            traj.supplied]
     if reference is not None:
         header.append("dh_exact")
-        dh_exact = np.diff(reference(traj.times)[1])
+        cols.append(np.diff(reference(times)[1]))
     header.append("balance_residual")
-    balance = np.abs(traj.dh_bar - traj.supplied)
-    rows = []
-    for k in range(len(traj.dh_tilde)):
-        row = [str(k + 1), _fmt(traj.times[k + 1]), _fmt(traj.dh_tilde[k]),
-               _fmt(traj.dh_bar[k]), _fmt(traj.supplied[k])]
-        if reference is not None:
-            row.append(_fmt(dh_exact[k]))
-        row.append(_fmt(balance[k]))
-        rows.append(row)
-    _write_csv(f"{args.out}_energy.csv", header, rows)
+    cols.append(np.abs(traj.dh_bar - traj.supplied))
+    _write_csv(f"{args.out}_energy.csv", header, np.column_stack(cols))
     return 0
 
 
@@ -217,10 +216,7 @@ def cmd_converge(args) -> int:
     slope_b = energy.order_fit(points_b, tail=energy.SLOPE_FIT_TAIL).slope
     rows.append([args.scheme, str(args.stages), "slope", "", "", "", "",
                  _fmt(slope_t), _fmt(slope_b)])
-    if args.out:
-        _write_csv(args.out, header, rows)
-    else:
-        sys.stdout.write("\n".join(",".join(r) for r in [header] + rows) + "\n")
+    _write(args.out, [",".join(r) for r in [header] + rows])
     return 0
 
 

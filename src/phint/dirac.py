@@ -12,26 +12,36 @@ import numpy as np
 from .energy import delta_h_tilde, supplied_energy
 
 
-def assemble_blocks(model, stage_states, scheme):
-    """Stacks J(x_i) and G(x_i) over stage states (..., s, n); returns
-    (..., s, n, n) and (..., s, n, m).  A constant-structure model is
-    evaluated once and broadcast (read-only views), any other model once per
-    state."""
-    X = np.asarray(stage_states, dtype=float)
+def assemble_blocks(model, states, scheme=None):
+    """Stacks J(x) and G(x) over states (..., n), the stage states
+    (..., s, n) of the scheme's intervals when one is given; returns
+    (..., n, n) and (..., n, m).  A constant-structure model is evaluated once
+    and broadcast (read-only views), any other model once per state, and G not
+    at all when the model has no port."""
+    X = np.asarray(states, dtype=float)
     n, m = model.n, model.m
-    if X.shape[-2:] != (scheme.s, n):
-        raise ValueError(f"expected {scheme.s} stage states of dimension {n}, "
-                         f"got shape {X.shape}")
+    shape = (n,) if scheme is None else (scheme.s, n)
+    if X.shape[-len(shape):] != shape:
+        raise ValueError(f"expected states of shape (..., "
+                         f"{', '.join(map(str, shape))}), got shape {X.shape}")
     if model.constant_structure:
         x = X.reshape(-1, n)[0]
         return (np.broadcast_to(model.J(x), X.shape + (n,)),
                 np.broadcast_to(model.G(x), X.shape + (m,)))
-    J = np.empty(X.shape + (n,))
-    G = np.empty(X.shape + (m,))
-    for idx in np.ndindex(X.shape[:-1]):
-        J[idx] = model.J(X[idx])
-        G[idx] = model.G(X[idx])
+    flat = X.reshape(-1, n)
+    J = np.array([model.J(x) for x in flat]).reshape(X.shape + (n,))
+    G = (np.array([model.G(x) for x in flat]) if m
+         else np.zeros(0)).reshape(X.shape + (m,))
     return J, G
+
+
+def efforts(model, states) -> np.ndarray:
+    """Efforts gradH at states (..., n): states Q' when gradH = Q x, otherwise
+    one gradH call per state."""
+    if model.Q is not None:
+        return states @ model.Q.T
+    flat = states.reshape(-1, model.n)
+    return np.array([model.gradH(x) for x in flat]).reshape(states.shape)
 
 
 def discrete_output(K, G, e) -> np.ndarray:

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, FeedbackModeError
-from .models import PORTLEVEL, STAGEWISE
+from .errors import ConfigurationError
 
 ROUNDING_FLOOR = 1e-12
 
@@ -52,40 +51,28 @@ def delta_h_bar(model, x0, x_end=None):
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Per-step and total energy increments of one run, with relative errors
-    against a reference total when one is available."""
+    """Total energy increments of one run, with relative errors against a
+    reference total when one is available."""
 
-    dh_tilde: np.ndarray
-    dh_bar: np.ndarray
-    supplied: np.ndarray
-    dh_exact: np.ndarray | None
     dh_tilde_tot: float
     dh_bar_tot: float
     dh_tot_ref: float | None
     eps_tilde: float | None
     eps_bar: float | None
-    average_power: float | None
 
     @classmethod
     def from_trajectory(cls, traj, reference=None):
         """reference: callable times (k,) -> (states (k, n), H (k,)), called
-        once for the exact increments."""
+        once for the exact total."""
         dh_tilde_tot = float(traj.dh_tilde.sum())
         dh_bar_tot = float(traj.dh_bar.sum())
-        dh_exact = None
-        dh_tot_ref = eps_t = eps_b = p_av = None
+        dh_tot_ref = eps_t = eps_b = None
         if reference is not None:
-            times = traj.times
-            h_ref = reference(times)[1]
-            dh_exact = np.diff(h_ref)
+            h_ref = reference(traj.times)[1]
             dh_tot_ref = float(h_ref[-1] - h_ref[0])
             eps_t, eps_b = relative_errors(dh_tilde_tot, dh_bar_tot, dh_tot_ref)
-            p_av = dh_tot_ref / (times[-1] - times[0])
-        return cls(dh_tilde=traj.dh_tilde, dh_bar=traj.dh_bar,
-                   supplied=traj.supplied, dh_exact=dh_exact,
-                   dh_tilde_tot=dh_tilde_tot, dh_bar_tot=dh_bar_tot,
-                   dh_tot_ref=dh_tot_ref, eps_tilde=eps_t, eps_bar=eps_b,
-                   average_power=p_av)
+        return cls(dh_tilde_tot=dh_tilde_tot, dh_bar_tot=dh_bar_tot,
+                   dh_tot_ref=dh_tot_ref, eps_tilde=eps_t, eps_bar=eps_b)
 
 
 def relative_errors(dh_tilde_tot, dh_bar_tot, dh_tot_ref):
@@ -192,22 +179,3 @@ def order_fit(points, tail: int | None = None) -> OrderFit:
     return OrderFit(slope=float(slope), intercept=float(intercept),
                     max_deviation=dev, points=tuple(usable))
 
-
-def dissipation_decomposition(sol, r: float, v_samples, mode: str = PORTLEVEL):
-    """Split dH_tilde of a damped step into the dissipated term -r h y'y and
-    the external term h y'v (port-level feedback only)."""
-    if mode != PORTLEVEL:
-        raise FeedbackModeError(
-            "dissipation_decomposition is exact only under portlevel feedback; "
-            "use stagewise_dissipation for the stagewise analogue")
-    y = sol.y.ravel()
-    dissipated = -r * sol.h * float(y @ y)
-    external = sol.h * float(y @ np.asarray(v_samples, dtype=float).ravel())
-    return dissipated, external
-
-
-def stagewise_dissipation(sol, scheme, g: np.ndarray, r: float) -> float:
-    """Mass-matrix-weighted dissipation -r h sum_ij m_ij (g'e_i)(g'e_j), the
-    stagewise analogue of the portlevel dissipated term."""
-    ge = sol.e @ np.asarray(g, dtype=float).reshape(-1)
-    return -r * sol.h * float(ge @ scheme.M @ ge)

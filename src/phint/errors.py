@@ -16,7 +16,3 @@ class SolverDivergenceError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.step_index = step_index
-
-
-class FeedbackModeError(ValueError):
-    """An operation was called with the wrong feedback mode."""

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dirac import discrete_output, stage_flows
+from .dirac import assemble_blocks, discrete_output, efforts, stage_flows
 from .energy import delta_h_bar, delta_h_tilde, supplied_energy
 from .errors import ConfigurationError, SolverDivergenceError
 from .models import STAGEWISE, zero_input
@@ -58,13 +58,6 @@ class StageSolution:
     x_end: np.ndarray
     iterations: int = 0  # Newton residual evaluations, FD columns excluded
     residual: float = 0.0
-
-
-def stack_stages(solutions) -> StageSolution:
-    """The given intervals as one StageSolution whose fields carry a leading
-    interval axis: t0 and h of shape (N,), stage_x (N, s, n) and so on."""
-    return StageSolution(*(np.array([getattr(sol, fld.name) for sol in solutions])
-                           for fld in fields(StageSolution)))
 
 
 @dataclass
@@ -127,13 +120,6 @@ class _Stepper:
             return np.zeros(times.shape + (0,))
         return self.signal(times)
 
-    def _efforts(self, stage_x):
-        """Efforts at the stage states: stage_x Q' when gradH = Q x."""
-        if self.model.Q is not None:
-            return stage_x @ self.model.Q.T
-        flat = stage_x.reshape(-1, self.n)
-        return np.array([self.model.gradH(x) for x in flat]).reshape(stage_x.shape)
-
     def _flows(self, e, J, G, w):
         """Stage inputs u and flows f of efforts e under structure J, G."""
         u = w if self.K is None else w - self.r * discrete_output(self.K, G, e)
@@ -186,7 +172,8 @@ class _LinearStepper(_Stepper):
         X += np.matvec(self.T, wf)
         stage_x = X.reshape(len(t0), self.s, self.n)
         return states, self._solution(t0, states, stage_x,
-                                      self._efforts(stage_x), self.Jc, self.Gc, w)
+                                      efforts(self.model, stage_x), self.Jc,
+                                      self.Gc, w)
 
 
 # largest state dimension advanced in chunks of steps.  Building P_j costs
@@ -241,20 +228,16 @@ class _NewtonStepper(_Stepper):
     previous interval's collocation polynomial at its nodes; if that warm
     attempt fails, the step restarts from x0 with a fresh Jacobian."""
 
-    def _structure(self, stage_x):
-        """Efforts and stacked J, G at stage states (..., s, n): J and G are
-        called once per state, G not at all on a portless model."""
-        model, flat = self.model, stage_x.reshape(-1, self.n)
-        J = np.array([model.J(x) for x in flat]).reshape(stage_x.shape + (self.n,))
-        G = (np.array([model.G(x) for x in flat]) if self.m
-             else np.zeros(0)).reshape(stage_x.shape + (self.m,))
-        return self._efforts(stage_x), J, G
+    def _bonds(self, stage_x, w):
+        """Efforts, stacked J and G, and flows at stage states (..., s, n)."""
+        e = efforts(self.model, stage_x)
+        J, G = assemble_blocks(self.model, stage_x, self.scheme)
+        return e, J, G, self._flows(e, J, G, w)[1]
 
     def _residual(self, X, x0, w):
         """Stage residuals (..., s n) of stacked stage states X (..., s n)."""
         stage_x = X.reshape(X.shape[:-1] + (self.s, self.n))
-        e, J, G = self._structure(stage_x)
-        _, f = self._flows(e, J, G, w)
+        f = self._bonds(stage_x, w)[3]
         Af = self.scheme.A @ f
         n_q = self.model.n_q
         if n_q is not None:
@@ -307,8 +290,7 @@ class _NewtonStepper(_Stepper):
             self.inv = None
             X, res = self._newton(np.tile(x0, self.s), x0, w, warm=False)
         stage_x = X.reshape(self.s, self.n)
-        e, J, G = self._structure(stage_x)
-        _, f = self._flows(e, J, G, w)
+        e, J, G, f = self._bonds(stage_x, w)
         return (stage_x, e, J, G, f, self.iterations, res,
                 x0 - self.h * (self.scheme.b @ f))
 
@@ -370,6 +352,7 @@ def solve_stages(model, scheme, x0, input_signal, t0, h,
     """Solve the implicit stage equations of one sampling interval: the
     one-interval run of the stepper simulate uses."""
     _check_finite("step size h", h, positive=True)
+    _check_finite("t0", t0)
     x0 = _initial_state(model, x0)
     cfg = cfg or SolverConfig()
     stepper = _make_stepper(model, scheme, input_signal, h, feedback, cfg)

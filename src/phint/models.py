@@ -49,10 +49,6 @@ class PHModel:
     def G(self, x) -> np.ndarray:
         return np.asarray(self._G(np.asarray(x, dtype=float)), dtype=float).reshape(self.n, self.m)
 
-    def output(self, x):
-        """Collocated continuous-time output y = G(x)^T gradH(x)."""
-        return self.G(x).T @ self.gradH(x)
-
 
 def _energy_matrix(Q, n) -> np.ndarray:
     """Q of gradH = Q x as a float (n, n) array: finite and exactly symmetric,
@@ -188,25 +184,3 @@ def rigid_body() -> PHModel:
                    constant_structure=False, Q=_RIGID_BODY_Q,
                    name="rigid-body")
 
-
-def closed_loop(model: PHModel, cfg: FeedbackConfig) -> PHModel:
-    """Model with drift (J - R) gradH and input v, where R = r G G'.
-
-    This is the continuous closed loop under stagewise damping injection; the
-    returned structure map is no longer skew, so Dirac checks must be run on
-    the underlying lossless (J, G).
-    """
-    if model.m < 1:
-        raise ConfigurationError("closed_loop needs a model with at least one port")
-    if cfg.mode != STAGEWISE:
-        raise ConfigurationError("closed_loop realizes stagewise feedback only")
-    r = cfg.r
-
-    def Jcl(x):
-        G = model.G(x)
-        return model.J(x) - r * (G @ G.T)
-
-    return PHModel(model.n, model.m,
-                   H=model.H, gradH=model.gradH, J=Jcl, G=model.G,
-                   constant_structure=model.constant_structure, Q=model.Q,
-                   name=f"{model.name}-damped", n_q=model.n_q)

@@ -6,8 +6,11 @@ import phint.cli as cli
 import phint.collocation as coll
 from phint.cli import main
 from phint.dirac import assemble_blocks, kernel_check, power_residual
+from phint.energy import LOSSLESS_FORCED, reference_solution
 from phint.integrator import simulate
-from phint.models import PHModel, rigid_body, zero_input
+from phint.models import (FeedbackConfig, PHModel, oscillator,
+                          partitioned_oscillator, pulse_input, rigid_body,
+                          zero_input)
 
 
 def run(argv):
@@ -60,6 +63,69 @@ def test_simulate_writes_both_csvs(tmp_path):
         row = [float(v) for v in line.split(",")]
         assert row[-1] == abs(row[3] - row[4])
         assert row[-1] <= 1e-15
+
+
+def test_simulate_requires_out(tmp_path, capsys, monkeypatch):
+    # without a prefix the run would write None_traj.csv and None_energy.csv
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", "--t-end", "1"]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _fmt_row(values):
+    return ",".join(f"{float(v):.17g}" for v in values)
+
+
+CSV_CASES = [
+    pytest.param(["--model", "oscillator", "--scheme", "gauss", "--stages", "2",
+                  "--input", "zero", "--r", "0.1", "--feedback-mode",
+                  "portlevel", "--x0", "0,-1", "--t-end", "10"],
+                 oscillator, ("gauss", 2), zero_input(1),
+                 FeedbackConfig(r=0.1, mode="portlevel", v=zero_input(1)),
+                 False, id="oscillator-gauss2-portlevel"),
+    pytest.param(["--model", "partitioned-oscillator", "--scheme", "lobatto",
+                  "--stages", "3", "--input", "pulse", "--x0", "0,-1",
+                  "--t-end", "18"],
+                 partitioned_oscillator, ("lobatto", 3), pulse_input(), None,
+                 True, id="partitioned-lobatto3-pulse"),
+    pytest.param(["--model", "rigid-body", "--scheme", "gauss", "--stages", "2",
+                  "--input", "zero", "--x0", "1,-2,0.5", "--t-end", "3"],
+                 rigid_body, ("gauss", 2), zero_input(0), None, False,
+                 id="rigid-body-gauss2-zero"),
+]
+
+
+@pytest.mark.parametrize("argv,factory,scheme,signal,feedback,has_ref", CSV_CASES)
+def test_simulate_csv_values(tmp_path, argv, factory, scheme, signal, feedback,
+                             has_ref):
+    # every value of both CSVs, recomputed one state at a time: the traj row
+    # is t, x, v - r y, y = G(x)' gradH(x) and H(x) of the first port
+    assert run(["simulate", *argv, "--out", str(tmp_path / "run")]) == 0
+    model = factory()
+    x0 = [float(v) for v in argv[argv.index("--x0") + 1].split(",")]
+    t_end = float(argv[argv.index("--t-end") + 1])
+    traj = simulate(model, coll.make_scheme(*scheme), x0, signal, 0.1, t_end,
+                    feedback=feedback)
+    r = feedback.r if feedback else 0.0
+    rows = []
+    for t, x in zip(traj.times, traj.states):
+        y = (model.G(x).T @ model.gradH(x))[0] if model.m else 0.0
+        v = signal(t)[0] if model.m else 0.0
+        rows.append(_fmt_row([t, *x, v - r * y, y, model.H(x)]))
+    assert read(tmp_path / "run_traj.csv").splitlines()[1:] == rows
+    if has_ref:
+        h_ref = reference_solution(LOSSLESS_FORCED, traj.times)[1]
+    rows = []
+    for k in range(len(traj.dh_tilde)):
+        row = [k + 1, traj.times[k + 1], traj.dh_tilde[k], traj.dh_bar[k],
+               traj.supplied[k]]
+        if has_ref:
+            row.append(h_ref[k + 1] - h_ref[k])
+        rows.append(_fmt_row(row + [abs(traj.dh_bar[k] - traj.supplied[k])]))
+    energy = read(tmp_path / "run_energy.csv").splitlines()
+    assert ("dh_exact" in energy[0]) == has_ref
+    assert energy[1:] == rows
 
 
 def test_simulate_deterministic(tmp_path):

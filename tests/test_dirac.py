@@ -7,7 +7,7 @@ import pytest
 import phint.collocation as coll
 from phint.dirac import (assemble_blocks, discrete_output, kernel_check,
                          power_residual, stage_flows, structure_residual)
-from phint.integrator import StageSolution, simulate, solve_stages, stack_stages
+from phint.integrator import StageSolution, simulate, solve_stages
 from phint.models import oscillator, pulse_input, rigid_body, zero_input
 
 RNG = np.random.default_rng(7)
@@ -236,18 +236,20 @@ def test_kernel_representation_has_full_row_rank(size):
 
 def test_stacked_checks_match_each_interval():
     # phint check runs the four checks once on the stacked run; every entry
-    # equals the check of that interval alone
+    # equals the check of that interval alone, whose fields are row k of it
     model = rigid_body()
     scheme = coll.make_scheme(coll.LOBATTO, 3)
     traj = simulate(model, scheme, np.array([1.0, 1.0, 1.0]), zero_input(0),
                     0.1, 1.0, retain_stages=True)
-    sol = stack_stages(traj.stage_solutions)
+    sol = traj.stages
     J, G = assemble_blocks(model, sol.stage_x, scheme)
     power = power_residual(sol, scheme)
     skew = kernel_check(J, scheme.M)
     struct = structure_residual(J, G, sol.f, sol.e, sol.u)
     assert power.shape == skew.shape == struct.shape == (10,)
     for k, one in enumerate(traj.stage_solutions):
+        for name in ("t0", "x0", "stage_x", "f", "e", "u", "y", "x_end"):
+            assert np.array_equal(getattr(one, name), getattr(sol, name)[k])
         Jk, Gk = assemble_blocks(model, one.stage_x, scheme)
         assert np.array_equal(J[k], Jk) and np.array_equal(G[k], Gk)
         assert power[k] == power_residual(one, scheme)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 import phint.collocation as coll
+import phint.integrator as integrator
+from phint.dirac import assemble_blocks
 from phint.energy import delta_h_bar, delta_h_tilde, supplied_energy
 from phint.errors import ConfigurationError, SolverDivergenceError
 from phint.integrator import (CHUNK_MAX_N, SolverConfig, StageSolution,
                               _affine_states, _chunk_length, _kron,
                               _make_stepper, _stage_tableau, dense_eval,
-                              dense_weights, simulate, solve_stages,
-                              stack_stages)
+                              dense_weights, simulate, solve_stages)
 from phint.models import (FeedbackConfig, InputSignal, PHModel, mechanical,
                           oscillator, partitioned_oscillator, pulse_input,
                           rigid_body, zero_input)
@@ -210,14 +211,16 @@ def test_energy_rows_are_the_interval_formulas(kind, s, factory, mode, method):
 @pytest.mark.parametrize("method", ["auto", "newton"])
 def test_retained_stages_are_one_stacked_record(method):
     # simulate keeps the run's stacked record; the per-interval views are
-    # built from it on first access, once, and stack back to it
+    # built from it on first access, once, and interval k is its row k
     args = (oscillator(), coll.make_scheme(coll.GAUSS, 2), X0, pulse_input(),
             0.5, 10.0)
     traj = simulate(*args, cfg=SolverConfig(method=method), retain_stages=True)
-    restacked = stack_stages(traj.stage_solutions)
-    for fld in fields(StageSolution):
-        kept, views = getattr(traj.stages, fld.name), getattr(restacked, fld.name)
-        assert np.array_equal(np.broadcast_to(kept, views.shape), views), fld.name
+    assert len(traj.stage_solutions) == len(traj.stages.t0) == 20
+    for k, sol in enumerate(traj.stage_solutions):
+        for fld in fields(StageSolution):
+            kept = getattr(traj.stages, fld.name)
+            row = kept[k] if np.ndim(kept) else kept
+            assert np.array_equal(getattr(sol, fld.name), row), (k, fld.name)
     assert traj.stage_solutions is traj.stage_solutions
     bare = simulate(*args, cfg=SolverConfig(method=method))
     assert bare.stages is None and bare.stage_solutions == []
@@ -352,6 +355,31 @@ def test_stacked_jacobian_build_matches_column_loop(factory, kind, s, scale, mod
                           np.linalg.inv(_column_jacobian(stepper, X, R, x0, w)))
 
 
+def test_newton_evaluates_constant_structure_once_per_residual(monkeypatch):
+    # a constant-structure model on the Newton path: every residual
+    # evaluation, a stacked finite-difference build included, is one
+    # assemble_blocks call with one J and one G call
+    model, calls, blocks = _pendulum(), [], []
+    J0, G0 = model.J, model.G
+    model.J = lambda x: calls.append("J") or J0(x)
+    model.G = lambda x: calls.append("G") or G0(x)
+
+    def counted(*args):
+        before = len(calls)
+        out = assemble_blocks(*args)
+        blocks.append(calls[before:])
+        return out
+
+    monkeypatch.setattr(integrator, "assemble_blocks", counted)
+    traj = simulate(model, coll.make_scheme(coll.GAUSS, 2), X0, pulse_input(),
+                    0.1, 2.0, retain_stages=True)
+    assert all(sorted(b) == ["G", "J"] for b in blocks)
+    assert len(calls) == 2 * len(blocks)
+    # residual evaluations = iterations + one per build + one per step
+    builds = len(blocks) - sum(traj.stages.iterations) - len(traj.dh_tilde)
+    assert builds >= 1
+
+
 def test_pendulum_energy_is_one_h_call_per_state():
     # without Q the stored-energy increments evaluate H once per state
     model, calls = _pendulum(), []
@@ -473,6 +501,16 @@ def test_large_chain_keeps_the_per_step_loop():
     assert _chunk_length(N, model.n) == 1
     assert np.array_equal(states, oracle)
     _assert_close_states(_affine_states(stepper.Delta, x0, drive, 20), oracle)
+
+
+@pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
+def test_solve_stages_rejects_non_finite_t0(t0):
+    # a NaN time would sample the pulse as zero and return a finite x_end
+    for factory in (oscillator, rigid_body):
+        model = factory()
+        with pytest.raises(ConfigurationError, match="t0 must be finite"):
+            solve_stages(model, coll.make_scheme(coll.GAUSS, 2),
+                         np.ones(model.n), zero_input(model.m), t0, 0.1)
 
 
 def test_partitioned_requires_lobatto():

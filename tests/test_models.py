@@ -4,9 +4,8 @@ import pytest
 
 from phint.errors import ConfigurationError
 from phint.models import (FeedbackConfig, InputSignal, PHModel, _cross_matrix,
-                          closed_loop, mechanical, oscillator,
-                          partitioned_oscillator, pulse_input, rigid_body,
-                          zero_input)
+                          mechanical, oscillator, partitioned_oscillator,
+                          pulse_input, rigid_body, zero_input)
 
 RNG = np.random.default_rng(42)
 
@@ -46,7 +45,7 @@ def test_oscillator_basics():
     assert np.allclose(model.gradH(x), x)
     assert np.allclose(model.J(x), [[0, 1], [-1, 0]])
     assert model.G(x).shape == (2, 1)
-    assert model.output(x) == pytest.approx(-0.4)
+    assert model.G(x).T @ model.gradH(x) == pytest.approx(-0.4)
     assert model.constant_structure and model.Q is not None
 
 
@@ -179,18 +178,3 @@ def test_feedback_config_validation():
     with pytest.raises(ConfigurationError):
         FeedbackConfig(r=0.1, mode="perstep")
 
-
-def test_closed_loop_drift_eigenvalues():
-    model = closed_loop(oscillator(), FeedbackConfig(r=0.1))
-    drift = model.J(np.zeros(2)) @ model.Q
-    eig = np.linalg.eigvals(drift)
-    assert np.allclose(sorted(eig.real), [-0.05, -0.05])
-    J = model.J(np.zeros(2))
-    assert np.max(np.abs(J + J.T)) > 0.0
-
-
-def test_closed_loop_requires_port_and_stagewise():
-    with pytest.raises(ConfigurationError):
-        closed_loop(rigid_body(), FeedbackConfig(r=0.1))
-    with pytest.raises(ConfigurationError):
-        closed_loop(oscillator(), FeedbackConfig(r=0.1, mode="portlevel"))
