@@ -76,19 +76,10 @@ def _build(args):
         x0 = np.array([float(v) for v in args.x0.split(",")])
     else:
         x0 = np.array(DEFAULT_X0[args.model])
-    m = model.m
-    if args.input == "pulse" and m == 0:
-        raise ConfigurationError(f"model {args.model!r} has no input port; "
-                                 "use --input zero")
-    signal = _build_input(args.input, max(m, 1))
     feedback = None
     if args.r > 0.0:
-        if m < 1:
-            raise ConfigurationError("feedback requires a model with a port")
-        feedback = FeedbackConfig(r=args.r, mode=args.feedback_mode,
-                                  v=_build_input(args.input, m))
-        signal = feedback.v
-    return model, scheme, x0, signal, feedback
+        feedback = FeedbackConfig(r=args.r, mode=args.feedback_mode)
+    return model, scheme, x0, _build_input(args.input, model.m), feedback
 
 
 def _reference_for(args):
@@ -185,8 +176,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    h_list = (tuple(float(v) for v in args.h_list.split(","))
-              if args.h_list else DEFAULT_H_LIST)
+    h_list = (DEFAULT_H_LIST if args.h_list is None
+              else tuple(float(v) for v in args.h_list.split(",")))
     if not np.isfinite(args.t_end):
         raise ConfigurationError(f"--t-end must be finite, got {args.t_end}")
     for h in h_list:

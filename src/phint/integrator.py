@@ -3,10 +3,10 @@
 Sign convention throughout: flows are f = -xdot, so stage updates read
 x_i = x0 - h sum_j a_ij f_j.
 
-Both stage solvers use one block tableau: A on every state of a monolithic
-model, or, for a separable (q, p) model under a Lobatto scheme, the IIIA
-matrix A on the q rows and the IIIB matrix A_hat on the p rows (a partitioned
-Runge-Kutta method).  A run samples its inputs in one call.  A linear model
+Both stage solvers use one block tableau: A on every state, or, for a
+separable (q, p) model under a Lobatto scheme, the IIIA matrix A on the q
+rows and the IIIB matrix A_hat on the p rows (a partitioned Runge-Kutta
+method).  A run samples its inputs in one call.  A linear model
 with constant structure then advances by one affine recurrence built once per
 run and evaluated in chunks of about sqrt(N) steps, with no Python loop over
 the steps (models above CHUNK_MAX_N states keep one step per chunk);
@@ -26,7 +26,7 @@ import numpy as np
 from .dirac import assemble_blocks, discrete_output, efforts, stage_flows
 from .energy import delta_h_bar, delta_h_tilde, supplied_energy
 from .errors import ConfigurationError, SolverDivergenceError
-from .models import STAGEWISE, zero_input
+from .models import STAGEWISE
 
 
 @dataclass(frozen=True)
@@ -85,40 +85,50 @@ def _kron(a, b) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * t)
 
 
+def _q_rows(model, scheme):
+    """n_q of a separable model under a Lobatto pair, whose q rows take A and
+    p rows A_hat; None (A on every row) for any other model or scheme."""
+    return model.n_q if scheme.A_hat is not None else None
+
+
 def _stage_tableau(model, scheme) -> np.ndarray:
     """sn x sn tableau of the stacked stage states: A (x) I_n, or A on the q
-    rows and A_hat on the p rows of every stage of a separable model."""
-    if model.n_q is None:
+    rows and A_hat on the p rows of every stage (see _q_rows)."""
+    n_q = _q_rows(model, scheme)
+    if n_q is None:
         return _kron(scheme.A, np.eye(model.n))
-    on_q = (np.arange(model.n) < model.n_q).astype(float)
+    on_q = (np.arange(model.n) < n_q).astype(float)
     return (_kron(scheme.A, np.diag(on_q))
             + _kron(scheme.A_hat, np.diag(1.0 - on_q)))
 
 
 class _Stepper:
-    """Set-up shared by both stage solvers: the exogenous signal and the
-    output feedback u = w - r G'(K e), with K = I_s (stagewise) or M
+    """Set-up shared by both stage solvers: the signal w (u, or v under
+    feedback) and the feedback u = w - r G'(K e), K = I_s (stagewise) or M
     (portlevel), K = None without damping.  run(x0, t0) returns the states
     (N+1, n) and the stacked StageSolution of the intervals starting at t0."""
 
     def __init__(self, model, scheme, input_signal, h, feedback, cfg):
         self.model, self.scheme, self.h, self.cfg = model, scheme, h, cfg
         self.n, self.s, self.m = model.n, scheme.s, model.m
-        self.signal = feedback.v if feedback is not None else input_signal
-        if self.signal is None:
-            self.signal = zero_input(self.m)
-        self.r = 0.0 if feedback is None or self.m == 0 else feedback.r
+        self.n_q = _q_rows(model, scheme)
+        self.signal = input_signal
+        if feedback is not None and self.m == 0:
+            raise ConfigurationError("feedback requires a model with a port")
+        self.r = 0.0 if feedback is None else feedback.r
         self.K = None
         if self.r > 0.0:
             self.K = np.eye(self.s) if feedback.mode == STAGEWISE else scheme.M
 
     def _inputs(self, t0):
-        """Stage samples w (N, s, m) of the exogenous signal (u, or v under
-        feedback) on the intervals starting at t0 (N,): one signal call."""
-        times = t0[:, None] + self.scheme.c * self.h
-        if self.m == 0:
-            return np.zeros(times.shape + (0,))
-        return self.signal(times)
+        """Stage samples w (N, s, m) of the signal on the intervals starting
+        at t0 (N,): one signal call, whose width must be the model's m."""
+        w = self.signal(t0[:, None] + self.scheme.c * self.h)
+        if w.shape[-1] != self.m:
+            port = f"{self.m} input channels" if self.m else "no input port"
+            raise ConfigurationError(f"input signal has {w.shape[-1]} channels; "
+                                     f"model {self.model.name!r} has {port}")
+        return w
 
     def _flows(self, e, J, G, w):
         """Stage inputs u and flows f of efforts e under structure J, G."""
@@ -239,9 +249,8 @@ class _NewtonStepper(_Stepper):
         stage_x = X.reshape(X.shape[:-1] + (self.s, self.n))
         f = self._bonds(stage_x, w)[3]
         Af = self.scheme.A @ f
-        n_q = self.model.n_q
-        if n_q is not None:
-            Af[..., n_q:] = self.scheme.A_hat @ f[..., n_q:]
+        if self.n_q is not None:
+            Af[..., self.n_q:] = self.scheme.A_hat @ f[..., self.n_q:]
         return (stage_x - x0 + self.h * Af).reshape(X.shape)
 
     def _rebuild(self, X, R, x0, w):
@@ -325,8 +334,6 @@ def _intervals(sol: StageSolution) -> list:
 
 
 def _make_stepper(model, scheme, input_signal, h, feedback, cfg):
-    if model.n_q is not None and scheme.A_hat is None:
-        raise ConfigurationError("separable (q, p) models require a Lobatto pair")
     if cfg.method == "auto" and model.Q is not None and model.constant_structure:
         return _LinearStepper(model, scheme, input_signal, h, feedback, cfg)
     return _NewtonStepper(model, scheme, input_signal, h, feedback, cfg)
@@ -386,7 +393,7 @@ def simulate(model, scheme, x0, input_signal, h, t_end,
     that turns non-finite raises SolverDivergenceError with the index of the
     first such step."""
     _check_finite("step size h", h, positive=True)
-    _check_finite("t_end", t_end)
+    _check_finite("t_end", t_end, positive=True)
     n_float = t_end / h
     N = int(round(n_float))
     if N < 1 or abs(n_float - N) > 1e-9 * max(1.0, N):

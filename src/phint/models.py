@@ -8,7 +8,7 @@ coordinates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,34 +20,27 @@ PORTLEVEL = "portlevel"
 
 
 class PHModel:
-    """Explicit port-Hamiltonian system xdot = J(x) gradH(x) + G(x) u."""
+    """Explicit port-Hamiltonian system xdot = J(x) gradH(x) + G(x) u.
+
+    H, gradH, J and G are the model's callbacks, called as they are: each
+    takes a float (n,) state and returns a float scalar, an (n,), an (n, n)
+    and an (n, m) array.  u has m channels; a model with m = 0 has no port.
+    """
 
     def __init__(self, n, m, H, gradH, J, G, *, constant_structure,
                  Q=None, name="", n_q=None):
         self.n = int(n)
         self.m = int(m)
-        self._H = H
-        self._gradH = gradH
-        self._J = J
-        self._G = G
+        self.H = H
+        self.gradH = gradH
+        self.J = J
+        self.G = G
         self.constant_structure = bool(constant_structure)
         self.Q = None if Q is None else _energy_matrix(Q, self.n)
         self.name = name
         # separable (q, p) models: the first n_q states are positions, which
         # Lobatto pairs advance with A and the momenta with A_hat
         self.n_q = None if n_q is None else int(n_q)
-
-    def H(self, x) -> float:
-        return float(self._H(np.asarray(x, dtype=float)))
-
-    def gradH(self, x) -> np.ndarray:
-        return np.asarray(self._gradH(np.asarray(x, dtype=float)), dtype=float)
-
-    def J(self, x) -> np.ndarray:
-        return np.asarray(self._J(np.asarray(x, dtype=float)), dtype=float)
-
-    def G(self, x) -> np.ndarray:
-        return np.asarray(self._G(np.asarray(x, dtype=float)), dtype=float).reshape(self.n, self.m)
 
 
 def _energy_matrix(Q, n) -> np.ndarray:
@@ -97,12 +90,11 @@ def pulse_input() -> InputSignal:
 
 @dataclass(frozen=True)
 class FeedbackConfig:
-    """Damping injection u = -r y + v, realized either per stage or at the
-    discrete port level (coupling stages through the mass matrix)."""
+    """Damping injection u = v - r y, v the run's input signal, realized per
+    stage or at the discrete port level (coupling stages through M)."""
 
     r: float
     mode: str = STAGEWISE
-    v: InputSignal = field(default_factory=zero_input)
 
     def __post_init__(self):
         if not (np.isfinite(self.r) and self.r >= 0):
@@ -155,7 +147,7 @@ def mechanical(Q, P, G, name="mechanical") -> PHModel:
 
 
 def partitioned_oscillator() -> PHModel:
-    """The same oscillator in separated (q, p) form, consumed by Lobatto pairs."""
+    """The same oscillator in separated (q, p) form."""
     return mechanical(np.eye(1), np.eye(1), np.eye(1),
                       name="partitioned-oscillator")
 

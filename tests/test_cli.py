@@ -82,7 +82,7 @@ CSV_CASES = [
                   "--input", "zero", "--r", "0.1", "--feedback-mode",
                   "portlevel", "--x0", "0,-1", "--t-end", "10"],
                  oscillator, ("gauss", 2), zero_input(1),
-                 FeedbackConfig(r=0.1, mode="portlevel", v=zero_input(1)),
+                 FeedbackConfig(r=0.1, mode="portlevel"),
                  False, id="oscillator-gauss2-portlevel"),
     pytest.param(["--model", "partitioned-oscillator", "--scheme", "lobatto",
                   "--stages", "3", "--input", "pulse", "--x0", "0,-1",
@@ -178,6 +178,20 @@ def test_simulate_rejects_non_finite_arguments(tmp_path, capsys, argv, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "bad_traj.csv").exists()
+
+
+@pytest.mark.parametrize("t_end", ["0", "-1"])
+def test_simulate_names_non_positive_t_end(tmp_path, capsys, t_end):
+    code = run(["simulate", f"--t-end={t_end}", "--out", str(tmp_path / "bad")])
+    assert code == 2
+    assert "t_end must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "bad_traj.csv").exists()
+
+
+def test_converge_rejects_empty_h_list(capsys):
+    # an empty value is not the absent flag: no silent default grid
+    assert run(["converge", "--t-end", "18", "--h-list="]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("r", ["nan", "-0.1"])
@@ -309,11 +323,12 @@ def test_pulse_on_portless_model_rejected(tmp_path, capsys):
     assert "no input port" in capsys.readouterr().err
 
 
-def test_partitioned_rejects_gauss(tmp_path, capsys):
-    code = run(["simulate", "--model", "partitioned-oscillator", "--scheme",
-                "gauss", "--t-end", "1", "--out", str(tmp_path / "pg")])
-    assert code == 2
-    assert "Lobatto pair" in capsys.readouterr().err
+def test_check_partitioned_gauss_passes(capsys):
+    # Gauss takes A on every row of the separable model
+    code = run(["check", "--model", "partitioned-oscillator", "--scheme",
+                "gauss", "--t-end", "5"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -208,12 +208,47 @@ def test_order_fit_tail_restriction():
         order_fit(pts, tail=2)
 
 
+# --- one-step energy error ---------------------------------------------------
+#
+# |dH_bar - dH_exact| over one step of the damped free oscillator falls as
+# h^(p+1).  The initial state is amplified tenfold so that the high-order
+# curves clear the rounding floor, and each scheme gets its own geometric
+# step grid, from where the error first drops below 1e-8 down to ~3e-12.
+
+LOCAL_AMPLITUDE = 10.0
+ALL_SCHEMES = ([(coll.GAUSS, s) for s in range(1, 9)]
+               + [(coll.LOBATTO, s) for s in (2, 3, 4)])
+
+
+def _local_energy_gap(model, scheme, fb, h):
+    x0 = LOCAL_AMPLITUDE * reference_solution(DAMPED_FREE, 0.0)[0]
+    _, (h0, h1) = reference_solution(DAMPED_FREE, np.array([0.0, h]))
+    x_end = solve_stages(model, scheme, x0, zero_input(), 0.0, h,
+                         feedback=fb).x_end
+    return abs((model.H(x_end) - model.H(x0)) - LOCAL_AMPLITUDE**2 * (h1 - h0))
+
+
+@pytest.mark.parametrize("kind,s", ALL_SCHEMES)
+def test_local_energy_error_order(kind, s):
+    model, scheme = oscillator(), coll.make_scheme(kind, s)
+    fb = FeedbackConfig(r=0.1, mode="stagewise")
+    h = 2.6
+    while h > 0.02 and _local_energy_gap(model, scheme, fb, h) > 1e-8:
+        h *= 0.85
+    # six points, the last near 3e-12 if the error falls as h^(p+1)
+    p1 = scheme.order + 1
+    ratio = (3e-12 / _local_energy_gap(model, scheme, fb, h)) ** (1.0 / (5 * p1))
+    grid = h * ratio ** np.arange(6)
+    pts = [(hk, _local_energy_gap(model, scheme, fb, hk)) for hk in grid]
+    assert abs(order_fit(pts).slope - p1) <= 0.3
+
+
 # --- dissipation split --------------------------------------------------------
 
 def test_dissipation_decomposition_portlevel():
     model = oscillator()
     scheme = coll.make_scheme(coll.GAUSS, 2)
-    fb = FeedbackConfig(r=0.1, mode="portlevel", v=pulse_input())
+    fb = FeedbackConfig(r=0.1, mode="portlevel")
     sol = solve_stages(model, scheme, X0, pulse_input(), 8.5, 0.25, feedback=fb)
     v = np.array([pulse_input()(8.5 + ci * 0.25) for ci in scheme.c])
     # u = v - r y at the port: dH_tilde = -r h y'y + h y'v

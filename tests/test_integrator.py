@@ -151,27 +151,24 @@ DIFFERENTIAL_CASES = [
     if kind == coll.LOBATTO or factory is oscillator]
 
 
+def _feedback(mode):
+    return None if mode is None else FeedbackConfig(r=0.1, mode=mode)
+
+
 @pytest.mark.parametrize("kind,s,factory,mode", DIFFERENTIAL_CASES)
 def test_newton_matches_direct_solve(kind, s, factory, mode):
     # the generic Newton path is the oracle of the direct block-tableau solve,
     # monolithic and Lobatto-pair alike
     scheme = coll.make_scheme(kind, s)
-    feedback = None if mode is None else FeedbackConfig(r=0.1, mode=mode,
-                                                        v=pulse_input())
     args = (factory(), scheme, X0, pulse_input(), 8.3, 0.2)
-    direct = solve_stages(*args, feedback=feedback)
+    direct = solve_stages(*args, feedback=_feedback(mode))
     newton = solve_stages(*args, cfg=SolverConfig(method="newton"),
-                          feedback=feedback)
+                          feedback=_feedback(mode))
     assert np.max(np.abs(direct.x_end - newton.x_end)) < 1e-11
     for name in ("stage_x", "f", "e", "u", "y", "x_end"):
         diff = np.max(np.abs(getattr(direct, name) - getattr(newton, name)))
         assert diff <= 1e-13, (name, diff)
     assert newton.iterations >= 1
-
-
-def _feedback(mode):
-    return None if mode is None else FeedbackConfig(r=0.1, mode=mode,
-                                                    v=pulse_input())
 
 
 @pytest.mark.parametrize("kind,s,factory,mode", DIFFERENTIAL_CASES)
@@ -513,12 +510,16 @@ def test_solve_stages_rejects_non_finite_t0(t0):
                          np.ones(model.n), zero_input(model.m), t0, 0.1)
 
 
-def test_partitioned_requires_lobatto():
-    for method in ("auto", "newton"):
-        with pytest.raises(ConfigurationError):
-            solve_stages(partitioned_oscillator(), coll.make_scheme(coll.GAUSS, 2),
-                         X0, pulse_input(), 0.0, 0.1,
-                         cfg=SolverConfig(method=method))
+@pytest.mark.parametrize("method", ["auto", "newton"])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_gauss_on_separable_model_is_the_monolithic_run(s, method):
+    # Gauss takes A on every row of a separable model, so the (q, p) form
+    # of the oscillator runs as the oscillator itself, bit for bit
+    scheme, cfg = coll.make_scheme(coll.GAUSS, s), SolverConfig(method=method)
+    runs = [simulate(factory(), scheme, X0, pulse_input(), 0.1, 18.0, cfg=cfg)
+            for factory in (partitioned_oscillator, oscillator)]
+    assert np.array_equal(runs[0].states, runs[1].states)
+    assert np.max(np.abs(runs[0].dh_bar - runs[0].supplied)) <= 1e-14
 
 
 def test_partitioned_matches_full_oscillator_order():
@@ -583,6 +584,51 @@ def test_step_size_validation():
         simulate(oscillator(), scheme, X0, zero_input(), np.inf, 1.0)
     with pytest.raises(ConfigurationError, match="t_end must be finite"):
         simulate(oscillator(), scheme, X0, zero_input(), 0.1, np.nan)
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1.0])
+def test_non_positive_t_end_named(t_end):
+    with pytest.raises(ConfigurationError,
+                       match="t_end must be finite and positive"):
+        simulate(oscillator(), coll.make_scheme(coll.GAUSS, 1), X0,
+                 zero_input(), 0.1, t_end)
+
+
+# --- the one input path: the run's signal, of the model's width -------------
+
+def test_input_on_portless_model_rejected():
+    with pytest.raises(ConfigurationError, match="no input port"):
+        simulate(rigid_body(), coll.make_scheme(coll.GAUSS, 2),
+                 np.ones(3), pulse_input(), 0.1, 1.0)
+
+
+def test_feedback_on_portless_model_rejected():
+    with pytest.raises(ConfigurationError, match="requires a model with a port"):
+        simulate(rigid_body(), coll.make_scheme(coll.GAUSS, 2), np.ones(3),
+                 zero_input(0), 0.1, 1.0, feedback=FeedbackConfig(r=5.0))
+
+
+@pytest.mark.parametrize("method", ["auto", "newton"])
+def test_input_width_must_match_the_port(method):
+    two = InputSignal(fn=lambda t: np.zeros((len(t), 2)))
+    with pytest.raises(ConfigurationError, match="input signal has 2 channels"):
+        simulate(oscillator(), coll.make_scheme(coll.GAUSS, 2), X0, two,
+                 0.1, 1.0, cfg=SolverConfig(method=method))
+
+
+def test_feedback_run_takes_the_signal_as_v():
+    # u = v - r y with the pulse as v: the states leave the free decay on
+    # the first step into the pulse at t = 8; rows 100 and 180 are pinned
+    # bit for bit to the pulse-driven damped run
+    scheme, fb = coll.make_scheme(coll.GAUSS, 2), FeedbackConfig(r=0.1)
+    traj = simulate(oscillator(), scheme, X0, pulse_input(), 0.1, 18.0,
+                    feedback=fb)
+    free = simulate(oscillator(), scheme, X0, zero_input(), 0.1, 18.0,
+                    feedback=fb)
+    assert np.array_equal(traj.states[:81], free.states[:81])
+    assert not np.array_equal(traj.states[81], free.states[81])
+    assert traj.states[100].tolist() == [1.0708347094659287, 0.9467450705853776]
+    assert traj.states[180].tolist() == [0.5678238061650611, -0.8295909328450621]
 
 
 def test_two_step_chaining_is_exact():
