@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage/config, 3 solver failure, 4 structure check faile
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from . import collocation as coll
 from . import dirac, energy
 from .errors import ConfigurationError, SolverDivergenceError
-from .integrator import SolverConfig, simulate
+from .integrator import simulate
 from .models import (PORTLEVEL, FeedbackConfig, oscillator,
                      partitioned_oscillator, pulse_input, rigid_body,
                      zero_input)
@@ -57,6 +58,14 @@ def _write_csv(path, header, table):
     _write(path, [",".join(header), *(row % tuple(r) for r in table.tolist())])
 
 
+def _floats(flag, text) -> tuple:
+    """The comma-separated numbers of a flag's value."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigurationError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
 def _build_input(name, m):
     if name == "pulse":
         return pulse_input()
@@ -72,17 +81,14 @@ def _build(args):
         raise ConfigurationError(f"--r must be a finite gain >= 0, got {args.r}")
     model = MODELS[args.model]()
     scheme = coll.make_scheme(args.scheme, args.stages)
-    if args.x0 is not None:
-        x0 = np.array([float(v) for v in args.x0.split(",")])
-    else:
-        x0 = np.array(DEFAULT_X0[args.model])
-    feedback = None
-    if args.r > 0.0:
-        feedback = FeedbackConfig(r=args.r, mode=args.feedback_mode)
+    x0 = np.array(DEFAULT_X0[args.model] if args.x0 is None
+                  else _floats("--x0", args.x0))
+    feedback = (FeedbackConfig(r=args.r, mode=args.feedback_mode)
+                if args.r > 0.0 else None)
     return model, scheme, x0, _build_input(args.input, model.m), feedback
 
 
-def _reference_for(args):
+def _reference_for(args, x0):
     """Closed-form reference, when the configuration matches one of the two
     oscillator experiments; None otherwise.  Port-level damping applies
     u_i = -r (G'(M e))_i, which does not converge to the continuous closed
@@ -91,7 +97,7 @@ def _reference_for(args):
         return None
     if args.r > 0.0 and args.feedback_mode == PORTLEVEL:
         return None
-    if args.x0 is not None and tuple(float(v) for v in args.x0.split(",")) != (0.0, -1.0):
+    if tuple(x0) != (0.0, -1.0):  # the default x0 of both oscillator models
         return None
     if args.r == 0.0 and args.input == "pulse":
         return lambda t: energy.reference_solution(energy.LOSSLESS_FORCED, t)
@@ -137,18 +143,13 @@ def cmd_tableau(args) -> int:
     return 0
 
 
-def _run(args, h, retain_stages=False):
-    model, scheme, x0, signal, feedback = _build(args)
-    traj = simulate(model, scheme, x0, signal, h, args.t_end, feedback=feedback,
-                    cfg=SolverConfig(), retain_stages=retain_stages)
-    return model, scheme, signal, traj
-
-
 def cmd_simulate(args) -> int:
     if not args.out:
         raise ConfigurationError("simulate writes two CSVs and needs --out PREFIX")
-    model, _, signal, traj = _run(args, args.h)
-    reference = _reference_for(args)
+    model, scheme, x0, signal, feedback = _build(args)
+    traj = simulate(model, scheme, x0, signal, args.h, args.t_end,
+                    feedback=feedback)
+    reference = _reference_for(args, x0)
     times, states = traj.times, traj.states
 
     # the first port: collocated output y = G(x)' gradH(x) and u = v - r y
@@ -177,7 +178,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_converge(args) -> int:
     h_list = (DEFAULT_H_LIST if args.h_list is None
-              else tuple(float(v) for v in args.h_list.split(",")))
+              else _floats("--h-list", args.h_list))
     if not np.isfinite(args.t_end):
         raise ConfigurationError(f"--t-end must be finite, got {args.t_end}")
     for h in h_list:
@@ -185,8 +186,9 @@ def cmd_converge(args) -> int:
             raise ConfigurationError(f"--h-list entries must be finite and positive, got {h}")
         if abs(args.t_end / h - round(args.t_end / h)) > 1e-9:
             raise ConfigurationError(f"h={h} does not divide t_end={args.t_end}")
-    _build(args)  # names a bad --r, input or x0 before the reference lookup
-    reference = _reference_for(args)
+    # one set-up for every h, which names a bad --r, input or x0 first
+    model, scheme, x0, signal, feedback = _build(args)
+    reference = _reference_for(args, x0)
     if reference is None:
         raise ConfigurationError("convergence sweep needs a configuration with "
                                  "a closed-form reference")
@@ -195,7 +197,8 @@ def cmd_converge(args) -> int:
     rows = []
     points_t, points_b = [], []
     for h in h_list:
-        _, scheme, _, traj = _run(args, h)
+        traj = simulate(model, scheme, x0, signal, h, args.t_end,
+                        feedback=feedback)
         report = energy.EnergyReport.from_trajectory(traj, reference)
         rows.append([args.scheme, str(args.stages), _fmt(h),
                      str(len(traj.dh_tilde)), _fmt(report.dh_tot_ref),
@@ -219,7 +222,9 @@ def _worst(name, values, times) -> str:
 
 
 def cmd_check(args) -> int:
-    model, scheme, _, traj = _run(args, args.h, retain_stages=True)
+    model, scheme, x0, signal, feedback = _build(args)
+    traj = simulate(model, scheme, x0, signal, args.h, args.t_end,
+                    feedback=feedback, retain_stages=True)
     c1 = coll.check_c1(scheme.M, 1e-14)
     c2 = model.constant_structure
     sol = traj.stages
@@ -244,52 +249,41 @@ def cmd_check(args) -> int:
     return 0 if ok else 4
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="phint",
                                      description="port-Hamiltonian collocation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_h=True):
-        p.add_argument("--model", default="oscillator", choices=sorted(MODELS))
+    for name, fn, text in (
+            ("tableau", cmd_tableau, "dump scheme coefficients"),
+            ("simulate", cmd_simulate, "run one simulation, write CSVs"),
+            ("converge", cmd_converge, "step-size sweep with error slopes"),
+            ("check", cmd_check, "discrete Dirac structure checks")):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(fn=fn)
         p.add_argument("--scheme", default="gauss", choices=[coll.GAUSS, coll.LOBATTO])
         p.add_argument("--stages", type=int, default=2)
-        if with_h:
+        p.add_argument("--out", default=None)
+        if fn is cmd_tableau:
+            p.add_argument("--format", default="text", choices=["text", "csv"])
+            continue
+        p.add_argument("--model", default="oscillator", choices=sorted(MODELS))
+        if fn is cmd_converge:
+            p.add_argument("--h-list", default=None,
+                           help="comma-separated step sizes (default grid otherwise)")
+        else:
             p.add_argument("--h", type=float, default=0.1)
         p.add_argument("--t-end", type=float, default=18.0)
         p.add_argument("--input", default="pulse", choices=list(INPUTS))
         p.add_argument("--r", type=float, default=0.0)
         p.add_argument("--feedback-mode", default="stagewise",
                        choices=["stagewise", "portlevel"])
-        p.add_argument("--x0", default=None,
-                       help="comma-separated initial state")
-        p.add_argument("--out", default=None)
-
-    p = sub.add_parser("tableau", help="dump scheme coefficients")
-    p.add_argument("--scheme", default="gauss", choices=[coll.GAUSS, coll.LOBATTO])
-    p.add_argument("--stages", type=int, default=2)
-    p.add_argument("--format", default="text", choices=["text", "csv"])
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_tableau)
-
-    p = sub.add_parser("simulate", help="run one simulation, write CSVs")
-    common(p)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("converge", help="step-size sweep with error slopes")
-    common(p, with_h=False)
-    p.add_argument("--h-list", default=None,
-                   help="comma-separated step sizes (default grid otherwise)")
-    p.set_defaults(fn=cmd_converge)
-
-    p = sub.add_parser("check", help="discrete Dirac structure checks")
-    common(p)
-    p.set_defaults(fn=cmd_check)
+        p.add_argument("--x0", default=None, help="comma-separated initial state")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         code = args.fn(args)
     except (ConfigurationError, ValueError) as err:

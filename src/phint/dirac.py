@@ -7,6 +7,8 @@ F = I, so [F E] has full row rank (singular values >= 1) for any E.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .energy import delta_h_tilde, supplied_energy
@@ -35,11 +37,22 @@ def assemble_blocks(model, states, scheme=None):
     return J, G
 
 
+def _apply(A, x) -> np.ndarray:
+    """A x_k for every row x_k of x (..., k): a matvec per row for a stack A
+    (..., r, k), a single GEMM on the (rows, k) reshape for one matrix A."""
+    if A.ndim > 2:
+        return np.matvec(A, x)
+    if x.ndim <= 2:
+        return x @ A.T
+    rows = x.reshape(math.prod(x.shape[:-1]), A.shape[1]) @ A.T
+    return rows.reshape(x.shape[:-1] + A.shape[:1])
+
+
 def efforts(model, states) -> np.ndarray:
     """Efforts gradH at states (..., n): states Q' when gradH = Q x, otherwise
     one gradH call per state."""
     if model.Q is not None:
-        return states @ model.Q.T
+        return _apply(model.Q, states)
     flat = states.reshape(-1, model.n)
     return np.array([model.gradH(x) for x in flat]).reshape(states.shape)
 
@@ -48,14 +61,14 @@ def discrete_output(K, G, e) -> np.ndarray:
     """Rows G_i' (K e)_i of the stacked efforts e (s, n).  K = M gives the
     discrete output y = G'(M (x) I_n) e, K = I_s the stagewise collocated
     output.  G is one (n, m) matrix or a per-stage stack (s, n, m)."""
-    return np.vecmat(K @ e, G)
+    return _apply(np.swapaxes(G, -1, -2), K @ e)
 
 
 def stage_flows(J, G, e, u) -> np.ndarray:
     """Stage flows f with -f_i = J_i e_i + G_i u_i.  J and G are one matrix
     each, or per-stage stacks (s, n, n) and (s, n, m)."""
-    f = np.matvec(J, e)
-    f += np.matvec(G, u)
+    f = _apply(J, e)
+    f += _apply(G, u)
     return np.negative(f, out=f)
 
 
@@ -76,12 +89,17 @@ def kernel_check(J, M):
     """Skew defect of E F' + F E' with F = I, E = [[J M^-1, G], [-G', 0]], per
     interval.  The G blocks cancel in E + E', whose (i, j) block is
     (M^-1)_ij (J_i + J_j'), so the defect is max_ij |(M^-1)_ij| |J_i + J_j'|:
-    zero under C1 (diagonal M, skew J_i) and C2 (constant skew J).  Reduced
-    one stage row i at a time; no (..., s, s, n, n) array is formed."""
-    Minv = np.abs(np.linalg.inv(M))
-    Jt = np.swapaxes(J, -1, -2)
-    defect = np.zeros(J.shape[:-3])
-    for i in range(M.shape[0]):
-        row = np.max(np.abs(J[..., i:i + 1, :, :] + Jt), axis=(-2, -1))
-        defect = np.maximum(defect, np.max(Minv[i] * row, axis=-1))
-    return defect
+    zero under C1 (diagonal M, skew J_i) and C2 (constant skew J).  With the
+    entries of J and J' on the leading axis of contiguous (n n, s, ...)
+    copies, stage row i is one add, abs and max into the (s, s, ...) array of
+    the |J_i + J_j'|: no (..., s, s, n, n) array is formed."""
+    s, n, lead = J.shape[-3], J.shape[-1], J.shape[:-3]
+    entries, back = (n * n, s) + lead, tuple(range(len(lead)))
+    Jf = np.ascontiguousarray(J.transpose((-2, -1, -3) + back)).reshape(entries)
+    Jt = np.ascontiguousarray(J.transpose((-1, -2, -3) + back)).reshape(entries)
+    norms, buf = np.empty((s, s) + lead), np.empty(entries)
+    for i in range(s):
+        np.abs(np.add(Jf[:, i:i + 1], Jt, out=buf), out=buf)
+        np.max(buf, axis=0, out=norms[i])
+    norms *= np.abs(np.linalg.inv(M)).reshape((s, s) + (1,) * len(lead))
+    return np.max(norms.reshape((s * s,) + lead), axis=0)

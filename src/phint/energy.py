@@ -63,12 +63,12 @@ class EnergyReport:
     @classmethod
     def from_trajectory(cls, traj, reference=None):
         """reference: callable times (k,) -> (states (k, n), H (k,)), called
-        once for the exact total."""
+        once, at the first and last time, for the exact total."""
         dh_tilde_tot = float(traj.dh_tilde.sum())
         dh_bar_tot = float(traj.dh_bar.sum())
         dh_tot_ref = eps_t = eps_b = None
         if reference is not None:
-            h_ref = reference(traj.times)[1]
+            h_ref = reference(traj.times[[0, -1]])[1]
             dh_tot_ref = float(h_ref[-1] - h_ref[0])
             eps_t, eps_b = relative_errors(dh_tilde_tot, dh_bar_tot, dh_tot_ref)
         return cls(dh_tilde_tot=dh_tilde_tot, dh_bar_tot=dh_bar_tot,

@@ -4,7 +4,7 @@ import pytest
 
 import phint.cli as cli
 import phint.collocation as coll
-from phint.cli import main
+from phint.cli import main, make_parser
 from phint.dirac import assemble_blocks, kernel_check, power_residual
 from phint.energy import LOSSLESS_FORCED, reference_solution
 from phint.integrator import simulate
@@ -194,6 +194,18 @@ def test_converge_rejects_empty_h_list(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    pytest.param(["converge", "--h-list=0.1,abc"], "--h-list", id="h-list-abc"),
+    pytest.param(["converge", "--h-list="], "--h-list", id="h-list-empty"),
+    pytest.param(["simulate", "--x0=1,abc"], "--x0", id="x0-abc"),
+])
+def test_unparsable_list_names_its_flag(tmp_path, capsys, argv, flag):
+    assert run([*argv, "--t-end", "18", "--out", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {flag} must be comma-separated numbers" in err
+    assert not (tmp_path / "bad_traj.csv").exists()
+
+
 @pytest.mark.parametrize("r", ["nan", "-0.1"])
 def test_converge_rejects_bad_gain(capsys, r):
     # the gain is checked before the reference lookup, so the message names it
@@ -357,3 +369,38 @@ def test_model_with_asymmetric_q_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "Q must be symmetric" in capsys.readouterr().err
     assert not (tmp_path / "q_traj.csv").exists()
+
+
+def test_parser_is_built_once():
+    assert make_parser() is make_parser()
+
+
+def _outcome(argv, tmp_path, capsys):
+    """Exit code, stdout and the bytes of the files one main call writes."""
+    for path in tmp_path.iterdir():
+        path.unlink()
+    code = run([a.replace("{out}", str(tmp_path / "o")) for a in argv])
+    files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+    return code, capsys.readouterr().out, files
+
+
+def test_shared_parser_keeps_no_state_between_commands(tmp_path, capsys):
+    # check, converge, simulate and check again in one process give what each
+    # gives on a freshly built parser
+    commands = [
+        ["check", "--scheme", "lobatto", "--stages", "3", "--t-end", "2",
+         "--x0=0.5,-1"],
+        ["converge", "--stages", "1", "--t-end", "18",
+         "--h-list", "0.5,0.25,0.2,0.1", "--out", "{out}.csv"],
+        ["simulate", "--model", "rigid-body", "--input", "zero", "--t-end", "1",
+         "--out", "{out}"],
+        ["check", "--model", "rigid-body", "--input", "zero", "--t-end", "1"],
+    ]
+    alone = []
+    for argv in commands:
+        make_parser.cache_clear()
+        alone.append(_outcome(argv, tmp_path, capsys))
+    shared = [_outcome(argv, tmp_path, capsys) for argv in commands]
+    assert shared == alone
+    assert [code for code, _, _ in alone] == [0, 0, 0, 0]
+    assert all(files for _, _, files in alone[1:3])

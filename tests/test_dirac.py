@@ -8,7 +8,8 @@ import phint.collocation as coll
 from phint.dirac import (assemble_blocks, discrete_output, kernel_check,
                          power_residual, stage_flows, structure_residual)
 from phint.integrator import StageSolution, simulate, solve_stages
-from phint.models import oscillator, pulse_input, rigid_body, zero_input
+from phint.models import (PHModel, oscillator, pulse_input, rigid_body,
+                          zero_input)
 
 RNG = np.random.default_rng(7)
 
@@ -220,6 +221,37 @@ def test_kernel_check_matches_dense_oracle(kind, s, model_name):
         dense = dense_skew_defect(J[k], G[k], scheme.M)
         assert abs(factored[k] - dense) <= 1e-14 * max(1.0, dense)
         assert kernel_check(J[k], scheme.M) == factored[k]
+
+
+def _leaky_oscillator():
+    """The oscillator with constant J = [[-0.3, 1], [-1, 0]]: constant
+    structure, but J + J' != 0, so the kernel defect is not zero."""
+    J = np.array([[-0.3, 1.0], [-1.0, 0.0]])
+    g = np.array([[0.0], [1.0]])
+    return PHModel(2, 1, H=lambda x: 0.5 * (x @ x), gradH=lambda x: x.copy(),
+                   J=lambda x: J, G=lambda x: g, constant_structure=True,
+                   Q=np.eye(2))
+
+
+CHECK_SCHEMES = ([(coll.LOBATTO, s) for s in (3, 4)]
+                 + [(coll.GAUSS, s) for s in range(4, 9)])
+
+
+@pytest.mark.parametrize("factory", [oscillator, _leaky_oscillator])
+@pytest.mark.parametrize("kind,s", CHECK_SCHEMES,
+                         ids=[f"{k}{s}" for k, s in CHECK_SCHEMES])
+def test_kernel_check_of_broadcast_blocks_is_the_contiguous_one(kind, s,
+                                                                factory):
+    # assemble_blocks broadcasts a constant J over the run (zero strides);
+    # the copy onto the entry axis gives the values of a contiguous stack
+    model, scheme = factory(), coll.make_scheme(kind, s)
+    states = np.random.default_rng(s).normal(size=(50, scheme.s, model.n))
+    J, _ = assemble_blocks(model, states, scheme)
+    assert J.strides[0] == 0
+    broadcast = kernel_check(J, scheme.M)
+    assert np.array_equal(broadcast,
+                          kernel_check(np.ascontiguousarray(J), scheme.M))
+    assert broadcast.shape == (50,)
 
 
 @pytest.mark.parametrize("size", [1, 3, 8, 24])

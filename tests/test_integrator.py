@@ -500,6 +500,51 @@ def test_large_chain_keeps_the_per_step_loop():
     _assert_close_states(_affine_states(stepper.Delta, x0, drive, 20), oracle)
 
 
+def _stacked_efforts(model, states):
+    """gradH = Q x as one product per interval of the stacked states: the
+    oracle of the single-GEMM efforts."""
+    return states @ model.Q.T
+
+
+def _stacked_flows(J, G, e, u):
+    """-f_i = J e_i + G u_i as one matvec per stage: the oracle of the
+    single-GEMM stage flows."""
+    return -(np.matvec(J, e) + np.matvec(G, u))
+
+
+def _stacked_output(K, G, e):
+    """Rows G' (K e)_i as one vecmat per stage: the oracle of the single-GEMM
+    discrete output."""
+    return np.vecmat(K @ e, G)
+
+
+@pytest.mark.parametrize("kind,s", [(coll.GAUSS, 2), (coll.LOBATTO, 3)])
+def test_shared_matrix_products_match_per_interval_forms(kind, s, monkeypatch):
+    # 100 states, 1000 steps across the pulse: the run with its shared-matrix
+    # products as one GEMM each against the run with one product per interval
+    # or stage; they differ only in the summation order of the BLAS kernels
+    model = _chain(50)
+    args = (model, coll.make_scheme(kind, s),
+            np.random.default_rng(11).normal(size=model.n), pulse_input(),
+            0.01, 10.0)
+    gemm = simulate(*args, retain_stages=True)
+    monkeypatch.setattr(integrator, "efforts", _stacked_efforts)
+    monkeypatch.setattr(integrator, "stage_flows", _stacked_flows)
+    monkeypatch.setattr(integrator, "discrete_output", _stacked_output)
+    oracle = simulate(*args, retain_stages=True)
+    for got, want in [(gemm.states, oracle.states),
+                      (gemm.stages.f, oracle.stages.f),
+                      (gemm.stages.y, oracle.stages.y),
+                      (gemm.dh_bar, oracle.dh_bar),
+                      (gemm.supplied, oracle.supplied)]:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # each dH_tilde row sums 300 terms whose magnitudes add up to about 1 and
+    # which cancel to about 4e-3: its rounding is relative to that sum
+    sol = oracle.stages
+    terms = sol.h * np.abs(sol.e * (args[1].M @ sol.f)).sum(axis=(-2, -1))
+    assert np.all(np.abs(gemm.dh_tilde - oracle.dh_tilde) <= 1e-14 * terms)
+
+
 @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
 def test_solve_stages_rejects_non_finite_t0(t0):
     # a NaN time would sample the pulse as zero and return a finite x_end
