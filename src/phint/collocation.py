@@ -1,19 +1,21 @@
 """Collocation node sets, Butcher tableaux, mass matrices and dense-output
 coefficients.
 
-All coefficient integrals are evaluated by exact antidifferentiation of the
-Lagrange basis polynomials in the monomial basis.  The monomial basis loses
-several digits to cancellation at the larger stage counts, so the
-construction runs in 40-digit arithmetic and only the final tables are cast
-to float; the published values are then exact to one rounding.  The same
-pass stores int_0^tau l_j in the shifted Legendre basis P_k(2 tau - 1),
-whose float coefficients stay small, so dense output is a float evaluation.
+Gauss nodes for s >= 4 come from Newton's method on the Legendre recurrence
+at 64 bits above the 40-digit working precision, rounded once; they equal
+mp.polyroots' roots mpf for mpf.  The coefficient integrals are exact
+antiderivatives of the Lagrange basis in the monomial basis, which loses
+digits to cancellation, so the tables are built in 40-digit arithmetic and
+cast to float once, exact to one rounding.  The same pass stores
+int_0^tau l_j in the shifted Legendre basis P_k(2 tau - 1), whose float
+coefficients stay small, so dense output is a float evaluation.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache
-from math import comb, factorial
+from math import cos, factorial, pi
 
 import numpy as np
 from mpmath import mp, mpf
@@ -31,32 +33,41 @@ _DPS = 40
 _ROW_SUM_TOL = 1e-13
 _SYMPLECTIC_PAIR_TOL = 1e-13
 _C1_TOL = 1e-14
+_NODE_MAX_ITER = 20
+
+
+def _gauss_node_mp(s: int, i: int, tol):
+    """(1 + x) / 2 for the zero x of P_s reached by Newton steps from the
+    i-th classical estimate; fails unless a step falls to tol in time."""
+    x = mpf(cos(pi * (i - 0.25) / (s + 0.5)))
+    for _ in range(_NODE_MAX_ITER):
+        p, q = x, mpf(1)  # P_s(x), P_{s-1}(x) by the three-term recurrence
+        for k in range(2, s + 1):
+            p, q = ((2 * k - 1) * x * p - (k - 1) * q) / k, p
+        dx = p * (x * x - 1) / (s * (x * p - q))  # P_s / P_s'
+        x -= dx
+        if abs(dx) <= tol:
+            return (1 + x) / 2
+    raise SchemeConstructionError(f"gauss s = {s} node {i} did not converge")
 
 
 def _gauss_nodes_mp(s: int):
-    """High-precision roots of d^s/dt^s [t^s (t-1)^s], ascending."""
-    # t^s (t-1)^s = sum_k C(s,k) (-1)^(s-k) t^(s+k); differentiate s times
-    coeffs_desc = []
-    for k in range(s, -1, -1):  # degree s+k, descending
-        a = comb(s, k) * (-1) ** (s - k)
-        coeffs_desc.append(a * factorial(s + k) // factorial(k))
+    """Zeros of P_s(2t - 1) in 40-digit mpf, ascending: Newton at 64 extra
+    bits to a step < 2^-32 ulp, rounded once, so mp.polyroots' mpf exactly."""
     with mp.workdps(_DPS):
-        roots = mp.polyroots(coeffs_desc, maxsteps=200, extraprec=60)
-        return sorted(mp.re(r) for r in roots)
+        tol = mp.ldexp(1, -mp.prec - 32)
+        with mp.workprec(mp.prec + 64):
+            nodes = [_gauss_node_mp(s, i, tol) for i in range(s, 0, -1)]
+        return [+c for c in nodes]
 
 
 def gauss_legendre_nodes(s: int) -> np.ndarray:
     """Shifted Gauss-Legendre collocation points on (0, 1), sorted ascending."""
     if s not in GAUSS_STAGE_RANGE:
         raise ValueError(f"gauss stage count must be in [1, 8], got {s}")
-    if s == 1:
-        return np.array([0.5])
-    if s == 2:
-        d = np.sqrt(3.0) / 6.0
-        return np.array([0.5 - d, 0.5 + d])
-    if s == 3:
-        d = np.sqrt(15.0) / 10.0
-        return np.array([0.5 - d, 0.5, 0.5 + d])
+    if s in (2, 3):  # closed forms 1/2 -+ sqrt(3)/6; 1/2 -+ sqrt(15)/10 and 1/2
+        d = np.sqrt(3.0) / 6.0 if s == 2 else np.sqrt(15.0) / 10.0
+        return 0.5 + d * np.linspace(-1.0, 1.0, s)
     return np.array([float(r) for r in _gauss_nodes_mp(s)])
 
 
@@ -238,16 +249,20 @@ class CollocationScheme:
         return f"{self.kind}-s{self.s}"
 
 
-@cache
 def make_scheme(kind: str, s: int) -> CollocationScheme:
     """Assemble and validate a Gauss-Legendre scheme or a Lobatto IIIA/IIIB
-    pair, once per (kind, s); construction fails with the violated check
-    named."""
+    pair, once per (kind, s) with s of any integer type but bool;
+    construction fails with the violated check named."""
     stage_range = {GAUSS: GAUSS_STAGE_RANGE, LOBATTO: LOBATTO_STAGE_RANGE}
     if kind not in stage_range:
         raise ValueError(f"unknown scheme kind {kind!r}")
-    if s not in stage_range[kind]:
-        raise ValueError(f"unsupported {kind} stage count {s}")
+    if isinstance(s, bool) or not hasattr(type(s), "__index__") or s not in stage_range[kind]:
+        raise ValueError(f"unsupported {kind} stage count {s!r}")
+    return _make_scheme(kind, operator.index(s))
+
+
+@cache
+def _make_scheme(kind: str, s: int) -> CollocationScheme:
     with mp.workdps(_DPS):
         # keep full node precision through the tables so the (C1)
         # orthogonality survives the float cast

@@ -1,7 +1,11 @@
 """Node sets, tableaux and mass matrices against closed forms and an
 independent quadrature oracle."""
+from math import comb, factorial
+
+import mpmath
 import numpy as np
 import pytest
+from mpmath import mp
 
 from phint import collocation as coll
 from phint.errors import SchemeConstructionError
@@ -69,6 +73,91 @@ def test_gauss_nodes_are_legendre_roots(s):
     assert np.max(np.abs(pk)) < 1e-13
     assert np.all((c > 0) & (c < 1))
     assert np.all(np.diff(c) > 0)
+
+
+def _polyroots_nodes(s):
+    """Roots of the Rodrigues expansion d^s/dt^s [t^s (t-1)^s] by
+    mp.polyroots at 40 digits, ascending: the construction the Newton nodes
+    replaced, kept as their oracle."""
+    # t^s (t-1)^s = sum_k C(s,k) (-1)^(s-k) t^(s+k); differentiate s times
+    coeffs_desc = []
+    for k in range(s, -1, -1):  # degree s+k, descending
+        a = comb(s, k) * (-1) ** (s - k)
+        coeffs_desc.append(a * factorial(s + k) // factorial(k))
+    with mp.workdps(40):
+        roots = mp.polyroots(coeffs_desc, maxsteps=200, extraprec=60)
+        return sorted(mp.re(r) for r in roots)
+
+
+@pytest.mark.parametrize("s", range(4, 9))
+def test_newton_nodes_equal_polyroots(s):
+    assert coll._gauss_nodes_mp(s) == _polyroots_nodes(s)
+
+
+@pytest.mark.parametrize("s", range(4, 9))
+def test_tables_over_polyroots_nodes_are_the_scheme(s):
+    scheme = coll.make_scheme(coll.GAUSS, s)
+    with mp.workdps(40):
+        A, b, M, W = coll._tables_mp(_polyroots_nodes(s))
+    for name, arr in (("A", A), ("b", b), ("M", M), ("W", W)):
+        assert arr.tobytes() == getattr(scheme, name).tobytes(), name
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_gauss_legendre_nodes_unchanged(s):
+    if s == 1:
+        expect = np.array([0.5])
+    elif s == 2:
+        d = np.sqrt(3.0) / 6.0
+        expect = np.array([0.5 - d, 0.5 + d])
+    elif s == 3:
+        d = np.sqrt(15.0) / 10.0
+        expect = np.array([0.5 - d, 0.5, 0.5 + d])
+    else:
+        expect = np.array([float(r) for r in _polyroots_nodes(s)])
+    assert coll.gauss_legendre_nodes(s).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_newton_nodes_are_symmetric_legendre_zeros(s):
+    nodes = coll._gauss_nodes_mp(s)
+    with mp.workdps(40):
+        for c in nodes:
+            assert abs(mp.legendre(s, 2 * c - 1)) <= mpmath.mpf("1e-35")
+            assert 0 < c < 1
+        for c, d in zip(nodes, nodes[1:]):
+            assert c < d
+        for c, d in zip(nodes, reversed(nodes)):
+            assert abs(c + d - 1) <= mpmath.mpf("1e-38")
+
+
+def test_schemes_build_without_polyroots(monkeypatch, all_schemes):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mp.polyroots called during scheme set-up")
+
+    monkeypatch.setattr(mpmath.mp, "polyroots", refuse)
+    coll._make_scheme.cache_clear()
+    for (kind, s), scheme in all_schemes.items():
+        rebuilt = coll.make_scheme(kind, s)
+        assert rebuilt is not scheme
+        for name in ("c", "A", "b", "M", "W"):
+            assert getattr(rebuilt, name).tobytes() == getattr(scheme, name).tobytes()
+
+
+def test_unconverged_node_raises(monkeypatch):
+    # two Newton steps from the cosine estimate stay far above 2^-32 ulp
+    monkeypatch.setattr(coll, "_NODE_MAX_ITER", 2)
+    with pytest.raises(SchemeConstructionError, match="s = 6"):
+        coll._gauss_nodes_mp(6)
+    coll._make_scheme.cache_clear()
+    with pytest.raises(SchemeConstructionError, match="s = 5"):
+        coll.make_scheme(coll.GAUSS, 5)
+
+
+def test_nan_start_never_returns_a_node(monkeypatch):
+    monkeypatch.setattr(coll, "cos", lambda a: float("nan"))
+    with pytest.raises(SchemeConstructionError, match="s = 4"):
+        coll._gauss_nodes_mp(4)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -232,6 +321,29 @@ def test_make_scheme_is_cached_and_read_only(all_schemes):
 def test_unsupported_stage_counts(kind, s):
     with pytest.raises(ValueError):
         coll.make_scheme(kind, s)
+
+
+@pytest.mark.parametrize("kind,s", [(coll.LOBATTO, 4.0), (coll.GAUSS, 2.0),
+                                    (coll.GAUSS, 5.0), (coll.GAUSS, True),
+                                    (coll.GAUSS, False), (coll.GAUSS, "4")])
+def test_non_integer_stage_counts_rejected(kind, s):
+    with pytest.raises(ValueError, match=repr(s)):
+        coll.make_scheme(kind, s)
+
+
+def test_numpy_integer_stage_count_is_the_int_scheme(monkeypatch):
+    cached, keys = coll._make_scheme, []
+
+    def spy(kind, s):
+        keys.append(s)
+        return cached(kind, s)
+
+    monkeypatch.setattr(coll, "_make_scheme", spy)
+    for kind, s in ((coll.GAUSS, 5), (coll.LOBATTO, 4)):
+        scheme = coll.make_scheme(kind, np.int64(s))
+        assert scheme is coll.make_scheme(kind, s)
+        assert type(scheme.order) is int
+    assert keys == [5, 5, 4, 4] and all(type(k) is int for k in keys)
 
 
 def test_bad_nodes_rejected():
