@@ -67,11 +67,9 @@ def _floats(flag, text) -> tuple:
 
 
 def _build_input(name, m):
-    if name == "pulse":
-        return pulse_input()
-    if name == "zero":
-        return zero_input(m)
-    raise ConfigurationError(f"unknown input {name!r}")
+    if name not in INPUTS:
+        raise ConfigurationError(f"unknown input {name!r}")
+    return pulse_input() if name == "pulse" else zero_input(m)
 
 
 def _build(args):
@@ -93,11 +91,9 @@ def _reference_for(args, x0):
     oscillator experiments; None otherwise.  Port-level damping applies
     u_i = -r (G'(M e))_i, which does not converge to the continuous closed
     loop, so it has no reference."""
-    if args.model not in ("oscillator", "partitioned-oscillator"):
-        return None
-    if args.r > 0.0 and args.feedback_mode == PORTLEVEL:
-        return None
-    if tuple(x0) != (0.0, -1.0):  # the default x0 of both oscillator models
+    if (args.model not in ("oscillator", "partitioned-oscillator")
+            or (args.r > 0.0 and args.feedback_mode == PORTLEVEL)
+            or tuple(x0) != (0.0, -1.0)):  # the default x0 of both models
         return None
     if args.r == 0.0 and args.input == "pulse":
         return lambda t: energy.reference_solution(energy.LOSSLESS_FORCED, t)
@@ -114,27 +110,16 @@ def cmd_tableau(args) -> int:
     def emit(name, value, i="", j=""):
         rows.append((name, str(i), str(j), _fmt(value) if name not in ("order", "c1") else str(value)))
 
-    for i, ci in enumerate(scheme.c, start=1):
-        emit("c", ci, i)
-    for i in range(scheme.s):
-        for j in range(scheme.s):
-            emit("A", scheme.A[i, j], i + 1, j + 1)
-    if scheme.A_hat is not None:
-        for i in range(scheme.s):
-            for j in range(scheme.s):
-                emit("A_hat", scheme.A_hat[i, j], i + 1, j + 1)
-    for j, bj in enumerate(scheme.b, start=1):
-        emit("b", bj, j)
-    for i in range(scheme.s):
-        for j in range(scheme.s):
-            emit("M", scheme.M[i, j], i + 1, j + 1)
+    for name, table in (("c", scheme.c), ("A", scheme.A), ("A_hat", scheme.A_hat),
+                        ("b", scheme.b), ("M", scheme.M)):
+        for index, value in np.ndenumerate(table if table is not None else []):
+            emit(name, value, *(k + 1 for k in index))
     emit("order", scheme.order)
     emit("c1", coll.check_c1(scheme.M, 1e-14))
     emit("quadratic_invariant_residual",
          coll.quadratic_invariant_residual(scheme))
     if args.format == "csv":
-        lines = [",".join(("name", "i", "j", "value"))]
-        lines.extend(",".join(r) for r in rows)
+        lines = [",".join(r) for r in [("name", "i", "j", "value"), *rows]]
     else:
         lines = [f"{name}[{i},{j}] = {val}" if j else
                  (f"{name}[{i}] = {val}" if i else f"{name} = {val}")

@@ -27,6 +27,7 @@ LOBATTO = "lobatto"
 
 GAUSS_STAGE_RANGE = range(1, 9)
 LOBATTO_STAGE_RANGE = range(2, 5)
+_STAGE_RANGE = {GAUSS: GAUSS_STAGE_RANGE, LOBATTO: LOBATTO_STAGE_RANGE}
 
 _DPS = 40
 
@@ -61,10 +62,16 @@ def _gauss_nodes_mp(s: int):
         return [+c for c in nodes]
 
 
+def _stage_count(kind: str, s) -> int:
+    """s, an integer of any type but bool in the kind's range, as an int."""
+    if isinstance(s, bool) or not hasattr(type(s), "__index__") or s not in _STAGE_RANGE[kind]:
+        raise ValueError(f"unsupported {kind} stage count {s!r}")
+    return operator.index(s)
+
+
 def gauss_legendre_nodes(s: int) -> np.ndarray:
     """Shifted Gauss-Legendre collocation points on (0, 1), sorted ascending."""
-    if s not in GAUSS_STAGE_RANGE:
-        raise ValueError(f"gauss stage count must be in [1, 8], got {s}")
+    s = _stage_count(GAUSS, s)
     if s in (2, 3):  # closed forms 1/2 -+ sqrt(3)/6; 1/2 -+ sqrt(15)/10 and 1/2
         d = np.sqrt(3.0) / 6.0 if s == 2 else np.sqrt(15.0) / 10.0
         return 0.5 + d * np.linspace(-1.0, 1.0, s)
@@ -74,8 +81,7 @@ def gauss_legendre_nodes(s: int) -> np.ndarray:
 def lobatto_nodes(s: int) -> np.ndarray:
     """Lobatto collocation points on [0, 1]: both endpoints plus the extrema
     of the degree s-1 Legendre polynomial mapped to the unit interval."""
-    if s not in LOBATTO_STAGE_RANGE:
-        raise ValueError(f"lobatto stage count must be in [2, 4], got {s}")
+    s = _stage_count(LOBATTO, s)
     if s == 2:
         return np.array([0.0, 1.0])
     if s == 3:
@@ -253,12 +259,9 @@ def make_scheme(kind: str, s: int) -> CollocationScheme:
     """Assemble and validate a Gauss-Legendre scheme or a Lobatto IIIA/IIIB
     pair, once per (kind, s) with s of any integer type but bool;
     construction fails with the violated check named."""
-    stage_range = {GAUSS: GAUSS_STAGE_RANGE, LOBATTO: LOBATTO_STAGE_RANGE}
-    if kind not in stage_range:
+    if kind not in _STAGE_RANGE:
         raise ValueError(f"unknown scheme kind {kind!r}")
-    if isinstance(s, bool) or not hasattr(type(s), "__index__") or s not in stage_range[kind]:
-        raise ValueError(f"unsupported {kind} stage count {s!r}")
-    return _make_scheme(kind, operator.index(s))
+    return _make_scheme(kind, _stage_count(kind, s))
 
 
 @cache

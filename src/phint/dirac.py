@@ -26,11 +26,10 @@ def assemble_blocks(model, states, scheme=None):
     if X.shape[-len(shape):] != shape:
         raise ValueError(f"expected states of shape (..., "
                          f"{', '.join(map(str, shape))}), got shape {X.shape}")
-    if model.constant_structure:
-        x = X.reshape(-1, n)[0]
-        return (np.broadcast_to(model.J(x), X.shape + (n,)),
-                np.broadcast_to(model.G(x), X.shape + (m,)))
     flat = X.reshape(-1, n)
+    if model.constant_structure:
+        return (np.broadcast_to(model.J(flat[0]), X.shape + (n,)),
+                np.broadcast_to(model.G(flat[0]), X.shape + (m,)))
     J = np.array([model.J(x) for x in flat]).reshape(X.shape + (n,))
     G = (np.array([model.G(x) for x in flat]) if m
          else np.zeros(0)).reshape(X.shape + (m,))
@@ -64,18 +63,28 @@ def discrete_output(K, G, e) -> np.ndarray:
     return _apply(np.swapaxes(G, -1, -2), K @ e)
 
 
+def drift(J, G, e, u=None) -> np.ndarray:
+    """J_i e_i + G_i u_i = -f_i, or J_i e_i without inputs u (no port); J and
+    G are one matrix each, or per-stage stacks (s, n, n) and (s, n, m)."""
+    g = _apply(J, e)
+    if u is not None:
+        g += _apply(G, u)
+    return g
+
+
 def stage_flows(J, G, e, u) -> np.ndarray:
-    """Stage flows f with -f_i = J_i e_i + G_i u_i.  J and G are one matrix
-    each, or per-stage stacks (s, n, n) and (s, n, m)."""
-    f = _apply(J, e)
-    f += _apply(G, u)
+    """Stage flows f with -f_i = J_i e_i + G_i u_i (see drift)."""
+    f = drift(J, G, e, u)
     return np.negative(f, out=f)
 
 
 def structure_residual(J, G, f, e, u):
-    """Max-norm defect of -f_i = J_i e_i + G_i u_i over the stages of each
-    interval."""
-    res = f + np.matvec(J, e) + np.matvec(G, u)
+    """Max-norm defect of (f_i + J_i e_i) + G_i u_i over the stages of each
+    interval; a stack broadcast from one matrix (stride 0 on the leading axes,
+    a constant structure) is applied as that matrix, one GEMM per product."""
+    J, G = (A if any(A.strides[:-2]) else A[(0,) * (A.ndim - 2)] for A in (J, G))
+    res = f + _apply(J, e)
+    res += _apply(G, u)
     return np.max(np.abs(res), axis=(-2, -1), initial=0.0)
 
 

@@ -331,6 +331,27 @@ def test_non_integer_stage_counts_rejected(kind, s):
         coll.make_scheme(kind, s)
 
 
+@pytest.mark.parametrize("nodes,s", [
+    (coll.gauss_legendre_nodes, 2.0), (coll.gauss_legendre_nodes, 5.0),
+    (coll.gauss_legendre_nodes, True), (coll.gauss_legendre_nodes, "4"),
+    (coll.gauss_legendre_nodes, 0), (coll.gauss_legendre_nodes, 9),
+    (coll.lobatto_nodes, 4.0), (coll.lobatto_nodes, False),
+    (coll.lobatto_nodes, 1), (coll.lobatto_nodes, 5), (coll.lobatto_nodes, None)])
+def test_node_sets_check_the_stage_count(nodes, s):
+    # the node functions take s as make_scheme does: bool, float and string
+    # counts are rejected with s named, not coerced or failed on in numpy
+    with pytest.raises(ValueError, match=f"stage count {s!r}"):
+        nodes(s)
+
+
+@pytest.mark.parametrize("kind,s", [(coll.GAUSS, 2), (coll.GAUSS, 5),
+                                    (coll.LOBATTO, 4)])
+def test_node_sets_take_numpy_integer_counts(kind, s):
+    nodes = coll.gauss_legendre_nodes if kind == coll.GAUSS else coll.lobatto_nodes
+    assert nodes(np.int64(s)).tobytes() == nodes(s).tobytes()
+    assert nodes(s).tobytes() == coll.make_scheme(kind, s).c.tobytes()
+
+
 def test_numpy_integer_stage_count_is_the_int_scheme(monkeypatch):
     cached, keys = coll._make_scheme, []
 

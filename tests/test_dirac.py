@@ -8,7 +8,8 @@ import phint.collocation as coll
 from phint.dirac import (assemble_blocks, discrete_output, kernel_check,
                          power_residual, stage_flows, structure_residual)
 from phint.integrator import StageSolution, simulate, solve_stages
-from phint.models import (PHModel, oscillator, pulse_input, rigid_body,
+from phint.models import (FeedbackConfig, PHModel, oscillator,
+                          partitioned_oscillator, pulse_input, rigid_body,
                           zero_input)
 
 RNG = np.random.default_rng(7)
@@ -178,6 +179,38 @@ def test_structure_residual_roundtrip():
     bond = consistent_bond(blocks, scheme, e, u, 0.1)
     assert structure_residual(*blocks, bond.f, bond.e, bond.u) < 1e-14
     assert structure_residual(*blocks, bond.f + 1e-3, bond.e, bond.u) > 1e-4
+
+
+def _matvec_structure_residual(J, G, f, e, u):
+    """(f_i + J_i e_i) + G_i u_i by one matvec per stage of the stacks: the
+    oracle of the single-matrix GEMM form."""
+    res = f + np.matvec(J, e) + np.matvec(G, u)
+    return np.max(np.abs(res), axis=(-2, -1), initial=0.0)
+
+
+@pytest.mark.parametrize("factory,kind,s,mode", [
+    (oscillator, coll.GAUSS, s, mode) for s in (1, 2, 4, 8)
+    for mode in (None, "portlevel")] + [
+    (partitioned_oscillator, coll.LOBATTO, s, "stagewise") for s in (3, 4)] + [
+    (rigid_body, coll.GAUSS, 2, None)])
+def test_structure_residual_matches_the_per_stage_products(factory, kind, s, mode):
+    # a constant structure is applied as its one J and one G, a state-dependent
+    # one stage by stage; both give the per-stage matvec bytes of every
+    # interval, the stacked run and each interval alone
+    model, scheme = factory(), coll.make_scheme(kind, s)
+    traj = simulate(model, scheme, RNG.normal(size=model.n),
+                    pulse_input() if model.m else zero_input(0), 0.05, 10.0,
+                    feedback=None if mode is None else FeedbackConfig(0.1, mode),
+                    retain_stages=True)
+    sol = traj.stages
+    J, G = assemble_blocks(model, sol.stage_x, scheme)
+    got = structure_residual(J, G, sol.f, sol.e, sol.u)
+    assert got.tobytes() == _matvec_structure_residual(
+        J, G, sol.f, sol.e, sol.u).tobytes()
+    for k in (0, 99, 199):
+        Jk, Gk = assemble_blocks(model, sol.stage_x[k], scheme)
+        assert got[k] == structure_residual(Jk, Gk, sol.f[k], sol.e[k], sol.u[k])
+    assert np.max(got) <= 1e-13 * max(1.0, np.max(np.abs(sol.f)))
 
 
 def test_kernel_check_constant_structure():

@@ -1,4 +1,6 @@
 """Stage solves, stepping, dense output, conservation and solver dispatch."""
+import importlib
+import pathlib
 from dataclasses import fields
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 import phint.collocation as coll
 import phint.integrator as integrator
-from phint.dirac import assemble_blocks
+from phint.dirac import assemble_blocks, discrete_output, efforts, stage_flows
 from phint.energy import delta_h_bar, delta_h_tilde, supplied_energy
 from phint.errors import ConfigurationError, SolverDivergenceError
 from phint.integrator import (CHUNK_MAX_N, SolverConfig, StageSolution,
@@ -22,6 +24,7 @@ ALL_SCHEMES = ([(coll.GAUSS, s) for s in range(1, 9)]
                + [(coll.LOBATTO, s) for s in (2, 3, 4)])
 SCHEME_IDS = [f"{kind}{s}" for kind, s in ALL_SCHEMES]
 A_OSC = np.array([[0.0, 1.0], [-1.0, 0.0]])
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def exact_rotation(x0, t):
@@ -289,19 +292,204 @@ def test_warm_started_run_matches_chained_cold_solves(s, x0):
         assert np.max(np.abs(traj.states[k + 1] - x)) <= 1e-12 * np.max(np.abs(x))
 
 
-def test_newton_work_budget():
+# a direction whose Gauss 1-4 runs converge from 1e3 (h = 0.01, 100 steps),
+# with warm attempts that fail and restart cold
+RIGID_DIRECTION = np.array([0.18926208, -0.19826543, 0.96170452])
+
+
+def test_newton_work_budget(monkeypatch):
     # J is called s times per residual: s * (iterations + s n builds + steps)
-    # calls per run; a Jacobian rebuilt on every step alone costs 2 * 6 * 100
-    model, s, n, steps = rigid_body(), 2, 3, 100
-    calls = []
-    cross = model.J
-    model.J = lambda x: calls.append(1) or cross(x)
-    traj = simulate(model, coll.make_scheme(coll.GAUSS, s), np.ones(3),
-                    zero_input(0), 0.01, 1.0, retain_stages=True)
-    iterations = sum(sol.iterations for sol in traj.stage_solutions)
-    builds, rem = divmod(len(calls) // s - iterations - steps, s * n)
-    assert len(calls) % s == 0 and rem == 0 and builds >= 1
-    assert len(calls) <= 1000
+    # calls per run, with the builds counted at _rebuild; the benchmark's
+    # newton_builds recovers the same count from the J calls alone
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    newton_builds = importlib.import_module("tracing").newton_builds
+    rebuild, builds = integrator._NewtonStepper._rebuild, []
+    monkeypatch.setattr(integrator._NewtonStepper, "_rebuild",
+                        lambda self, *a: builds.append(1) or rebuild(self, *a))
+    n, steps = 3, 100
+    for s in (1, 2, 3, 4):
+        for x0 in (np.ones(3), RIGID_DIRECTION, 1e3 * RIGID_DIRECTION):
+            model, calls = rigid_body(), []
+            cross = model.J
+            model.J = lambda x: calls.append(1) or cross(x)
+            builds.clear()
+            traj = simulate(model, coll.make_scheme(coll.GAUSS, s), x0,
+                            zero_input(0), 0.01, 1.0, retain_stages=True)
+            iterations = int(traj.stages.iterations.sum())
+            assert iterations == sum(sol.iterations for sol in traj.stage_solutions)
+            assert len(calls) == s * (iterations + s * n * len(builds) + steps)
+            assert newton_builds(len(calls), s, n, steps, iterations) == len(builds) >= 1
+            if s == 2 and x0[0] == 1.0:
+                # a Jacobian rebuilt on every step alone costs 2 * 6 * 100
+                assert len(calls) <= 1000
+
+
+class _PerStepNewton(integrator._Stepper):
+    """The Newton loop as it was before its run record was preallocated: a
+    negated flow at every iterate, a tuple per step and one restack at the
+    end.  The oracle of the differential tests below."""
+
+    def _bonds(self, stage_x, w):
+        e = efforts(self.model, stage_x)
+        J, G = assemble_blocks(self.model, stage_x, self.scheme)
+        u = w if self.K is None else w - self.r * discrete_output(self.K, G, e)
+        return e, J, G, stage_flows(J, G, e, u)
+
+    def _residual(self, X, x0, w):
+        stage_x = X.reshape(X.shape[:-1] + (self.s, self.n))
+        f = self._bonds(stage_x, w)[3]
+        Af = self.scheme.A @ f
+        if self.n_q is not None:
+            Af[..., self.n_q:] = self.scheme.A_hat @ f[..., self.n_q:]
+        return (stage_x - x0 + self.h * Af).reshape(X.shape)
+
+    def _rebuild(self, X, R, x0, w):
+        fd_step = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(x0))
+        Rp = self._residual(X + fd_step * np.eye(X.size), x0, w)
+        try:
+            self.inv = np.linalg.inv(((Rp - R) / fd_step).T)
+        except np.linalg.LinAlgError:
+            raise SolverDivergenceError("stage Jacobian is singular") from None
+
+    def _newton(self, X, x0, w, warm):
+        tol, res = self.cfg.tol, np.inf
+        for it in range(self.cfg.max_iter):
+            R = self._residual(X, x0, w)
+            self.iterations += 1
+            prev, res = res, float(np.max(np.abs(R)))
+            if res <= tol:
+                return (X if self.inv is None else X - self.inv @ R), res
+            if not np.isfinite(res) or (warm and it == 1 and res > 0.5 * prev):
+                raise SolverDivergenceError("stage iteration diverges",
+                                            residual=res)
+            if self.inv is None or res > 0.1 * prev:
+                self._rebuild(X, R, x0, w)
+            X = X - self.inv @ R
+        raise SolverDivergenceError(
+            f"stage equations did not converge below {tol} "
+            f"in {self.cfg.max_iter} iterations", residual=res)
+
+    def _step(self, x0, w, guess):
+        self.iterations = 0
+        if guess is not None:
+            try:
+                X, res = self._newton(guess, x0, w, warm=True)
+            except SolverDivergenceError:
+                guess = None
+        if guess is None:
+            self.inv = None
+            X, res = self._newton(np.tile(x0, self.s), x0, w, warm=False)
+        stage_x = X.reshape(self.s, self.n)
+        e, J, G, f = self._bonds(stage_x, w)
+        return (stage_x, e, J, G, f, self.iterations, res,
+                x0 - self.h * (self.scheme.b @ f))
+
+    def run(self, x0, t0):
+        w = self._inputs(t0)
+        x, guess, steps = x0, None, []
+        self.inv = None
+        E = dense_weights(self.scheme, 1.0 + self.scheme.c).T
+        for k, wk in enumerate(w):
+            try:
+                steps.append(self._step(x, wk, guess))
+            except SolverDivergenceError as err:
+                err.step_index = k
+                raise
+            guess = (x - self.h * (E @ steps[-1][4])).ravel()
+            x = steps[-1][-1]
+        stage_x, e, J, G, _, its, res, x_end = map(np.array, zip(*steps))
+        states = np.vstack([x0, x_end])
+        return states, self._solution(t0, states, stage_x, e, J, G, w,
+                                      iterations=its, residual=res)
+
+
+def _run_bytes(*args, **kwargs):
+    """Bytes of every array a retained run records."""
+    traj = simulate(*args, retain_stages=True, **kwargs)
+    st = traj.stages
+    return {name: np.asarray(v).tobytes() for name, v in (
+        ("states", traj.states), ("dh_tilde", traj.dh_tilde),
+        ("dh_bar", traj.dh_bar), ("supplied", traj.supplied),
+        ("stage_x", st.stage_x), ("e", st.e), ("f", st.f), ("u", st.u),
+        ("y", st.y), ("iterations", st.iterations), ("residual", st.residual))}
+
+
+def _newton_run(label):
+    """(args, kwargs) of simulate for a differential-test label."""
+    if label.startswith("rigid"):
+        _, s, scale = label.split("-")
+        return (rigid_body(), coll.make_scheme(coll.GAUSS, int(s)),
+                float(scale) * RIGID_DIRECTION, zero_input(0), 0.01, 1.0), {}
+    if label == "pendulum-portlevel":
+        return ((_pendulum(), coll.make_scheme(coll.GAUSS, 2), X0,
+                 pulse_input(), 0.1, 12.0), {"feedback": _feedback("portlevel")})
+    mode = label.split("-")[-1]
+    return ((partitioned_oscillator(), coll.make_scheme(coll.LOBATTO, 3), X0,
+             pulse_input(), 0.25, 12.0),
+            {"feedback": _feedback(mode), "cfg": SolverConfig(method="newton")})
+
+
+NEWTON_RUNS = ([f"rigid-{s}-{scale}" for s in (1, 2, 3, 4)
+                for scale in ("1", "100", "1000")]
+               + ["pendulum-portlevel", "lobatto3-pair-stagewise",
+                  "lobatto3-pair-portlevel"])
+
+
+@pytest.mark.parametrize("label", NEWTON_RUNS)
+def test_newton_run_is_the_per_step_loop_bit_for_bit(label, monkeypatch):
+    # the preallocated run iterates on the drift g = -f and stores the steps
+    # in place: every recorded array equals the per-step loop's, byte for byte
+    args, kwargs = _newton_run(label)
+    cold = []
+    newton = integrator._NewtonStepper._newton
+    monkeypatch.setattr(integrator._NewtonStepper, "_newton",
+                        lambda self, *a, warm: cold.append(not warm)
+                        or newton(self, *a, warm=warm))
+    got = _run_bytes(*args, **kwargs)
+    if label.endswith("-1000"):
+        assert sum(cold) > 1  # warm attempts failed and restarted cold
+    monkeypatch.setattr(integrator, "_NewtonStepper", _PerStepNewton)
+    assert got == _run_bytes(*args, **kwargs)
+
+
+@pytest.mark.parametrize("x0", [[300.0, -900.0, 300.0], [-200.0, 900.0, 400.0]])
+def test_newton_divergence_is_the_per_step_loops(x0, monkeypatch):
+    # Gauss-1 from these states stops after a few steps: the same step index,
+    # message and residual as the per-step loop
+    args = (rigid_body(), coll.make_scheme(coll.GAUSS, 1), np.array(x0),
+            zero_input(0), 0.01, 1.0)
+    with pytest.raises(SolverDivergenceError) as got:
+        simulate(*args)
+    monkeypatch.setattr(integrator, "_NewtonStepper", _PerStepNewton)
+    with pytest.raises(SolverDivergenceError) as want:
+        simulate(*args)
+    assert got.value.step_index == want.value.step_index > 0
+    assert str(got.value) == str(want.value)
+    assert got.value.residual.hex() == want.value.residual.hex()
+
+
+def test_stage_solutions_build_intervals_on_access():
+    traj = simulate(rigid_body(), coll.make_scheme(coll.GAUSS, 2),
+                    RIGID_DIRECTION, zero_input(0), 0.01, 0.5, retain_stages=True)
+    sols, st = traj.stage_solutions, traj.stages
+    assert len(sols) == 50
+    for k in (0, 17, 49, -1, -50):
+        sol = sols[k]
+        assert sol.t0 == st.t0[k] and type(sol.t0) is float
+        assert sol.iterations == st.iterations[k] and type(sol.iterations) is int
+        assert type(sol.h) is float and type(sol.residual) is float
+        assert np.shares_memory(sol.stage_x, st.stage_x)
+        assert np.array_equal(sol.f, st.f[k]) and np.array_equal(sol.x_end, st.x_end[k])
+    for k in (50, -51):
+        with pytest.raises(IndexError):
+            sols[k]
+    listed = list(sols)
+    assert [sol.t0 for sol in listed] == st.t0.tolist()
+    assert all(np.array_equal(sol.e, e) for sol, e in zip(listed, st.e))
+    assert [sol.t0 for sol in sols[10:13]] == st.t0[10:13].tolist()
+    bare = simulate(rigid_body(), coll.make_scheme(coll.GAUSS, 2),
+                    RIGID_DIRECTION, zero_input(0), 0.01, 0.5)
+    assert bare.stage_solutions == []
 
 
 def _column_jacobian(stepper, X, R, x0, w):
