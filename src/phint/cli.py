@@ -200,8 +200,11 @@ def cmd_converge(args) -> int:
 
 
 def _worst(name, values, times) -> str:
-    """Step (1-based, as in the energy CSV) and interval of the largest value."""
+    """Step (1-based, as in the energy CSV) and interval of the largest value;
+    an all-zero column has no worst step."""
     k = int(np.argmax(values))
+    if values[k] == 0.0:
+        return f"worst {name}: 0 on every step"
     return (f"worst {name} at step {k + 1} "
             f"(t = {_fmt(times[k])} to {_fmt(times[k + 1])})")
 

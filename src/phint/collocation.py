@@ -1,21 +1,18 @@
 """Collocation node sets, Butcher tableaux, mass matrices and dense-output
-coefficients.
+coefficients, all from one shifted Legendre basis P~_k(t) = P_k(2t - 1).
 
-Gauss nodes for s >= 4 come from Newton's method on the Legendre recurrence
-at 64 bits above the 40-digit working precision, rounded once; they equal
-mp.polyroots' roots mpf for mpf.  The coefficient integrals are exact
-antiderivatives of the Lagrange basis in the monomial basis, which loses
-digits to cancellation, so the tables are built in 40-digit arithmetic and
-cast to float once, exact to one rounding.  The same pass stores
-int_0^tau l_j in the shifted Legendre basis P_k(2 tau - 1), whose float
-coefficients stay small, so dense output is a float evaluation.
+Gauss nodes for s = 1 and s >= 4 are zeros of P_s, found by Newton's method at
+64 bits above the 40-digit working precision and rounded once.  With
+l_j = sum_k beta_kj P~_k, beta = V^-1 and V_jk = P~_k(c_j), every table is a
+closed-form sum over the P~_k in 40 digits, rounded once to float; the Gauss M
+is diag(b), so C1 holds by construction.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
 from functools import cache
-from math import cos, factorial, pi
+from math import comb, cos, pi
 
 import numpy as np
 from mpmath import mp, mpf
@@ -30,10 +27,8 @@ LOBATTO_STAGE_RANGE = range(2, 5)
 _STAGE_RANGE = {GAUSS: GAUSS_STAGE_RANGE, LOBATTO: LOBATTO_STAGE_RANGE}
 
 _DPS = 40
-
 _ROW_SUM_TOL = 1e-13
 _SYMPLECTIC_PAIR_TOL = 1e-13
-_C1_TOL = 1e-14
 _NODE_MAX_ITER = 20
 
 
@@ -82,12 +77,8 @@ def lobatto_nodes(s: int) -> np.ndarray:
     """Lobatto collocation points on [0, 1]: both endpoints plus the extrema
     of the degree s-1 Legendre polynomial mapped to the unit interval."""
     s = _stage_count(LOBATTO, s)
-    if s == 2:
-        return np.array([0.0, 1.0])
-    if s == 3:
-        return np.array([0.0, 0.5, 1.0])
     d = np.sqrt(5.0) / 10.0
-    return np.array([0.0, 0.5 - d, 0.5 + d, 1.0])
+    return np.array({2: [0.0, 1.0], 3: [0.0, 0.5, 1.0], 4: [0.0, 0.5 - d, 0.5 + d, 1.0]}[s])
 
 
 def _validate_nodes(c) -> np.ndarray:
@@ -99,31 +90,34 @@ def _validate_nodes(c) -> np.ndarray:
     return c
 
 
-def _lagrange_coeffs_mp(c, i):
-    """Ascending monomial coefficients of the i-th Lagrange basis polynomial
-    over high-precision nodes c."""
-    coeffs = [mpf(1)]
-    for j in range(len(c)):
-        if j == i:
-            continue
-        new = [mpf(0)] * (len(coeffs) + 1)
-        for k, a in enumerate(coeffs):  # multiply by (t - c_j)
-            new[k] += -c[j] * a
-            new[k + 1] += a
-        inv = 1 / (c[i] - c[j])
-        coeffs = [a * inv for a in new]
-    return coeffs
+def _legendre_mp(n: int, t):
+    """P~_0(t) .. P~_n(t), P~_k(t) = P_k(2t - 1), by Bonnet's recurrence."""
+    x = 2 * t - 1
+    p = [mpf(1), x]
+    for k in range(1, n):
+        p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+    return p[:n + 1]
 
 
-def _antiderivative_mp(coeffs):
-    return [mpf(0)] + [a / (k + 1) for k, a in enumerate(coeffs)]
+def _coefficients_mp(c_mp, zeros=False):
+    """Columns beta_j of V^-1, V_jk = P~_k(c_j), so l_j = sum_k beta_kj P~_k.
+    At Legendre zeros discrete orthogonality inverts V without a solve:
+    beta_kj = (2k + 1) b_j V_jk with Christoffel weights b_j = 1 / sum_k
+    (2k + 1) V_jk^2, and a zero of V (P~_k(1/2), k odd) stays a zero of beta."""
+    s = len(c_mp)
+    V = [_legendre_mp(s - 1, c) for c in c_mp]
+    if not zeros:
+        return list(zip(*mp.inverse(mp.matrix(V)).tolist()))
+    b = [1 / mp.fsum((2 * k + 1) * v[k] ** 2 for k in range(s)) for v in V]
+    return [[(2 * k + 1) * bj * v[k] for k in range(s)] for bj, v in zip(b, V)]
 
 
-def _eval_mp(coeffs, x):
-    acc = mpf(0)
-    for a in reversed(coeffs):
-        acc = acc * x + a
-    return acc
+def _integral_weights_mp(cols, t):
+    """int_0^t l_j = sum_k beta_kj int_0^t P~_k as floats: int_0^t P~_0 = t,
+    int_0^t P~_k = (P~_{k+1} - P~_{k-1}) / (2 (2k + 1)), exactly 0 at t = 0."""
+    p = _legendre_mp(len(cols), t)
+    q = [t] + [(p[k + 1] - p[k - 1]) / (4 * k + 2) for k in range(1, len(cols))]
+    return [float(mp.fdot(q, col)) for col in cols]
 
 
 def lagrange_polynomial(nodes, i: int) -> np.ndarray:
@@ -133,46 +127,10 @@ def lagrange_polynomial(nodes, i: int) -> np.ndarray:
     if not 0 <= i < c.size:
         raise IndexError(f"basis index {i} out of range for {c.size} nodes")
     with mp.workdps(_DPS):
-        return np.array([float(a) for a in
-                         _lagrange_coeffs_mp([mpf(v) for v in c], i)])
-
-
-def _integrals_mp(basis, taus) -> np.ndarray:
-    """Rows int_0^tau l_j(sigma) dsigma, one per tau, over the mp basis."""
-    anti = [_antiderivative_mp(p) for p in basis]
-    return np.array([[float(_eval_mp(L, t)) for L in anti] for t in taus])
-
-
-def _legendre_coeffs_mp(basis):
-    """(s, s+1) coefficients W[j, k] of P_k(2 tau - 1) in int_0^tau l_j, from
-    the exact map tau^i = sum_{k<=i} (2k+1) i!^2 / ((i-k)! (i+k+1)!) P_k."""
-    anti = [_antiderivative_mp(p) for p in basis]
-    deg = len(anti[0])
-    T = [[mpf((2 * k + 1) * factorial(i) ** 2)
-          / (factorial(i - k) * factorial(i + k + 1)) for k in range(i + 1)]
-         for i in range(deg)]
-    return np.array([[float(sum(L[i] * T[i][k] for i in range(k, deg)))
-                      for k in range(deg)] for L in anti])
-
-
-def _tables_mp(c_mp):
-    """(A, b, M, W) as float arrays from exact integration over mp nodes:
-    rows a_i = int_0^{c_i} l_j, b = int_0^1 l_j, the Gram matrix
-    m_ij = int_0^1 l_i l_j, symmetric by construction (upper triangle
-    computed, then mirrored), and the dense-output coefficients W."""
-    s = len(c_mp)
-    basis = [_lagrange_coeffs_mp(c_mp, i) for i in range(s)]
-    Ab = _integrals_mp(basis, [*c_mp, mpf(1)])
-    M = np.empty((s, s))
-    for i in range(s):
-        for j in range(i, s):
-            prod = [mpf(0)] * (len(basis[i]) + len(basis[j]) - 1)
-            for k, a in enumerate(basis[i]):
-                for l, bb in enumerate(basis[j]):
-                    prod[k + l] += a * bb
-            M[i, j] = float(_eval_mp(_antiderivative_mp(prod), mpf(1)))
-            M[j, i] = M[i, j]
-    return Ab[:-1], Ab[-1], M, _legendre_coeffs_mp(basis)
+        col = _coefficients_mp([mpf(v) for v in c])[i]
+        # P~_k(t) = sum_{m <= k} (-1)^(k + m) C(k, m) C(k + m, m) t^m
+        return np.array([float(mp.fsum((-1) ** (k + m) * comb(k, m) * comb(k + m, m) * col[k]
+                                       for k in range(m, c.size))) for m in range(c.size)])
 
 
 def lagrange_integral_weights(nodes, tau: float) -> np.ndarray:
@@ -180,9 +138,28 @@ def lagrange_integral_weights(nodes, tau: float) -> np.ndarray:
     the weights b at tau = 1."""
     c = _validate_nodes(nodes)
     with mp.workdps(_DPS):
-        c_mp = [mpf(v) for v in c]
-        basis = [_lagrange_coeffs_mp(c_mp, j) for j in range(c.size)]
-        return _integrals_mp(basis, [mpf(tau)])[0]
+        return np.array(_integral_weights_mp(_coefficients_mp([mpf(v) for v in c]), mpf(tau)))
+
+
+def _tables_mp(c_mp, gauss: bool, zeros: bool):
+    """(A, b, M, W) as float arrays, each entry rounded once from 40 digits:
+    a_ij = int_0^{c_i} l_j, b_j = beta_0j, W[j, m] the P~_m coefficient of
+    int_0^tau l_j, and M_ij = int_0^1 l_i l_j.  For Gauss M = diag(b), since
+    Gauss quadrature is exact on l_i l_j; for Lobatto orthogonality gives
+    M_ij = sum_k beta_ki beta_kj / (2k + 1), symmetric term by term."""
+    s = len(c_mp)
+    cols = _coefficients_mp(c_mp, zeros)
+    A = np.array([_integral_weights_mp(cols, c) for c in c_mp])
+    b = np.array([float(col[0]) for col in cols])
+    # beta_kj int_0^tau P~_k is d_k (P~_{k+1} - P~_{k-1}) with d_k = beta_kj / (2 (2k + 1)),
+    # and beta_0j tau is d_0 (P~_1 + P~_0) with d_0 = beta_0j / 2
+    W = np.array([[d[0] - d[1]] + [d[m - 1] - d[m + 1] for m in range(1, s + 1)]
+                  for d in ([col[0] / 2] + [col[k] / (4 * k + 2) for k in range(1, s)] + [0, 0]
+                            for col in cols)], dtype=float)
+    M = np.diag(b) if gauss else np.array(
+        [[mp.fsum(u[k] * v[k] / (2 * k + 1) for k in range(s)) for v in cols] for u in cols],
+        dtype=float)
+    return A, b, M, W
 
 
 def iiib_from_iiia(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -245,6 +222,10 @@ class CollocationScheme:
             raise SchemeConstructionError("row-sum consistency sum_j a_ij = c_i violated")
         if abs(self.b.sum() - 1.0) > _ROW_SUM_TOL:
             raise SchemeConstructionError("weights do not sum to 1")
+        if self.kind == GAUSS and not np.array_equal(self.M, np.diag(self.b)):
+            raise SchemeConstructionError("gauss mass matrix is not diag(b) (C1)")
+        if self.A_hat is not None and symplectic_pair_residual(self) > _SYMPLECTIC_PAIR_TOL:
+            raise SchemeConstructionError("symplectic-pair condition violated")
 
     @property
     def s(self) -> int:
@@ -266,24 +247,13 @@ def make_scheme(kind: str, s: int) -> CollocationScheme:
 
 @cache
 def _make_scheme(kind: str, s: int) -> CollocationScheme:
+    # Legendre zeros keep 40 digits; closed-form Gauss-2/3, Lobatto nodes are floats
+    gauss = kind == GAUSS
+    zeros = gauss and s not in (2, 3)
     with mp.workdps(_DPS):
-        # keep full node precision through the tables so the (C1)
-        # orthogonality survives the float cast
-        if kind == GAUSS and s >= 4:
-            c_mp = _gauss_nodes_mp(s)
-        else:
-            nodes = gauss_legendre_nodes(s) if kind == GAUSS else lobatto_nodes(s)
-            c_mp = [mpf(v) for v in nodes]
-        A, b, M, W = _tables_mp(c_mp)
-        c = np.array([float(v) for v in c_mp])
-    if kind == GAUSS:
-        if not check_c1(M, _C1_TOL):
-            raise SchemeConstructionError("gauss mass matrix violates (C1)")
-        if np.max(np.abs(np.diag(M) - b)) > _C1_TOL:
-            raise SchemeConstructionError("gauss m_ii != b_i")
-        return CollocationScheme(GAUSS, c, A, b, M, W, order=2 * s)
-    scheme = CollocationScheme(LOBATTO, c, A, b, M, W, order=2 * s - 2,
-                               A_hat=iiib_from_iiia(A, b))
-    if symplectic_pair_residual(scheme) > _SYMPLECTIC_PAIR_TOL:
-        raise SchemeConstructionError("symplectic-pair condition violated")
-    return scheme
+        c_mp = _gauss_nodes_mp(s) if zeros else [
+            mpf(v) for v in (gauss_legendre_nodes(s) if gauss else lobatto_nodes(s))]
+        A, b, M, W = _tables_mp(c_mp, gauss, zeros)
+    return CollocationScheme(kind, np.array([float(v) for v in c_mp]), A, b, M, W,
+                             order=2 * s if gauss else 2 * s - 2,
+                             A_hat=None if gauss else iiib_from_iiia(A, b))

@@ -39,9 +39,14 @@ class SolverConfig:
     method: str = "auto"  # auto | newton
 
     def __post_init__(self):
+        # bool is an int to isinstance, so True would pass as 1 or 1.0
+        real = (int, float, np.integer, np.floating)
+        if isinstance(self.tol, bool) or not isinstance(self.tol, real):
+            raise ConfigurationError(f"tol must be a real number, got {self.tol!r}")
         _check_finite("tol", self.tol, positive=True)
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
-            raise ConfigurationError(f"max_iter must be an integer >= 1, got {self.max_iter}")
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
+                or self.max_iter < 1):
+            raise ConfigurationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.method not in ("auto", "newton"):
             raise ConfigurationError(f"unknown solver method {self.method!r}")
 

@@ -273,6 +273,31 @@ def test_check_reports_worst_steps(capsys):
     assert lines[-3:] == expect + ["FAIL"]
 
 
+@pytest.mark.parametrize("s", range(1, 9))
+def test_check_c1_skew_defect_is_exactly_zero(s, capsys):
+    # Gauss M = diag(b) exactly, so every off-diagonal block of the kernel
+    # test is weighted by an exact 0 and every diagonal block is J_i + J_i'
+    code = run(["check", "--model", "rigid-body", "--input", "zero", "--h", "0.01",
+                "--t-end", "2", "--x0", "1,2,3", "--scheme", "gauss", "--stages", str(s)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "classification: C1=yes C2=no" in lines
+    assert "max kernel skew defect: 0" in lines
+    assert lines[-3].startswith("worst power residual at step ")
+    assert lines[-2:] == ["worst kernel skew defect: 0 on every step", "PASS"]
+
+
+def test_check_all_zero_columns_have_no_worst_step(capsys):
+    # from the origin the rigid body stays there: no power residual either
+    code = run(["check", "--model", "rigid-body", "--input", "zero", "--h", "0.01",
+                "--t-end", "0.1", "--x0", "0,0,0", "--scheme", "gauss", "--stages", "3"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "max normalized power residual: 0" in lines
+    assert lines[-3:] == ["worst power residual: 0 on every step",
+                          "worst kernel skew defect: 0 on every step", "PASS"]
+
+
 def test_damped_simulation_runs(tmp_path):
     out = tmp_path / "damped"
     code = run(["simulate", "--model", "oscillator", "--scheme", "gauss",

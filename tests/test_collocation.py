@@ -1,5 +1,5 @@
-"""Node sets, tableaux and mass matrices against closed forms and an
-independent quadrature oracle."""
+"""Node sets, tableaux and mass matrices against closed forms, an
+independent quadrature oracle and the monomial construction they replaced."""
 from math import comb, factorial
 
 import mpmath
@@ -98,9 +98,150 @@ def test_newton_nodes_equal_polyroots(s):
 def test_tables_over_polyroots_nodes_are_the_scheme(s):
     scheme = coll.make_scheme(coll.GAUSS, s)
     with mp.workdps(40):
-        A, b, M, W = coll._tables_mp(_polyroots_nodes(s))
+        A, b, M, W = coll._tables_mp(_polyroots_nodes(s), gauss=True, zeros=True)
     for name, arr in (("A", A), ("b", b), ("M", M), ("W", W)):
         assert arr.tobytes() == getattr(scheme, name).tobytes(), name
+
+
+# The monomial construction the Legendre basis replaced, kept as its oracle:
+# Lagrange coefficients by repeated multiplication with (t - c_j), exact
+# antiderivatives in the monomial basis, the Gram matrix of the l_i l_j
+# products and the exact map tau^i = sum_k (2k+1) i!^2 / ((i-k)! (i+k+1)!) P~_k.
+
+def _monomial_lagrange(c, i):
+    coeffs = [mpmath.mpf(1)]
+    for j in range(len(c)):
+        if j == i:
+            continue
+        new = [mpmath.mpf(0)] * (len(coeffs) + 1)
+        for k, a in enumerate(coeffs):  # multiply by (t - c_j)
+            new[k] += -c[j] * a
+            new[k + 1] += a
+        inv = 1 / (c[i] - c[j])
+        coeffs = [a * inv for a in new]
+    return coeffs
+
+
+def _monomial_antiderivative(coeffs):
+    return [mpmath.mpf(0)] + [a / (k + 1) for k, a in enumerate(coeffs)]
+
+
+def _monomial_eval(coeffs, x):
+    acc = mpmath.mpf(0)
+    for a in reversed(coeffs):
+        acc = acc * x + a
+    return acc
+
+
+def _monomial_tables(c_mp):
+    """(A, b, M, W) of the monomial construction over 40-digit nodes, with M
+    the Gram matrix int_0^1 l_i l_j (upper triangle, mirrored)."""
+    s = len(c_mp)
+    basis = [_monomial_lagrange(c_mp, i) for i in range(s)]
+    anti = [_monomial_antiderivative(p) for p in basis]
+    Ab = np.array([[float(_monomial_eval(L, t)) for L in anti]
+                   for t in [*c_mp, mpmath.mpf(1)]])
+    M = np.empty((s, s))
+    for i in range(s):
+        for j in range(i, s):
+            prod = [mpmath.mpf(0)] * (len(basis[i]) + len(basis[j]) - 1)
+            for k, a in enumerate(basis[i]):
+                for l, bb in enumerate(basis[j]):
+                    prod[k + l] += a * bb
+            M[i, j] = M[j, i] = float(_monomial_eval(_monomial_antiderivative(prod), 1))
+    T = [[mpmath.mpf((2 * k + 1) * factorial(i) ** 2)
+          / (factorial(i - k) * factorial(i + k + 1)) for k in range(i + 1)]
+         for i in range(s + 1)]
+    W = np.array([[float(sum(L[i] * T[i][k] for i in range(k, s + 1)))
+                   for k in range(s + 1)] for L in anti])
+    return Ab[:-1], Ab[-1], M, W
+
+
+def _oracle_scheme(kind, s):
+    with mp.workdps(40):
+        if kind == coll.GAUSS and s not in (2, 3):
+            c_mp = _polyroots_nodes(s)
+        else:
+            nodes = (coll.gauss_legendre_nodes(s) if kind == coll.GAUSS
+                     else coll.lobatto_nodes(s))
+            c_mp = [mpmath.mpf(v) for v in nodes]
+        A, b, M, W = _monomial_tables(c_mp)
+    c = np.array([float(v) for v in c_mp])
+    A_hat = None if kind == coll.GAUSS else b[None, :] - (b[None, :] / b[:, None]) * A.T
+    return {"c": c, "A": A, "b": b, "M": M, "W": W, "A_hat": A_hat}
+
+
+def _exact_zeros(kind, s, name, shape):
+    """Entries whose exact value is 0: the row of c_1 = 0 in Lobatto A, and
+    for node sets symmetric about an exact middle node 1/2 (the Legendre
+    zeros of odd s and Lobatto-3) the even P~_m, m >= 2, of int_0^tau l_mid,
+    which is odd about 1/2."""
+    mask = np.zeros(shape, dtype=bool)
+    if name == "A" and kind == coll.LOBATTO:
+        mask[0] = True
+    if name == "W" and (kind, s) in ((coll.GAUSS, 5), (coll.GAUSS, 7), (coll.LOBATTO, 3)):
+        mask[s // 2, 2::2] = True
+    return mask
+
+
+@pytest.mark.parametrize("kind,s", [(coll.GAUSS, s) for s in range(1, 9)]
+                         + [(coll.LOBATTO, s) for s in range(2, 5)])
+def test_tables_equal_monomial_oracle(kind, s):
+    # one rounding from 40 digits in either basis gives the same float, except
+    # where the exact value is 0: the Legendre tables hold 0.0 there, the
+    # monomial ones rounding noise
+    scheme, oracle = coll.make_scheme(kind, s), _oracle_scheme(kind, s)
+    names = ["c", "A", "b", "W"] + (["M", "A_hat"] if kind == coll.LOBATTO else [])
+    for name in names:
+        new, old = getattr(scheme, name), oracle[name]
+        zero = _exact_zeros(kind, s, name, new.shape)
+        assert np.all(new[zero] == 0.0), name
+        assert np.all(np.abs(old[zero]) < 1.5e-39), name
+        assert new[~zero].tobytes() == old[~zero].tobytes(), name
+    if kind == coll.GAUSS:
+        # the Gram matrix differs from diag(b) by rounding of the float
+        # Gauss-2/3 nodes and by 40-digit noise at the Legendre zeros
+        assert np.max(np.abs(oracle["M"] - np.diag(scheme.b))) < 6e-17
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_gauss_mass_matrix_is_exactly_diag_b(s):
+    scheme = coll.make_scheme(coll.GAUSS, s)
+    assert scheme.M.tobytes() == np.diag(scheme.b).tobytes()
+
+
+def test_gauss_record_needs_diag_b_mass_matrix():
+    gauss2 = coll.make_scheme(coll.GAUSS, 2)
+    M = np.diag(gauss2.b) + 1e-18 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(SchemeConstructionError, match="diag"):
+        coll.CollocationScheme(coll.GAUSS, gauss2.c.copy(), gauss2.A.copy(),
+                               gauss2.b.copy(), M, gauss2.W.copy(), order=4)
+
+
+def test_lobatto_record_needs_symplectic_pair():
+    lob3 = coll.make_scheme(coll.LOBATTO, 3)
+    with pytest.raises(SchemeConstructionError, match="symplectic-pair"):
+        coll.CollocationScheme(coll.LOBATTO, lob3.c.copy(), lob3.A.copy(),
+                               lob3.b.copy(), lob3.M.copy(), lob3.W.copy(),
+                               order=4, A_hat=lob3.A.copy())
+
+
+def test_lagrange_functions_match_monomial_oracle(all_schemes):
+    # the public float helpers over float nodes against the monomial
+    # construction over the same nodes
+    for scheme in all_schemes.values():
+        with mp.workdps(40):
+            c_mp = [mpmath.mpf(v) for v in scheme.c]
+            for i in range(scheme.s):
+                coeffs = np.array([float(a) for a in _monomial_lagrange(c_mp, i)])
+                new = coll.lagrange_polynomial(scheme.c, i)
+                assert np.max(np.abs(new - coeffs)) <= 1e-15 * np.max(np.abs(coeffs))
+            anti = [_monomial_antiderivative(_monomial_lagrange(c_mp, j))
+                    for j in range(scheme.s)]
+            for tau in (0.0, 0.3, 1.0):
+                expect = [float(_monomial_eval(L, mpmath.mpf(tau))) for L in anti]
+                assert coll.lagrange_integral_weights(scheme.c, tau).tobytes() \
+                    == np.array(expect).tobytes()
 
 
 @pytest.mark.parametrize("s", range(1, 9))

@@ -258,6 +258,21 @@ def test_solver_config_needs_finite_tol_and_integer_max_iter(kwargs):
         SolverConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tol": True}, {"tol": "1e-9"}, {"tol": None}, {"tol": np.True_},
+    {"max_iter": True}, {"max_iter": "5"}, {"max_iter": np.True_}])
+def test_solver_config_rejects_bool_and_non_numeric(kwargs):
+    # True would pass as 1 or 1.0, and a string would fail inside numpy
+    with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+        SolverConfig(**kwargs)
+
+
+def test_solver_config_takes_numpy_numbers():
+    cfg = SolverConfig(tol=np.float64(1e-10), max_iter=np.int64(7))
+    assert cfg.tol == 1e-10 and cfg.max_iter == 7
+    assert SolverConfig(tol=1).tol == 1
+
+
 def test_solver_divergence_reported():
     cfg = SolverConfig(tol=1e-15, max_iter=1)
     with pytest.raises(SolverDivergenceError) as exc:

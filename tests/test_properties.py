@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phint.collocation as coll
-from phint.dirac import assemble_blocks, discrete_output, power_residual
+from phint.dirac import assemble_blocks, discrete_output, kernel_check, power_residual
 from phint.energy import delta_h_bar, order_fit
 from phint.integrator import StageSolution, dense_eval, solve_stages
 from phint.models import PHModel, pulse_input, zero_input
@@ -126,3 +126,18 @@ def test_pulse_bounded_unit_interval(t):
     assert 0.0 <= v <= 1.0
     if not 8.0 <= t <= 10.0:
         assert v == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), N=st.integers(1, 12), n=st.integers(1, 6),
+       scale=st.floats(1e-6, 1e6))
+def test_c1_kernel_check_is_exactly_zero(seed, N, n, scale):
+    # any exactly skew per-stage J under every Gauss M = diag(b): the diagonal
+    # blocks J_i + J_i' vanish and (M^-1)_ij is an exact 0 off the diagonal
+    rng = np.random.default_rng(seed)
+    for s in coll.GAUSS_STAGE_RANGE:
+        S = scale * rng.normal(size=(N, s, n, n))
+        J = S - np.swapaxes(S, -1, -2)
+        M = coll.make_scheme(coll.GAUSS, s).M
+        assert np.all(kernel_check(J, M) == 0.0), s
+        assert kernel_check(J[0], M) == 0.0, s
