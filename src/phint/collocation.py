@@ -1,11 +1,11 @@
 """Collocation node sets, Butcher tableaux, mass matrices and dense-output
 coefficients, all from one shifted Legendre basis P~_k(t) = P_k(2t - 1).
 
-Gauss nodes for s = 1 and s >= 4 are zeros of P_s, found by Newton's method at
-64 bits above the 40-digit working precision and rounded once.  With
-l_j = sum_k beta_kj P~_k, beta = V^-1 and V_jk = P~_k(c_j), every table is a
-closed-form sum over the P~_k in 40 digits, rounded once to float; the Gauss M
-is diag(b), so C1 holds by construction.
+Gauss nodes for s = 1 and s >= 4 are zeros of P_s, found by Newton's method in
+double precision, then at 64 bits above the 40-digit working precision, and
+rounded once.  With l_j = sum_k beta_kj P~_k, beta = V^-1 and
+V_jk = P~_k(c_j), every table is a closed-form sum over the P~_k in 40 digits,
+rounded once to float; the Gauss M is diag(b), so C1 holds by construction.
 """
 from __future__ import annotations
 
@@ -32,28 +32,32 @@ _SYMPLECTIC_PAIR_TOL = 1e-13
 _NODE_MAX_ITER = 20
 
 
-def _gauss_node_mp(s: int, i: int, tol):
-    """(1 + x) / 2 for the zero x of P_s reached by Newton steps from the
-    i-th classical estimate; fails unless a step falls to tol in time."""
-    x = mpf(cos(pi * (i - 0.25) / (s + 0.5)))
+def _legendre_zero(s: int, x, tol):
+    """Newton steps on P_s from x in the arithmetic of x (float or mpf), with
+    P_s and P_{s-1} by the three-term recurrence; fails unless a step falls
+    to tol in time."""
     for _ in range(_NODE_MAX_ITER):
-        p, q = x, mpf(1)  # P_s(x), P_{s-1}(x) by the three-term recurrence
+        p, q = x, 1
         for k in range(2, s + 1):
             p, q = ((2 * k - 1) * x * p - (k - 1) * q) / k, p
         dx = p * (x * x - 1) / (s * (x * p - q))  # P_s / P_s'
         x -= dx
         if abs(dx) <= tol:
-            return (1 + x) / 2
-    raise SchemeConstructionError(f"gauss s = {s} node {i} did not converge")
+            return x
+    raise SchemeConstructionError(f"gauss s = {s} node did not converge")
 
 
 def _gauss_nodes_mp(s: int):
-    """Zeros of P_s(2t - 1) in 40-digit mpf, ascending: Newton at 64 extra
-    bits to a step < 2^-32 ulp, rounded once, so mp.polyroots' mpf exactly."""
+    """Zeros of P_s(2t - 1) in 40-digit mpf, ascending: Newton from the
+    classical cosine estimates in double precision to a step of 1e-8 (so
+    within about 1e-16), then at 64 extra bits to a step < 2^-32 ulp,
+    rounded once, so mp.polyroots' mpf exactly."""
+    starts = [cos(pi * (i - 0.25) / (s + 0.5)) for i in range(s, 0, -1)]
     with mp.workdps(_DPS):
         tol = mp.ldexp(1, -mp.prec - 32)
         with mp.workprec(mp.prec + 64):
-            nodes = [_gauss_node_mp(s, i, tol) for i in range(s, 0, -1)]
+            nodes = [(1 + _legendre_zero(s, mpf(_legendre_zero(s, x, 1e-8)), tol)) / 2
+                     for x in starts]
         return [+c for c in nodes]
 
 

@@ -7,9 +7,10 @@ Both stage solvers use one block tableau: A on every state, or, for a separable
 (q, p) model under a Lobatto scheme, the IIIA matrix A on the q rows and the
 IIIB matrix A_hat on the p rows (a partitioned Runge-Kutta method).  A run
 samples its inputs in one call.  A linear model with constant structure then
-advances by one affine recurrence built once per run and evaluated in chunks of
-about sqrt(N) steps, with no Python loop over the steps (models above
-CHUNK_MAX_N states keep one step per chunk).  Everything else goes through
+advances by one affine recurrence built once per run and evaluated by a
+doubling scan in log2(N) array passes, with no Python loop over the steps,
+plus one pass that adds up the per-step increments as the per-step loop does
+(models above SCAN_MAX_N states keep that loop).  Everything else goes through
 simplified Newton iteration on the stacked stage states, one interval at a
 time, with a finite-difference iteration matrix and start values carried from
 the previous interval; it iterates on the drift J e + G u = -f and writes each
@@ -172,7 +173,7 @@ class _Stepper:
 class _LinearStepper(_Stepper):
     """Affine recurrence for linear models with constant J and G: the stage
     states are X = S x0 + T w and the step is x+ = x0 + (Delta x0 + Gamma w),
-    with the maps built once per run and the steps taken in chunks."""
+    with the maps built once per run and the steps taken by a doubling scan."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -198,60 +199,49 @@ class _LinearStepper(_Stepper):
     def run(self, x0, t0):
         w = self._inputs(t0)
         wf = w.reshape(len(t0), -1)
-        drive = np.matvec(self.Gamma, wf)
-        states = _affine_states(self.Delta, x0, drive,
-                                _chunk_length(len(t0), self.n))
-        X = np.matvec(self.S, states[:-1])
-        X += np.matvec(self.T, wf)
+        states = _affine_states(self.Delta, x0, wf @ self.Gamma.T)
+        X = states[:-1] @ self.S.T
+        X += wf @ self.T.T
         stage_x = X.reshape(len(t0), self.s, self.n)
         return states, self._solution(t0, states, stage_x,
                                       efforts(self.model, stage_x), self.Jc,
                                       self.Gc, w)
 
 
-# largest state dimension advanced in chunks of steps.  Building P_j costs
-# sqrt(N) n^3 and saves about N per-step Python overheads: on mass-spring
-# chains (2-core x86-64 host, one BLAS thread) chunks ran 1.3-2.5x faster
-# than the per-step loop up to n = 64 and lost from n = 80-96 at N <= 1000
-# (3x slower at n = 200, N = 1000)
-CHUNK_MAX_N = 64
+# largest state dimension advanced by the doubling scan.  Its log2(N) passes
+# over all N rows replace N per-step Python overheads: on mass-spring chains
+# at N = 1000 (2-core x86-64 host, one BLAS thread) the scan took 4.9 ms at
+# n = 64, against 5.6 for chunks of sqrt(N) steps and 6.7 for the per-step
+# loop, and tied the loop at n = 128; longer runs favour the loop (N = 8000,
+# n = 64: 49 against 36 ms)
+SCAN_MAX_N = 64
 
 
-def _chunk_length(N, n) -> int:
-    """Steps per chunk of the affine recurrence: about sqrt(N), which balances
-    the loops over the steps of a chunk and over the chunks; 1 (the plain
-    per-step loop) for states larger than CHUNK_MAX_N."""
-    return 1 if n > CHUNK_MAX_N else max(1, math.isqrt(N))
-
-
-def _affine_states(Delta, x0, drive, L) -> np.ndarray:
-    """States (N+1, n) of x_{k+1} = x_k + (Delta x_k + drive_k) from x0, in
-    chunks of L steps.  With P_j = (I + Delta)^j - I and z_j the state j steps
-    into a chunk started from zero, the states of chunk c are
-    x_{cL+j} = x_{cL} + (P_j x_{cL} + z_j): P_j and the z_j of all chunks
-    at once take L steps each, the chunk starts C = ceil(N / L) more.  Every
-    update stays an increment, as in the per-step loop that L = 1 gives."""
+def _affine_states(Delta, x0, drive) -> np.ndarray:
+    """States (N+1, n) of x_{k+1} = x_k + (Delta x_k + drive_k) from x0.  Up
+    to SCAN_MAX_N states, a doubling scan over v = (x0, drive_0 .. drive_N-2):
+    after the pass with P = (I + Delta)^m - I, v_k is the state that steps
+    k - 2m .. k - 1 reach from zero (x_k itself once k < 2m), so
+    ceil(log2(N)) passes leave x_0 .. x_N-1 in v.  Those states give the
+    increments Delta x_k + drive_k, which one cumulative sum adds up as the
+    per-step loop does; the scanned states alone round each x_k on its own,
+    which does not cancel in x_{k+1} - x_k (the mean balance residual
+    |dH_bar - h y'u| of Gauss 1-6 pulse runs grew 4.3x).  Larger states
+    take the per-step loop."""
     N, n = drive.shape
-    C = -(-N // L)
-    d = np.concatenate([drive, np.zeros((C * L - N, n))]).reshape(C, L, n)
-    # P_1 = Delta and z_1 = d_0 exactly, since P_0 = 0 and z_0 = 0
-    P = np.empty((L + 1, n, n))
-    z = np.empty((L + 1, C, n))
-    P[1], z[1] = Delta, d[:, 0]
-    for j in range(1, L):
-        P[j + 1] = P[j] + (Delta + Delta @ P[j])
-        z[j + 1] = z[j] + (z[j] @ Delta.T + d[:, j])
-    states = np.empty((C * L + 1, n))
-    starts = states[::L]
-    starts[0] = x0
-    PL, zL = P[L], z[L]
-    for c in range(C):
-        x = starts[c]
-        starts[c + 1] = x + (PL @ x + zL[c])
-    within = states[:-1].reshape(C, L, n)
-    within[:, 1:] = starts[:-1, None] + (np.matvec(P[1:L], starts[:-1, None])
-                                         + z[1:L].swapaxes(0, 1))
-    return states[:N + 1]
+    if n > SCAN_MAX_N:
+        states = [x0]
+        for d in drive:
+            states.append(states[-1] + (Delta @ states[-1] + d))
+        return np.array(states)
+    v = np.concatenate([x0[None], drive[:-1]])
+    P, m = Delta, 1
+    while m < N:
+        if m > 1:
+            P = P + (P + P @ P)
+        v[m:] = v[:-m] + (v[:-m] @ P.T + v[m:])
+        m *= 2
+    return np.cumsum(np.concatenate([x0[None], v @ Delta.T + drive]), axis=0)
 
 
 class _NewtonStepper(_Stepper):

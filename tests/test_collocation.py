@@ -94,6 +94,14 @@ def test_newton_nodes_equal_polyroots(s):
     assert coll._gauss_nodes_mp(s) == _polyroots_nodes(s)
 
 
+def test_double_start_leaves_few_mpf_steps(monkeypatch):
+    # from the cosine estimates Gauss-8 took 44 mpf steps; from a start within
+    # about 1e-16 each node needs at most 4 steps in either precision
+    monkeypatch.setattr(coll, "_NODE_MAX_ITER", 4)
+    for s in range(4, 9):
+        assert coll._gauss_nodes_mp(s) == _polyroots_nodes(s)
+
+
 @pytest.mark.parametrize("s", range(4, 9))
 def test_tables_over_polyroots_nodes_are_the_scheme(s):
     scheme = coll.make_scheme(coll.GAUSS, s)
@@ -286,7 +294,7 @@ def test_schemes_build_without_polyroots(monkeypatch, all_schemes):
 
 
 def test_unconverged_node_raises(monkeypatch):
-    # two Newton steps from the cosine estimate stay far above 2^-32 ulp
+    # two Newton steps per precision stop short of the step bounds
     monkeypatch.setattr(coll, "_NODE_MAX_ITER", 2)
     with pytest.raises(SchemeConstructionError, match="s = 6"):
         coll._gauss_nodes_mp(6)

@@ -10,8 +10,9 @@ from phint.energy import (DAMPED_FREE, LOSSLESS_FORCED, EnergyReport, OrderFit,
                           reference_solution, relative_errors, supplied_energy)
 from phint.errors import ConfigurationError
 from phint.integrator import simulate, solve_stages
-from phint.models import (FeedbackConfig, PHModel, oscillator,
-                          partitioned_oscillator, pulse_input, zero_input)
+from phint.models import (FeedbackConfig, PHModel, mechanical, oscillator,
+                          partitioned_oscillator, pulse_input, rigid_body,
+                          zero_input)
 
 X0 = np.array([0.0, -1.0])
 
@@ -130,6 +131,44 @@ def test_delta_h_bar_ignores_a_constant_in_h():
     assert np.max(np.abs(plain - per_state)) <= 1e-14 * h_max
     offset_per_state = delta_h_bar(_quadratic_model(Q, 7.0, with_q=False), states)
     assert np.max(np.abs(plain - offset_per_state)) > 1e-17
+
+
+def _matvec_delta_h_bar(model, x):
+    """1/2 (x+ - x)' Q (x+ + x) with one matvec per step: the oracle of the
+    single-GEMM quadratic form."""
+    return 0.5 * np.vecdot(x[1:] - x[:-1], np.matvec(model.Q, x[1:] + x[:-1]))
+
+
+@pytest.mark.parametrize("factory,kind,s,x0", [
+    (oscillator, coll.GAUSS, 2, X0),
+    (oscillator, coll.LOBATTO, 3, np.array([3.0, 4.0])),
+    (partitioned_oscillator, coll.LOBATTO, 4, X0),
+    *[(rigid_body, coll.GAUSS, s, np.array(x0))
+      for s in (1, 2, 3, 4) for x0 in ((1.0, 1.0, 1.0), (100.0, -30.0, 50.0))]])
+def test_delta_h_bar_gemm_keeps_the_matvec_bytes(factory, kind, s, x0):
+    # every catalogue model has a diagonal Q: each GEMM entry is one product
+    # plus exact zeros, so the increments are the matvec form's bytes
+    model = factory()
+    signal = pulse_input() if model.m else zero_input(0)
+    traj = simulate(model, coll.make_scheme(kind, s), x0, signal, 0.01, 10.0)
+    assert np.count_nonzero(model.Q - np.diag(np.diag(model.Q))) == 0
+    assert traj.dh_bar.tobytes() == _matvec_delta_h_bar(model, traj.states).tobytes()
+
+
+def test_delta_h_bar_gemm_on_a_coupled_q_is_the_matvec_form():
+    # a mass-spring chain couples neighbouring positions in Q: the GEMM sums
+    # in another order, within rounding of the stored energy
+    cells = 6
+    K = 2.0 * np.eye(cells) - np.eye(cells, k=1) - np.eye(cells, k=-1)
+    G = np.eye(cells)[:, :1]
+    model = mechanical(K, np.eye(cells), G, name="chain")
+    x0 = np.random.default_rng(7).normal(size=model.n)
+    traj = simulate(model, coll.make_scheme(coll.GAUSS, 2), x0, pulse_input(),
+                    0.05, 18.0)
+    H = np.array([model.H(x) for x in traj.states])
+    scale = np.maximum(1.0, np.maximum(np.abs(H[1:]), np.abs(H[:-1])))
+    oracle = _matvec_delta_h_bar(model, traj.states)
+    assert np.all(np.abs(traj.dh_bar - oracle) <= 1e-15 * scale)
 
 
 def test_gauss_step_has_exact_balance():

@@ -8,11 +8,12 @@ import pytest
 
 import phint.collocation as coll
 import phint.integrator as integrator
+from phint.cli import DEFAULT_H_LIST
 from phint.dirac import assemble_blocks, discrete_output, efforts, stage_flows
 from phint.energy import delta_h_bar, delta_h_tilde, supplied_energy
 from phint.errors import ConfigurationError, SolverDivergenceError
-from phint.integrator import (CHUNK_MAX_N, SolverConfig, StageSolution,
-                              _affine_states, _chunk_length, _kron,
+from phint.integrator import (SCAN_MAX_N, SolverConfig, StageSolution,
+                              _affine_states, _kron,
                               _make_stepper, _stage_tableau, dense_eval,
                               dense_weights, simulate, solve_stages)
 from phint.models import (FeedbackConfig, InputSignal, PHModel, mechanical,
@@ -620,7 +621,7 @@ def test_stage_tableau_is_the_kron_sum(kind, s):
 
 def _loop_states(Delta, x0, drive):
     """The per-step recurrence x+ = x + (Delta x + drive_k): the oracle of the
-    chunked evaluation."""
+    doubling scan."""
     states = np.empty((len(drive) + 1, len(x0)))
     states[0] = x0
     for k, d in enumerate(drive):
@@ -658,25 +659,58 @@ def test_chunked_run_matches_per_step_loop(kind, s, mode):
         assert np.array_equal(sol.x_end, states[1:])
 
 
-def test_chunk_lengths_all_agree_with_the_loop():
-    # every chunk length, partial last chunks and L > N included; L = 1 is the
-    # per-step loop itself
+SCAN_LENGTHS = sorted(set(range(1, 71)) | {2 ** k + d for k in range(1, 13)
+                                             for d in (-1, 0, 1)})
+
+
+def test_scan_matches_the_loop_at_every_length():
+    # every N up to 70 and both sides of every power of two up to 2^12, where
+    # the scan gains or loses a doubling pass
     rng = np.random.default_rng(11)
-    n, N = 4, 50
+    n = 4
     Delta = 0.05 * rng.normal(size=(n, n))
-    x0, drive = rng.normal(size=n), 0.1 * rng.normal(size=(N, n))
+    for N in SCAN_LENGTHS:
+        x0, drive = rng.normal(size=n), 0.1 * rng.normal(size=(N, n))
+        oracle = _loop_states(Delta, x0, drive)
+        states = _affine_states(Delta, x0, drive)
+        if N == 1:
+            assert np.array_equal(states, oracle)
+        _assert_close_states(states, oracle)
+
+
+@pytest.mark.parametrize("n", [SCAN_MAX_N, SCAN_MAX_N + 1])
+def test_scan_size_rule(n, monkeypatch):
+    # the scan ends in one cumulative sum; the per-step loop has none and
+    # keeps the oracle's bytes
+    sums, cumsum = [], np.cumsum
+
+    def counted(*args, **kwargs):
+        sums.append(args)
+        return cumsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counted)
+    rng = np.random.default_rng(12)
+    Delta = 0.01 * rng.normal(size=(n, n))
+    x0, drive = rng.normal(size=n), 0.1 * rng.normal(size=(50, n))
     oracle = _loop_states(Delta, x0, drive)
-    assert np.array_equal(_affine_states(Delta, x0, drive, 1), oracle)
-    for L in range(2, 60):
-        _assert_close_states(_affine_states(Delta, x0, drive, L), oracle)
+    states = _affine_states(Delta, x0, drive)
+    assert len(sums) == (n <= SCAN_MAX_N)
+    if n > SCAN_MAX_N:
+        assert np.array_equal(states, oracle)
+    _assert_close_states(states, oracle)
 
 
-def test_chunk_rule():
-    assert _chunk_length(1, 2) == 1
-    assert _chunk_length(3, 2) == 1 and _chunk_length(4, 2) == 2
-    assert _chunk_length(3600, 2) == 60 and _chunk_length(3601, 2) == 60
-    assert _chunk_length(36000, CHUNK_MAX_N) == 189
-    assert _chunk_length(36000, CHUNK_MAX_N + 1) == 1
+def test_scan_keeps_the_balance_residual():
+    # lossless pulse runs of Gauss 1-6 on the convergence grid and h = 1e-3:
+    # every step keeps dH_bar = h y'u to rounding of the stored energy
+    for s in range(1, 7):
+        scheme = coll.make_scheme(coll.GAUSS, s)
+        for x0 in (X0, np.array([3.0, 4.0])):
+            scale = max(1.0, 0.5 * (x0 @ x0))
+            for h in (*DEFAULT_H_LIST, 1e-3):
+                traj = simulate(oscillator(), scheme, x0, pulse_input(), h, 18.0)
+                residual = np.abs(traj.dh_bar - traj.supplied)
+                assert residual.max() <= 2e-15 * scale, (s, tuple(x0), h)
 
 
 def _chain(cells):
@@ -687,20 +721,21 @@ def _chain(cells):
     return mechanical(K, np.eye(cells), G, name="chain")
 
 
-def test_large_chain_keeps_the_per_step_loop():
-    # 200 states: the chunk rule gives L = 1, the loop bit for bit; chunks of
-    # sqrt(N) steps still agree, at their larger set-up cost
+def test_large_chain_keeps_the_per_step_loop(monkeypatch):
+    # 200 states: above SCAN_MAX_N, the loop bit for bit; the scan still
+    # agrees, at its larger set-up cost
     model, N = _chain(100), 400
+    assert model.n > SCAN_MAX_N
     stepper = _make_stepper(model, coll.make_scheme(coll.LOBATTO, 3),
                             pulse_input(), 0.05, None, SolverConfig())
     x0 = np.random.default_rng(5).normal(size=model.n)
     t0 = np.arange(N) * 0.05
     states, _ = stepper.run(x0, t0)
-    drive = np.matvec(stepper.Gamma, stepper._inputs(t0).reshape(N, -1))
+    drive = stepper._inputs(t0).reshape(N, -1) @ stepper.Gamma.T
     oracle = _loop_states(stepper.Delta, x0, drive)
-    assert _chunk_length(N, model.n) == 1
     assert np.array_equal(states, oracle)
-    _assert_close_states(_affine_states(stepper.Delta, x0, drive, 20), oracle)
+    monkeypatch.setattr(integrator, "SCAN_MAX_N", model.n)
+    _assert_close_states(_affine_states(stepper.Delta, x0, drive), oracle)
 
 
 def _stacked_efforts(model, states):
@@ -875,8 +910,8 @@ def test_feedback_run_takes_the_signal_as_v():
                     feedback=fb)
     assert np.array_equal(traj.states[:81], free.states[:81])
     assert not np.array_equal(traj.states[81], free.states[81])
-    assert traj.states[100].tolist() == [1.0708347094659287, 0.9467450705853776]
-    assert traj.states[180].tolist() == [0.5678238061650611, -0.8295909328450621]
+    assert traj.states[100].tolist() == [1.070834709465928, 0.946745070585376]
+    assert traj.states[180].tolist() == [0.5678238061650587, -0.8295909328450617]
 
 
 def test_two_step_chaining_is_exact():
