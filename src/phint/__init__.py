@@ -2,9 +2,8 @@
 systems, with discrete Dirac-structure checks and energy-balance diagnostics."""
 
 from .collocation import (GAUSS, LOBATTO, CollocationScheme, check_c1,
-                          gauss_legendre_nodes, iiib_from_iiia,
-                          lagrange_polynomial, lobatto_nodes, make_scheme,
-                          quadratic_invariant_residual)
+                          gauss_legendre_nodes, iiib_from_iiia, lobatto_nodes,
+                          make_scheme, quadratic_invariant_residual)
 from .dirac import (assemble_blocks, discrete_output, efforts, kernel_check,
                     power_residual, stage_flows, structure_residual)
 from .energy import (EnergyReport, OrderFit, delta_h_bar, delta_h_tilde,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cache
-from math import comb, cos, pi
+from math import cos, pi
 
 import numpy as np
 from mpmath import mp, mpf
@@ -122,19 +122,6 @@ def _integral_weights_mp(cols, t):
     p = _legendre_mp(len(cols), t)
     q = [t] + [(p[k + 1] - p[k - 1]) / (4 * k + 2) for k in range(1, len(cols))]
     return [float(mp.fdot(q, col)) for col in cols]
-
-
-def lagrange_polynomial(nodes, i: int) -> np.ndarray:
-    """Monomial coefficients (ascending) of the i-th Lagrange basis polynomial
-    for the given nodes; 0-based index."""
-    c = _validate_nodes(nodes)
-    if not 0 <= i < c.size:
-        raise IndexError(f"basis index {i} out of range for {c.size} nodes")
-    with mp.workdps(_DPS):
-        col = _coefficients_mp([mpf(v) for v in c])[i]
-        # P~_k(t) = sum_{m <= k} (-1)^(k + m) C(k, m) C(k + m, m) t^m
-        return np.array([float(mp.fsum((-1) ** (k + m) * comb(k, m) * comb(k + m, m) * col[k]
-                                       for k in range(m, c.size))) for m in range(c.size)])
 
 
 def lagrange_integral_weights(nodes, tau: float) -> np.ndarray:

@@ -34,15 +34,13 @@ def supplied_energy(sol):
     return sol.h * (sol.y * sol.u).sum(axis=(-2, -1))
 
 
-def delta_h_bar(model, x0, x_end=None):
-    """Stored-energy increment H(x_end) - H(x0), evaluated exactly.  Given a
-    state sequence x0 (N+1, n) alone, the increments of its N steps.  When
-    gradH = Q x, each increment is the quadratic form 1/2 (x+ - x)' Q (x+ + x)
-    (one GEMM and one vecdot for the run, blind to a constant in H);
-    otherwise H is evaluated once per state."""
-    if x_end is not None:
-        return float(delta_h_bar(model, np.array([x0, x_end]))[0])
-    x = np.asarray(x0, dtype=float)
+def delta_h_bar(model, states):
+    """Stored-energy increments H(x+) - H(x), evaluated exactly, of the N
+    steps of a state sequence (N+1, n).  When gradH = Q x, each increment is
+    the quadratic form 1/2 (x+ - x)' Q (x+ + x) (one GEMM and one vecdot for
+    the run, blind to a constant in H); otherwise H is evaluated once per
+    state."""
+    x = np.asarray(states, dtype=float)
     if model.Q is not None:
         return 0.5 * np.vecdot(x[1:] - x[:-1], (x[1:] + x[:-1]) @ model.Q.T)
     H = np.fromiter((model.H(xk) for xk in x), float, len(x))

@@ -3,20 +3,22 @@
 Sign convention throughout: flows are f = -xdot, so stage updates read
 x_i = x0 - h sum_j a_ij f_j.
 
-Both stage solvers use one block tableau: A on every state, or, for a separable
+Both stage solvers solve one set of stage equations, X = 1 (x) x0 + h A g,
+with the drift g = J e + G u = -f: A on every state, or, for a separable
 (q, p) model under a Lobatto scheme, the IIIA matrix A on the q rows and the
 IIIB matrix A_hat on the p rows (a partitioned Runge-Kutta method).  A run
-samples its inputs in one call.  A linear model with constant structure then
-advances by one affine recurrence built once per run and evaluated by a
+samples its inputs in one call.  A model with gradH = Q x and constant
+structure advances by one affine recurrence, built from one evaluation of the
+stage equations on the unit stage states and inputs and evaluated by a
 doubling scan in log2(N) array passes, with no Python loop over the steps,
 plus one pass that adds up the per-step increments as the per-step loop does
-(models above SCAN_MAX_N states keep that loop).  Everything else goes through
-simplified Newton iteration on the stacked stage states, one interval at a
-time, with a finite-difference iteration matrix and start values carried from
-the previous interval; it iterates on the drift J e + G u = -f and writes each
-step into preallocated run arrays (rigid body, h = 0.01: 70, 65, 56 and 58
-us/step for Gauss 1-4 from (1, 1, 1), 137-240 from (100, 100, 100), 2-core
-x86-64 host).  Both feed one stacked pass that forms f, e, u and y.
+(models above SCAN_MAX_N states keep that loop).  Every other model goes
+through simplified Newton iteration on the stacked stage states, one interval
+at a time, with a finite-difference iteration matrix and start values carried
+from the previous interval, writing each step into preallocated run arrays
+(rigid body, h = 0.01: 70, 65, 56 and 58 us/step for Gauss 1-4 from
+(1, 1, 1), 137-240 from (100, 100, 100), 2-core x86-64 host).  Both feed one
+stacked pass that forms f, e, u and y.
 """
 from __future__ import annotations
 
@@ -37,7 +39,6 @@ from .models import STAGEWISE
 class SolverConfig:
     tol: float = 1e-12
     max_iter: int = 50
-    method: str = "auto"  # auto | newton
 
     def __post_init__(self):
         # bool is an int to isinstance, so True would pass as 1 or 1.0
@@ -48,8 +49,6 @@ class SolverConfig:
         if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
                 or self.max_iter < 1):
             raise ConfigurationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if self.method not in ("auto", "newton"):
-            raise ConfigurationError(f"unknown solver method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -105,40 +104,21 @@ class _Intervals(Sequence):
         return StageSolution(*[c[k] for c in self.cols])
 
 
-def _kron(a, b) -> np.ndarray:
-    """np.kron(a, b) of two matrices, bit for bit, as one broadcast outer
-    product: entry (i r + k, j t + l) is a[i, j] b[k, l]."""
-    (p, q), (r, t) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * t)
-
-
-def _q_rows(model, scheme):
-    """n_q of a separable model under a Lobatto pair, whose q rows take A and
-    p rows A_hat; None (A on every row) for any other model or scheme."""
-    return model.n_q if scheme.A_hat is not None else None
-
-
-def _stage_tableau(model, scheme) -> np.ndarray:
-    """sn x sn tableau of the stacked stage states: A (x) I_n, or A on the q
-    rows and A_hat on the p rows of every stage (see _q_rows)."""
-    n_q = _q_rows(model, scheme)
-    if n_q is None:
-        return _kron(scheme.A, np.eye(model.n))
-    on_q = (np.arange(model.n) < n_q).astype(float)
-    return (_kron(scheme.A, np.diag(on_q))
-            + _kron(scheme.A_hat, np.diag(1.0 - on_q)))
-
-
 class _Stepper:
-    """Set-up shared by both stage solvers: the signal w (u, or v under
-    feedback) and the feedback u = w - r G'(K e), K = I_s (stagewise) or M
-    (portlevel), K = None without damping.  run(x0, t0) returns the states
-    (N+1, n) and the stacked StageSolution of the intervals starting at t0."""
+    """The stage equations X = 1 (x) x0 + h A g of both stage solvers, with
+    the drift g = J e + G u = -f of the signal w (u, or v under feedback) and
+    the feedback u = w - r G'(K e), K = I_s (stagewise) or M (portlevel),
+    K = None without damping.  A acts on every state, or, for a separable
+    (q, p) model under a Lobatto pair, A on the q rows and A_hat on the p
+    rows.  run(x0, t0) returns the states (N+1, n) and the stacked
+    StageSolution of the intervals starting at t0."""
 
     def __init__(self, model, scheme, input_signal, h, feedback, cfg):
         self.model, self.scheme, self.h, self.cfg = model, scheme, h, cfg
         self.n, self.s, self.m = model.n, scheme.s, model.m
-        self.n_q = _q_rows(model, scheme)
+        self.n_q = model.n_q if scheme.A_hat is not None else None
+        # J and G at stage states; a linear stepper's constant pair instead
+        self._blocks = assemble_blocks
         self.signal = input_signal
         if feedback is not None and self.m == 0:
             raise ConfigurationError("feedback requires a model with a port")
@@ -161,6 +141,21 @@ class _Stepper:
         """Stage inputs u of efforts e under port structure G and signal w."""
         return w if self.K is None else w - self.r * discrete_output(self.K, G, e)
 
+    def _drift(self, stage_x, w, stage_sum=False):
+        """Efforts, J, G, drift g and, with stage_sum, h A g (else None, as
+        a Newton step's bond pass needs no h A g) at stage states
+        (..., s, n) under the stage signals w (..., s, m)."""
+        e = efforts(self.model, stage_x)
+        J, G = self._blocks(self.model, stage_x, self.scheme)
+        g = drift(J, G, e, self._port_inputs(e, G, w) if self.m else None)
+        if not stage_sum:
+            return e, J, G, g, None
+        hAg = self.scheme.A @ g
+        if self.n_q is not None:
+            hAg[..., self.n_q:] = self.scheme.A_hat @ g[..., self.n_q:]
+        hAg *= self.h
+        return e, J, G, g, hAg
+
     def _solution(self, t0, states, stage_x, e, J, G, w, **solver) -> StageSolution:
         """Bond variables of every interval of a run, in one stacked pass."""
         u = self._port_inputs(e, G, w)
@@ -177,24 +172,26 @@ class _LinearStepper(_Stepper):
 
     def __init__(self, *args):
         super().__init__(*args)
-        model, scheme, n, s = self.model, self.scheme, self.n, self.s
-        self.Jc, self.Gc = model.J(np.zeros(n)), model.G(np.zeros(n))
-        Is = np.eye(s)
-        # stacked drift -f = D X + IG w of the stage states X
-        D = _kron(Is, self.Jc @ model.Q)
-        if self.K is not None:
-            D -= self.r * _kron(self.K, self.Gc @ self.Gc.T @ model.Q)
-        IG = _kron(Is, self.Gc)
-        hT = self.h * _stage_tableau(model, scheme)
-        # X = 1 (x) x0 - h T f  <=>  (I - h T D) X = 1 (x) x0 + h T IG w
-        ST = np.linalg.solve(np.eye(s * n) - hT @ D,
-                             np.hstack([np.tile(np.eye(n), (s, 1)), hT @ IG]))
+        n, s, sn = self.n, self.s, self.s * self.n
+        self.Jc, self.Gc = J, G = self.model.J(np.zeros(n)), self.model.G(np.zeros(n))
+        self._blocks = lambda *_: (J, G)
+        # the stage equations are affine in (X, w): row k of g and h A g is
+        # their response to unit k of the stacked stage states X (w = 0),
+        # then of the inputs w (X = 0), so after the transpose
+        # X = 1 (x) x0 + h A g reads (I - hAg_X) X = 1 (x) x0 + hAg_w w
+        rows = sn + s * self.m
+        _, _, _, g, hAg = self._drift(np.eye(rows, sn).reshape(rows, s, n),
+                                      np.eye(rows, s * self.m, -sn).reshape(rows, s, self.m),
+                                      stage_sum=True)
+        hAg = hAg.reshape(rows, sn).T
+        ST = np.linalg.solve(np.eye(sn) - hAg[:, :sn],
+                             np.hstack([np.tile(np.eye(n), (s, 1)), hAg[:, sn:]]))
         self.S, self.T = ST[:, :n], ST[:, n:]
-        # x+ - x0 = -h (b' (x) I) f, kept as an increment: a step matrix
+        # x+ - x0 = h (b' (x) I) g, kept as an increment: a step matrix
         # I + Delta rounds away the O(h) part Delta x0 at every step
-        hB = self.h * _kron(scheme.b[None], np.eye(n))
-        self.Delta = hB @ D @ self.S
-        self.Gamma = hB @ (D @ self.T + IG)
+        hbg = self.h * (self.scheme.b @ g).T
+        self.Delta = hbg[:, :sn] @ self.S
+        self.Gamma = hbg[:, :sn] @ self.T + hbg[:, sn:]
 
     def run(self, x0, t0):
         w = self._inputs(t0)
@@ -251,20 +248,10 @@ class _NewtonStepper(_Stepper):
     previous interval's collocation polynomial at its nodes; if that warm
     attempt fails, the step restarts from x0 with a fresh Jacobian."""
 
-    def _drift(self, stage_x, w):
-        """Efforts, J, G and drift J e + G u = -f at stage states (..., s, n)."""
-        e = efforts(self.model, stage_x)
-        J, G = assemble_blocks(self.model, stage_x, self.scheme)
-        return e, J, G, drift(J, G, e, self._port_inputs(e, G, w) if self.m else None)
-
     def _residual(self, X, x0, w):
         """Residuals (stage_x - x0) - h A g (..., s n) of stage states X (..., s n)."""
         stage_x = X.reshape(X.shape[:-1] + (self.s, self.n))
-        g = self._drift(stage_x, w)[3]
-        hAg = self.scheme.A @ g
-        if self.n_q is not None:
-            hAg[..., self.n_q:] = self.scheme.A_hat @ g[..., self.n_q:]
-        hAg *= self.h
+        hAg = self._drift(stage_x, w, stage_sum=True)[4]
         return np.subtract(stage_x - x0, hAg, out=hAg).reshape(X.shape)
 
     def _rebuild(self, X, R, x0, w):
@@ -324,7 +311,7 @@ class _NewtonStepper(_Stepper):
                 raise
             its[k] = self.iterations
             stage_x[k] = X = X.reshape(s, n)
-            e[k], J[k], G[k], g = self._drift(X, w[k])
+            e[k], J[k], G[k], g, _ = self._drift(X, w[k])
             # x - h b'f and x - h E f with f = -g
             states[k + 1] = x + self.h * (self.scheme.b @ g)
             guess = (x + self.h * (E @ g)).ravel()
@@ -333,10 +320,11 @@ class _NewtonStepper(_Stepper):
 
 
 def _make_stepper(model, scheme, input_signal, h, feedback, cfg=None):
-    cfg = cfg or SolverConfig()
-    if cfg.method == "auto" and model.Q is not None and model.constant_structure:
-        return _LinearStepper(model, scheme, input_signal, h, feedback, cfg)
-    return _NewtonStepper(model, scheme, input_signal, h, feedback, cfg)
+    """The affine recurrence for a model with gradH = Q x and constant
+    structure, Newton iteration for any other."""
+    linear = model.Q is not None and model.constant_structure
+    return (_LinearStepper if linear else _NewtonStepper)(
+        model, scheme, input_signal, h, feedback, cfg or SolverConfig())
 
 
 def _initial_state(model, x0) -> np.ndarray:

@@ -1,5 +1,7 @@
+import mpmath
 import numpy as np
 import pytest
+from mpmath import mp
 
 from phint import collocation as coll
 
@@ -21,3 +23,26 @@ def leggauss_integral(fn, npts=40):
     x, w = np.polynomial.legendre.leggauss(npts)
     t = 0.5 * (x + 1.0)
     return 0.5 * float(w @ np.array([fn(v) for v in t]))
+
+
+def monomial_lagrange(c, i):
+    """Monomial coefficients (ascending, mpf) of the i-th Lagrange basis
+    polynomial on the mpf nodes c, as the product of the (t - c_j) / (c_i - c_j)."""
+    coeffs = [mpmath.mpf(1)]
+    for j in range(len(c)):
+        if j == i:
+            continue
+        new = [mpmath.mpf(0)] * (len(coeffs) + 1)
+        for k, a in enumerate(coeffs):  # multiply by (t - c_j)
+            new[k] += -c[j] * a
+            new[k + 1] += a
+        inv = 1 / (c[i] - c[j])
+        coeffs = [a * inv for a in new]
+    return coeffs
+
+
+def lagrange_coefficients(c, i):
+    """The float coefficients of monomial_lagrange on the float nodes c, each
+    rounded once from 40 digits."""
+    with mp.workdps(40):
+        return np.array([float(a) for a in monomial_lagrange([mpmath.mpf(v) for v in c], i)])

@@ -10,7 +10,7 @@ from mpmath import mp
 from phint import collocation as coll
 from phint.errors import SchemeConstructionError
 
-from conftest import leggauss_integral
+from conftest import lagrange_coefficients, leggauss_integral, monomial_lagrange
 
 SQ3 = np.sqrt(3.0)
 SQ5 = np.sqrt(5.0)
@@ -116,20 +116,6 @@ def test_tables_over_polyroots_nodes_are_the_scheme(s):
 # antiderivatives in the monomial basis, the Gram matrix of the l_i l_j
 # products and the exact map tau^i = sum_k (2k+1) i!^2 / ((i-k)! (i+k+1)!) P~_k.
 
-def _monomial_lagrange(c, i):
-    coeffs = [mpmath.mpf(1)]
-    for j in range(len(c)):
-        if j == i:
-            continue
-        new = [mpmath.mpf(0)] * (len(coeffs) + 1)
-        for k, a in enumerate(coeffs):  # multiply by (t - c_j)
-            new[k] += -c[j] * a
-            new[k + 1] += a
-        inv = 1 / (c[i] - c[j])
-        coeffs = [a * inv for a in new]
-    return coeffs
-
-
 def _monomial_antiderivative(coeffs):
     return [mpmath.mpf(0)] + [a / (k + 1) for k, a in enumerate(coeffs)]
 
@@ -145,7 +131,7 @@ def _monomial_tables(c_mp):
     """(A, b, M, W) of the monomial construction over 40-digit nodes, with M
     the Gram matrix int_0^1 l_i l_j (upper triangle, mirrored)."""
     s = len(c_mp)
-    basis = [_monomial_lagrange(c_mp, i) for i in range(s)]
+    basis = [monomial_lagrange(c_mp, i) for i in range(s)]
     anti = [_monomial_antiderivative(p) for p in basis]
     Ab = np.array([[float(_monomial_eval(L, t)) for L in anti]
                    for t in [*c_mp, mpmath.mpf(1)]])
@@ -235,16 +221,12 @@ def test_lobatto_record_needs_symplectic_pair():
 
 
 def test_lagrange_functions_match_monomial_oracle(all_schemes):
-    # the public float helpers over float nodes against the monomial
+    # the public float helper over float nodes against the monomial
     # construction over the same nodes
     for scheme in all_schemes.values():
         with mp.workdps(40):
             c_mp = [mpmath.mpf(v) for v in scheme.c]
-            for i in range(scheme.s):
-                coeffs = np.array([float(a) for a in _monomial_lagrange(c_mp, i)])
-                new = coll.lagrange_polynomial(scheme.c, i)
-                assert np.max(np.abs(new - coeffs)) <= 1e-15 * np.max(np.abs(coeffs))
-            anti = [_monomial_antiderivative(_monomial_lagrange(c_mp, j))
+            anti = [_monomial_antiderivative(monomial_lagrange(c_mp, j))
                     for j in range(scheme.s)]
             for tau in (0.0, 0.3, 1.0):
                 expect = [float(_monomial_eval(L, mpmath.mpf(tau))) for L in anti]
@@ -346,7 +328,7 @@ def test_tables_match_quadrature_oracle(all_schemes):
     for scheme in all_schemes.values():
         c = scheme.c
         s = scheme.s
-        basis = [np.polynomial.Polynomial(coll.lagrange_polynomial(c, i))
+        basis = [np.polynomial.Polynomial(lagrange_coefficients(c, i))
                  for i in range(s)]
         # evaluating the monomial-coefficient basis loses a few digits at
         # s = 8 (condition number of the power basis), hence 1e-12
@@ -422,7 +404,7 @@ def test_lagrange_basis_cardinal_property(all_schemes):
     for scheme in all_schemes.values():
         c = scheme.c
         for i in range(scheme.s):
-            p = np.polynomial.Polynomial(coll.lagrange_polynomial(c, i))
+            p = np.polynomial.Polynomial(lagrange_coefficients(c, i))
             vals = p(c)
             expect = np.zeros(scheme.s)
             expect[i] = 1.0
@@ -432,7 +414,7 @@ def test_lagrange_basis_cardinal_property(all_schemes):
 
 def test_lagrange_partition_of_unity():
     c = coll.gauss_legendre_nodes(4)
-    total = sum(np.polynomial.Polynomial(coll.lagrange_polynomial(c, i))
+    total = sum(np.polynomial.Polynomial(lagrange_coefficients(c, i))
                 for i in range(4))
     ts = np.linspace(0, 1, 17)
     assert np.max(np.abs(total(ts) - 1.0)) < 1e-12

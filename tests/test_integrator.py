@@ -13,12 +13,13 @@ from phint.dirac import assemble_blocks, discrete_output, efforts, stage_flows
 from phint.energy import delta_h_bar, delta_h_tilde, supplied_energy
 from phint.errors import ConfigurationError, SolverDivergenceError
 from phint.integrator import (SCAN_MAX_N, SolverConfig, StageSolution,
-                              _affine_states, _kron,
-                              _make_stepper, _stage_tableau, dense_eval,
+                              _affine_states, _make_stepper, dense_eval,
                               dense_weights, simulate, solve_stages)
-from phint.models import (FeedbackConfig, InputSignal, PHModel, mechanical,
-                          oscillator, partitioned_oscillator, pulse_input,
-                          rigid_body, zero_input)
+from phint.models import (STAGEWISE, FeedbackConfig, InputSignal, PHModel,
+                          mechanical, oscillator, partitioned_oscillator,
+                          pulse_input, rigid_body, zero_input)
+
+from conftest import lagrange_coefficients
 
 X0 = np.array([0.0, -1.0])
 ALL_SCHEMES = ([(coll.GAUSS, s) for s in range(1, 9)]
@@ -93,7 +94,7 @@ def test_extrapolation_weights_match_integrated_basis(kind, s):
     E = dense_weights(scheme, 1.0 + scheme.c).T
     oracle = np.empty((s, s))
     for j in range(s):
-        L = np.polynomial.Polynomial(coll.lagrange_polynomial(scheme.c, j)).integ()
+        L = np.polynomial.Polynomial(lagrange_coefficients(scheme.c, j)).integ()
         oracle[:, j] = L(1.0 + scheme.c) - L(0.0)
     assert np.max(np.abs(E - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(E)))
     # the same weights at tau in [0, 1] are the rows of A and b
@@ -130,7 +131,7 @@ def test_dense_derivative_reproduces_flows():
     sol = solve_stages(oscillator(), scheme, X0, pulse_input(), 8.0, 0.4)
     for i, ci in enumerate(scheme.c):
         ell = np.array([np.polynomial.Polynomial(
-            coll.lagrange_polynomial(scheme.c, j))(ci) for j in range(scheme.s)])
+            lagrange_coefficients(scheme.c, j))(ci) for j in range(scheme.s)])
         deriv = -(ell @ sol.f)  # dx/dt = -sum_j f_j l_j(tau)
         assert np.max(np.abs(deriv + sol.f[i])) < 1e-12
 
@@ -159,15 +160,32 @@ def _feedback(mode):
     return None if mode is None else FeedbackConfig(r=0.1, mode=mode)
 
 
+def _force_newton(monkeypatch):
+    """Send the linear models to the Newton stepper (the one bound in the
+    module when a run starts), with the same model and Q paths: the generic
+    oracle of the affine recurrence."""
+    monkeypatch.setattr(integrator, "_LinearStepper",
+                        lambda *args: integrator._NewtonStepper(*args))
+
+
+@pytest.fixture
+def method(request, monkeypatch):
+    """'auto': the stepper the model selects; 'newton': the Newton oracle for
+    every model."""
+    if request.param == "newton":
+        _force_newton(monkeypatch)
+    return request.param
+
+
 @pytest.mark.parametrize("kind,s,factory,mode", DIFFERENTIAL_CASES)
-def test_newton_matches_direct_solve(kind, s, factory, mode):
+def test_newton_matches_direct_solve(kind, s, factory, mode, monkeypatch):
     # the generic Newton path is the oracle of the direct block-tableau solve,
     # monolithic and Lobatto-pair alike
     scheme = coll.make_scheme(kind, s)
     args = (factory(), scheme, X0, pulse_input(), 8.3, 0.2)
     direct = solve_stages(*args, feedback=_feedback(mode))
-    newton = solve_stages(*args, cfg=SolverConfig(method="newton"),
-                          feedback=_feedback(mode))
+    _force_newton(monkeypatch)
+    newton = solve_stages(*args, feedback=_feedback(mode))
     assert np.max(np.abs(direct.x_end - newton.x_end)) < 1e-11
     for name in ("stage_x", "f", "e", "u", "y", "x_end"):
         diff = np.max(np.abs(getattr(direct, name) - getattr(newton, name)))
@@ -176,21 +194,21 @@ def test_newton_matches_direct_solve(kind, s, factory, mode):
 
 
 @pytest.mark.parametrize("kind,s,factory,mode", DIFFERENTIAL_CASES)
-def test_affine_run_matches_newton_trajectory(kind, s, factory, mode):
+def test_affine_run_matches_newton_trajectory(kind, s, factory, mode, monkeypatch):
     # whole runs across the pulse on [8, 10]: the affine recurrence of the
     # linear path against the Newton path, states and every energy row
     scheme = coll.make_scheme(kind, s)
     args = (factory(), scheme, X0, pulse_input(), 0.5, 10.0)
     affine = simulate(*args, feedback=_feedback(mode))
-    newton = simulate(*args, feedback=_feedback(mode),
-                      cfg=SolverConfig(method="newton"))
+    _force_newton(monkeypatch)
+    newton = simulate(*args, feedback=_feedback(mode))
     assert np.max(np.abs(affine.states - newton.states)) <= 1e-11
     for name in ("dh_tilde", "dh_bar", "supplied"):
         diff = np.max(np.abs(getattr(affine, name) - getattr(newton, name)))
         assert diff <= 1e-13, (name, diff)
 
 
-@pytest.mark.parametrize("method", ["auto", "newton"])
+@pytest.mark.parametrize("method", ["auto", "newton"], indirect=True)
 @pytest.mark.parametrize("kind,s,factory,mode", DIFFERENTIAL_CASES)
 def test_energy_rows_are_the_interval_formulas(kind, s, factory, mode, method):
     # the stacked energy pass of simulate is the per-interval formula: each
@@ -198,24 +216,23 @@ def test_energy_rows_are_the_interval_formulas(kind, s, factory, mode, method):
     scheme = coll.make_scheme(kind, s)
     model = factory()
     traj = simulate(model, scheme, X0, pulse_input(), 0.5, 10.0,
-                    feedback=_feedback(mode), cfg=SolverConfig(method=method),
-                    retain_stages=True)
+                    feedback=_feedback(mode), retain_stages=True)
     sols = traj.stage_solutions
     assert np.array_equal(traj.dh_tilde,
                           [delta_h_tilde(sol, scheme) for sol in sols])
     assert np.array_equal(traj.supplied, [supplied_energy(sol) for sol in sols])
-    assert np.array_equal(traj.dh_bar, [delta_h_bar(model, sol.x0, sol.x_end)
+    assert np.array_equal(traj.dh_bar, [delta_h_bar(model, np.array([sol.x0, sol.x_end]))[0]
                                         for sol in sols])
     assert np.array_equal(traj.states[1:], [sol.x_end for sol in sols])
 
 
-@pytest.mark.parametrize("method", ["auto", "newton"])
+@pytest.mark.parametrize("method", ["auto", "newton"], indirect=True)
 def test_retained_stages_are_one_stacked_record(method):
     # simulate keeps the run's stacked record; the per-interval views are
     # built from it on first access, once, and interval k is its row k
     args = (oscillator(), coll.make_scheme(coll.GAUSS, 2), X0, pulse_input(),
             0.5, 10.0)
-    traj = simulate(*args, cfg=SolverConfig(method=method), retain_stages=True)
+    traj = simulate(*args, retain_stages=True)
     assert len(traj.stage_solutions) == len(traj.stages.t0) == 20
     for k, sol in enumerate(traj.stage_solutions):
         for fld in fields(StageSolution):
@@ -223,7 +240,7 @@ def test_retained_stages_are_one_stacked_record(method):
             row = kept[k] if np.ndim(kept) else kept
             assert np.array_equal(getattr(sol, fld.name), row), (k, fld.name)
     assert traj.stage_solutions is traj.stage_solutions
-    bare = simulate(*args, cfg=SolverConfig(method=method))
+    bare = simulate(*args)
     assert bare.stages is None and bare.stage_solutions == []
 
 
@@ -245,8 +262,6 @@ def test_simulate_samples_the_input_once():
 def test_solver_dispatch_errors():
     with pytest.raises(ConfigurationError):
         SolverConfig(tol=-1.0)
-    with pytest.raises(ConfigurationError):
-        SolverConfig(method="secant")
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -430,8 +445,9 @@ def _run_bytes(*args, **kwargs):
         ("y", st.y), ("iterations", st.iterations), ("residual", st.residual))}
 
 
-def _newton_run(label):
-    """(args, kwargs) of simulate for a differential-test label."""
+def _newton_run(label, monkeypatch):
+    """(args, kwargs) of simulate for a differential-test label; the Lobatto
+    pair runs on the Newton stepper by _force_newton."""
     if label.startswith("rigid"):
         _, s, scale = label.split("-")
         return (rigid_body(), coll.make_scheme(coll.GAUSS, int(s)),
@@ -440,9 +456,9 @@ def _newton_run(label):
         return ((_pendulum(), coll.make_scheme(coll.GAUSS, 2), X0,
                  pulse_input(), 0.1, 12.0), {"feedback": _feedback("portlevel")})
     mode = label.split("-")[-1]
+    _force_newton(monkeypatch)
     return ((partitioned_oscillator(), coll.make_scheme(coll.LOBATTO, 3), X0,
-             pulse_input(), 0.25, 12.0),
-            {"feedback": _feedback(mode), "cfg": SolverConfig(method="newton")})
+             pulse_input(), 0.25, 12.0), {"feedback": _feedback(mode)})
 
 
 NEWTON_RUNS = ([f"rigid-{s}-{scale}" for s in (1, 2, 3, 4)
@@ -455,7 +471,7 @@ NEWTON_RUNS = ([f"rigid-{s}-{scale}" for s in (1, 2, 3, 4)
 def test_newton_run_is_the_per_step_loop_bit_for_bit(label, monkeypatch):
     # the preallocated run iterates on the drift g = -f and stores the steps
     # in place: every recorded array equals the per-step loop's, byte for byte
-    args, kwargs = _newton_run(label)
+    args, kwargs = _newton_run(label, monkeypatch)
     cold = []
     newton = integrator._NewtonStepper._newton
     monkeypatch.setattr(integrator._NewtonStepper, "_newton",
@@ -544,8 +560,8 @@ def test_stacked_jacobian_build_matches_column_loop(factory, kind, s, scale, mod
     # one the per-column loop gives, bit for bit
     model, scheme = factory(), coll.make_scheme(kind, s)
     signal = pulse_input() if model.m else zero_input(0)
-    stepper = _make_stepper(model, scheme, signal, 0.1, _feedback(mode),
-                            SolverConfig(method="newton"))
+    stepper = integrator._NewtonStepper(model, scheme, signal, 0.1,
+                                        _feedback(mode), SolverConfig())
     rng = np.random.default_rng(s)
     x0 = scale * rng.normal(size=model.n)
     X = np.tile(x0, s) + 1e-2 * scale * rng.normal(size=s * model.n)
@@ -592,31 +608,66 @@ def test_pendulum_energy_is_one_h_call_per_state():
     assert np.array_equal(traj.dh_bar, np.diff([energy(x) for x in traj.states]))
 
 
-KRON_CASES = [(np.arange(6.0).reshape(2, 3) - 2.5, np.eye(3)),
-              (np.array([[1.0, -0.0], [np.pi, 1e-300]]),
-               np.array([[-2.0, 3.0], [0.0, np.e]])),
-              (np.eye(3), np.zeros((2, 0))),
-              (np.array([[0.5, 0.25, 0.25]]), np.eye(4))]
+def _kron_maps(model, scheme, h, mode):
+    """S, T, Delta and Gamma of the linear stepper from the sn x sn Kronecker
+    stage system it once built: the oracle of the maps it now takes from the
+    drift and the tableau."""
+    n, s, Is = model.n, scheme.s, np.eye(scheme.s)
+    Jc, Gc = model.J(np.zeros(n)), model.G(np.zeros(n))
+    # stacked drift -f = D X + IG w of the stage states X
+    D = np.kron(Is, Jc @ model.Q)
+    if mode is not None:
+        K = Is if mode == STAGEWISE else scheme.M
+        D -= 0.1 * np.kron(K, Gc @ Gc.T @ model.Q)
+    IG = np.kron(Is, Gc)
+    # A on every row, or A on the q rows and A_hat on the p rows of a pair
+    if scheme.A_hat is None or model.n_q is None:
+        tableau = np.kron(scheme.A, np.eye(n))
+    else:
+        on_q = (np.arange(n) < model.n_q).astype(float)
+        tableau = (np.kron(scheme.A, np.diag(on_q))
+                   + np.kron(scheme.A_hat, np.diag(1.0 - on_q)))
+    hT = h * tableau
+    # X = 1 (x) x0 - h T f  <=>  (I - h T D) X = 1 (x) x0 + h T IG w
+    ST = np.linalg.solve(np.eye(s * n) - hT @ D,
+                         np.hstack([np.tile(np.eye(n), (s, 1)), hT @ IG]))
+    S, T = ST[:, :n], ST[:, n:]
+    hB = h * np.kron(scheme.b[None], np.eye(n))
+    return S, T, hB @ D @ S, hB @ (D @ T + IG)
 
 
-@pytest.mark.parametrize("a,b", KRON_CASES)
-def test_kron_is_numpy_kron(a, b):
-    assert np.array_equal(_kron(a, b), np.kron(a, b))
-    assert _kron(a, b).shape == np.kron(a, b).shape
+def _chain5():
+    return _chain(5)
 
 
+@pytest.mark.parametrize("factory", [oscillator, partitioned_oscillator, _chain5])
 @pytest.mark.parametrize("kind,s", ALL_SCHEMES, ids=SCHEME_IDS)
-def test_stage_tableau_is_the_kron_sum(kind, s):
-    # bit for bit the tableau the np.kron form gave, monolithic and paired
-    scheme = coll.make_scheme(kind, s)
-    I2 = np.eye(2)
-    assert np.array_equal(_stage_tableau(oscillator(), scheme),
-                          np.kron(scheme.A, I2))
-    if kind == coll.LOBATTO:
-        pair = (np.kron(scheme.A, np.diag([1.0, 0.0]))
-                + np.kron(scheme.A_hat, np.diag([0.0, 1.0])))
-        assert np.array_equal(_stage_tableau(partitioned_oscillator(), scheme),
-                              pair)
+def test_linear_maps_are_the_kron_stage_system(kind, s, factory):
+    # the maps from one drift call on the unit stage states and inputs
+    # against the Kronecker form, open loop and under both feedback modes
+    model, scheme = factory(), coll.make_scheme(kind, s)
+    for mode in (None, "stagewise", "portlevel"):
+        stepper = _make_stepper(model, scheme, pulse_input(), 0.1, _feedback(mode))
+        assert type(stepper) is integrator._LinearStepper
+        got = (stepper.S, stepper.T, stepper.Delta, stepper.Gamma)
+        for name, a, b in zip("S T Delta Gamma".split(), got,
+                              _kron_maps(model, scheme, 0.1, mode)):
+            assert a.shape == b.shape, name
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), (name, mode)
+
+
+def test_linear_stepper_takes_exactly_the_q_and_constant_models():
+    # the stepper is the model's choice alone: the affine recurrence for
+    # gradH = Q x with constant J and G, Newton iteration for the rest
+    cases = [(oscillator, True), (partitioned_oscillator, True), (_chain5, True),
+             (rigid_body, False), (_pendulum, False)]
+    for factory, linear in cases:
+        model = factory()
+        assert linear == (model.Q is not None and model.constant_structure)
+        for scheme in (coll.make_scheme(coll.GAUSS, 2), coll.make_scheme(coll.LOBATTO, 3)):
+            stepper = _make_stepper(model, scheme, zero_input(model.m), 0.1, None)
+            want = integrator._LinearStepper if linear else integrator._NewtonStepper
+            assert type(stepper) is want, (factory.__name__, scheme.label)
 
 
 def _loop_states(Delta, x0, drive):
@@ -644,9 +695,10 @@ RECURRENCE_CASES = [
 
 
 @pytest.mark.parametrize("kind,s,mode", RECURRENCE_CASES)
-def test_chunked_run_matches_per_step_loop(kind, s, mode):
-    # step counts around a full square of chunks (L = 60) and a long run;
-    # Gauss on the oscillator, the Lobatto pair on the separable form
+def test_scan_run_matches_per_step_loop(kind, s, mode):
+    # the doubling scan of whole runs against the per-step loop: one to
+    # three steps, runs around 3600 steps and a long run; Gauss on the
+    # oscillator, the Lobatto pair on the separable form
     model = partitioned_oscillator() if kind == coll.LOBATTO else oscillator()
     stepper = _make_stepper(model, coll.make_scheme(kind, s), pulse_input(),
                             0.01, _feedback(mode), SolverConfig())
@@ -793,13 +845,13 @@ def test_solve_stages_rejects_non_finite_t0(t0):
                          np.ones(model.n), zero_input(model.m), t0, 0.1)
 
 
-@pytest.mark.parametrize("method", ["auto", "newton"])
+@pytest.mark.parametrize("method", ["auto", "newton"], indirect=True)
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_gauss_on_separable_model_is_the_monolithic_run(s, method):
     # Gauss takes A on every row of a separable model, so the (q, p) form
     # of the oscillator runs as the oscillator itself, bit for bit
-    scheme, cfg = coll.make_scheme(coll.GAUSS, s), SolverConfig(method=method)
-    runs = [simulate(factory(), scheme, X0, pulse_input(), 0.1, 18.0, cfg=cfg)
+    scheme = coll.make_scheme(coll.GAUSS, s)
+    runs = [simulate(factory(), scheme, X0, pulse_input(), 0.1, 18.0)
             for factory in (partitioned_oscillator, oscillator)]
     assert np.array_equal(runs[0].states, runs[1].states)
     assert np.max(np.abs(runs[0].dh_bar - runs[0].supplied)) <= 1e-14
@@ -832,13 +884,13 @@ def test_initial_state_validation(factory, x0):
         solve_stages(factory(), scheme, x0, zero_input(), 0.0, 0.1)
 
 
-@pytest.mark.parametrize("method", ["auto", "newton"])
+@pytest.mark.parametrize("method", ["auto", "newton"], indirect=True)
 def test_non_finite_state_reported(method):
     # the input turns NaN at t = 0.3; Gauss-1 first samples it on step 3
     signal = InputSignal(fn=lambda t: np.where(t >= 0.3, np.nan, 0.0)[:, None])
     with pytest.raises(SolverDivergenceError) as exc:
         simulate(oscillator(), coll.make_scheme(coll.GAUSS, 1), X0, signal,
-                 0.1, 1.0, cfg=SolverConfig(method=method, max_iter=3))
+                 0.1, 1.0, cfg=SolverConfig(max_iter=3))
     assert exc.value.step_index == 3
 
 
@@ -891,12 +943,12 @@ def test_feedback_on_portless_model_rejected():
                  zero_input(0), 0.1, 1.0, feedback=FeedbackConfig(r=5.0))
 
 
-@pytest.mark.parametrize("method", ["auto", "newton"])
+@pytest.mark.parametrize("method", ["auto", "newton"], indirect=True)
 def test_input_width_must_match_the_port(method):
     two = InputSignal(fn=lambda t: np.zeros((len(t), 2)))
     with pytest.raises(ConfigurationError, match="input signal has 2 channels"):
         simulate(oscillator(), coll.make_scheme(coll.GAUSS, 2), X0, two,
-                 0.1, 1.0, cfg=SolverConfig(method=method))
+                 0.1, 1.0)
 
 
 def test_feedback_run_takes_the_signal_as_v():
@@ -910,8 +962,8 @@ def test_feedback_run_takes_the_signal_as_v():
                     feedback=fb)
     assert np.array_equal(traj.states[:81], free.states[:81])
     assert not np.array_equal(traj.states[81], free.states[81])
-    assert traj.states[100].tolist() == [1.070834709465928, 0.946745070585376]
-    assert traj.states[180].tolist() == [0.5678238061650587, -0.8295909328450617]
+    assert traj.states[100].tolist() == [1.070834709465928, 0.9467450705853763]
+    assert traj.states[180].tolist() == [0.567823806165058, -0.8295909328450617]
 
 
 def test_two_step_chaining_is_exact():
