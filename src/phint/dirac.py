@@ -72,12 +72,6 @@ def drift(J, G, e, u=None) -> np.ndarray:
     return g
 
 
-def stage_flows(J, G, e, u) -> np.ndarray:
-    """Stage flows f with -f_i = J_i e_i + G_i u_i (see drift)."""
-    f = drift(J, G, e, u)
-    return np.negative(f, out=f)
-
-
 def structure_residual(J, G, f, e, u):
     """Max-norm defect of (f_i + J_i e_i) + G_i u_i over the stages of each
     interval; a stack broadcast from one matrix (stride 0 on the leading axes,

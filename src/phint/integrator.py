@@ -17,8 +17,9 @@ through simplified Newton iteration on the stacked stage states, one interval
 at a time, with a finite-difference iteration matrix and start values carried
 from the previous interval, writing each step into preallocated run arrays
 (rigid body, h = 0.01: 70, 65, 56 and 58 us/step for Gauss 1-4 from
-(1, 1, 1), 137-240 from (100, 100, 100), 2-core x86-64 host).  Both feed one
-stacked pass that forms f, e, u and y.
+(1, 1, 1), 137-240 from (100, 100, 100), 2-core x86-64 host).  Both record
+u and f = -g as their one evaluation of the drift at the accepted stage
+states formed them; only the output y takes a second stacked pass.
 """
 from __future__ import annotations
 
@@ -29,26 +30,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .dirac import assemble_blocks, discrete_output, drift, efforts, stage_flows
+from .dirac import assemble_blocks, discrete_output, drift, efforts
 from .energy import delta_h_bar, delta_h_tilde, supplied_energy
 from .errors import ConfigurationError, SolverDivergenceError
-from .models import STAGEWISE
+from .models import STAGEWISE, _check_finite
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-12
-    max_iter: int = 50
-
-    def __post_init__(self):
-        # bool is an int to isinstance, so True would pass as 1 or 1.0
-        real = (int, float, np.integer, np.floating)
-        if isinstance(self.tol, bool) or not isinstance(self.tol, real):
-            raise ConfigurationError(f"tol must be a real number, got {self.tol!r}")
-        _check_finite("tol", self.tol, positive=True)
-        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
-                or self.max_iter < 1):
-            raise ConfigurationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+# Newton stops once max|R| <= TOL, and reports a divergence after MAX_ITER
+# residual evaluations of one attempt
+TOL, MAX_ITER = 1e-12, 50
 
 
 @dataclass(frozen=True)
@@ -113,8 +102,8 @@ class _Stepper:
     rows.  run(x0, t0) returns the states (N+1, n) and the stacked
     StageSolution of the intervals starting at t0."""
 
-    def __init__(self, model, scheme, input_signal, h, feedback, cfg):
-        self.model, self.scheme, self.h, self.cfg = model, scheme, h, cfg
+    def __init__(self, model, scheme, input_signal, h, feedback):
+        self.model, self.scheme, self.h = model, scheme, h
         self.n, self.s, self.m = model.n, scheme.s, model.m
         self.n_q = model.n_q if scheme.A_hat is not None else None
         # J and G at stage states; a linear stepper's constant pair instead
@@ -137,31 +126,28 @@ class _Stepper:
                                      f"model {self.model.name!r} has {port}")
         return w
 
-    def _port_inputs(self, e, G, w):
-        """Stage inputs u of efforts e under port structure G and signal w."""
-        return w if self.K is None else w - self.r * discrete_output(self.K, G, e)
-
     def _drift(self, stage_x, w, stage_sum=False):
-        """Efforts, J, G, drift g and, with stage_sum, h A g (else None, as
-        a Newton step's bond pass needs no h A g) at stage states
+        """Efforts, G, inputs u, drift g and, with stage_sum, h A g (else
+        None, as a Newton step's bond pass needs no h A g) at stage states
         (..., s, n) under the stage signals w (..., s, m)."""
         e = efforts(self.model, stage_x)
         J, G = self._blocks(self.model, stage_x, self.scheme)
-        g = drift(J, G, e, self._port_inputs(e, G, w) if self.m else None)
+        u = w if self.K is None else w - self.r * discrete_output(self.K, G, e)
+        g = drift(J, G, e, u if self.m else None)
         if not stage_sum:
-            return e, J, G, g, None
+            return e, G, u, g, None
         hAg = self.scheme.A @ g
         if self.n_q is not None:
             hAg[..., self.n_q:] = self.scheme.A_hat @ g[..., self.n_q:]
         hAg *= self.h
-        return e, J, G, g, hAg
+        return e, G, u, g, hAg
 
-    def _solution(self, t0, states, stage_x, e, J, G, w, **solver) -> StageSolution:
-        """Bond variables of every interval of a run, in one stacked pass."""
-        u = self._port_inputs(e, G, w)
-        y = discrete_output(self.scheme.M, G, e)
+    def _solution(self, t0, states, stage_x, e, G, u, g, **solver) -> StageSolution:
+        """The run's intervals from the bond pass of its stage states: the
+        flows f = -g in the drift's place, and the output y."""
         return StageSolution(t0=t0, h=self.h, x0=states[:-1], stage_x=stage_x,
-                             f=stage_flows(J, G, e, u), e=e, u=u, y=y,
+                             f=np.negative(g, out=g), e=e, u=u,
+                             y=discrete_output(self.scheme.M, G, e),
                              x_end=states[1:], **solver)
 
 
@@ -173,7 +159,7 @@ class _LinearStepper(_Stepper):
     def __init__(self, *args):
         super().__init__(*args)
         n, s, sn = self.n, self.s, self.s * self.n
-        self.Jc, self.Gc = J, G = self.model.J(np.zeros(n)), self.model.G(np.zeros(n))
+        J, G = self.model.J(np.zeros(n)), self.model.G(np.zeros(n))
         self._blocks = lambda *_: (J, G)
         # the stage equations are affine in (X, w): row k of g and h A g is
         # their response to unit k of the stacked stage states X (w = 0),
@@ -201,8 +187,7 @@ class _LinearStepper(_Stepper):
         X += wf @ self.T.T
         stage_x = X.reshape(len(t0), self.s, self.n)
         return states, self._solution(t0, states, stage_x,
-                                      efforts(self.model, stage_x), self.Jc,
-                                      self.Gc, w)
+                                      *self._drift(stage_x, w)[:4])
 
 
 # largest state dimension advanced by the doubling scan.  Its log2(N) passes
@@ -269,12 +254,12 @@ class _NewtonStepper(_Stepper):
         contracts by less than a factor 0.1; a warm attempt gives up when its
         second residual does not halve.  Counts its residual evaluations in
         self.iterations and returns the stages and the last residual."""
-        tol, res = self.cfg.tol, math.inf
-        for it in range(self.cfg.max_iter):
+        res = math.inf
+        for it in range(MAX_ITER):
             R = self._residual(X, x0, w)
             self.iterations += 1
             prev, res = res, float(np.abs(R).max())
-            if res <= tol:
+            if res <= TOL:
                 # the last correction needs no further residual evaluation
                 return (X if self.inv is None else X - self.inv @ R), res
             if not math.isfinite(res) or (warm and it == 1 and res > 0.5 * prev):
@@ -283,14 +268,14 @@ class _NewtonStepper(_Stepper):
                 self._rebuild(X, R, x0, w)
             X = X - self.inv @ R
         raise SolverDivergenceError(
-            f"stage equations did not converge below {tol} "
-            f"in {self.cfg.max_iter} iterations", residual=res)
+            f"stage equations did not converge below {TOL} "
+            f"in {MAX_ITER} iterations", residual=res)
 
     def run(self, x0, t0):
         w = self._inputs(t0)
         N, s, n = len(t0), self.s, self.n
         states, stage_x, e = np.empty((N + 1, n)), np.empty((N, s, n)), np.empty((N, s, n))
-        J, G = np.empty((N, s, n, n)), np.empty((N, s, n, self.m))
+        G, u, g = np.empty((N, s, n, self.m)), np.empty((N, s, self.m)), np.empty((N, s, n))
         its, res = np.empty(N, dtype=int), np.empty(N)
         # E[i, j] = int_0^{1 + c_i} l_j carries the polynomial to the next nodes
         E = dense_weights(self.scheme, 1.0 + self.scheme.c).T
@@ -311,20 +296,20 @@ class _NewtonStepper(_Stepper):
                 raise
             its[k] = self.iterations
             stage_x[k] = X = X.reshape(s, n)
-            e[k], J[k], G[k], g, _ = self._drift(X, w[k])
+            e[k], G[k], u[k], g[k], _ = self._drift(X, w[k])
             # x - h b'f and x - h E f with f = -g
-            states[k + 1] = x + self.h * (self.scheme.b @ g)
-            guess = (x + self.h * (E @ g)).ravel()
-        return states, self._solution(t0, states, stage_x, e, J, G, w,
+            states[k + 1] = x + self.h * (self.scheme.b @ g[k])
+            guess = (x + self.h * (E @ g[k])).ravel()
+        return states, self._solution(t0, states, stage_x, e, G, u, g,
                                       iterations=its, residual=res)
 
 
-def _make_stepper(model, scheme, input_signal, h, feedback, cfg=None):
+def _make_stepper(model, scheme, input_signal, h, feedback):
     """The affine recurrence for a model with gradH = Q x and constant
     structure, Newton iteration for any other."""
     linear = model.Q is not None and model.constant_structure
     return (_LinearStepper if linear else _NewtonStepper)(
-        model, scheme, input_signal, h, feedback, cfg or SolverConfig())
+        model, scheme, input_signal, h, feedback)
 
 
 def _initial_state(model, x0) -> np.ndarray:
@@ -336,20 +321,14 @@ def _initial_state(model, x0) -> np.ndarray:
     return x0
 
 
-def _check_finite(name, value, positive=False):
-    if not np.isfinite(value) or (positive and value <= 0):
-        need = "finite and positive" if positive else "finite"
-        raise ConfigurationError(f"{name} must be {need}, got {value}")
-
-
 def solve_stages(model, scheme, x0, input_signal, t0, h,
-                 cfg: SolverConfig | None = None, feedback=None) -> StageSolution:
+                 feedback=None) -> StageSolution:
     """Solve the implicit stage equations of one sampling interval: the
     one-interval run of the stepper simulate uses."""
     _check_finite("step size h", h, positive=True)
     _check_finite("t0", t0)
     x0 = _initial_state(model, x0)
-    stepper = _make_stepper(model, scheme, input_signal, h, feedback, cfg)
+    stepper = _make_stepper(model, scheme, input_signal, h, feedback)
     _, sol = stepper.run(x0, np.array([float(t0)]))
     return _Intervals(sol)[0]
 
@@ -373,8 +352,7 @@ def dense_eval(sol: StageSolution, scheme, tau: float) -> np.ndarray:
 
 
 def simulate(model, scheme, x0, input_signal, h, t_end,
-             feedback=None, cfg: SolverConfig | None = None,
-             retain_stages: bool = False) -> Trajectory:
+             feedback=None, retain_stages: bool = False) -> Trajectory:
     """Run N = t_end / h fixed steps, chaining intervals and recording the
     per-step energy triple (dH_tilde, dH_bar, supplied).  A state or energy
     that turns non-finite raises SolverDivergenceError with the index of the
@@ -386,7 +364,7 @@ def simulate(model, scheme, x0, input_signal, h, t_end,
     if N < 1 or abs(n_float - N) > 1e-9 * max(1.0, N):
         raise ConfigurationError(f"t_end/h = {n_float} is not an integer step count")
     x = _initial_state(model, x0)
-    stepper = _make_stepper(model, scheme, input_signal, h, feedback, cfg)
+    stepper = _make_stepper(model, scheme, input_signal, h, feedback)
     # overflow is reported below with its step index, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         states, sol = stepper.run(x, np.arange(N) * h)

@@ -57,6 +57,17 @@ def _energy_matrix(Q, n) -> np.ndarray:
     return Q
 
 
+def _check_finite(name, value, positive=False, low=None):
+    """Reject a value that is not a real number (a bool too: True would pass
+    as 1), not finite, not positive when positive is set, or below low."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+    if not np.isfinite(value) or (positive and value <= 0) or (low is not None and value < low):
+        need = ("finite and positive" if positive
+                else "finite" if low is None else f"finite and >= {low:g}")
+        raise ConfigurationError(f"{name} must be {need}, got {value}")
+
+
 @dataclass(frozen=True)
 class InputSignal:
     """Time function t -> R^m, defined for all t >= 0.  fn is array-valued:
@@ -97,8 +108,7 @@ class FeedbackConfig:
     mode: str = STAGEWISE
 
     def __post_init__(self):
-        if not (np.isfinite(self.r) and self.r >= 0):
-            raise ConfigurationError(f"damping gain r must be finite and >= 0, got {self.r}")
+        _check_finite("damping gain r", self.r, low=0.0)
         if self.mode not in (STAGEWISE, PORTLEVEL):
             raise ConfigurationError(f"unknown feedback mode {self.mode!r}")
 

@@ -1,7 +1,9 @@
 """The benchmark's traced run wraps phint's public functions by name
 (perfbench/tracing.py).  Installing its tracer on the imported package, running
 a traced check and a traced Newton run, and undoing the patches must work, so
-that renaming a wrapped function fails here rather than in the benchmark."""
+that renaming a wrapped function fails here rather than in the benchmark.  One
+block of every workload must also pass its gates through the benchmark's own
+runner."""
 import importlib
 import pathlib
 from types import SimpleNamespace
@@ -75,3 +77,31 @@ def test_tracer_wraps_and_restores_phint(tracing, capsys):
     assert tracing.newton_builds(newton["j_calls"], newton["s"], newton["n"],
                                  newton["steps"], newton["iterations"]) >= 1
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("name", ["oscillator-sweep", "rigid-newton",
+                                  "dirac-check", "dense-output"])
+def test_workload_block_runs_on_the_imported_package(workloads, name, tmp_path):
+    # block 0 of the workload through the benchmark's runner, with its Setup
+    # built from the modules imported here rather than a fresh import: every
+    # op passes its gate, and only Newton from scale 1e3 may diverge
+    workload = workloads.WORKLOADS[name]
+    factories = {"oscillator": phint.models.oscillator,
+                 "partitioned-oscillator": phint.models.partitioned_oscillator,
+                 "rigid-body": phint.models.rigid_body}
+    st = workloads.Setup(
+        PROG, {key: phint.collocation.make_scheme(*key) for key in workload.schemes},
+        {model: factories[model]() for model in workload.models},
+        {"pulse": phint.models.pulse_input(), "none": phint.models.zero_input(0)},
+        [workload.block(1, 0)])
+    runner = workloads.Runner(st, tmp_path)
+    for op in st.blocks[0]:
+        result = runner.run(op)
+        allowed = {"ok", "diverged"} if op.label.endswith("scale 1000") else {"ok"}
+        assert result.status in allowed, (op.label, result.status, result.detail)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import phint.collocation as coll
-from phint.dirac import (assemble_blocks, discrete_output, kernel_check,
-                         power_residual, stage_flows, structure_residual)
+from phint.dirac import (assemble_blocks, discrete_output, drift, kernel_check,
+                         power_residual, structure_residual)
 from phint.integrator import StageSolution, simulate, solve_stages
 from phint.models import (FeedbackConfig, PHModel, oscillator,
                           partitioned_oscillator, pulse_input, rigid_body,
@@ -118,7 +118,7 @@ def consistent_bond(blocks, scheme, e, u, h):
     e2 = e.reshape(s, n)
     u2 = u.reshape(s, m)
     return StageSolution(t0=0.0, h=h, x0=None, stage_x=None,
-                         f=stage_flows(J, G, e2, u2), e=e2, u=u2,
+                         f=-drift(J, G, e2, u2), e=e2, u=u2,
                          y=discrete_output(scheme.M, G, e2), x_end=None)
 
 

@@ -1,6 +1,7 @@
 """Stage solves, stepping, dense output, conservation and solver dispatch."""
 import importlib
 import pathlib
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -9,12 +10,12 @@ import pytest
 import phint.collocation as coll
 import phint.integrator as integrator
 from phint.cli import DEFAULT_H_LIST
-from phint.dirac import assemble_blocks, discrete_output, efforts, stage_flows
+from phint.dirac import assemble_blocks, discrete_output, drift, efforts
 from phint.energy import delta_h_bar, delta_h_tilde, supplied_energy
 from phint.errors import ConfigurationError, SolverDivergenceError
-from phint.integrator import (SCAN_MAX_N, SolverConfig, StageSolution,
-                              _affine_states, _make_stepper, dense_eval,
-                              dense_weights, simulate, solve_stages)
+from phint.integrator import (SCAN_MAX_N, StageSolution, _affine_states,
+                              _make_stepper, dense_eval, dense_weights,
+                              simulate, solve_stages)
 from phint.models import (STAGEWISE, FeedbackConfig, InputSignal, PHModel,
                           mechanical, oscillator, partitioned_oscillator,
                           pulse_input, rigid_body, zero_input)
@@ -259,41 +260,42 @@ def test_simulate_samples_the_input_once():
     assert np.array_equal(traj.states, reference.states)
 
 
-def test_solver_dispatch_errors():
-    with pytest.raises(ConfigurationError):
-        SolverConfig(tol=-1.0)
+NOT_REAL = [True, False, np.True_, "0.1", None, [0.1], 1j]
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"tol": 0.0}, {"tol": np.inf}, {"tol": np.nan},
-    {"max_iter": 0}, {"max_iter": 2.5}])
-def test_solver_config_needs_finite_tol_and_integer_max_iter(kwargs):
-    # tol = inf would accept unconverged stages silently, tol = nan would run
-    # every iteration and then report a divergence
-    with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
-        SolverConfig(**kwargs)
+@pytest.mark.parametrize("value", NOT_REAL, ids=repr)
+@pytest.mark.parametrize("name", ["h", "t_end", "t0"])
+def test_run_arguments_must_be_real_numbers(name, value):
+    # True would run as h = 1 (t_end = 2.0 gave 2 steps), and a string or
+    # None would fail inside numpy with a bare TypeError
+    scheme, match = coll.make_scheme(coll.GAUSS, 2), f"{name} must be a real number"
+    args = {"h": 0.1, "t_end": 1.0, "t0": 0.0, name: value}
+    for model in (oscillator(), rigid_body()):
+        x0, signal = np.ones(model.n), zero_input(model.m)
+        if name != "t0":
+            with pytest.raises(ConfigurationError, match=match):
+                simulate(model, scheme, x0, signal, args["h"], args["t_end"])
+        if name != "t_end":
+            with pytest.raises(ConfigurationError, match=match):
+                solve_stages(model, scheme, x0, signal, args["t0"], args["h"])
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"tol": True}, {"tol": "1e-9"}, {"tol": None}, {"tol": np.True_},
-    {"max_iter": True}, {"max_iter": "5"}, {"max_iter": np.True_}])
-def test_solver_config_rejects_bool_and_non_numeric(kwargs):
-    # True would pass as 1 or 1.0, and a string would fail inside numpy
-    with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
-        SolverConfig(**kwargs)
+def test_run_arguments_take_numpy_numbers():
+    scheme = coll.make_scheme(coll.GAUSS, 2)
+    want = simulate(oscillator(), scheme, X0, pulse_input(), 0.5, 10.0)
+    got = simulate(oscillator(), scheme, X0, pulse_input(), np.float64(0.5), np.int64(10))
+    assert np.array_equal(got.states, want.states)
+    sol = solve_stages(oscillator(), scheme, X0, pulse_input(), np.int64(8), np.float64(0.5))
+    assert np.array_equal(sol.x_end,
+                          solve_stages(oscillator(), scheme, X0, pulse_input(), 8.0, 0.5).x_end)
 
 
-def test_solver_config_takes_numpy_numbers():
-    cfg = SolverConfig(tol=np.float64(1e-10), max_iter=np.int64(7))
-    assert cfg.tol == 1e-10 and cfg.max_iter == 7
-    assert SolverConfig(tol=1).tol == 1
-
-
-def test_solver_divergence_reported():
-    cfg = SolverConfig(tol=1e-15, max_iter=1)
-    with pytest.raises(SolverDivergenceError) as exc:
+def test_solver_divergence_reported(monkeypatch):
+    monkeypatch.setattr(integrator, "TOL", 1e-15)
+    monkeypatch.setattr(integrator, "MAX_ITER", 1)
+    with pytest.raises(SolverDivergenceError, match="below 1e-15 in 1 iter") as exc:
         simulate(rigid_body(), coll.make_scheme(coll.GAUSS, 2),
-                 np.array([1.0, 1.0, 1.0]), zero_input(0), 0.5, 1.0, cfg=cfg)
+                 np.array([1.0, 1.0, 1.0]), zero_input(0), 0.5, 1.0)
     assert exc.value.step_index == 0
     assert exc.value.residual > 0.0
 
@@ -357,14 +359,17 @@ def test_newton_work_budget(monkeypatch):
 
 class _PerStepNewton(integrator._Stepper):
     """The Newton loop as it was before its run record was preallocated: a
-    negated flow at every iterate, a tuple per step and one restack at the
-    end.  The oracle of the differential tests below."""
+    negated flow at every iterate, a tuple per step, one restack at the end
+    and a second stacked pass over the restacked J and G for u, f and y.  The
+    oracle of the differential tests below."""
+
+    def _inputs_of(self, e, G, w):
+        return w if self.K is None else w - self.r * discrete_output(self.K, G, e)
 
     def _bonds(self, stage_x, w):
         e = efforts(self.model, stage_x)
         J, G = assemble_blocks(self.model, stage_x, self.scheme)
-        u = w if self.K is None else w - self.r * discrete_output(self.K, G, e)
-        return e, J, G, stage_flows(J, G, e, u)
+        return e, J, G, -drift(J, G, e, self._inputs_of(e, G, w))
 
     def _residual(self, X, x0, w):
         stage_x = X.reshape(X.shape[:-1] + (self.s, self.n))
@@ -383,8 +388,8 @@ class _PerStepNewton(integrator._Stepper):
             raise SolverDivergenceError("stage Jacobian is singular") from None
 
     def _newton(self, X, x0, w, warm):
-        tol, res = self.cfg.tol, np.inf
-        for it in range(self.cfg.max_iter):
+        tol, res = integrator.TOL, np.inf
+        for it in range(integrator.MAX_ITER):
             R = self._residual(X, x0, w)
             self.iterations += 1
             prev, res = res, float(np.max(np.abs(R)))
@@ -398,7 +403,7 @@ class _PerStepNewton(integrator._Stepper):
             X = X - self.inv @ R
         raise SolverDivergenceError(
             f"stage equations did not converge below {tol} "
-            f"in {self.cfg.max_iter} iterations", residual=res)
+            f"in {integrator.MAX_ITER} iterations", residual=res)
 
     def _step(self, x0, w, guess):
         self.iterations = 0
@@ -430,8 +435,12 @@ class _PerStepNewton(integrator._Stepper):
             x = steps[-1][-1]
         stage_x, e, J, G, _, its, res, x_end = map(np.array, zip(*steps))
         states = np.vstack([x0, x_end])
-        return states, self._solution(t0, states, stage_x, e, J, G, w,
-                                      iterations=its, residual=res)
+        u = self._inputs_of(e, G, w)
+        return states, StageSolution(
+            t0=t0, h=self.h, x0=states[:-1], stage_x=stage_x,
+            f=-drift(J, G, e, u), e=e, u=u,
+            y=discrete_output(self.scheme.M, G, e), x_end=states[1:],
+            iterations=its, residual=res)
 
 
 def _run_bytes(*args, **kwargs):
@@ -561,7 +570,7 @@ def test_stacked_jacobian_build_matches_column_loop(factory, kind, s, scale, mod
     model, scheme = factory(), coll.make_scheme(kind, s)
     signal = pulse_input() if model.m else zero_input(0)
     stepper = integrator._NewtonStepper(model, scheme, signal, 0.1,
-                                        _feedback(mode), SolverConfig())
+                                        _feedback(mode))
     rng = np.random.default_rng(s)
     x0 = scale * rng.normal(size=model.n)
     X = np.tile(x0, s) + 1e-2 * scale * rng.normal(size=s * model.n)
@@ -606,6 +615,39 @@ def test_pendulum_energy_is_one_h_call_per_state():
                     0.5, 10.0)
     assert len(calls) == len(traj.states) == 21
     assert np.array_equal(traj.dh_bar, np.diff([energy(x) for x in traj.states]))
+
+
+def _pendula(cells):
+    """Chain of unit pendula joined by unit springs, 2 cells states: H is not
+    quadratic (no Q) and the structure is constant, so it runs on Newton."""
+    Z, I = np.zeros((cells, cells)), np.eye(cells)
+    J = np.block([[Z, I], [-I, Z]])
+
+    def gradH(x):
+        q, d = x[:cells], np.diff(x[:cells])
+        return np.concatenate([np.sin(q) + np.append(-d, 0.0) + np.insert(d, 0, 0.0),
+                               x[cells:]])
+
+    return PHModel(2 * cells, 0, gradH=gradH, J=lambda x: J,
+                   H=lambda x: (0.5 * (x[cells:] @ x[cells:]) + np.sum(1.0 - np.cos(x[:cells]))
+                                + 0.5 * np.sum(np.diff(x[:cells]) ** 2)),
+                   G=lambda x: np.zeros((2 * cells, 0)), constant_structure=True)
+
+
+def test_newton_run_keeps_no_structure_record():
+    # a 40-state Newton run records the bond of its steps, not J: its traced
+    # peak stays below half of the N s n^2 doubles of an (N, s, n, n) J record
+    model, scheme, N = _pendula(20), coll.make_scheme(coll.GAUSS, 2), 50
+    x0 = np.concatenate([np.linspace(-1.0, 1.0, 20), np.zeros(20)])
+    tracemalloc.start()
+    try:
+        traj = simulate(model, scheme, x0, zero_input(0), 0.05, N * 0.05,
+                        retain_stages=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.stages.f.shape == (N, scheme.s, model.n)
+    assert peak < 0.5 * N * scheme.s * model.n ** 2 * 8
 
 
 def _kron_maps(model, scheme, h, mode):
@@ -701,7 +743,7 @@ def test_scan_run_matches_per_step_loop(kind, s, mode):
     # oscillator, the Lobatto pair on the separable form
     model = partitioned_oscillator() if kind == coll.LOBATTO else oscillator()
     stepper = _make_stepper(model, coll.make_scheme(kind, s), pulse_input(),
-                            0.01, _feedback(mode), SolverConfig())
+                            0.01, _feedback(mode))
     for N in (1, 2, 3, 3599, 3600, 3601, 36000):
         t0 = np.arange(N) * 0.01
         states, sol = stepper.run(X0, t0)
@@ -779,7 +821,7 @@ def test_large_chain_keeps_the_per_step_loop(monkeypatch):
     model, N = _chain(100), 400
     assert model.n > SCAN_MAX_N
     stepper = _make_stepper(model, coll.make_scheme(coll.LOBATTO, 3),
-                            pulse_input(), 0.05, None, SolverConfig())
+                            pulse_input(), 0.05, None)
     x0 = np.random.default_rng(5).normal(size=model.n)
     t0 = np.arange(N) * 0.05
     states, _ = stepper.run(x0, t0)
@@ -796,10 +838,10 @@ def _stacked_efforts(model, states):
     return states @ model.Q.T
 
 
-def _stacked_flows(J, G, e, u):
-    """-f_i = J e_i + G u_i as one matvec per stage: the oracle of the
-    single-GEMM stage flows."""
-    return -(np.matvec(J, e) + np.matvec(G, u))
+def _stacked_drift(J, G, e, u):
+    """J e_i + G u_i = -f_i as one matvec per stage: the oracle of the
+    single-GEMM drift."""
+    return np.matvec(J, e) + np.matvec(G, u)
 
 
 def _stacked_output(K, G, e):
@@ -819,7 +861,7 @@ def test_shared_matrix_products_match_per_interval_forms(kind, s, monkeypatch):
             0.01, 10.0)
     gemm = simulate(*args, retain_stages=True)
     monkeypatch.setattr(integrator, "efforts", _stacked_efforts)
-    monkeypatch.setattr(integrator, "stage_flows", _stacked_flows)
+    monkeypatch.setattr(integrator, "drift", _stacked_drift)
     monkeypatch.setattr(integrator, "discrete_output", _stacked_output)
     oracle = simulate(*args, retain_stages=True)
     for got, want in [(gemm.states, oracle.states),
@@ -890,7 +932,7 @@ def test_non_finite_state_reported(method):
     signal = InputSignal(fn=lambda t: np.where(t >= 0.3, np.nan, 0.0)[:, None])
     with pytest.raises(SolverDivergenceError) as exc:
         simulate(oscillator(), coll.make_scheme(coll.GAUSS, 1), X0, signal,
-                 0.1, 1.0, cfg=SolverConfig(max_iter=3))
+                 0.1, 1.0)
     assert exc.value.step_index == 3
 
 

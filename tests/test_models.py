@@ -178,3 +178,16 @@ def test_feedback_config_validation():
     with pytest.raises(ConfigurationError):
         FeedbackConfig(r=0.1, mode="perstep")
 
+
+@pytest.mark.parametrize("r", [True, False, np.True_, "0.1", None, [0.1], 1j], ids=repr)
+def test_feedback_gain_must_be_a_real_number(r):
+    # True and np.True_ would act as gain 1, and a string or None would fail
+    # inside numpy with a bare TypeError
+    with pytest.raises(ConfigurationError, match="damping gain r must be a real number"):
+        FeedbackConfig(r=r)
+
+
+def test_feedback_gain_takes_numpy_numbers():
+    assert FeedbackConfig(r=np.float64(0.25)).r == 0.25
+    assert FeedbackConfig(r=np.int64(2)).r == 2
+
