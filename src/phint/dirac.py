@@ -17,23 +17,30 @@ from .energy import delta_h_tilde, supplied_energy
 def assemble_blocks(model, states, scheme=None):
     """Stacks J(x) and G(x) over states (..., n), the stage states
     (..., s, n) of the scheme's intervals when one is given; returns
-    (..., n, n) and (..., n, m).  A constant-structure model is evaluated once
-    and broadcast (read-only views), any other model once per state, and G not
-    at all when the model has no port."""
+    (..., n, n) and (..., n, m), by _stack_blocks after a shape check (an
+    empty G for a model without a port)."""
     X = np.asarray(states, dtype=float)
-    n, m = model.n, model.m
-    shape = (n,) if scheme is None else (scheme.s, n)
+    shape = (model.n,) if scheme is None else (scheme.s, model.n)
     if X.shape[-len(shape):] != shape:
         raise ValueError(f"expected states of shape (..., "
                          f"{', '.join(map(str, shape))}), got shape {X.shape}")
-    flat = X.reshape(-1, n)
+    J, G = _stack_blocks(model, X)
+    return J, np.zeros(X.shape + (0,)) if G is None else G
+
+
+def _stack_blocks(model, X):
+    """J(x) and G(x) over the float states X (..., n), unchecked: a
+    constant-structure model is evaluated once and broadcast (read-only
+    views), any other once per state; G is None, never called, without a port."""
+    n, m, flat = model.n, model.m, X if X.ndim == 2 else X.reshape(-1, model.n)
     if model.constant_structure:
         return (np.broadcast_to(model.J(flat[0]), X.shape + (n,)),
-                np.broadcast_to(model.G(flat[0]), X.shape + (m,)))
-    J = np.array([model.J(x) for x in flat]).reshape(X.shape + (n,))
-    G = (np.array([model.G(x) for x in flat]) if m
-         else np.zeros(0)).reshape(X.shape + (m,))
-    return J, G
+                np.broadcast_to(model.G(flat[0]), X.shape + (m,)) if m else None)
+    J = np.array([model.J(x) for x in flat])
+    G = np.array([model.G(x) for x in flat]) if m else None
+    if X.ndim == 2:  # rows of states: the stacks need no reshape
+        return J, G
+    return J.reshape(X.shape + (n,)), G if G is None else G.reshape(X.shape + (m,))
 
 
 def _apply(A, x) -> np.ndarray:

@@ -16,10 +16,10 @@ plus one pass that adds up the per-step increments as the per-step loop does
 through simplified Newton iteration on the stacked stage states, one interval
 at a time, with a finite-difference iteration matrix and start values carried
 from the previous interval, writing each step into preallocated run arrays
-(rigid body, h = 0.01: 70, 65, 56 and 58 us/step for Gauss 1-4 from
-(1, 1, 1), 137-240 from (100, 100, 100), 2-core x86-64 host).  Both record
-u and f = -g as their one evaluation of the drift at the accepted stage
-states formed them; only the output y takes a second stacked pass.
+(rigid body, h = 0.01: 47, 42, 37 and 38 us/step for Gauss 1-4 from
+(1, 1, 1), 91-151 from (100, 100, 100), 2-core x86-64 host), deciding once
+per run how the drift is evaluated.  Both record u and f = -g from their one
+drift evaluation at the accepted stages; only y takes a second stacked pass.
 """
 from __future__ import annotations
 
@@ -30,14 +30,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .dirac import assemble_blocks, discrete_output, drift, efforts
+from .dirac import _stack_blocks, discrete_output, drift, efforts
 from .energy import delta_h_bar, delta_h_tilde, supplied_energy
 from .errors import ConfigurationError, SolverDivergenceError
 from .models import STAGEWISE, _check_finite
 
 # Newton stops once max|R| <= TOL, and reports a divergence after MAX_ITER
 # residual evaluations of one attempt
-TOL, MAX_ITER = 1e-12, 50
+TOL, MAX_ITER, SQRT_EPS = 1e-12, 50, math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,7 @@ class StageSolution:
     x_end: np.ndarray
     iterations: int = 0  # Newton residual evaluations, FD columns excluded
     residual: float = 0.0
+    builds: int = 0      # finite-difference Jacobian builds
 
 
 @dataclass
@@ -106,8 +107,9 @@ class _Stepper:
         self.model, self.scheme, self.h = model, scheme, h
         self.n, self.s, self.m = model.n, scheme.s, model.m
         self.n_q = model.n_q if scheme.A_hat is not None else None
-        # J and G at stage states; a linear stepper's constant pair instead
-        self._blocks = assemble_blocks
+        # decided once for _drift: Q' of the efforts (None: gradH per state),
+        # J and G at stage states (a linear stepper's constant pair instead)
+        self.QT, self._blocks = None if model.Q is None else model.Q.T, _stack_blocks
         self.signal = input_signal
         if feedback is not None and self.m == 0:
             raise ConfigurationError("feedback requires a model with a port")
@@ -130,8 +132,10 @@ class _Stepper:
         """Efforts, G, inputs u, drift g and, with stage_sum, h A g (else
         None, as a Newton step's bond pass needs no h A g) at stage states
         (..., s, n) under the stage signals w (..., s, m)."""
-        e = efforts(self.model, stage_x)
-        J, G = self._blocks(self.model, stage_x, self.scheme)
+        # e = X Q' of a Newton iterate's (s, n) stages as efforts forms it
+        e = (stage_x @ self.QT if self.QT is not None and stage_x.ndim == 2
+             else efforts(self.model, stage_x))
+        J, G = self._blocks(self.model, stage_x)
         u = w if self.K is None else w - self.r * discrete_output(self.K, G, e)
         g = drift(J, G, e, u if self.m else None)
         if not stage_sum:
@@ -144,10 +148,10 @@ class _Stepper:
 
     def _solution(self, t0, states, stage_x, e, G, u, g, **solver) -> StageSolution:
         """The run's intervals from the bond pass of its stage states: the
-        flows f = -g in the drift's place, and the output y."""
+        flows f = -g in the drift's place and the output y (empty, portless)."""
+        y = discrete_output(self.scheme.M, G, e) if self.m else np.empty(u.shape)
         return StageSolution(t0=t0, h=self.h, x0=states[:-1], stage_x=stage_x,
-                             f=np.negative(g, out=g), e=e, u=u,
-                             y=discrete_output(self.scheme.M, G, e),
+                             f=np.negative(g, out=g), e=e, u=u, y=y,
                              x_end=states[1:], **solver)
 
 
@@ -233,6 +237,8 @@ class _NewtonStepper(_Stepper):
     previous interval's collocation polynomial at its nodes; if that warm
     attempt fails, the step restarts from x0 with a fresh Jacobian."""
 
+    eye = cached_property(lambda self: np.eye(self.s * self.n))
+
     def _residual(self, X, x0, w):
         """Residuals (stage_x - x0) - h A g (..., s n) of stage states X (..., s n)."""
         stage_x = X.reshape(X.shape[:-1] + (self.s, self.n))
@@ -242,8 +248,8 @@ class _NewtonStepper(_Stepper):
     def _rebuild(self, X, R, x0, w):
         """Invert the finite-difference Jacobian of the residual at X: its
         column k is row k of the residuals of the stacked guesses X + fd I."""
-        fd_step = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(x0))
-        Rp = self._residual(X + fd_step * np.eye(X.size), x0, w)
+        fd_step = SQRT_EPS * (1.0 + math.sqrt(x0 @ x0))
+        Rp = self._residual(X + fd_step * self.eye, x0, w)
         try:
             self.inv = np.linalg.inv(((Rp - R) / fd_step).T)
         except np.linalg.LinAlgError:
@@ -252,8 +258,8 @@ class _NewtonStepper(_Stepper):
     def _newton(self, X, x0, w, warm):
         """Iterate from X with the carried matrix, rebuilt when the residual
         contracts by less than a factor 0.1; a warm attempt gives up when its
-        second residual does not halve.  Counts its residual evaluations in
-        self.iterations and returns the stages and the last residual."""
+        second residual does not halve.  Counts residual evaluations and
+        builds in self.iterations, self.builds; returns stages and residual."""
         res = math.inf
         for it in range(MAX_ITER):
             R = self._residual(X, x0, w)
@@ -265,6 +271,7 @@ class _NewtonStepper(_Stepper):
             if not math.isfinite(res) or (warm and it == 1 and res > 0.5 * prev):
                 raise SolverDivergenceError("stage iteration diverges", residual=res)
             if self.inv is None or res > 0.1 * prev:
+                self.builds += 1
                 self._rebuild(X, R, x0, w)
             X = X - self.inv @ R
         raise SolverDivergenceError(
@@ -275,13 +282,16 @@ class _NewtonStepper(_Stepper):
         w = self._inputs(t0)
         N, s, n = len(t0), self.s, self.n
         states, stage_x, e = np.empty((N + 1, n)), np.empty((N, s, n)), np.empty((N, s, n))
-        G, u, g = np.empty((N, s, n, self.m)), np.empty((N, s, self.m)), np.empty((N, s, n))
-        its, res = np.empty(N, dtype=int), np.empty(N)
+        u, g = np.empty((N, s, self.m)), np.empty((N, s, n))
+        its, builds, res = np.empty(N, dtype=int), np.empty(N, dtype=int), np.empty(N)
+        # y needs a state-dependent G of every step; a constant G is the
+        # stride-0 stack of one step, which the product broadcasts over N
+        G = np.empty((N, s, n, self.m)) if self.m and not self.model.constant_structure else None
         # E[i, j] = int_0^{1 + c_i} l_j carries the polynomial to the next nodes
         E = dense_weights(self.scheme, 1.0 + self.scheme.c).T
         states[0], guess, self.inv = x0, None, None
         for k in range(N):
-            x, self.iterations = states[k], 0
+            x, self.iterations, self.builds = states[k], 0, 0
             try:
                 if guess is not None:
                     try:
@@ -294,14 +304,16 @@ class _NewtonStepper(_Stepper):
             except SolverDivergenceError as err:
                 err.step_index = k
                 raise
-            its[k] = self.iterations
+            its[k], builds[k] = self.iterations, self.builds
             stage_x[k] = X = X.reshape(s, n)
-            e[k], G[k], u[k], g[k], _ = self._drift(X, w[k])
+            e[k], Gk, u[k], g[k], _ = self._drift(X, w[k])
+            if G is not None:
+                G[k] = Gk
             # x - h b'f and x - h E f with f = -g
             states[k + 1] = x + self.h * (self.scheme.b @ g[k])
             guess = (x + self.h * (E @ g[k])).ravel()
-        return states, self._solution(t0, states, stage_x, e, G, u, g,
-                                      iterations=its, residual=res)
+        return states, self._solution(t0, states, stage_x, e, Gk if G is None else G, u, g,
+                                      iterations=its, residual=res, builds=builds)
 
 
 def _make_stepper(model, scheme, input_signal, h, feedback):

@@ -170,8 +170,9 @@ _CROSS_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 def _cross_matrix(x):
     """[[0, -x2, x1], [x2, 0, -x0], [-x1, x0, 0]] as a gather times signs; the
     product's diagonal (-0.0 for x_i < 0, nan for inf) is reset to 0.0."""
-    out = x[_CROSS_INDEX] * _CROSS_SIGN
-    out.flat[::4] = 0.0
+    out = x[_CROSS_INDEX]
+    out *= _CROSS_SIGN
+    out.ravel()[::4] = 0.0
     return out
 
 

@@ -10,7 +10,8 @@ import pytest
 import phint.collocation as coll
 import phint.integrator as integrator
 from phint.cli import DEFAULT_H_LIST
-from phint.dirac import assemble_blocks, discrete_output, drift, efforts
+from phint.dirac import (_stack_blocks, assemble_blocks, discrete_output, drift,
+                         efforts)
 from phint.energy import delta_h_bar, delta_h_tilde, supplied_energy
 from phint.errors import ConfigurationError, SolverDivergenceError
 from phint.integrator import (SCAN_MAX_N, StageSolution, _affine_states,
@@ -332,29 +333,48 @@ RIGID_DIRECTION = np.array([0.18926208, -0.19826543, 0.96170452])
 
 def test_newton_work_budget(monkeypatch):
     # J is called s times per residual: s * (iterations + s n builds + steps)
-    # calls per run, with the builds counted at _rebuild; the benchmark's
-    # newton_builds recovers the same count from the J calls alone
+    # calls per run, with the iterations and builds read from the record; the
+    # benchmark's newton_builds recovers the same count from the J calls alone
     monkeypatch.syspath_prepend(str(PERFBENCH))
     newton_builds = importlib.import_module("tracing").newton_builds
-    rebuild, builds = integrator._NewtonStepper._rebuild, []
-    monkeypatch.setattr(integrator._NewtonStepper, "_rebuild",
-                        lambda self, *a: builds.append(1) or rebuild(self, *a))
     n, steps = 3, 100
     for s in (1, 2, 3, 4):
         for x0 in (np.ones(3), RIGID_DIRECTION, 1e3 * RIGID_DIRECTION):
             model, calls = rigid_body(), []
             cross = model.J
             model.J = lambda x: calls.append(1) or cross(x)
-            builds.clear()
             traj = simulate(model, coll.make_scheme(coll.GAUSS, s), x0,
                             zero_input(0), 0.01, 1.0, retain_stages=True)
             iterations = int(traj.stages.iterations.sum())
+            builds = int(traj.stages.builds.sum())
             assert iterations == sum(sol.iterations for sol in traj.stage_solutions)
-            assert len(calls) == s * (iterations + s * n * len(builds) + steps)
-            assert newton_builds(len(calls), s, n, steps, iterations) == len(builds) >= 1
+            assert builds == sum(sol.builds for sol in traj.stage_solutions)
+            assert len(calls) == s * (iterations + s * n * builds + steps)
+            assert newton_builds(len(calls), s, n, steps, iterations) == builds >= 1
             if s == 2 and x0[0] == 1.0:
                 # a Jacobian rebuilt on every step alone costs 2 * 6 * 100
                 assert len(calls) <= 1000
+
+
+def test_linear_run_records_no_builds():
+    # the affine recurrence builds no Jacobian: its record says 0
+    traj = simulate(oscillator(), coll.make_scheme(coll.GAUSS, 2), X0,
+                    pulse_input(), 0.5, 10.0, retain_stages=True)
+    assert traj.stages.builds == 0
+    assert [sol.builds for sol in traj.stage_solutions] == [0] * 20
+
+
+def test_newton_run_records_builds_per_interval():
+    # the per-interval counts add up to the run's _rebuild calls; the cold
+    # first step builds its matrix, and every build follows a residual
+    stepper = integrator._NewtonStepper(rigid_body(), coll.make_scheme(coll.GAUSS, 2),
+                                        zero_input(0), 0.01, None)
+    rebuild, calls = stepper._rebuild, []
+    stepper._rebuild = lambda *a: calls.append(1) or rebuild(*a)
+    _, sol = stepper.run(1e2 * RIGID_DIRECTION, np.arange(100) * 0.01)
+    assert sol.builds.shape == (100,) and sol.builds.dtype.kind == "i"
+    assert sol.builds[0] >= 1 and np.all(sol.builds <= sol.iterations)
+    assert int(sol.builds.sum()) == len(calls) > 1
 
 
 class _PerStepNewton(integrator._Stepper):
@@ -454,9 +474,25 @@ def _run_bytes(*args, **kwargs):
         ("y", st.y), ("iterations", st.iterations), ("residual", st.residual))}
 
 
+def _driven_top():
+    """State-dependent J (the rigid body's cross product) and G (a torque axis
+    that turns with the state), and a quartic H without Q: every model-driven
+    branch of the stage equations at once."""
+    D = np.array([1.0, 0.5, 1.0 / 3.0])
+    return PHModel(3, 1, H=lambda x: 0.5 * ((D * x) @ x) + 0.25 * (x @ x) ** 2,
+                   gradH=lambda x: D * x + (x @ x) * x, J=rigid_body().J,
+                   G=lambda x: np.array([[1.0], [np.cos(x[0])], [np.sin(x[1])]]),
+                   constant_structure=False)
+
+
 def _newton_run(label, monkeypatch):
     """(args, kwargs) of simulate for a differential-test label; the Lobatto
     pair runs on the Newton stepper by _force_newton."""
+    if label.startswith("top"):
+        mode = label.split("-")[-1]
+        return ((_driven_top(), coll.make_scheme(coll.GAUSS, 3), np.array([0.6, -0.4, 0.3]),
+                 pulse_input(), 0.1, 12.0),
+                {"feedback": _feedback(None if mode == "open" else mode)})
     if label.startswith("rigid"):
         _, s, scale = label.split("-")
         return (rigid_body(), coll.make_scheme(coll.GAUSS, int(s)),
@@ -473,7 +509,7 @@ def _newton_run(label, monkeypatch):
 NEWTON_RUNS = ([f"rigid-{s}-{scale}" for s in (1, 2, 3, 4)
                 for scale in ("1", "100", "1000")]
                + ["pendulum-portlevel", "lobatto3-pair-stagewise",
-                  "lobatto3-pair-portlevel"])
+                  "lobatto3-pair-portlevel", "top-open", "top-stagewise"])
 
 
 @pytest.mark.parametrize("label", NEWTON_RUNS)
@@ -584,7 +620,7 @@ def test_stacked_jacobian_build_matches_column_loop(factory, kind, s, scale, mod
 def test_newton_evaluates_constant_structure_once_per_residual(monkeypatch):
     # a constant-structure model on the Newton path: every residual
     # evaluation, a stacked finite-difference build included, is one
-    # assemble_blocks call with one J and one G call
+    # _stack_blocks call with one J and one G call
     model, calls, blocks = _pendulum(), [], []
     J0, G0 = model.J, model.G
     model.J = lambda x: calls.append("J") or J0(x)
@@ -592,11 +628,11 @@ def test_newton_evaluates_constant_structure_once_per_residual(monkeypatch):
 
     def counted(*args):
         before = len(calls)
-        out = assemble_blocks(*args)
+        out = _stack_blocks(*args)
         blocks.append(calls[before:])
         return out
 
-    monkeypatch.setattr(integrator, "assemble_blocks", counted)
+    monkeypatch.setattr(integrator, "_stack_blocks", counted)
     traj = simulate(model, coll.make_scheme(coll.GAUSS, 2), X0, pulse_input(),
                     0.1, 2.0, retain_stages=True)
     assert all(sorted(b) == ["G", "J"] for b in blocks)
@@ -617,21 +653,24 @@ def test_pendulum_energy_is_one_h_call_per_state():
     assert np.array_equal(traj.dh_bar, np.diff([energy(x) for x in traj.states]))
 
 
-def _pendula(cells):
+def _pendula(cells, ports=0):
     """Chain of unit pendula joined by unit springs, 2 cells states: H is not
-    quadratic (no Q) and the structure is constant, so it runs on Newton."""
+    quadratic (no Q) and the structure is constant, so it runs on Newton.
+    With ports = 1 a force drives the first pendulum."""
     Z, I = np.zeros((cells, cells)), np.eye(cells)
     J = np.block([[Z, I], [-I, Z]])
+    G = np.zeros((2 * cells, ports))
+    G[cells:cells + ports] = np.eye(ports)
 
     def gradH(x):
         q, d = x[:cells], np.diff(x[:cells])
         return np.concatenate([np.sin(q) + np.append(-d, 0.0) + np.insert(d, 0, 0.0),
                                x[cells:]])
 
-    return PHModel(2 * cells, 0, gradH=gradH, J=lambda x: J,
+    return PHModel(2 * cells, ports, gradH=gradH, J=lambda x: J,
                    H=lambda x: (0.5 * (x[cells:] @ x[cells:]) + np.sum(1.0 - np.cos(x[:cells]))
                                 + 0.5 * np.sum(np.diff(x[:cells]) ** 2)),
-                   G=lambda x: np.zeros((2 * cells, 0)), constant_structure=True)
+                   G=lambda x: G, constant_structure=True)
 
 
 def test_newton_run_keeps_no_structure_record():
@@ -648,6 +687,24 @@ def test_newton_run_keeps_no_structure_record():
         tracemalloc.stop()
     assert traj.stages.f.shape == (N, scheme.s, model.n)
     assert peak < 0.5 * N * scheme.s * model.n ** 2 * 8
+
+
+def test_newton_run_keeps_no_constant_port_record():
+    # a constant G is one broadcast matrix, not an (N, s, n, m) record: the
+    # one-port chain's traced peak exceeds the portless chain's by less than
+    # half the N s n m doubles of such a record
+    scheme, N, peaks = coll.make_scheme(coll.GAUSS, 2), 50, []
+    x0 = np.concatenate([np.linspace(-1.0, 1.0, 20), np.zeros(20)])
+    for ports in (0, 1):
+        tracemalloc.start()
+        try:
+            traj = simulate(_pendula(20, ports), scheme, x0, zero_input(ports),
+                            0.05, N * 0.05, retain_stages=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert traj.stages.y.shape == (N, scheme.s, 1)
+    assert peaks[1] - peaks[0] < 0.5 * N * scheme.s * 40 * 1 * 8
 
 
 def _kron_maps(model, scheme, h, mode):
