@@ -3,7 +3,10 @@
 The checks take the stage structure J (s, n, n), G (s, n, m) of one interval,
 or of a run stacked along a leading interval axis, and return one value per
 interval.  kernel_check makes no rank test: [F E][F E]' = I + E E' >= I with
-F = I, so [F E] has full row rank (singular values >= 1) for any E.
+F = I, so [F E] has full row rank (singular values >= 1) for any E.  Under
+the paper's conditions it skips work that cannot change its result: a
+constant structure (C2, stride 0 over the run) is tested on one interval, a
+diagonal M (C1) on the s stage pairs (i, i) alone.
 """
 from __future__ import annotations
 
@@ -97,13 +100,26 @@ def power_residual(sol, scheme):
 
 def kernel_check(J, M):
     """Skew defect of E F' + F E' with F = I, E = [[J M^-1, G], [-G', 0]], per
-    interval.  The G blocks cancel in E + E', whose (i, j) block is
+    interval; interval axes of stride 0 (C2) are tested on one interval."""
+    lead = J.shape[:-3]
+    if lead and not any(J.strides[:-3]):
+        return np.full(lead, _skew_defect(J[(slice(1),) * len(lead)], M))
+    return _skew_defect(J, M)
+
+
+def _skew_defect(J, M):
+    """The G blocks cancel in E + E', whose (i, j) block is
     (M^-1)_ij (J_i + J_j'), so the defect is max_ij |(M^-1)_ij| |J_i + J_j'|:
-    zero under C1 (diagonal M, skew J_i) and C2 (constant skew J).  With the
-    entries of J and J' on the leading axis of contiguous (n n, s, ...)
+    zero under C1 (diagonal M, skew J_i) and C2 (constant skew J).  Only the
+    pairs (i, i) are formed when |M^-1| is exactly diagonal; otherwise, with
+    the entries of J and J' on the leading axis of contiguous (n n, s, ...)
     copies, stage row i is one add, abs and max into the (s, s, ...) array of
     the |J_i + J_j'|: no (..., s, s, n, n) array is formed."""
     s, n, lead = J.shape[-3], J.shape[-1], J.shape[:-3]
+    Minv = np.abs(np.linalg.inv(M))
+    if np.array_equal(Minv, np.diag(np.diagonal(Minv))):
+        norms = np.max(np.abs(J + np.swapaxes(J, -1, -2)), axis=(-2, -1))
+        return np.max(norms * np.diagonal(Minv), axis=-1)
     entries, back = (n * n, s) + lead, tuple(range(len(lead)))
     Jf = np.ascontiguousarray(J.transpose((-2, -1, -3) + back)).reshape(entries)
     Jt = np.ascontiguousarray(J.transpose((-1, -2, -3) + back)).reshape(entries)
@@ -111,5 +127,5 @@ def kernel_check(J, M):
     for i in range(s):
         np.abs(np.add(Jf[:, i:i + 1], Jt, out=buf), out=buf)
         np.max(buf, axis=0, out=norms[i])
-    norms *= np.abs(np.linalg.inv(M)).reshape((s, s) + (1,) * len(lead))
+    norms *= Minv.reshape((s, s) + (1,) * len(lead))
     return np.max(norms.reshape((s * s,) + lead), axis=0)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .collocation import GAUSS
 from .errors import ConfigurationError
 
 ROUNDING_FLOOR = 1e-12
@@ -22,8 +23,10 @@ DAMPED_FREE = "damped-free"
 
 def delta_h_tilde(sol, scheme):
     """Supplied-energy approximation -h e' (M (x) I) f of one interval, or of
-    each interval of a stacked solution."""
-    Mf = scheme.M @ sol.f
+    each interval of a stacked solution.  A Gauss M is diag(b) (C1), so M f
+    is b_i f_i row by row; only the signs of its zeros can differ from the
+    matmul's, and the sum, which starts from +0.0, does not see them."""
+    Mf = scheme.b[:, None] * sol.f if scheme.kind == GAUSS else scheme.M @ sol.f
     Mf *= sol.e
     return -sol.h * Mf.sum(axis=(-2, -1))
 

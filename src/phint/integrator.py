@@ -81,9 +81,9 @@ class _Intervals(Sequence):
     is indexed; its scalars (t0, h, iterations, residual) as Python numbers."""
 
     def __init__(self, stages: StageSolution):
-        N, cols = len(stages.t0), map(np.asarray, vars(stages).values())
+        N, self.names = len(stages.t0), list(vars(stages))
         self.cols = [c if c.ndim > 1 else c.tolist() if c.ndim else [c.item()] * N
-                     for c in cols]
+                     for c in map(np.asarray, vars(stages).values())]
 
     def __len__(self):
         return len(self.cols[0])
@@ -91,7 +91,10 @@ class _Intervals(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return list(self)[k]
-        return StageSolution(*[c[k] for c in self.cols])
+        # the fields the dataclass __init__ sets, without its per-field setattr
+        view = object.__new__(StageSolution)
+        view.__dict__.update(zip(self.names, [c[k] for c in self.cols]))
+        return view
 
 
 class _Stepper:

@@ -92,9 +92,10 @@ def zero_input(m: int = 1) -> InputSignal:
 def pulse_input() -> InputSignal:
     """Pulse excitation: sin^2(pi (t - 8) / 2) on [8, 10], zero elsewhere."""
 
-    def fn(t):
-        on = (8.0 <= t) & (t <= 10.0)
-        return np.where(on, np.sin(np.pi * (t - 8.0) / 2.0) ** 2, 0.0)[:, None]
+    def fn(t):  # sin^2 only at the samples on the pulse
+        u, on = np.zeros(len(t)), (8.0 <= t) & (t <= 10.0)
+        u[on] = np.sin(np.pi * (t[on] - 8.0) / 2.0) ** 2
+        return u[:, None]
 
     return InputSignal(fn=fn)
 

@@ -46,3 +46,27 @@ def lagrange_coefficients(c, i):
     rounded once from 40 digits."""
     with mp.workdps(40):
         return np.array([float(a) for a in monomial_lagrange([mpmath.mpf(v) for v in c], i)])
+
+
+def general_kernel_check(J, M):
+    """The s^2 pair loop of the skew defect max_ij |(M^-1)_ij| |J_i + J_j'|
+    on every interval, as kernel_check computed it before its C1 and C2 fast
+    paths: the oracle they must equal bit for bit."""
+    s, n, lead = J.shape[-3], J.shape[-1], J.shape[:-3]
+    entries, back = (n * n, s) + lead, tuple(range(len(lead)))
+    Jf = np.ascontiguousarray(J.transpose((-2, -1, -3) + back)).reshape(entries)
+    Jt = np.ascontiguousarray(J.transpose((-1, -2, -3) + back)).reshape(entries)
+    norms, buf = np.empty((s, s) + lead), np.empty(entries)
+    for i in range(s):
+        np.abs(np.add(Jf[:, i:i + 1], Jt, out=buf), out=buf)
+        np.max(buf, axis=0, out=norms[i])
+    norms *= np.abs(np.linalg.inv(M)).reshape((s, s) + (1,) * len(lead))
+    return np.max(norms.reshape((s * s,) + lead), axis=0)
+
+
+def matmul_delta_h_tilde(sol, scheme):
+    """-h e' (M (x) I) f with M f as the matrix product for every scheme: the
+    oracle of delta_h_tilde's Gauss row scaling."""
+    Mf = scheme.M @ sol.f
+    Mf *= sol.e
+    return -sol.h * Mf.sum(axis=(-2, -1))

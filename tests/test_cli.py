@@ -4,6 +4,8 @@ import pytest
 
 import phint.cli as cli
 import phint.collocation as coll
+import phint.dirac as dirac
+import phint.integrator as integrator
 from phint.cli import main, make_parser
 from phint.dirac import assemble_blocks, kernel_check, power_residual
 from phint.energy import LOSSLESS_FORCED, reference_solution
@@ -11,6 +13,8 @@ from phint.integrator import simulate
 from phint.models import (FeedbackConfig, PHModel, oscillator,
                           partitioned_oscillator, pulse_input, rigid_body,
                           zero_input)
+
+from conftest import general_kernel_check, matmul_delta_h_tilde
 
 
 def run(argv):
@@ -63,6 +67,7 @@ def test_simulate_writes_both_csvs(tmp_path):
         row = [float(v) for v in line.split(",")]
         assert row[-1] == abs(row[3] - row[4])
         assert row[-1] <= 1e-15
+
 
 
 def test_simulate_requires_out(tmp_path, capsys, monkeypatch):
@@ -296,6 +301,42 @@ def test_check_all_zero_columns_have_no_worst_step(capsys):
     assert "max normalized power residual: 0" in lines
     assert lines[-3:] == ["worst power residual: 0 on every step",
                           "worst kernel skew defect: 0 on every step", "PASS"]
+
+
+CHECK_ARGVS = ([["--model", "oscillator", "--scheme", kind, "--stages", str(s),
+                 "--input", "pulse", "--h", "0.01", "--t-end", "10", "--x0", "0.3,-0.8"]
+                for kind, s in [(coll.LOBATTO, 3), (coll.LOBATTO, 4)]
+                + [(coll.GAUSS, s) for s in range(4, 9)]]
+               + [["--model", "rigid-body", "--scheme", kind, "--stages", str(s),
+                   "--input", "zero", "--h", "0.01", "--t-end", "2", "--x0", "0.4,-1.1,0.7"]
+                  for kind, s in [(coll.GAUSS, 2), (coll.LOBATTO, 3)]])
+
+
+@pytest.mark.parametrize("argv", CHECK_ARGVS, ids=lambda a: f"{a[1]}-{a[3]}{a[5]}")
+def test_check_prints_the_general_checks_bytes(argv, capsys, monkeypatch):
+    # the C1 and C2 fast paths of kernel_check and delta_h_tilde print what
+    # the s^2 pair loop and the M f product print, the FAILing Lobatto rigid
+    # body's nonzero defect and worst step included
+    code = run(["check", *argv])
+    out = capsys.readouterr().out
+    monkeypatch.setattr(dirac, "kernel_check", general_kernel_check)
+    monkeypatch.setattr(dirac, "delta_h_tilde", matmul_delta_h_tilde)
+    monkeypatch.setattr(integrator, "delta_h_tilde", matmul_delta_h_tilde)
+    assert run(["check", *argv]) == code
+    assert capsys.readouterr().out == out
+    assert out.endswith("FAIL\n" if argv[3] == coll.LOBATTO and argv[1] == "rigid-body"
+                        else "PASS\n")
+
+
+def test_check_tests_the_kernel_once_per_run(capsys, monkeypatch):
+    # check calls kernel_check once on the stacked run, which does not call
+    # itself through the module name that a tracer wraps
+    calls, inner = [], dirac.kernel_check
+    monkeypatch.setattr(dirac, "kernel_check",
+                        lambda J, M: calls.append(J.shape) or inner(J, M))
+    assert run(["check", *CHECK_ARGVS[6]]) == 0
+    assert calls == [(1000, 8, 2, 2)]
+    assert "max kernel skew defect: 0" in capsys.readouterr().out.splitlines()
 
 
 def test_damped_simulation_runs(tmp_path):

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 import phint.collocation as coll
-from phint.dirac import (assemble_blocks, discrete_output, drift, kernel_check,
-                         power_residual, structure_residual)
+import phint.dirac as dirac
+from phint.dirac import (_skew_defect, assemble_blocks, discrete_output, drift,
+                         kernel_check, power_residual, structure_residual)
 from phint.integrator import StageSolution, simulate, solve_stages
 from phint.models import (FeedbackConfig, PHModel, oscillator,
                           partitioned_oscillator, pulse_input, rigid_body,
                           zero_input)
+
+from conftest import general_kernel_check
 
 RNG = np.random.default_rng(7)
 
@@ -37,6 +40,7 @@ def dense_kernel_matrix(J, G, M):
         Gblk[i * n:(i + 1) * n, i * m:(i + 1) * m] = G[i]
     return np.block([[Jblk @ Minv, Gblk],
                      [-Gblk.T, np.zeros((s * m, s * m))]])
+
 
 
 def dense_skew_defect(J, G, M) -> float:
@@ -274,17 +278,63 @@ CHECK_SCHEMES = ([(coll.LOBATTO, s) for s in (3, 4)]
 @pytest.mark.parametrize("kind,s", CHECK_SCHEMES,
                          ids=[f"{k}{s}" for k, s in CHECK_SCHEMES])
 def test_kernel_check_of_broadcast_blocks_is_the_contiguous_one(kind, s,
-                                                                factory):
+                                                                factory,
+                                                                monkeypatch):
     # assemble_blocks broadcasts a constant J over the run (zero strides);
-    # the copy onto the entry axis gives the values of a contiguous stack
+    # kernel_check tests one interval of it and returns that defect for
+    # every interval: the values of a contiguous stack and of the s^2 loop
     model, scheme = factory(), coll.make_scheme(kind, s)
     states = np.random.default_rng(s).normal(size=(50, scheme.s, model.n))
     J, _ = assemble_blocks(model, states, scheme)
     assert J.strides[0] == 0
+    seen = []
+    monkeypatch.setattr(dirac, "_skew_defect",
+                        lambda J, M: seen.append(J.shape) or _skew_defect(J, M))
     broadcast = kernel_check(J, scheme.M)
+    assert seen == [(1, scheme.s, 2, 2)] and broadcast.flags.writeable
     assert np.array_equal(broadcast,
                           kernel_check(np.ascontiguousarray(J), scheme.M))
+    assert broadcast.tobytes() == general_kernel_check(J, scheme.M).tobytes()
     assert broadcast.shape == (50,)
+    two_axes = kernel_check(np.broadcast_to(J[0], (6, 5) + J.shape[1:]), scheme.M)
+    assert two_axes.shape == (6, 5) and np.all(two_axes == broadcast[0])
+
+
+def _non_skew_stacks(s, rng):
+    """Random J stacks with J + J' != 0, of one interval and of a run, for n
+    = 1 (J_i + J_i' = 2 J_i) to 4 states."""
+    for n in (1, 2, 3, 4):
+        yield rng.normal(size=(s, n, n))
+        yield rng.normal(size=(9, s, n, n))
+        yield 1e3 * rng.normal(size=(2, 5, s, n, n))
+
+
+@pytest.mark.parametrize("kind,s", SCHEMES, ids=[f"{k}{s}" for k, s in SCHEMES])
+def test_skew_defect_is_the_general_pair_loop_bit_for_bit(kind, s):
+    # C1 (every Gauss M) takes the s pairs (i, i) only; the pairs it skips
+    # multiply exact zeros of M^-1, so each defect keeps the s^2 loop's bytes
+    M = coll.make_scheme(kind, s).M
+    for J in _non_skew_stacks(s, np.random.default_rng([s, len(kind)])):
+        got, expect = _skew_defect(J, M), general_kernel_check(J, M)
+        assert np.shape(got) == J.shape[:-3] and np.all(expect > 0)
+        assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
+
+
+@pytest.mark.parametrize("s", range(2, 9))
+def test_skew_defect_takes_the_pair_loop_unless_m_is_exactly_diagonal(s):
+    # J_i skew but J_i != J_j: the pairs (i, i) have zero defect, the others
+    # do not, so a result above zero shows that the s^2 loop ran.  A Gauss M
+    # with one off-diagonal entry moved by one ulp must take it
+    rng = np.random.default_rng(s)
+    A = rng.normal(size=(4, s, 3, 3))
+    J = 1e300 * (A - np.swapaxes(A, -1, -2))
+    M = coll.make_scheme(coll.GAUSS, s).M
+    assert np.array_equal(kernel_check(J, M), np.zeros(4))
+    moved = M.copy()
+    moved[0, -1] = np.nextafter(0.0, 1.0)
+    got = kernel_check(J, moved)
+    assert np.all(got > 0.0)
+    assert got.tobytes() == general_kernel_check(J, moved).tobytes()
 
 
 @pytest.mark.parametrize("size", [1, 3, 8, 24])

@@ -14,6 +14,8 @@ from phint.models import (FeedbackConfig, PHModel, mechanical, oscillator,
                           partitioned_oscillator, pulse_input, rigid_body,
                           zero_input)
 
+from conftest import matmul_delta_h_tilde
+
 X0 = np.array([0.0, -1.0])
 
 
@@ -64,6 +66,7 @@ def test_reference_array_matches_scalar_calls():
         reference_solution(LOSSLESS_FORCED, np.array([1.0, -1e-9]))
 
 
+
 def test_reference_validation():
     with pytest.raises(ValueError):
         reference_solution(LOSSLESS_FORCED, -1.0)
@@ -86,6 +89,37 @@ def test_delta_h_tilde_matches_trajectory():
                                                              abs=1e-15)
     assert delta_h_tilde(sol, scheme) == pytest.approx(
         -0.25 * np.sum((scheme.M @ sol.f) * sol.e), abs=1e-16)
+
+
+def _newton_oscillator():
+    """The oscillator without Q and without a constant-structure flag: the
+    same bonds through the Newton stepper, port and feedback included."""
+    J, g = oscillator().J(None), oscillator().G(None)
+    return PHModel(2, 1, H=lambda x: 0.5 * (x @ x), gradH=lambda x: x.copy(),
+                   J=lambda x: J, G=lambda x: g, constant_structure=False)
+
+
+@pytest.mark.parametrize("s", coll.GAUSS_STAGE_RANGE)
+def test_gauss_delta_h_tilde_is_the_mass_matrix_product_bit_for_bit(s):
+    # M = diag(b): b_i f_i row by row in place of M f; a zero state gives
+    # zero flows whose signs the matmul does not keep, and the sums agree
+    scheme = coll.make_scheme(coll.GAUSS, s)
+    runs = [(factory(), x0, pulse_input(), 0.05, 12.0, fb)
+            for factory in (oscillator, _newton_oscillator)
+            for x0 in (X0, np.zeros(2))
+            for fb in (None, FeedbackConfig(0.3, "stagewise"),
+                       FeedbackConfig(0.3, "portlevel"))]
+    runs += [(rigid_body(), np.array(x0), zero_input(0), 0.01, 1.0, None)
+             for x0 in ([1.0, -2.0, 0.5], [0.0, 0.0, 0.0])]
+    for model, x0, signal, h, t_end, fb in runs:
+        traj = simulate(model, scheme, x0, signal, h, t_end, feedback=fb,
+                        retain_stages=True)
+        expect = matmul_delta_h_tilde(traj.stages, scheme).tobytes()
+        assert traj.dh_tilde.tobytes() == expect
+        assert delta_h_tilde(traj.stages, scheme).tobytes() == expect
+        one = traj.stage_solutions[7]
+        assert (np.asarray(delta_h_tilde(one, scheme)).tobytes()
+                == np.asarray(matmul_delta_h_tilde(one, scheme)).tobytes())
 
 
 def test_supplied_energy_matches_output_pairing():

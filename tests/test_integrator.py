@@ -1,4 +1,5 @@
 """Stage solves, stepping, dense output, conservation and solver dispatch."""
+import dataclasses
 import importlib
 import pathlib
 import tracemalloc
@@ -567,6 +568,29 @@ def test_stage_solutions_build_intervals_on_access():
     bare = simulate(rigid_body(), coll.make_scheme(coll.GAUSS, 2),
                     RIGID_DIRECTION, zero_input(0), 0.01, 0.5)
     assert bare.stage_solutions == []
+
+
+@pytest.mark.parametrize("k", [0, 23, -1])
+def test_interval_view_is_the_dataclass_instance(k):
+    # a view is filled without the dataclass __init__: the same fields, types
+    # and values as StageSolution(*fields), still frozen, and fields() and
+    # replace() work on it
+    traj = simulate(oscillator(), coll.make_scheme(coll.GAUSS, 3), X0,
+                    pulse_input(), 0.5, 12.0, feedback=_feedback("portlevel"),
+                    retain_stages=True)
+    view = traj.stage_solutions[k]
+    built = StageSolution(*[getattr(view, f.name) for f in fields(StageSolution)])
+    assert type(view) is StageSolution and vars(view).keys() == vars(built).keys()
+    for f in fields(view):
+        got, want = getattr(view, f.name), getattr(built, f.name)
+        assert type(got) is type(want) and np.array_equal(got, want), f.name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        view.h = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del view.f
+    moved = dataclasses.replace(view, h=2.0)
+    assert moved.h == 2.0 and moved.f is view.f and view.h == 0.5
+    assert repr(view) == repr(built)
 
 
 def _column_jacobian(stepper, X, R, x0, w):

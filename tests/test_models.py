@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import phint.collocation as coll
 from phint.errors import ConfigurationError
 from phint.models import (FeedbackConfig, InputSignal, PHModel, _cross_matrix,
                           mechanical, oscillator, partitioned_oscillator,
@@ -144,6 +145,31 @@ def test_pulse_input_profile():
     for t in (8.0, 10.0):
         eps = 1e-7
         assert abs(u(t + eps)[0] - u(t - eps)[0]) < 1e-12
+
+
+def _where_pulse(t):
+    """The pulse as np.where over every sample: the reference for the
+    window-only evaluation."""
+    on = (8.0 <= t) & (t <= 10.0)
+    return np.where(on, np.sin(np.pi * (t - 8.0) / 2.0) ** 2, 0.0)[:, None]
+
+
+def test_pulse_input_is_the_where_form_bit_for_bit():
+    # sin^2 is evaluated only on [8, 10]: the same bytes at the edges, on a
+    # stage grid, at random times, at nan and +-inf (zero, without the
+    # invalid-value warning of sin(inf)) and on no samples at all
+    c = coll.make_scheme(coll.GAUSS, 3).c
+    edges = np.array([8.0, 10.0, np.nextafter(8.0, 0.0), np.nextafter(10.0, 11.0),
+                      9.0, -0.0, np.nan, np.inf, -np.inf])
+    fn = pulse_input().fn
+    for t in (edges, (np.arange(3600)[:, None] * 0.005 + 0.005 * c).ravel(),
+              np.random.default_rng(8).uniform(-1.0, 20.0, 10_000), np.array([])):
+        with np.errstate(invalid="ignore"):
+            expect = _where_pulse(t)
+        with np.errstate(all="raise"):
+            got = fn(t)
+        assert got.shape == expect.shape and got.dtype == expect.dtype
+        assert got.tobytes() == expect.tobytes()
 
 
 def test_zero_input_shape():
