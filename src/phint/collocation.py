@@ -1,21 +1,17 @@
 """Collocation node sets, Butcher tableaux, mass matrices and dense-output
-coefficients, all from one shifted Legendre basis P~_k(t) = P_k(2t - 1).
-
-Gauss nodes for s = 1 and s >= 4 are zeros of P_s, found by Newton's method in
-double precision, then at 64 bits above the 40-digit working precision, and
-rounded once.  With l_j = sum_k beta_kj P~_k, beta = V^-1 and
-V_jk = P~_k(c_j), every table is a closed-form sum over the P~_k in 40 digits,
-rounded once to float; the Gauss M is diag(b), so C1 holds by construction.
+coefficients from one shifted Legendre basis P~_k(t) = P_k(2t - 1): with
+l_j = sum_k beta_kj P~_k, beta = V^-1, V_jk = P~_k(c_j), every table is a
+closed-form sum over the P~_k on ints in fixed point (v held as floor(v 2^bits),
+float inputs read exactly), rounded once to float; the Gauss M is diag(b) (C1).
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
 from functools import cache
-from math import cos, pi
+from math import cos, frexp, pi
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .errors import SchemeConstructionError
 
@@ -26,39 +22,48 @@ GAUSS_STAGE_RANGE = range(1, 9)
 LOBATTO_STAGE_RANGE = range(2, 5)
 _STAGE_RANGE = {GAUSS: GAUSS_STAGE_RANGE, LOBATTO: LOBATTO_STAGE_RANGE}
 
-_DPS = 40
+_BITS = 256
 _ROW_SUM_TOL = 1e-13
 _SYMPLECTIC_PAIR_TOL = 1e-13
 _NODE_MAX_ITER = 20
 
 
-def _legendre_zero(s: int, x, tol):
-    """Newton steps on P_s from x in the arithmetic of x (float or mpf), with
-    P_s and P_{s-1} by the three-term recurrence; fails unless a step falls
-    to tol in time."""
+def _legendre_zero(s: int, x, bits: int):
+    """Newton steps x -= P_s / P_s', k P_k = (2k - 1) x P_{k-1} - (k - 1) P_{k-2},
+    P_s' = s (x P_s - P_{s-1}) / (x^2 - 1), on floats (bits 0) to a step of 1e-8 or
+    on fixed-point ints to 2^(64 - bits); fails after _NODE_MAX_ITER (as NaN does)."""
+    one, tol = (1 << bits, 1 << 64) if bits else (1.0, 1e-8)
+    mul = (lambda a, b: a * b >> bits) if bits else operator.mul
+    div = (lambda a, b: (a << bits) // b) if bits else operator.truediv
     for _ in range(_NODE_MAX_ITER):
-        p, q = x, 1
+        p, q = x, one
         for k in range(2, s + 1):
-            p, q = ((2 * k - 1) * x * p - (k - 1) * q) / k, p
-        dx = p * (x * x - 1) / (s * (x * p - q))  # P_s / P_s'
+            p, q = div((2 * k - 1) * mul(x, p) - (k - 1) * q, k * one), p
+        dx = div(mul(p, mul(x, x) - one), s * (mul(x, p) - q))
         x -= dx
         if abs(dx) <= tol:
             return x
     raise SchemeConstructionError(f"gauss s = {s} node did not converge")
 
 
-def _gauss_nodes_mp(s: int):
-    """Zeros of P_s(2t - 1) in 40-digit mpf, ascending: Newton from the
-    classical cosine estimates in double precision to a step of 1e-8 (so
-    within about 1e-16), then at 64 extra bits to a step < 2^-32 ulp,
-    rounded once, so mp.polyroots' mpf exactly."""
-    starts = [cos(pi * (i - 0.25) / (s + 0.5)) for i in range(s, 0, -1)]
-    with mp.workdps(_DPS):
-        tol = mp.ldexp(1, -mp.prec - 32)
-        with mp.workprec(mp.prec + 64):
-            nodes = [(1 + _legendre_zero(s, mpf(_legendre_zero(s, x, 1e-8)), tol)) / 2
-                     for x in starts]
-        return [+c for c in nodes]
+def _fixed(v: float, bits: int) -> int:
+    n, d = float(v).as_integer_ratio()
+    return (n << bits) // d
+
+
+def _round(table, bits: int) -> np.ndarray:
+    """Nested lists of fixed-point ints as floats, each correctly rounded."""
+    return (np.array(table, dtype=object) / (1 << bits)).astype(float)
+
+
+def _gauss_nodes(s: int, bits: int) -> list[int]:
+    """Zeros of P_s(2t - 1) in fixed point, ascending: (1 -+ x) / 2 for each zero x > 0
+    of P_s (from its cosine estimate in floats, then on ints), and 1/2 for odd s."""
+    one = 1 << bits
+    upper = [_legendre_zero(s, _fixed(_legendre_zero(s, cos(pi * (i - 0.25) / (s + 0.5)), 0),
+                                      bits), bits) for i in range(1, s // 2 + 1)]
+    return ([(one - x) >> 1 for x in upper] + [one >> 1] * (s % 2)
+            + [(one + x) >> 1 for x in reversed(upper)])
 
 
 def _stage_count(kind: str, s) -> int:
@@ -74,7 +79,7 @@ def gauss_legendre_nodes(s: int) -> np.ndarray:
     if s in (2, 3):  # closed forms 1/2 -+ sqrt(3)/6; 1/2 -+ sqrt(15)/10 and 1/2
         d = np.sqrt(3.0) / 6.0 if s == 2 else np.sqrt(15.0) / 10.0
         return 0.5 + d * np.linspace(-1.0, 1.0, s)
-    return np.array([float(r) for r in _gauss_nodes_mp(s)])
+    return _round(_gauss_nodes(s, _BITS), _BITS)
 
 
 def lobatto_nodes(s: int) -> np.ndarray:
@@ -85,72 +90,74 @@ def lobatto_nodes(s: int) -> np.ndarray:
     return np.array({2: [0.0, 1.0], 3: [0.0, 0.5, 1.0], 4: [0.0, 0.5 - d, 0.5 + d, 1.0]}[s])
 
 
-def _validate_nodes(c) -> np.ndarray:
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or c.size < 1:
-        raise ValueError("node set must be a nonempty 1-D array")
-    if np.any(np.diff(c) <= 0) or c[0] < 0.0 or c[-1] > 1.0:
-        raise ValueError("nodes must be strictly increasing within [0, 1]")
-    return c
-
-
-def _legendre_mp(n: int, t):
-    """P~_0(t) .. P~_n(t), P~_k(t) = P_k(2t - 1), by Bonnet's recurrence."""
-    x = 2 * t - 1
-    p = [mpf(1), x]
+def _legendre(n: int, t: int, bits: int) -> list[int]:
+    """P~_0(t) .. P~_n(t) in fixed point, by Bonnet's recurrence."""
+    x = 2 * t - (1 << bits)
+    p = [1 << bits, x]
     for k in range(1, n):
-        p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+        p.append(((2 * k + 1) * (x * p[k] >> bits) - k * p[k - 1]) // (k + 1))
     return p[:n + 1]
 
 
-def _coefficients_mp(c_mp, zeros=False):
-    """Columns beta_j of V^-1, V_jk = P~_k(c_j), so l_j = sum_k beta_kj P~_k.
-    At Legendre zeros discrete orthogonality inverts V without a solve:
-    beta_kj = (2k + 1) b_j V_jk with Christoffel weights b_j = 1 / sum_k
-    (2k + 1) V_jk^2, and a zero of V (P~_k(1/2), k odd) stays a zero of beta."""
-    s = len(c_mp)
-    V = [_legendre_mp(s - 1, c) for c in c_mp]
-    if not zeros:
-        return list(zip(*mp.inverse(mp.matrix(V)).tolist()))
-    b = [1 / mp.fsum((2 * k + 1) * v[k] ** 2 for k in range(s)) for v in V]
-    return [[(2 * k + 1) * bj * v[k] for k in range(s)] for bj, v in zip(b, V)]
+def _coefficients(c: list[int], bits: int, zeros: bool = False):
+    """Columns beta_j of V^-1, V_jk = P~_k(c_j), by Gauss-Jordan elimination with
+    partial pivoting; at Legendre zeros, by discrete orthogonality, beta_kj =
+    (2k + 1) b_j V_jk with Christoffel weights b_j = 1 / sum_k (2k + 1) V_jk^2,
+    so a zero of V (P~_k(1/2), k odd) stays a zero of beta."""
+    s = len(c)
+    V = [_legendre(s - 1, cj, bits) for cj in c]
+    if zeros:
+        b = [(1 << 3 * bits) // sum((2 * k + 1) * v[k] ** 2 for k in range(s)) for v in V]
+        return [[(2 * k + 1) * (bj * v[k] >> bits) for k in range(s)] for bj, v in zip(b, V)]
+    R = [row + [(i == j) << bits for j in range(s)] for i, row in enumerate(V)]
+    for p in range(s):
+        r = max(range(p, s), key=lambda i: abs(R[i][p]))
+        R[r], R[p] = R[p], [(a << bits) // R[r][p] for a in R[r]]
+        for i in range(s):
+            if i != p and R[i][p]:
+                R[i] = [a - (R[i][p] * b >> bits) for a, b in zip(R[i], R[p])]
+    return list(zip(*(row[s:] for row in R)))
 
 
-def _integral_weights_mp(cols, t):
-    """int_0^t l_j = sum_k beta_kj int_0^t P~_k as floats: int_0^t P~_0 = t,
+def _integral_weights(cols, t: int, bits: int) -> list[int]:
+    """int_0^t l_j = sum_k beta_kj int_0^t P~_k: int_0^t P~_0 = t,
     int_0^t P~_k = (P~_{k+1} - P~_{k-1}) / (2 (2k + 1)), exactly 0 at t = 0."""
-    p = _legendre_mp(len(cols), t)
-    q = [t] + [(p[k + 1] - p[k - 1]) / (4 * k + 2) for k in range(1, len(cols))]
-    return [float(mp.fdot(q, col)) for col in cols]
+    p = _legendre(len(cols), t, bits)
+    q = [t] + [(p[k + 1] - p[k - 1]) // (4 * k + 2) for k in range(1, len(cols))]
+    return [sum(map(operator.mul, q, col)) >> bits for col in cols]
 
 
 def lagrange_integral_weights(nodes, tau: float) -> np.ndarray:
-    """The s integrals int_0^tau l_j(sigma) dsigma; rows of A at tau = c_i,
-    the weights b at tau = 1."""
-    c = _validate_nodes(nodes)
-    with mp.workdps(_DPS):
-        return np.array(_integral_weights_mp(_coefficients_mp([mpf(v) for v in c]), mpf(tau)))
+    """The s integrals int_0^tau l_j(sigma) dsigma, each correctly rounded;
+    rows of A at tau = c_i, the weights b at tau = 1."""
+    c = np.asarray(nodes, dtype=float)
+    if c.ndim != 1 or c.size < 1 or np.any(np.diff(c) <= 0) or c[0] < 0.0 or c[-1] > 1.0:
+        raise ValueError("nodes must be a nonempty 1-D array increasing within [0, 1]")
+    # every input read exactly, and an integral O(tau^2) to 2^-256 of its size
+    bits = _BITS + 2 * max(0, -min(frexp(v)[1] for v in (*c, tau)))
+    cols = _coefficients([_fixed(v, bits) for v in c], bits)
+    return _round(_integral_weights(cols, _fixed(tau, bits), bits), bits)
 
 
-def _tables_mp(c_mp, gauss: bool, zeros: bool):
-    """(A, b, M, W) as float arrays, each entry rounded once from 40 digits:
-    a_ij = int_0^{c_i} l_j, b_j = beta_0j, W[j, m] the P~_m coefficient of
-    int_0^tau l_j, and M_ij = int_0^1 l_i l_j.  For Gauss M = diag(b), since
-    Gauss quadrature is exact on l_i l_j; for Lobatto orthogonality gives
-    M_ij = sum_k beta_ki beta_kj / (2k + 1), symmetric term by term."""
-    s = len(c_mp)
-    cols = _coefficients_mp(c_mp, zeros)
-    A = np.array([_integral_weights_mp(cols, c) for c in c_mp])
-    b = np.array([float(col[0]) for col in cols])
+def _tables(kind: str, s: int, bits: int):
+    """(c, A, b, M, W) as nested lists of fixed-point ints: a_ij = int_0^{c_i} l_j,
+    b_j = beta_0j, W[j, m] the P~_m coefficient of int_0^tau l_j and M_ij = int_0^1
+    l_i l_j: diag(b) for Gauss, exact on l_i l_j, and for Lobatto sum_k beta_ki
+    beta_kj / (2k + 1), symmetric term by term.  Gauss-2/3, Lobatto nodes are floats."""
+    gauss = kind == GAUSS
+    zeros = gauss and s not in (2, 3)
+    c = _gauss_nodes(s, bits) if zeros else [
+        _fixed(v, bits) for v in (gauss_legendre_nodes(s) if gauss else lobatto_nodes(s))]
+    cols = _coefficients(c, bits, zeros)
+    A = [_integral_weights(cols, ci, bits) for ci in c]
     # beta_kj int_0^tau P~_k is d_k (P~_{k+1} - P~_{k-1}) with d_k = beta_kj / (2 (2k + 1)),
     # and beta_0j tau is d_0 (P~_1 + P~_0) with d_0 = beta_0j / 2
-    W = np.array([[d[0] - d[1]] + [d[m - 1] - d[m + 1] for m in range(1, s + 1)]
-                  for d in ([col[0] / 2] + [col[k] / (4 * k + 2) for k in range(1, s)] + [0, 0]
-                            for col in cols)], dtype=float)
-    M = np.diag(b) if gauss else np.array(
-        [[mp.fsum(u[k] * v[k] / (2 * k + 1) for k in range(s)) for v in cols] for u in cols],
-        dtype=float)
-    return A, b, M, W
+    W = [[d[0] - d[1]] + [d[m - 1] - d[m + 1] for m in range(1, s + 1)]
+         for d in ([col[0] >> 1] + [col[k] // (4 * k + 2) for k in range(1, s)] + [0, 0]
+                   for col in cols)]
+    M = [[(u[0] if u is v else 0) if gauss else
+          sum(u[k] * v[k] // (2 * k + 1) for k in range(s)) >> bits for v in cols] for u in cols]
+    return c, A, [col[0] for col in cols], M, W
 
 
 def iiib_from_iiia(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -165,8 +172,7 @@ def check_c1(M: np.ndarray, tol: float) -> bool:
     """True iff all off-diagonal mass-matrix entries vanish to tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    off = M - np.diag(np.diag(M))
-    return bool(np.max(np.abs(off), initial=0.0) <= tol)
+    return bool(np.max(np.abs(M - np.diag(np.diag(M))), initial=0.0) <= tol)
 
 
 def quadratic_invariant_residual(scheme: CollocationScheme) -> float:
@@ -238,13 +244,7 @@ def make_scheme(kind: str, s: int) -> CollocationScheme:
 
 @cache
 def _make_scheme(kind: str, s: int) -> CollocationScheme:
-    # Legendre zeros keep 40 digits; closed-form Gauss-2/3, Lobatto nodes are floats
+    c, A, b, M, W = (_round(t, _BITS) for t in _tables(kind, s, _BITS))
     gauss = kind == GAUSS
-    zeros = gauss and s not in (2, 3)
-    with mp.workdps(_DPS):
-        c_mp = _gauss_nodes_mp(s) if zeros else [
-            mpf(v) for v in (gauss_legendre_nodes(s) if gauss else lobatto_nodes(s))]
-        A, b, M, W = _tables_mp(c_mp, gauss, zeros)
-    return CollocationScheme(kind, np.array([float(v) for v in c_mp]), A, b, M, W,
-                             order=2 * s if gauss else 2 * s - 2,
+    return CollocationScheme(kind, c, A, b, M, W, order=2 * s if gauss else 2 * s - 2,
                              A_hat=None if gauss else iiib_from_iiia(A, b))

@@ -1,9 +1,12 @@
+from math import cos, pi
+
 import mpmath
 import numpy as np
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
 from phint import collocation as coll
+from phint.errors import SchemeConstructionError
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +73,89 @@ def matmul_delta_h_tilde(sol, scheme):
     Mf = scheme.M @ sol.f
     Mf *= sol.e
     return -sol.h * Mf.sum(axis=(-2, -1))
+
+
+# The 40-digit mpmath table builder that the fixed-point one replaced, kept as
+# its oracle: the same algorithm on mpf at 40 digits, rounded once to float.
+
+def _legendre_zero_mp(s, x, tol):
+    """Newton steps on P_s from x in the arithmetic of x (float or mpf)."""
+    for _ in range(20):
+        p, q = x, 1
+        for k in range(2, s + 1):
+            p, q = ((2 * k - 1) * x * p - (k - 1) * q) / k, p
+        dx = p * (x * x - 1) / (s * (x * p - q))  # P_s / P_s'
+        x -= dx
+        if abs(dx) <= tol:
+            return x
+    raise SchemeConstructionError(f"gauss s = {s} node did not converge")
+
+
+def gauss_nodes_mp(s):
+    """Zeros of P_s(2t - 1) in 40-digit mpf, ascending: Newton from the cosine
+    estimates in double precision, then at 64 extra bits to a step < 2^-32
+    ulp, rounded once."""
+    starts = [cos(pi * (i - 0.25) / (s + 0.5)) for i in range(s, 0, -1)]
+    with mp.workdps(40):
+        tol = mp.ldexp(1, -mp.prec - 32)
+        with mp.workprec(mp.prec + 64):
+            nodes = [(1 + _legendre_zero_mp(s, mpf(_legendre_zero_mp(s, x, 1e-8)), tol)) / 2
+                     for x in starts]
+        return [+c for c in nodes]
+
+
+def fixed_to_mp(values, bits):
+    """Fixed-point ints (value * 2^bits) as mpf, each rounded once to 40 digits."""
+    with mp.workdps(40):
+        return [+mp.ldexp(mpf(v), -bits) for v in values]
+
+
+def _legendre_mp(n, t):
+    x = 2 * t - 1
+    p = [mpf(1), x]
+    for k in range(1, n):
+        p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+    return p[:n + 1]
+
+
+def _coefficients_mp(c_mp, zeros=False):
+    s = len(c_mp)
+    V = [_legendre_mp(s - 1, c) for c in c_mp]
+    if not zeros:
+        return list(zip(*mp.inverse(mp.matrix(V)).tolist()))
+    b = [1 / mp.fsum((2 * k + 1) * v[k] ** 2 for k in range(s)) for v in V]
+    return [[(2 * k + 1) * bj * v[k] for k in range(s)] for bj, v in zip(b, V)]
+
+
+def _integral_weights_mp(cols, t):
+    p = _legendre_mp(len(cols), t)
+    q = [t] + [(p[k + 1] - p[k - 1]) / (4 * k + 2) for k in range(1, len(cols))]
+    return [float(mp.fdot(q, col)) for col in cols]
+
+
+def tables_mp(c_mp, gauss, zeros):
+    """(A, b, M, W) as float arrays from mpf nodes at the current precision,
+    each entry rounded once: the closed-form Legendre sums of collocation._tables."""
+    s = len(c_mp)
+    cols = _coefficients_mp(c_mp, zeros)
+    A = np.array([_integral_weights_mp(cols, c) for c in c_mp])
+    b = np.array([float(col[0]) for col in cols])
+    W = np.array([[d[0] - d[1]] + [d[m - 1] - d[m + 1] for m in range(1, s + 1)]
+                  for d in ([col[0] / 2] + [col[k] / (4 * k + 2) for k in range(1, s)] + [0, 0]
+                            for col in cols)], dtype=float)
+    M = np.diag(b) if gauss else np.array(
+        [[mp.fsum(u[k] * v[k] / (2 * k + 1) for k in range(s)) for v in cols] for u in cols],
+        dtype=float)
+    return A, b, M, W
+
+
+def scheme_mp(kind, s):
+    """The 40-digit builder's record of a scheme, as a dict of float arrays."""
+    gauss = kind == coll.GAUSS
+    zeros = gauss and s not in (2, 3)
+    with mp.workdps(40):
+        c_mp = gauss_nodes_mp(s) if zeros else [
+            mpf(v) for v in (coll.gauss_legendre_nodes(s) if gauss else coll.lobatto_nodes(s))]
+        A, b, M, W = tables_mp(c_mp, gauss, zeros)
+    return {"c": np.array([float(v) for v in c_mp]), "A": A, "b": b, "M": M, "W": W,
+            "A_hat": None if gauss else coll.iiib_from_iiia(A, b)}

@@ -1,16 +1,28 @@
 """Node sets, tableaux and mass matrices against closed forms, an
 independent quadrature oracle and the monomial construction they replaced."""
+import hashlib
+import os
+import subprocess
+import sys
 from math import comb, factorial
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from phint import collocation as coll
 from phint.errors import SchemeConstructionError
 
-from conftest import lagrange_coefficients, leggauss_integral, monomial_lagrange
+from conftest import (fixed_to_mp, gauss_nodes_mp, lagrange_coefficients, leggauss_integral,
+                      monomial_lagrange, scheme_mp, tables_mp)
+
+# sha256 of gauss_legendre_nodes(1 .. 8) as float64 little-endian bytes, as
+# the 40-digit mpmath construction made them
+NODES_DIGEST = "3c5ebc28905ae3f36d4b8e7853dd83cc0044edad0f9726048229812397a2a663"
 
 SQ3 = np.sqrt(3.0)
 SQ5 = np.sqrt(5.0)
@@ -91,24 +103,63 @@ def _polyroots_nodes(s):
 
 @pytest.mark.parametrize("s", range(4, 9))
 def test_newton_nodes_equal_polyroots(s):
-    assert coll._gauss_nodes_mp(s) == _polyroots_nodes(s)
+    # the fixed-point nodes rounded to 40 digits, and the 40-digit oracle's
+    assert fixed_to_mp(coll._gauss_nodes(s, coll._BITS), coll._BITS) == _polyroots_nodes(s)
+    assert gauss_nodes_mp(s) == _polyroots_nodes(s)
 
 
 def test_double_start_leaves_few_mpf_steps(monkeypatch):
     # from the cosine estimates Gauss-8 took 44 mpf steps; from a start within
-    # about 1e-16 each node needs at most 4 steps in either precision
+    # about 1e-16 each node needs at most 4 steps in either arithmetic
     monkeypatch.setattr(coll, "_NODE_MAX_ITER", 4)
     for s in range(4, 9):
-        assert coll._gauss_nodes_mp(s) == _polyroots_nodes(s)
+        assert fixed_to_mp(coll._gauss_nodes(s, coll._BITS), coll._BITS) == _polyroots_nodes(s)
 
 
 @pytest.mark.parametrize("s", range(4, 9))
 def test_tables_over_polyroots_nodes_are_the_scheme(s):
     scheme = coll.make_scheme(coll.GAUSS, s)
     with mp.workdps(40):
-        A, b, M, W = coll._tables_mp(_polyroots_nodes(s), gauss=True, zeros=True)
+        A, b, M, W = tables_mp(_polyroots_nodes(s), gauss=True, zeros=True)
     for name, arr in (("A", A), ("b", b), ("M", M), ("W", W)):
         assert arr.tobytes() == getattr(scheme, name).tobytes(), name
+
+
+@pytest.mark.parametrize("kind,s", [(coll.GAUSS, s) for s in range(1, 9)]
+                         + [(coll.LOBATTO, s) for s in range(2, 5)])
+def test_fixed_point_tables_equal_40_digit_builder(kind, s):
+    # the same sums over 256-bit ints and over 40-digit mpf round to the same floats
+    scheme, oracle = coll.make_scheme(kind, s), scheme_mp(kind, s)
+    for name in ("c", "A", "b", "M", "W", "A_hat"):
+        new, old = getattr(scheme, name), oracle[name]
+        assert (new is None and old is None) or new.tobytes() == old.tobytes(), name
+
+
+def test_tables_round_the_same_at_512_bits():
+    # the 256-bit tables are the floats of the exact ones: doubling the bits
+    # moves no entry of any scheme
+    for kind, stages in ((coll.GAUSS, coll.GAUSS_STAGE_RANGE),
+                         (coll.LOBATTO, coll.LOBATTO_STAGE_RANGE)):
+        for s in stages:
+            for t256, t512 in zip(coll._tables(kind, s, 256), coll._tables(kind, s, 512)):
+                assert coll._round(t256, 256).tobytes() == coll._round(t512, 512).tobytes()
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.asarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_tables_and_nodes_keep_their_bytes(all_schemes):
+    # sha256 of the tables (c, A, b, M, W, A_hat of gauss 1-8, lobatto 2-4, in
+    # that order) and of gauss_legendre_nodes(1 .. 8) as the mpmath builder made them
+    tables = [getattr(scheme, name) for scheme in all_schemes.values()
+              for name in ("c", "A", "b", "M", "W", "A_hat")]
+    assert _digest(t for t in tables if t is not None) == \
+        "cddedec2d3862bb8d93c22ceb7a64b0e36915c41560b466af625db7b0ba1afa0"
+    assert _digest(coll.gauss_legendre_nodes(s) for s in range(1, 9)) == NODES_DIGEST
 
 
 # The monomial construction the Legendre basis replaced, kept as its oracle:
@@ -234,6 +285,45 @@ def test_lagrange_functions_match_monomial_oracle(all_schemes):
                     == np.array(expect).tobytes()
 
 
+@st.composite
+def spaced_nodes(draw):
+    """s <= 8 increasing nodes in [0, 1], at least 0.05 apart: the free length
+    1 - 0.05 (s - 1) split by s + 1 drawn weights (the first before c_1, the
+    last after c_s), so an endpoint is a node when its weight is 0."""
+    s = draw(st.integers(1, 8))
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=s + 1, max_size=s + 1)))
+    gaps = (1.0 - 0.05 * (s - 1)) * w[:s] / (w.sum() or 1.0) + 0.05 * (np.arange(s) > 0)
+    return np.minimum(np.cumsum(gaps), 1.0)
+
+
+def _round_once(x):
+    """An mpf as the nearest float; float(x) rounds twice below 2^-1022."""
+    sign, man, exp, _ = x._mpf_
+    man = -man if sign else man
+    return man / (1 << -exp) if exp < 0 else float(man << exp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=spaced_nodes(), tau=st.floats(0.0, 1.0))
+def test_lagrange_integral_weights_equal_monomial_oracle(c, tau):
+    # the Gauss-Jordan path of the float node sets, for any tau in [0, 1]
+    # (subnormal ones included), against the 40-digit monomial construction
+    with mp.workdps(40):
+        c_mp = [mpmath.mpf(v) for v in c]
+        expect = [_round_once(_monomial_eval(_monomial_antiderivative(monomial_lagrange(c_mp, j)),
+                                             mpmath.mpf(tau))) for j in range(len(c))]
+    assert coll.lagrange_integral_weights(c, tau).tobytes() == np.array(expect).tobytes()
+
+
+def test_cli_import_leaves_mpmath_out():
+    src = Path(coll.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c",
+                          "import phint.cli, sys; print('mpmath' in sys.modules)"],
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "False\n"
+
+
 @pytest.mark.parametrize("s", range(1, 9))
 def test_gauss_legendre_nodes_unchanged(s):
     if s == 1:
@@ -251,7 +341,10 @@ def test_gauss_legendre_nodes_unchanged(s):
 
 @pytest.mark.parametrize("s", range(1, 9))
 def test_newton_nodes_are_symmetric_legendre_zeros(s):
-    nodes = coll._gauss_nodes_mp(s)
+    fixed = coll._gauss_nodes(s, coll._BITS)
+    if s % 2:  # the middle node is 1/2 exactly, so the odd P~_k vanish there
+        assert fixed[s // 2] == 1 << coll._BITS - 1
+    nodes = fixed_to_mp(fixed, coll._BITS)
     with mp.workdps(40):
         for c in nodes:
             assert abs(mp.legendre(s, 2 * c - 1)) <= mpmath.mpf("1e-35")
@@ -279,7 +372,7 @@ def test_unconverged_node_raises(monkeypatch):
     # two Newton steps per precision stop short of the step bounds
     monkeypatch.setattr(coll, "_NODE_MAX_ITER", 2)
     with pytest.raises(SchemeConstructionError, match="s = 6"):
-        coll._gauss_nodes_mp(6)
+        coll._gauss_nodes(6, coll._BITS)
     coll._make_scheme.cache_clear()
     with pytest.raises(SchemeConstructionError, match="s = 5"):
         coll.make_scheme(coll.GAUSS, 5)
@@ -287,8 +380,9 @@ def test_unconverged_node_raises(monkeypatch):
 
 def test_nan_start_never_returns_a_node(monkeypatch):
     monkeypatch.setattr(coll, "cos", lambda a: float("nan"))
-    with pytest.raises(SchemeConstructionError, match="s = 4"):
-        coll._gauss_nodes_mp(4)
+    for s in (4, 5):
+        with pytest.raises(SchemeConstructionError, match=f"s = {s}"):
+            coll._gauss_nodes(s, coll._BITS)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])

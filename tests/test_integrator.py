@@ -2,9 +2,11 @@
 import dataclasses
 import importlib
 import pathlib
+import sys
 import tracemalloc
 from dataclasses import fields
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -105,11 +107,6 @@ def test_extrapolation_weights_match_integrated_basis(kind, s):
     assert np.max(np.abs(dense_weights(scheme, 1.0) - scheme.b)) < 1e-14
 
 
-class _NoMpmath:
-    def __getattr__(self, name):
-        raise AssertionError(f"mpmath used on the dense-output path: mp.{name}")
-
-
 def test_dense_eval_runs_without_mpmath(monkeypatch):
     cases = []
     for kind, s in ALL_SCHEMES:
@@ -121,7 +118,10 @@ def test_dense_eval_runs_without_mpmath(monkeypatch):
         raise AssertionError("dense_eval called lagrange_integral_weights")
 
     monkeypatch.setattr(coll, "lagrange_integral_weights", no_oracle)
-    monkeypatch.setattr(coll, "mp", _NoMpmath())
+    # no phint module holds mpmath, and none can import it
+    assert not any(v is mpmath for m in list(sys.modules) if m.startswith("phint")
+                   for v in vars(sys.modules[m]).values())
+    monkeypatch.setitem(sys.modules, "mpmath", None)
     for scheme, sol in cases:
         assert np.max(np.abs(dense_eval(sol, scheme, 1.0) - sol.x_end)) < 1e-14
         assert np.all(np.isfinite(dense_eval(sol, scheme, 0.3)))
