@@ -6,9 +6,8 @@ from .collocation import (GAUSS, LOBATTO, CollocationScheme, check_c1,
                           make_scheme, quadratic_invariant_residual)
 from .dirac import (assemble_blocks, discrete_output, efforts, kernel_check,
                     power_residual, structure_residual)
-from .energy import (EnergyReport, OrderFit, delta_h_bar, delta_h_tilde,
-                     order_fit, reference_solution, relative_errors,
-                     supplied_energy)
+from .energy import (EnergyReport, delta_h_bar, delta_h_tilde, order_fit,
+                     reference_solution, supplied_energy)
 from .integrator import (StageSolution, Trajectory, dense_eval, simulate,
                          solve_stages)
 from .models import (FeedbackConfig, InputSignal, PHModel, mechanical,

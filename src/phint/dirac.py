@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .collocation import check_c1
 from .energy import delta_h_tilde, supplied_energy
 
 
@@ -111,13 +112,13 @@ def _skew_defect(J, M):
     """The G blocks cancel in E + E', whose (i, j) block is
     (M^-1)_ij (J_i + J_j'), so the defect is max_ij |(M^-1)_ij| |J_i + J_j'|:
     zero under C1 (diagonal M, skew J_i) and C2 (constant skew J).  Only the
-    pairs (i, i) are formed when |M^-1| is exactly diagonal; otherwise, with
+    pairs (i, i) are formed when check_c1 passes M; otherwise, with
     the entries of J and J' on the leading axis of contiguous (n n, s, ...)
     copies, stage row i is one add, abs and max into the (s, s, ...) array of
     the |J_i + J_j'|: no (..., s, s, n, n) array is formed."""
     s, n, lead = J.shape[-3], J.shape[-1], J.shape[:-3]
     Minv = np.abs(np.linalg.inv(M))
-    if np.array_equal(Minv, np.diag(np.diagonal(Minv))):
+    if check_c1(M):
         norms = np.max(np.abs(J + np.swapaxes(J, -1, -2)), axis=(-2, -1))
         return np.max(norms * np.diagonal(Minv), axis=-1)
     entries, back = (n * n, s) + lead, tuple(range(len(lead)))

@@ -1,6 +1,6 @@
-"""Energy bookkeeping: supplied/stored increments, reference solutions for the
-oscillator experiments, relative-error metrics and convergence-order fits.
-"""
+"""Energy bookkeeping: per-step supplied/stored increments, references for the
+oscillator experiments, run totals with their relative errors (EnergyReport)
+and convergence orders (order_fit, the slope of an error curve)."""
 from __future__ import annotations
 
 import math
@@ -71,18 +71,13 @@ class EnergyReport:
         if reference is not None:
             h_ref = reference(traj.times[[0, -1]])[1]
             dh_tot_ref = float(h_ref[-1] - h_ref[0])
-            eps_t, eps_b = relative_errors(dh_tilde_tot, dh_bar_tot, dh_tot_ref)
+            if dh_tot_ref == 0.0:
+                raise ConfigurationError("reference energy increment is zero; "
+                                         "pick an experiment with net energy transfer")
+            eps_t = (dh_tilde_tot - dh_tot_ref) / dh_tot_ref
+            eps_b = (dh_bar_tot - dh_tot_ref) / dh_tot_ref
         return cls(dh_tilde_tot=dh_tilde_tot, dh_bar_tot=dh_bar_tot,
                    dh_tot_ref=dh_tot_ref, eps_tilde=eps_t, eps_bar=eps_b)
-
-
-def relative_errors(dh_tilde_tot, dh_bar_tot, dh_tot_ref):
-    """(eps_tilde, eps_bar) relative to the exact total increment."""
-    if dh_tot_ref == 0.0:
-        raise ConfigurationError("reference energy increment is zero; "
-                                 "pick an experiment with net energy transfer")
-    return ((dh_tilde_tot - dh_tot_ref) / dh_tot_ref,
-            (dh_bar_tot - dh_tot_ref) / dh_tot_ref)
 
 
 # --- closed-form references for the two oscillator experiments -------------
@@ -146,19 +141,10 @@ def reference_solution(experiment: str, t, r: float = 0.1):
     return x, 0.5 * np.vecdot(x, x)
 
 
-@dataclass(frozen=True)
-class OrderFit:
-    """Least-squares slope of log|error| vs log h."""
-
-    slope: float
-    intercept: float
-    max_deviation: float
-    points: tuple
-
-
-def order_fit(points, tail: int | None = None) -> OrderFit:
-    """Fit a convergence order from (h, |error|) pairs; points under the
-    rounding floor are dropped, at least 3 must survive.
+def order_fit(points, tail: int | None = None) -> float:
+    """Least-squares slope of log|error| vs log h, a convergence order, from
+    (h, |error|) pairs; points under the rounding floor are dropped, at least
+    3 must survive.
 
     With tail=k the fit uses only the k smallest surviving step sizes.  Error
     curves typically bend upward at large h (higher-order terms of the error
@@ -175,8 +161,4 @@ def order_fit(points, tail: int | None = None) -> OrderFit:
         usable = sorted(usable, key=lambda p: p[0])[:tail]
     log_h = np.log([h for h, _ in usable])
     log_e = np.log([err for _, err in usable])
-    slope, intercept = np.polyfit(log_h, log_e, 1)
-    dev = float(np.max(np.abs(log_e - (slope * log_h + intercept))))
-    return OrderFit(slope=float(slope), intercept=float(intercept),
-                    max_deviation=dev, points=tuple(usable))
-
+    return float(np.polyfit(log_h, log_e, 1)[0])

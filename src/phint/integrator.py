@@ -60,9 +60,6 @@ class StageSolution:
 
 @dataclass
 class Trajectory:
-    scheme_label: str
-    model_name: str
-    h: float
     times: np.ndarray
     states: np.ndarray               # (N+1, n)
     dh_tilde: np.ndarray             # (N,)
@@ -393,7 +390,6 @@ def simulate(model, scheme, x0, input_signal, h, t_end,
     if bad.size:
         raise SolverDivergenceError("state or energy is not finite",
                                     step_index=int(bad.min()))
-    return Trajectory(scheme_label=scheme.label, model_name=model.name,
-                      h=h, times=np.arange(N + 1) * h, states=states,
+    return Trajectory(times=np.arange(N + 1) * h, states=states,
                       dh_tilde=dh_tilde, dh_bar=dh_bar, supplied=supplied,
                       stages=sol if retain_stages else None)

@@ -40,6 +40,9 @@ class PHModel:
         self.name = name
         # separable (q, p) models: the first n_q states are positions, which
         # Lobatto pairs advance with A and the momenta with A_hat
+        if n_q is not None and (isinstance(n_q, bool) or not isinstance(n_q, (int, np.integer))
+                                or not 1 <= n_q < self.n):
+            raise ConfigurationError(f"n_q must be an integer in [1, n), n = {self.n}, got {n_q!r}")
         self.n_q = None if n_q is None else int(n_q)
 
 

@@ -121,8 +121,8 @@ def test_criterion_3_convergence_orders_lossless():
             rep = lossless_eps(kind, s, h)
             pts_t.append((h, rep.eps_tilde))
             pts_b.append((h, rep.eps_bar))
-        st = order_fit(pts_t, tail=SLOPE_FIT_TAIL).slope
-        sb = order_fit(pts_b, tail=SLOPE_FIT_TAIL).slope
+        st = order_fit(pts_t, tail=SLOPE_FIT_TAIL)
+        sb = order_fit(pts_b, tail=SLOPE_FIT_TAIL)
         ok = ok and abs(st - p) <= 0.3 and abs(sb - p) <= 0.3
         lines.append(f"{kind}-s{s}: {st:.2f}/{sb:.2f} (target {p})")
     report("criterion 3 convergence orders", ok, "; ".join(lines))
@@ -138,7 +138,7 @@ def test_criterion_4_consistent_nonexact_balance():
         traj = simulate(pm, scheme, X0, pulse_input(), h, 18.0)
         pts.append((h, abs(float(traj.dh_bar.sum() - traj.dh_tilde.sum()))))
     gap_h05 = pts[0][1]
-    slope = order_fit(pts, tail=SLOPE_FIT_TAIL).slope
+    slope = order_fit(pts, tail=SLOPE_FIT_TAIL)
     ok = gap_h05 > 1e-12 and 3.6 <= slope <= 4.6
     report("criterion 4 consistent balance", ok,
            f"|dH_bar_tot - dH_tilde_tot| at h=0.5: {gap_h05:.2e} (> 1e-12), "
@@ -178,7 +178,7 @@ def test_criterion_5_local_energy_error_order():
             h *= 0.85
         ratio = (3e-12 / gap(scheme, h)) ** (1.0 / (5 * p1))
         pts = [(hk, gap(scheme, hk)) for hk in (h * ratio**k for k in range(6))]
-        slope = order_fit(pts).slope
+        slope = order_fit(pts)
         ok = ok and abs(slope - p1) <= 0.3
         lines.append(f"{kind}-s{s}: {slope:.2f}/{p1}")
     report("criterion 5 local energy-error order", ok, "; ".join(lines))
@@ -195,8 +195,8 @@ def test_criterion_6_dissipative_case():
             rep = damped_eps(kind, s, h)
             pts_t.append((h, rep.eps_tilde))
             pts_b.append((h, rep.eps_bar))
-        st = order_fit(pts_t, tail=SLOPE_FIT_TAIL).slope
-        sb = order_fit(pts_b, tail=SLOPE_FIT_TAIL).slope
+        st = order_fit(pts_t, tail=SLOPE_FIT_TAIL)
+        sb = order_fit(pts_b, tail=SLOPE_FIT_TAIL)
         ok = ok and abs(st - p) <= 0.3 and abs(sb - p) <= 0.3
         lines.append(f"{kind}-s{s}: {st:.2f}/{sb:.2f} (target {p})")
     worst_gain = -np.inf

@@ -453,7 +453,7 @@ def test_gauss_mass_matrix_is_diagonal(all_schemes):
     for (kind, s), scheme in all_schemes.items():
         if kind != coll.GAUSS:
             continue
-        assert coll.check_c1(scheme.M, 1e-14)
+        assert coll.check_c1(scheme.M)
         assert np.max(np.abs(np.diag(scheme.M) - scheme.b)) < 1e-14
 
 
@@ -461,7 +461,7 @@ def test_lobatto_mass_matrix_not_diagonal(all_schemes):
     for (kind, s), scheme in all_schemes.items():
         if kind != coll.LOBATTO:
             continue
-        assert not coll.check_c1(scheme.M, 1e-14)
+        assert not coll.check_c1(scheme.M)
 
 
 def test_mass_matrix_symmetric_positive_definite(all_schemes):
@@ -619,9 +619,12 @@ def test_tableau_validation():
         scheme_record(c, [[0.0, 0.0], [0.5, 0.5]], [0.5, 0.5], np.zeros((2, 2)))
 
 
-def test_check_c1_validates_tol():
-    with pytest.raises(ValueError):
-        coll.check_c1(np.eye(2), 0.0)
+def test_check_c1_is_exact():
+    # the smallest subnormal off the diagonal is not C1
+    M = coll.make_scheme(coll.GAUSS, 4).M.copy()
+    assert coll.check_c1(M)
+    M[0, 1] = 5e-324
+    assert not coll.check_c1(M)
 
 
 def test_pair_construction_needs_nonzero_weights():

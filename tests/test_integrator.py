@@ -1147,7 +1147,6 @@ def test_trajectory_bookkeeping():
     assert traj.times.shape == (37,)
     assert traj.states.shape == (37, 2)
     assert len(traj.stage_solutions) == 36
-    assert traj.scheme_label == "gauss-s2"
     # supplied energy is zero while the pulse is off
     assert np.max(np.abs(traj.supplied[:16])) < 1e-15
     assert np.max(np.abs(traj.supplied[20:])) < 1e-15

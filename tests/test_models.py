@@ -100,6 +100,18 @@ def test_partitioned_model_validation():
         mechanical(np.eye(2), np.eye(2), np.ones((3, 1)))
 
 
+@pytest.mark.parametrize("n_q", [-1, 0, 2, 5, True, 1.0])
+def test_position_count_must_split_the_state(n_q):
+    # a 2-state oscillator has one position: n_q must be an integer in [1, 2)
+    make = lambda k: PHModel(2, 1, H=lambda x: 0.5 * (x @ x), gradH=lambda x: x,
+                             J=lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                             G=lambda x: np.array([[0.0], [1.0]]),
+                             constant_structure=True, Q=np.eye(2), n_q=k)
+    assert make(1).n_q == make(np.int64(1)).n_q == 1 and make(None).n_q is None
+    with pytest.raises(ConfigurationError, match=r"n = 2\b"):
+        make(n_q)
+
+
 def _with_q(Q, n=2):
     return PHModel(n, 1, H=lambda x: 0.5 * (x @ x), gradH=lambda x: x,
                    J=lambda x: np.zeros((n, n)), G=lambda x: np.ones((n, 1)),
