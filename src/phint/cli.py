@@ -66,15 +66,7 @@ def _floats(flag, text) -> tuple:
         raise ConfigurationError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
-def _build_input(name, m):
-    if name not in INPUTS:
-        raise ConfigurationError(f"unknown input {name!r}")
-    return pulse_input() if name == "pulse" else zero_input(m)
-
-
 def _build(args):
-    if args.model not in MODELS:
-        raise ConfigurationError(f"unknown model {args.model!r}")
     if not (np.isfinite(args.r) and args.r >= 0.0):
         raise ConfigurationError(f"--r must be a finite gain >= 0, got {args.r}")
     model = MODELS[args.model]()
@@ -83,7 +75,8 @@ def _build(args):
                   else _floats("--x0", args.x0))
     feedback = (FeedbackConfig(r=args.r, mode=args.feedback_mode)
                 if args.r > 0.0 else None)
-    return model, scheme, x0, _build_input(args.input, model.m), feedback
+    signal = pulse_input() if args.input == "pulse" else zero_input(model.m)
+    return model, scheme, x0, signal, feedback
 
 
 def _reference_for(args, x0):
@@ -251,7 +244,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         p.add_argument("--scheme", default="gauss", choices=[coll.GAUSS, coll.LOBATTO])
         p.add_argument("--stages", type=int, default=2)
-        p.add_argument("--out", default=None)
+        if fn is not cmd_check:
+            p.add_argument("--out", default=None)
         if fn is cmd_tableau:
             p.add_argument("--format", default="text", choices=["text", "csv"])
             continue

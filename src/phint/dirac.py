@@ -5,8 +5,9 @@ or of a run stacked along a leading interval axis, and return one value per
 interval.  kernel_check makes no rank test: [F E][F E]' = I + E E' >= I with
 F = I, so [F E] has full row rank (singular values >= 1) for any E.  Under
 the paper's conditions it skips work that cannot change its result: a
-constant structure (C2, stride 0 over the run) is tested on one interval, a
-diagonal M (C1) on the s stage pairs (i, i) alone.
+constant structure (C2, stride 0 over the run) is tested on one interval,
+and only the stage pairs (i, j) with (M^-1)_ij != 0 are formed, which for a
+diagonal M (C1) are the s pairs (i, i).
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import math
 
 import numpy as np
 
-from .collocation import check_c1
 from .energy import delta_h_tilde, supplied_energy
 
 
@@ -111,22 +111,16 @@ def kernel_check(J, M):
 def _skew_defect(J, M):
     """The G blocks cancel in E + E', whose (i, j) block is
     (M^-1)_ij (J_i + J_j'), so the defect is max_ij |(M^-1)_ij| |J_i + J_j'|:
-    zero under C1 (diagonal M, skew J_i) and C2 (constant skew J).  Only the
-    pairs (i, i) are formed when check_c1 passes M; otherwise, with
-    the entries of J and J' on the leading axis of contiguous (n n, s, ...)
-    copies, stage row i is one add, abs and max into the (s, s, ...) array of
-    the |J_i + J_j'|: no (..., s, s, n, n) array is formed."""
-    s, n, lead = J.shape[-3], J.shape[-1], J.shape[:-3]
+    zero under C1 (diagonal M, skew J_i) and C2 (constant skew J).  The pairs
+    are the nonzero entries of M^-1, gathered into one (..., P, n, n) stack:
+    under C1 the s pairs (i, i) alone, since the others multiply exact zeros."""
+    s = J.shape[-3]
+    if np.shape(M) != (s, s):
+        raise ValueError(f"expected M of shape ({s}, {s}) for {s} stages, "
+                         f"got shape {np.shape(M)}")
     Minv = np.abs(np.linalg.inv(M))
-    if check_c1(M):
-        norms = np.max(np.abs(J + np.swapaxes(J, -1, -2)), axis=(-2, -1))
-        return np.max(norms * np.diagonal(Minv), axis=-1)
-    entries, back = (n * n, s) + lead, tuple(range(len(lead)))
-    Jf = np.ascontiguousarray(J.transpose((-2, -1, -3) + back)).reshape(entries)
-    Jt = np.ascontiguousarray(J.transpose((-1, -2, -3) + back)).reshape(entries)
-    norms, buf = np.empty((s, s) + lead), np.empty(entries)
-    for i in range(s):
-        np.abs(np.add(Jf[:, i:i + 1], Jt, out=buf), out=buf)
-        np.max(buf, axis=0, out=norms[i])
-    norms *= Minv.reshape((s, s) + (1,) * len(lead))
-    return np.max(norms.reshape((s * s,) + lead), axis=0)
+    i, j = np.nonzero(Minv)
+    D = J[..., i, :, :]
+    D += np.swapaxes(J[..., j, :, :], -1, -2)
+    norms = np.max(np.abs(D, out=D), axis=(-2, -1)) * Minv[i, j]
+    return np.max(norms, axis=-1)

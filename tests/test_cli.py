@@ -223,6 +223,29 @@ def test_converge_needs_reference(capsys):
                 "--t-end", "18"]) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "converge", "check"])
+@pytest.mark.parametrize("flag", ["--model", "--input"])
+def test_unknown_model_or_input_is_a_usage_error(command, flag, capsys):
+    # the names are argparse choices: an unknown one stops the parser
+    with pytest.raises(SystemExit) as exc:
+        run([command, flag, "nosuch", "--t-end", "1"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid choice: 'nosuch'" in capsys.readouterr().err
+
+
+def test_check_has_no_out_option(tmp_path, capsys):
+    # check prints its verdict and writes no file, so --out is a usage error
+    # there; tableau, simulate and converge keep it
+    out = tmp_path / "check.txt"
+    with pytest.raises(SystemExit) as exc:
+        run(["check", "--t-end", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not out.exists()
+    for command in ("tableau", "simulate", "converge"):
+        assert make_parser().parse_args([command, "--out", "x"]).out == "x"
+
+
 def test_check_passes_constant_structure(capsys):
     code = run(["check", "--model", "oscillator", "--scheme", "lobatto",
                 "--stages", "3", "--h", "0.5", "--t-end", "5"])

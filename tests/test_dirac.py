@@ -337,6 +337,64 @@ def test_skew_defect_takes_the_pair_loop_unless_m_is_exactly_diagonal(s):
     assert got.tobytes() == general_kernel_check(J, moved).tobytes()
 
 
+def _contiguous_stacks(s, n, rng):
+    """Contiguous J stacks of one interval and of runs with one and two
+    leading axes: non-skew, skew and a constant J copied to every stage, at
+    scales 1, 1e155 and 1e+-300, skew stacks with one NaN or infinite entry
+    in the first interval, and integer entries, as a model's J may give."""
+    for lead in ((), (7,), (3, 4)):
+        for scale in (1.0, 1e155, 1e300, 1e-300):
+            A = scale * rng.normal(size=lead + (s, n, n))
+            C = scale * rng.normal(size=(n, n))
+            yield A
+            yield A - np.swapaxes(A, -1, -2)
+            yield np.ascontiguousarray(np.broadcast_to(C, A.shape))
+            yield np.ascontiguousarray(np.broadcast_to(C - C.T, A.shape))
+        for bad in (np.nan, np.inf, -np.inf):
+            A = rng.normal(size=lead + (s, n, n))
+            A = A - np.swapaxes(A, -1, -2)
+            A[(0,) * len(lead) + (s - 1, 0, n - 1)] = bad
+            yield A
+        yield rng.integers(-9, 10, size=lead + (s, n, n))
+
+
+@pytest.mark.parametrize("kind,s", SCHEMES, ids=[f"{k}{s}" for k, s in SCHEMES])
+def test_kernel_check_of_contiguous_stacks_is_the_pair_loop_bit_for_bit(kind, s):
+    # the gather forms only the pairs (i, j) with (M^-1)_ij != 0; the s^2
+    # loop multiplies the others by an exact 0, so every defect, its type and
+    # its shape are the loop's.  An infinite entry under a diagonal M is the
+    # one exception: there the loop's skipped pairs read 0 * inf = NaN and
+    # the gather gives the infinite defect of the pairs (i, i)
+    M = coll.make_scheme(kind, s).M
+    rng = np.random.default_rng([s, len(kind), 24])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in (1, 2, 3, 5):
+            for J in _contiguous_stacks(s, n, rng):
+                got, expect = kernel_check(J, M), general_kernel_check(J, M)
+                assert type(got) is type(expect)
+                assert np.shape(got) == np.shape(expect) == J.shape[:-3]
+                got, expect = np.asarray(got), np.asarray(expect)
+                assert got.dtype == expect.dtype == np.float64
+                if kind == coll.GAUSS and s > 1 and np.isinf(J).any():
+                    hit = np.isinf(J).any(axis=(-3, -2, -1))
+                    assert np.all(np.isnan(expect[hit]))
+                    assert np.all(np.isposinf(got[hit]))
+                    got, expect = got[~hit], expect[~hit]
+                assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("kind,s,other", [(coll.GAUSS, 4, 3), (coll.GAUSS, 4, 5),
+                                          (coll.LOBATTO, 3, 2), (coll.LOBATTO, 3, 4)])
+def test_kernel_check_rejects_m_of_another_stage_count(kind, s, other):
+    # the pairs come from M alone, so an M of other stages would test some
+    # of the stages only, or index past them
+    M = coll.make_scheme(kind, other).M
+    J = np.random.default_rng(s).normal(size=(9, s, 2, 2))
+    for stack in (J[0], J, np.broadcast_to(J[0], J.shape)):
+        with pytest.raises(ValueError, match=rf"\({s}, {s}\) for {s} stages"):
+            kernel_check(stack, M)
+
+
 @pytest.mark.parametrize("size", [1, 3, 8, 24])
 def test_kernel_representation_has_full_row_rank(size):
     # [F E] with F = I: [I E][I E]' = I + E E' >= I, so every singular value
