@@ -174,10 +174,12 @@ def cmd_converge(args) -> int:
               "dh_bar_tot", "eps_tilde", "eps_bar"]
     rows = []
     points_t, points_b = [], []
+    # the reference once per distinct (t0, t_end) pair of the runs' own times
+    shared = functools.cache(lambda t0, t1: reference(np.array([t0, t1])))
     for h in h_list:
         traj = simulate(model, scheme, x0, signal, h, args.t_end,
                         feedback=feedback)
-        report = energy.EnergyReport.from_trajectory(traj, reference)
+        report = energy.EnergyReport.from_trajectory(traj, lambda t: shared(*t))
         rows.append([args.scheme, str(args.stages), _fmt(h),
                      str(len(traj.dh_tilde)), _fmt(report.dh_tot_ref),
                      _fmt(report.dh_tilde_tot), _fmt(report.dh_bar_tot),

@@ -7,7 +7,8 @@ F = I, so [F E] has full row rank (singular values >= 1) for any E.  Under
 the paper's conditions it skips work that cannot change its result: a
 constant structure (C2, stride 0 over the run) is tested on one interval,
 and only the stage pairs (i, j) with (M^-1)_ij != 0 are formed, which for a
-diagonal M (C1) are the s pairs (i, i).
+diagonal M (C1) are the s pairs (i, i).  A diagonal stage matrix is likewise
+a row scaling in discrete_output, given as its diagonal.
 """
 from __future__ import annotations
 
@@ -70,8 +71,9 @@ def efforts(model, states) -> np.ndarray:
 def discrete_output(K, G, e) -> np.ndarray:
     """Rows G_i' (K e)_i of the stacked efforts e (s, n).  K = M gives the
     discrete output y = G'(M (x) I_n) e, K = I_s the stagewise collocated
-    output.  G is one (n, m) matrix or a per-stage stack (s, n, m)."""
-    return _apply(np.swapaxes(G, -1, -2), K @ e)
+    output; a diagonal K given as its diagonal (s,) is the row scaling
+    K_ii e_i.  G is one (n, m) matrix or a per-stage stack (s, n, m)."""
+    return _apply(np.swapaxes(G, -1, -2), K[:, None] * e if K.ndim == 1 else K @ e)
 
 
 def drift(J, G, e, u=None) -> np.ndarray:

@@ -30,6 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .collocation import check_c1
 from .dirac import _stack_blocks, discrete_output, drift, efforts
 from .energy import delta_h_bar, delta_h_tilde, supplied_energy
 from .errors import ConfigurationError, SolverDivergenceError
@@ -114,9 +115,12 @@ class _Stepper:
         if feedback is not None and self.m == 0:
             raise ConfigurationError("feedback requires a model with a port")
         self.r = 0.0 if feedback is None else feedback.r
-        self.K = None
+        # the stage matrices of y (M) and of the feedback (K), each as its
+        # diagonal, a row scaling in discrete_output, when it is diagonal
+        diag = lambda K: np.diagonal(K) if check_c1(K) else K
+        self.M, self.K = diag(scheme.M), None
         if self.r > 0.0:
-            self.K = np.eye(self.s) if feedback.mode == STAGEWISE else scheme.M
+            self.K = diag(np.eye(self.s) if feedback.mode == STAGEWISE else scheme.M)
 
     def _inputs(self, t0):
         """Stage samples w (N, s, m) of the signal on the intervals starting
@@ -149,7 +153,7 @@ class _Stepper:
     def _solution(self, t0, states, stage_x, e, G, u, g, **solver) -> StageSolution:
         """The run's intervals from the bond pass of its stage states: the
         flows f = -g in the drift's place and the output y (empty, portless)."""
-        y = discrete_output(self.scheme.M, G, e) if self.m else np.empty(u.shape)
+        y = discrete_output(self.M, G, e) if self.m else np.empty(u.shape)
         return StageSolution(t0=t0, h=self.h, x0=states[:-1], stage_x=stage_x,
                              f=np.negative(g, out=g), e=e, u=u, y=y,
                              x_end=states[1:], **solver)
@@ -225,7 +229,11 @@ def _affine_states(Delta, x0, drive) -> np.ndarray:
     while m < N:
         if m > 1:
             P = P + (P + P @ P)
-        v[m:] = v[:-m] + (v[:-m] @ P.T + v[m:])
+        # v[:-m] + (v[:-m] P' + v[m:]) with two fewer temporaries
+        t = v[:-m] @ P.T
+        t += v[m:]
+        t += v[:-m]
+        v[m:] = t
         m *= 2
     return np.cumsum(np.concatenate([x0[None], v @ Delta.T + drive]), axis=0)
 
@@ -383,11 +391,11 @@ def simulate(model, scheme, x0, input_signal, h, t_end,
         dh_tilde = delta_h_tilde(sol, scheme)
         dh_bar = delta_h_bar(model, states)
         supplied = supplied_energy(sol)
-    # state row k + 1 and energy row k both belong to step k
-    bad = np.concatenate([
-        np.flatnonzero(~np.isfinite(states).all(axis=1)) - 1,
-        np.flatnonzero(~np.isfinite([dh_tilde, dh_bar, supplied]).all(axis=0))])
-    if bad.size:
+    if not all(np.isfinite(a).all() for a in (states, dh_tilde, dh_bar, supplied)):
+        # state row k + 1 and energy row k both belong to step k
+        bad = np.concatenate([
+            np.flatnonzero(~np.isfinite(states).all(axis=1)) - 1,
+            np.flatnonzero(~np.isfinite([dh_tilde, dh_bar, supplied]).all(axis=0))])
         raise SolverDivergenceError("state or energy is not finite",
                                     step_index=int(bad.min()))
     return Trajectory(times=np.arange(N + 1) * h, states=states,

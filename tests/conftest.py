@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp, mpf
 
 from phint import collocation as coll
+from phint import dirac
 from phint.errors import SchemeConstructionError
 
 
@@ -73,6 +74,14 @@ def matmul_delta_h_tilde(sol, scheme):
     Mf = scheme.M @ sol.f
     Mf *= sol.e
     return -sol.h * Mf.sum(axis=(-2, -1))
+
+
+def matmul_discrete_output(K, G, e):
+    """Rows G_i' (K e)_i with K e as the matrix product for every K, a
+    diagonal given as its diagonal expanded first: the oracle of
+    discrete_output's row scaling."""
+    K = np.diag(K) if K.ndim == 1 else K
+    return dirac._apply(np.swapaxes(G, -1, -2), K @ e)
 
 
 # The 40-digit mpmath table builder that the fixed-point one replaced, kept as

@@ -1,20 +1,24 @@
 """Command-line interface: outputs, formats, determinism and exit codes."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import phint.cli as cli
 import phint.collocation as coll
 import phint.dirac as dirac
+import phint.energy as energy
 import phint.integrator as integrator
 from phint.cli import main, make_parser
 from phint.dirac import assemble_blocks, kernel_check, power_residual
 from phint.energy import LOSSLESS_FORCED, reference_solution
+from phint.errors import SolverDivergenceError
 from phint.integrator import simulate
-from phint.models import (FeedbackConfig, PHModel, oscillator,
+from phint.models import (FeedbackConfig, InputSignal, PHModel, oscillator,
                           partitioned_oscillator, pulse_input, rigid_body,
                           zero_input)
 
-from conftest import general_kernel_check, matmul_delta_h_tilde
+from conftest import general_kernel_check, matmul_delta_h_tilde, matmul_discrete_output
 
 
 def run(argv):
@@ -154,6 +158,30 @@ def test_converge_rows_and_slope(tmp_path):
     slope_row = lines[-1].split(",")
     assert slope_row[2] == "slope"
     assert abs(float(slope_row[-1]) - 2.0) < 0.3
+
+
+@pytest.mark.parametrize("argv,calls", [
+    ([], 1),
+    (["--input", "zero", "--r", "0.1", "--t-end", "10"], 1),
+    (["--input", "zero", "--r", "0.1", "--t-end", "4.1",
+      "--h-list", "0.1,0.05,0.025,0.02,0.01,0.005"], 2),
+], ids=["lossless", "damped", "damped-t-end-4.1"])
+def test_converge_evaluates_the_reference_once_per_end_time(argv, calls, tmp_path,
+                                                           monkeypatch):
+    # the runs of the default grid all end at the same float; on the 4.1
+    # grid three end at 4.1000000000000005 and three at 4.1.  The CSV is
+    # that of the sweep that evaluates the reference once per run
+    counted, reference = [], energy.reference_solution
+    monkeypatch.setattr(energy, "reference_solution",
+                        lambda *a: counted.append(a) or reference(*a))
+    argv = ["converge", "--stages", "1", *argv]
+    assert run([*argv, "--out", str(tmp_path / "shared.csv")]) == 0
+    assert len(counted) == calls
+    counted.clear()
+    monkeypatch.setattr(cli, "functools", SimpleNamespace(cache=lambda fn: fn))
+    assert run([*argv, "--out", str(tmp_path / "per_run.csv")]) == 0
+    assert len(counted) == len(read(tmp_path / "per_run.csv").splitlines()) - 2
+    assert read(tmp_path / "shared.csv") == read(tmp_path / "per_run.csv")
 
 
 def test_converge_rejects_non_divisor_h(capsys):
@@ -441,6 +469,42 @@ def test_simulate_overflowing_energy_exits_3(tmp_path, capsys):
     assert "solver failure at step 0" in capsys.readouterr().err
     assert not (tmp_path / "big_traj.csv").exists()
     assert not (tmp_path / "big_energy.csv").exists()
+
+
+def _jump_input():
+    """Zero, then 1e300 from t = 0.3 on."""
+    return InputSignal(fn=lambda t: np.where(t >= 0.3, 1e300, 0.0)[:, None])
+
+
+@pytest.mark.parametrize("s", [1, 2, 5])
+def test_overflow_under_the_row_scaled_output_is_the_products(s, tmp_path, capsys,
+                                                              monkeypatch):
+    # a Gauss y = G'(M e) is the row scaling b_i e_i: an infinite effort
+    # stays in its stage's row, where the product's 0 * inf terms made the
+    # other rows NaN; the interval is not finite either way, so a port-level
+    # run driven past the float range stops at the same first step with the
+    # same message and exit code
+    e, G = np.array([[0.0, np.inf], [0.0, 1.0]]), np.array([[0.0], [1.0]])
+    b = np.diagonal(coll.make_scheme(coll.GAUSS, 2).M)
+    assert dirac.discrete_output(b, G, e).ravel().tolist() == [np.inf, 0.5]
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(matmul_discrete_output(b, G, e)[1, 0])
+    monkeypatch.setattr(cli, "pulse_input", _jump_input)
+    argv = ["simulate", "--stages", str(s), "--r", "0.1", "--feedback-mode",
+            "portlevel", "--t-end", "1", "--out", str(tmp_path / "jump")]
+    args = (oscillator(), coll.make_scheme(coll.GAUSS, s), np.array([0.0, -1.0]),
+            _jump_input(), 0.1, 1.0)
+    feedback = FeedbackConfig(r=0.1, mode="portlevel")
+    results = []
+    for _ in ("row scaling", "matrix product"):
+        with pytest.raises(SolverDivergenceError) as err:
+            simulate(*args, feedback=feedback)
+        results.append((err.value.step_index, str(err.value), run(argv),
+                        capsys.readouterr().err))
+        monkeypatch.setattr(integrator, "discrete_output", matmul_discrete_output)
+    assert results[0] == results[1]
+    assert results[0][::2] == (3, 3)
+    assert not list(tmp_path.iterdir())
 
 
 def test_model_with_asymmetric_q_exits_2(tmp_path, capsys, monkeypatch):

@@ -24,7 +24,7 @@ from phint.models import (STAGEWISE, FeedbackConfig, InputSignal, PHModel,
                           mechanical, oscillator, partitioned_oscillator,
                           pulse_input, rigid_body, zero_input)
 
-from conftest import lagrange_coefficients
+from conftest import lagrange_coefficients, matmul_discrete_output
 
 X0 = np.array([0.0, -1.0])
 ALL_SCHEMES = ([(coll.GAUSS, s) for s in range(1, 9)]
@@ -530,6 +530,28 @@ def test_newton_run_is_the_per_step_loop_bit_for_bit(label, monkeypatch):
     assert got == _run_bytes(*args, **kwargs)
 
 
+@pytest.mark.parametrize("kind,s", ALL_SCHEMES, ids=SCHEME_IDS)
+def test_diagonal_stage_matrices_are_the_matrix_products_bit_for_bit(kind, s, monkeypatch):
+    # a diagonal M (every Gauss scheme) and the stagewise K = I_s reach
+    # discrete_output as their diagonals, a row scaling; it adds no 0 * e_j
+    # terms, which change no finite sum, so every recorded array keeps the
+    # bytes of the full K e product, on the linear and the Newton path
+    scheme = coll.make_scheme(kind, s)
+    runs = [((factory(), scheme, x0, pulse_input(), 0.1, 12.0), mode)
+            for factory in (oscillator, partitioned_oscillator) for x0 in (X0, np.zeros(2))
+            for mode in (None, "stagewise", "portlevel")]
+    runs += [((_driven_top(), scheme, x0, pulse_input(), 0.25, 10.0), mode)
+             for x0 in (np.array([0.6, -0.4, 0.3]), np.zeros(3))
+             for mode in (None, "stagewise", "portlevel")]
+    output, ndims = integrator.discrete_output, set()
+    monkeypatch.setattr(integrator, "discrete_output",
+                        lambda K, G, e: ndims.add(K.ndim) or output(K, G, e))
+    got = [_run_bytes(*args, feedback=_feedback(mode)) for args, mode in runs]
+    assert ndims == ({1} if kind == coll.GAUSS else {1, 2})
+    monkeypatch.setattr(integrator, "discrete_output", matmul_discrete_output)
+    assert got == [_run_bytes(*args, feedback=_feedback(mode)) for args, mode in runs]
+
+
 @pytest.mark.parametrize("x0", [[300.0, -900.0, 300.0], [-200.0, 900.0, 400.0]])
 def test_newton_divergence_is_the_per_step_loops(x0, monkeypatch):
     # Gauss-1 from these states stops after a few steps: the same step index,
@@ -838,9 +860,24 @@ SCAN_LENGTHS = sorted(set(range(1, 71)) | {2 ** k + d for k in range(1, 13)
                                              for d in (-1, 0, 1)})
 
 
+def _scan_states(Delta, x0, drive):
+    """The doubling scan with each pass as one expression of temporaries,
+    v[m:] = v[:-m] + (v[:-m] P' + v[m:]): the oracle of the in-place pass."""
+    N = len(drive)
+    v = np.concatenate([x0[None], drive[:-1]])
+    P, m = Delta, 1
+    while m < N:
+        if m > 1:
+            P = P + (P + P @ P)
+        v[m:] = v[:-m] + (v[:-m] @ P.T + v[m:])
+        m *= 2
+    return np.cumsum(np.concatenate([x0[None], v @ Delta.T + drive]), axis=0)
+
+
 def test_scan_matches_the_loop_at_every_length():
     # every N up to 70 and both sides of every power of two up to 2^12, where
-    # the scan gains or loses a doubling pass
+    # the scan gains or loses a doubling pass; the in-place passes add the
+    # same terms in a commuted order, so they keep the expression's bytes
     rng = np.random.default_rng(11)
     n = 4
     Delta = 0.05 * rng.normal(size=(n, n))
@@ -848,6 +885,7 @@ def test_scan_matches_the_loop_at_every_length():
         x0, drive = rng.normal(size=n), 0.1 * rng.normal(size=(N, n))
         oracle = _loop_states(Delta, x0, drive)
         states = _affine_states(Delta, x0, drive)
+        assert states.tobytes() == _scan_states(Delta, x0, drive).tobytes()
         if N == 1:
             assert np.array_equal(states, oracle)
         _assert_close_states(states, oracle)
@@ -927,8 +965,8 @@ def _stacked_drift(J, G, e, u):
 
 def _stacked_output(K, G, e):
     """Rows G' (K e)_i as one vecmat per stage: the oracle of the single-GEMM
-    discrete output."""
-    return np.vecmat(K @ e, G)
+    discrete output; a diagonal K, passed as its diagonal, is expanded."""
+    return np.vecmat((np.diag(K) if K.ndim == 1 else K) @ e, G)
 
 
 @pytest.mark.parametrize("kind,s", [(coll.GAUSS, 2), (coll.LOBATTO, 3)])
