@@ -186,10 +186,15 @@ def cmd_converge(args) -> int:
                      _fmt(report.eps_tilde), _fmt(report.eps_bar)])
         points_t.append((h, report.eps_tilde))
         points_b.append((h, report.eps_bar))
-    slope_t = energy.order_fit(points_t, tail=energy.SLOPE_FIT_TAIL)
-    slope_b = energy.order_fit(points_b, tail=energy.SLOPE_FIT_TAIL)
-    rows.append([args.scheme, str(args.stages), "slope", "", "", "", "",
-                 _fmt(slope_t), _fmt(slope_b)])
+    slopes = []
+    for column, points in (("eps_tilde", points_t), ("eps_bar", points_b)):
+        try:
+            slopes.append(_fmt(energy.order_fit(points, tail=energy.SLOPE_FIT_TAIL)))
+        except ValueError as err:  # the rows are written without a slope row
+            _write(args.out, [",".join(r) for r in [header] + rows])
+            raise ConfigurationError(f"no {column} slope: {err}; choose --h-list "
+                                     "and --t-end with larger errors") from None
+    rows.append([args.scheme, str(args.stages), "slope", "", "", "", "", *slopes])
     _write(args.out, [",".join(r) for r in [header] + rows])
     return 0
 

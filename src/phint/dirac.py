@@ -34,13 +34,13 @@ def assemble_blocks(model, states, scheme=None):
 
 
 def _stack_blocks(model, X):
-    """J(x) and G(x) over the float states X (..., n), unchecked: a
-    constant-structure model is evaluated once and broadcast (read-only
-    views), any other once per state; G is None, never called, without a port."""
+    """J(x) and G(x) over the float states X (..., n), unchecked: a constant
+    structure's matrices broadcast (read-only views), any other model's
+    callbacks once per state; G is None, never called, without a port."""
     n, m, flat = model.n, model.m, X if X.ndim == 2 else X.reshape(-1, model.n)
     if model.constant_structure:
-        return (np.broadcast_to(model.J(flat[0]), X.shape + (n,)),
-                np.broadcast_to(model.G(flat[0]), X.shape + (m,)) if m else None)
+        return (np.broadcast_to(model.J, X.shape + (n,)),
+                np.broadcast_to(model.G, X.shape + (m,)) if m else None)
     J = np.array([model.J(x) for x in flat])
     G = np.array([model.G(x) for x in flat]) if m else None
     if X.ndim == 2:  # rows of states: the stacks need no reshape

@@ -167,8 +167,7 @@ class _LinearStepper(_Stepper):
     def __init__(self, *args):
         super().__init__(*args)
         n, s, sn = self.n, self.s, self.s * self.n
-        J, G = self.model.J(np.zeros(n)), self.model.G(np.zeros(n))
-        self._blocks = lambda *_: (J, G)
+        self._blocks = lambda *_: (self.model.J, self.model.G)
         # the stage equations are affine in (X, w): row k of g and h A g is
         # their response to unit k of the stacked stage states X (w = 0),
         # then of the inputs w (X = 0), so after the transpose
@@ -365,7 +364,9 @@ def dense_weights(scheme, tau) -> np.ndarray:
 
 
 def dense_eval(sol: StageSolution, scheme, tau: float) -> np.ndarray:
-    """Collocation polynomial x(t0 + tau h) = x0 - h sum_j f_j int_0^tau l_j."""
+    """Collocation polynomial x(t0 + tau h) = x0 - h sum_j f_j int_0^tau l_j.
+    Under a Lobatto pair every row follows the IIIA polynomial, so the p rows
+    meet x0 and x_end but not their stages: IIIB is not a collocation method."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     return sol.x0 - sol.h * (dense_weights(scheme, tau) @ sol.f)

@@ -1,10 +1,10 @@
 """Explicit port-Hamiltonian test systems, input signals and damping feedback.
 
-A model is the quadruple (H, gradH, J, G) of Eq-free callables over the state,
-plus what the discretization machinery dispatches on: whether the
-interconnection matrix is constant, the matrix Q of a linear gradH = Q x (None
-otherwise) and, for a separable (q, p) model, the number n_q of position
-coordinates.
+A model is the quadruple (H, gradH, J, G) over the state: H a callable, each
+of gradH, J and G a callable or a constant matrix.  What the discretization
+machinery dispatches on follows from which: a matrix gradH is the Q of a linear
+gradH = Q x, matrices J and G are a constant structure (condition C2), and a
+separable (q, p) model carries the number n_q of position coordinates.
 """
 from __future__ import annotations
 
@@ -22,21 +22,25 @@ PORTLEVEL = "portlevel"
 class PHModel:
     """Explicit port-Hamiltonian system xdot = J(x) gradH(x) + G(x) u.
 
-    H, gradH, J and G are the model's callbacks, called as they are: each
-    takes a float (n,) state and returns a float scalar, an (n,), an (n, n)
-    and an (n, m) array.  u has m channels; a model with m = 0 has no port.
+    H, gradH, J and G take a float (n,) state and return a float, an (n,), an
+    (n, n) and an (n, m) array; gradH is the Q of gradH = Q x instead, and J
+    and G together a constant structure, when passed as finite matrices.  u
+    has m channels; a model with m = 0 has no port.
     """
 
-    def __init__(self, n, m, H, gradH, J, G, *, constant_structure,
-                 Q=None, name="", n_q=None):
+    def __init__(self, n, m, H, gradH, J, G, *, name="", n_q=None):
         self.n = int(n)
         self.m = int(m)
         self.H = H
-        self.gradH = gradH
-        self.J = J
-        self.G = G
-        self.constant_structure = bool(constant_structure)
-        self.Q = None if Q is None else _energy_matrix(Q, self.n)
+        self.gradH = gradH if callable(gradH) else _matrix(
+            "gradH as the matrix Q", gradH, (self.n, self.n), symmetric=True)
+        if callable(J) != callable(G):
+            raise ConfigurationError("J and G must both be callables or both matrices, "
+                                     f"got a matrix {'G' if callable(J) else 'J'}")
+        self.J = J if callable(J) else _matrix("J", J, (self.n, self.n))
+        self.G = G if callable(G) else _matrix("G", G, (self.n, self.m))
+        self.constant_structure = not callable(J)
+        self.Q = None if callable(gradH) else self.gradH
         self.name = name
         # separable (q, p) models: the first n_q states are positions, which
         # Lobatto pairs advance with A and the momenta with A_hat
@@ -46,18 +50,19 @@ class PHModel:
         self.n_q = None if n_q is None else int(n_q)
 
 
-def _energy_matrix(Q, n) -> np.ndarray:
-    """Q of gradH = Q x as a float (n, n) array: finite and exactly symmetric,
-    since H = x'Qx/2 + const sees only the symmetric part and the stored
-    energy increment 1/2 (x+ - x)' Q (x+ + x) needs Q = Q'."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape != (n, n):
-        raise ConfigurationError(f"Q must have shape ({n}, {n}), got {Q.shape}")
-    if not np.all(np.isfinite(Q)):
-        raise ConfigurationError("Q must be finite")
-    if not np.array_equal(Q, Q.T):
-        raise ConfigurationError("Q must be symmetric")
-    return Q
+def _matrix(name, value, shape, symmetric=False) -> np.ndarray:
+    """A constant model argument as a finite float array of the given shape,
+    exactly symmetric if asked: a Q of gradH = Q x must be, since
+    H = x'Qx/2 + const sees only its symmetric part and the stored energy
+    increment 1/2 (x+ - x)' Q (x+ + x) needs Q = Q'."""
+    A = np.asarray(value, dtype=float)
+    if A.shape != shape:
+        raise ConfigurationError(f"{name} must have shape {shape}, got {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ConfigurationError(f"{name} must be finite")
+    if symmetric and not np.array_equal(A, A.T):
+        raise ConfigurationError(f"{name} must be symmetric")
+    return A
 
 
 def _check_finite(name, value, positive=False, low=None):
@@ -119,14 +124,8 @@ class FeedbackConfig:
 
 def oscillator() -> PHModel:
     """Unit-parameter harmonic oscillator, state x = (q, p)."""
-    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    g = np.array([[0.0], [1.0]])
-    Q = np.eye(2)
-    return PHModel(2, 1,
-                   H=lambda x: 0.5 * (x @ x),
-                   gradH=lambda x: x.copy(),
-                   J=lambda x: J, G=lambda x: g,
-                   constant_structure=True, Q=Q,
+    return PHModel(2, 1, H=lambda x: 0.5 * (x @ x), gradH=np.eye(2),
+                   J=np.array([[0.0, 1.0], [-1.0, 0.0]]), G=np.array([[0.0], [1.0]]),
                    name="oscillator")
 
 
@@ -152,12 +151,8 @@ def mechanical(Q, P, G, name="mechanical") -> PHModel:
     J = np.block([[Z, np.eye(n)], [-np.eye(n), Z]])
     Gfull = np.vstack([np.zeros_like(G), G])
     Qfull = np.block([[Q, Z], [Z, P]])
-    return PHModel(2 * n, G.shape[1],
-                   H=lambda x: 0.5 * (x @ Qfull @ x),
-                   gradH=lambda x: Qfull @ x,
-                   J=lambda x: J, G=lambda x: Gfull,
-                   constant_structure=True, Q=Qfull,
-                   name=name, n_q=n)
+    return PHModel(2 * n, G.shape[1], H=lambda x: 0.5 * (x @ Qfull @ x),
+                   gradH=Qfull, J=J, G=Gfull, name=name, n_q=n)
 
 
 def partitioned_oscillator() -> PHModel:
@@ -185,9 +180,6 @@ def rigid_body() -> PHModel:
     H, genuinely state-dependent interconnection matrix."""
     return PHModel(3, 0,
                    H=lambda x: 0.5 * (x @ _RIGID_BODY_Q @ x),
-                   gradH=lambda x: _RIGID_BODY_Q @ x,
-                   J=_cross_matrix,
-                   G=lambda x: np.zeros((3, 0)),
-                   constant_structure=False, Q=_RIGID_BODY_Q,
-                   name="rigid-body")
+                   gradH=_RIGID_BODY_Q, J=_cross_matrix,
+                   G=lambda x: np.zeros((3, 0)), name="rigid-body")
 

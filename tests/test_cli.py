@@ -119,7 +119,7 @@ def test_simulate_csv_values(tmp_path, argv, factory, scheme, signal, feedback,
     r = feedback.r if feedback else 0.0
     rows = []
     for t, x in zip(traj.times, traj.states):
-        y = (model.G(x).T @ model.gradH(x))[0] if model.m else 0.0
+        y = (model.G.T @ (model.Q @ x))[0] if model.m else 0.0
         v = signal(t)[0] if model.m else 0.0
         rows.append(_fmt_row([t, *x, v - r * y, y, model.H(x)]))
     assert read(tmp_path / "run_traj.csv").splitlines()[1:] == rows
@@ -158,6 +158,26 @@ def test_converge_rows_and_slope(tmp_path):
     slope_row = lines[-1].split(",")
     assert slope_row[2] == "slope"
     assert abs(float(slope_row[-1]) - 2.0) < 0.3
+
+
+def test_converge_keeps_its_rows_when_a_slope_cannot_be_fitted(tmp_path, capsys):
+    # Gauss-3 reaches the rounding floor on this grid, so order_fit rejects
+    # its eps_tilde column: the six rows are still written, without a slope
+    # row, and the command exits 2 naming the column, the usable points and
+    # the flags
+    argv = ["converge", "--stages", "3", "--t-end", "4.1", "--input", "zero",
+            "--r", "0.1", "--h-list", "0.1,0.05,0.025,0.02,0.01,0.005"]
+    assert run([*argv, "--out", str(tmp_path / "conv.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "no eps_tilde slope: need >= 3 points" in err and "have 1;" in err
+    assert "--h-list" in err and "--t-end" in err
+    lines = read(tmp_path / "conv.csv").splitlines()
+    assert lines[0].startswith("scheme,s,h,N,") and len(lines) == 1 + 6
+    assert [line.split(",")[2] for line in lines[1:]] == [
+        "0.10000000000000001", "0.050000000000000003", "0.025000000000000001",
+        "0.02", "0.01", "0.0050000000000000001"]
+    assert run(argv) == 2
+    assert capsys.readouterr().out == read(tmp_path / "conv.csv")
 
 
 @pytest.mark.parametrize("argv,calls", [
@@ -512,10 +532,9 @@ def test_model_with_asymmetric_q_exits_2(tmp_path, capsys, monkeypatch):
     # configuration error of the command, not a solver failure
     def lopsided():
         Q = np.array([[1.0, 0.5], [0.0, 1.0]])
-        return PHModel(2, 1, H=lambda x: 0.5 * x @ Q @ x, gradH=lambda x: Q @ x,
-                       J=lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                       G=lambda x: np.array([[0.0], [1.0]]),
-                       constant_structure=True, Q=Q)
+        return PHModel(2, 1, H=lambda x: 0.5 * x @ Q @ x, gradH=Q,
+                       J=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                       G=np.array([[0.0], [1.0]]))
 
     monkeypatch.setitem(cli.MODELS, "oscillator", lopsided)
     code = run(["simulate", "--t-end", "1", "--out", str(tmp_path / "q")])

@@ -67,23 +67,21 @@ def test_assemble_blocks_shapes_and_errors():
 def output_weight_and_ports(scheme, weight, stacked):
     """K = M or I_s, and the oscillator's G as one matrix or a stage stack."""
     K = scheme.M if weight == "M" else np.eye(scheme.s)
-    G = oscillator().G(np.zeros(2))
+    G = oscillator().G
     return K, (np.array([G] * scheme.s) if stacked else G)
 
 
 def test_assemble_blocks_evaluates_constant_structure_once():
+    # a constant structure is its two matrices, broadcast over the states
+    # without a copy: there is no J or G callback to evaluate
     scheme = coll.make_scheme(coll.GAUSS, 3)
     model = oscillator()
-    calls = []
-    J0, G0 = model.J, model.G
-    model.J = lambda x: calls.append("J") or J0(x)
-    model.G = lambda x: calls.append("G") or G0(x)
     states = RNG.normal(size=(5, 3, 2))
     J, G = assemble_blocks(model, states, scheme)
-    assert calls == ["J", "G"]
     assert J.shape == (5, 3, 2, 2) and G.shape == (5, 3, 2, 1)
-    assert np.array_equal(J, np.broadcast_to(J0(states[0, 0]), J.shape))
-    assert np.array_equal(G, np.broadcast_to(G0(states[0, 0]), G.shape))
+    assert np.shares_memory(J, model.J) and np.shares_memory(G, model.G)
+    assert np.array_equal(J, np.broadcast_to(model.J, J.shape))
+    assert np.array_equal(G, np.broadcast_to(model.G, G.shape))
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["constant", "stacked"])
@@ -263,11 +261,8 @@ def test_kernel_check_matches_dense_oracle(kind, s, model_name):
 def _leaky_oscillator():
     """The oscillator with constant J = [[-0.3, 1], [-1, 0]]: constant
     structure, but J + J' != 0, so the kernel defect is not zero."""
-    J = np.array([[-0.3, 1.0], [-1.0, 0.0]])
-    g = np.array([[0.0], [1.0]])
-    return PHModel(2, 1, H=lambda x: 0.5 * (x @ x), gradH=lambda x: x.copy(),
-                   J=lambda x: J, G=lambda x: g, constant_structure=True,
-                   Q=np.eye(2))
+    return PHModel(2, 1, H=lambda x: 0.5 * (x @ x), gradH=np.eye(2),
+                   J=np.array([[-0.3, 1.0], [-1.0, 0.0]]), G=np.array([[0.0], [1.0]]))
 
 
 CHECK_SCHEMES = ([(coll.LOBATTO, s) for s in (3, 4)]

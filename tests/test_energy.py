@@ -96,9 +96,9 @@ def test_delta_h_tilde_matches_trajectory():
 def _newton_oscillator():
     """The oscillator without Q and without a constant-structure flag: the
     same bonds through the Newton stepper, port and feedback included."""
-    J, g = oscillator().J(None), oscillator().G(None)
+    J, g = oscillator().J, oscillator().G
     return PHModel(2, 1, H=lambda x: 0.5 * (x @ x), gradH=lambda x: x.copy(),
-                   J=lambda x: J, G=lambda x: g, constant_structure=False)
+                   J=lambda x: J, G=lambda x: g)
 
 
 @pytest.mark.parametrize("s", coll.GAUSS_STAGE_RANGE)
@@ -147,10 +147,8 @@ def test_delta_h_bar_trivial_and_telescoping():
 def _quadratic_model(Q, offset=0.0, with_q=True):
     Q = np.asarray(Q, dtype=float)
     return PHModel(len(Q), 1, H=lambda x: 0.5 * (x @ Q @ x) + offset,
-                   gradH=lambda x: Q @ x,
-                   J=lambda x: np.zeros((len(Q), len(Q))),
-                   G=lambda x: np.ones((len(Q), 1)),
-                   constant_structure=True, Q=Q if with_q else None)
+                   gradH=Q if with_q else lambda x: Q @ x,
+                   J=np.zeros((len(Q), len(Q))), G=np.ones((len(Q), 1)))
 
 
 def test_delta_h_bar_ignores_a_constant_in_h():

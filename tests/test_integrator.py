@@ -90,6 +90,22 @@ def test_dense_eval_endpoints_and_stages(kind, s):
         dense_eval(sol, scheme, 1.5)
 
 
+@pytest.mark.parametrize("s", coll.LOBATTO_STAGE_RANGE)
+def test_dense_eval_on_a_lobatto_pair_follows_iiia(s):
+    # every row follows the IIIA collocation polynomial: it meets both
+    # endpoints and the q-row stages, while the p rows, advanced with IIIB
+    # (not a collocation method), miss their stages by 0.25, 0.048 and
+    # 4.1e-3 for s = 2, 3, 4 on this step
+    scheme, model = coll.make_scheme(coll.LOBATTO, s), partitioned_oscillator()
+    sol = solve_stages(model, scheme, X0, pulse_input(), 8.0, 0.5)
+    assert np.max(np.abs(dense_eval(sol, scheme, 0.0) - sol.x0)) < 1e-14
+    assert np.max(np.abs(dense_eval(sol, scheme, 1.0) - sol.x_end)) < 1e-14
+    miss = np.array([dense_eval(sol, scheme, ci) - sol.stage_x[i]
+                     for i, ci in enumerate(scheme.c)])
+    assert np.max(np.abs(miss[:, :model.n_q])) < 1e-13
+    assert np.max(np.abs(miss[:, model.n_q:])) > 1e-3
+
+
 @pytest.mark.parametrize("kind,s", ALL_SCHEMES, ids=SCHEME_IDS)
 def test_extrapolation_weights_match_integrated_basis(kind, s):
     # E[i, j] = int_0^{1 + c_i} l_j carries a step's collocation polynomial to
@@ -306,8 +322,7 @@ def test_singular_stage_jacobian_is_a_divergence():
     # xdot = 20 x under Gauss-1 at h = 0.1: the stage equation
     # X - x0 - h a 20 X = 0 has the zero Jacobian 1 - 0.1 * 0.5 * 20
     model = PHModel(1, 0, H=lambda x: 0.5 * (x @ x), gradH=lambda x: x,
-                    J=lambda x: [[20.0]], G=lambda x: np.zeros((1, 0)),
-                    constant_structure=False)
+                    J=lambda x: [[20.0]], G=lambda x: np.zeros((1, 0)))
     with pytest.raises(SolverDivergenceError, match="singular") as exc:
         simulate(model, coll.make_scheme(coll.GAUSS, 1), np.array([1.0]),
                  zero_input(0), 0.1, 1.0)
@@ -482,8 +497,7 @@ def _driven_top():
     D = np.array([1.0, 0.5, 1.0 / 3.0])
     return PHModel(3, 1, H=lambda x: 0.5 * ((D * x) @ x) + 0.25 * (x @ x) ** 2,
                    gradH=lambda x: D * x + (x @ x) * x, J=rigid_body().J,
-                   G=lambda x: np.array([[1.0], [np.cos(x[0])], [np.sin(x[1])]]),
-                   constant_structure=False)
+                   G=lambda x: np.array([[1.0], [np.cos(x[0])], [np.sin(x[1])]]))
 
 
 def _newton_run(label, monkeypatch):
@@ -631,8 +645,7 @@ def _pendulum():
     # non-quadratic H, no Q: the efforts come from gradH, one call per state
     return PHModel(2, 1, H=lambda x: 0.5 * x[1] ** 2 + 1.0 - np.cos(x[0]),
                    gradH=lambda x: np.array([np.sin(x[0]), x[1]]),
-                   J=lambda x: A_OSC, G=lambda x: np.array([[0.0], [1.0]]),
-                   constant_structure=True)
+                   J=A_OSC, G=np.array([[0.0], [1.0]]))
 
 
 BUILD_CASES = (
@@ -664,25 +677,23 @@ def test_stacked_jacobian_build_matches_column_loop(factory, kind, s, scale, mod
 
 
 def test_newton_evaluates_constant_structure_once_per_residual(monkeypatch):
-    # a constant-structure model on the Newton path: every residual
-    # evaluation, a stacked finite-difference build included, is one
-    # _stack_blocks call with one J and one G call
-    model, calls, blocks = _pendulum(), [], []
-    J0, G0 = model.J, model.G
-    model.J = lambda x: calls.append("J") or J0(x)
-    model.G = lambda x: calls.append("G") or G0(x)
+    # a constant-structure model on the Newton path makes no J or G call at
+    # all: its J and G are matrices, and every residual evaluation, a
+    # stacked finite-difference build included, is one _stack_blocks call
+    # that broadcasts them
+    model, blocks = _pendulum(), []
 
     def counted(*args):
-        before = len(calls)
         out = _stack_blocks(*args)
-        blocks.append(calls[before:])
+        blocks.append(out)
         return out
 
     monkeypatch.setattr(integrator, "_stack_blocks", counted)
     traj = simulate(model, coll.make_scheme(coll.GAUSS, 2), X0, pulse_input(),
                     0.1, 2.0, retain_stages=True)
-    assert all(sorted(b) == ["G", "J"] for b in blocks)
-    assert len(calls) == 2 * len(blocks)
+    assert not callable(model.J) and not callable(model.G)
+    assert all(np.shares_memory(J, model.J) and np.shares_memory(G, model.G)
+               for J, G in blocks)
     # residual evaluations = iterations + one per build + one per step
     builds = len(blocks) - sum(traj.stages.iterations) - len(traj.dh_tilde)
     assert builds >= 1
@@ -713,10 +724,10 @@ def _pendula(cells, ports=0):
         return np.concatenate([np.sin(q) + np.append(-d, 0.0) + np.insert(d, 0, 0.0),
                                x[cells:]])
 
-    return PHModel(2 * cells, ports, gradH=gradH, J=lambda x: J,
+    return PHModel(2 * cells, ports, gradH=gradH, J=J,
                    H=lambda x: (0.5 * (x[cells:] @ x[cells:]) + np.sum(1.0 - np.cos(x[:cells]))
                                 + 0.5 * np.sum(np.diff(x[:cells]) ** 2)),
-                   G=lambda x: G, constant_structure=True)
+                   G=G)
 
 
 def test_newton_run_keeps_no_structure_record():
@@ -758,7 +769,7 @@ def _kron_maps(model, scheme, h, mode):
     stage system it once built: the oracle of the maps it now takes from the
     drift and the tableau."""
     n, s, Is = model.n, scheme.s, np.eye(scheme.s)
-    Jc, Gc = model.J(np.zeros(n)), model.G(np.zeros(n))
+    Jc, Gc = model.J, model.G
     # stacked drift -f = D X + IG w of the stage states X
     D = np.kron(Is, Jc @ model.Q)
     if mode is not None:

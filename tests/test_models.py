@@ -27,7 +27,7 @@ def test_gradients_match_finite_differences(factory):
     model = factory()
     for _ in range(5):
         x = RNG.normal(size=model.n)
-        assert np.max(np.abs(model.gradH(x) - fd_grad(model.H, x))) < 1e-8
+        assert np.max(np.abs(model.Q @ x - fd_grad(model.H, x))) < 1e-8
 
 
 @pytest.mark.parametrize("factory", [oscillator, rigid_body])
@@ -35,7 +35,7 @@ def test_structure_map_is_skew(factory):
     model = factory()
     for _ in range(5):
         x = RNG.normal(size=model.n)
-        J = model.J(x)
+        J = model.J if model.constant_structure else model.J(x)
         assert np.max(np.abs(J + J.T)) == 0.0
 
 
@@ -43,10 +43,10 @@ def test_oscillator_basics():
     model = oscillator()
     x = np.array([0.3, -0.4])
     assert model.H(x) == pytest.approx(0.125)
-    assert np.allclose(model.gradH(x), x)
-    assert np.allclose(model.J(x), [[0, 1], [-1, 0]])
-    assert model.G(x).shape == (2, 1)
-    assert model.G(x).T @ model.gradH(x) == pytest.approx(-0.4)
+    assert np.allclose(model.Q @ x, x)
+    assert np.allclose(model.J, [[0, 1], [-1, 0]])
+    assert model.G.shape == (2, 1)
+    assert model.G.T @ model.Q @ x == pytest.approx(-0.4)
     assert model.constant_structure and model.Q is not None
 
 
@@ -81,9 +81,9 @@ def test_partitioned_oscillator_matches_full_form():
     pm = partitioned_oscillator()
     x = np.array([0.7, -0.2])
     assert pm.H(x) == pytest.approx(oscillator().H(x))
-    assert np.allclose(pm.gradH(x), [0.7, -0.2])
-    assert np.allclose(pm.J(np.zeros(2)), [[0, 1], [-1, 0]])
-    assert np.allclose(pm.G(x), [[0.0], [1.0]])
+    assert np.allclose(pm.Q @ x, [0.7, -0.2])
+    assert np.allclose(pm.J, [[0, 1], [-1, 0]])
+    assert np.allclose(pm.G, [[0.0], [1.0]])
     assert pm.n == 2 and pm.n_q == 1 and pm.m == 1
     assert pm.constant_structure and pm.Q is not None
     assert oscillator().n_q is None
@@ -103,19 +103,18 @@ def test_partitioned_model_validation():
 @pytest.mark.parametrize("n_q", [-1, 0, 2, 5, True, 1.0])
 def test_position_count_must_split_the_state(n_q):
     # a 2-state oscillator has one position: n_q must be an integer in [1, 2)
-    make = lambda k: PHModel(2, 1, H=lambda x: 0.5 * (x @ x), gradH=lambda x: x,
-                             J=lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                             G=lambda x: np.array([[0.0], [1.0]]),
-                             constant_structure=True, Q=np.eye(2), n_q=k)
+    make = lambda k: PHModel(2, 1, H=lambda x: 0.5 * (x @ x), gradH=np.eye(2),
+                             J=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                             G=np.array([[0.0], [1.0]]), n_q=k)
     assert make(1).n_q == make(np.int64(1)).n_q == 1 and make(None).n_q is None
     with pytest.raises(ConfigurationError, match=r"n = 2\b"):
         make(n_q)
 
 
 def _with_q(Q, n=2):
-    return PHModel(n, 1, H=lambda x: 0.5 * (x @ x), gradH=lambda x: x,
-                   J=lambda x: np.zeros((n, n)), G=lambda x: np.ones((n, 1)),
-                   constant_structure=True, Q=Q)
+    return PHModel(n, 1, H=lambda x: 0.5 * (x @ x),
+                   gradH=(lambda x: x) if Q is None else Q,
+                   J=np.zeros((n, n)), G=np.ones((n, 1)))
 
 
 @pytest.mark.parametrize("Q,match", [
@@ -132,6 +131,57 @@ def test_energy_matrix_validation(Q, match):
         _with_q(Q)
     assert np.array_equal(_with_q([[2, 1], [1, 2]]).Q, [[2.0, 1.0], [1.0, 2.0]])
     assert _with_q(None).Q is None
+
+
+J_OSC, G_OSC = np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[0.0], [1.0]])
+
+
+def _oscillator_with(**kwargs):
+    args = {"H": lambda x: 0.5 * (x @ x), "gradH": np.eye(2), "J": J_OSC, "G": G_OSC}
+    return PHModel(2, 1, **{**args, **kwargs})
+
+
+@pytest.mark.parametrize("keyword", [{"constant_structure": True},
+                                     {"constant_structure": False}, {"Q": np.eye(2)}])
+def test_structure_and_q_cannot_be_declared(keyword):
+    # C2 and Q follow from the arguments alone, so no declaration can
+    # contradict the callbacks (the rigid body's J declared constant was
+    # read at the zero state, where it vanishes)
+    with pytest.raises(TypeError):
+        _oscillator_with(**keyword)
+    with pytest.raises(TypeError):
+        PHModel(3, 0, H=rigid_body().H, gradH=rigid_body().Q, J=_cross_matrix,
+                G=lambda x: np.zeros((3, 0)), **keyword)
+
+
+def test_constant_structure_and_q_follow_from_the_arguments():
+    model = _oscillator_with()
+    assert model.constant_structure and model.Q is model.gradH
+    assert np.array_equal(model.J, J_OSC) and np.array_equal(model.G, G_OSC)
+    fn = _oscillator_with(gradH=lambda x: x, J=lambda x: J_OSC, G=lambda x: G_OSC)
+    assert not fn.constant_structure and fn.Q is None
+    portless = PHModel(2, 0, H=lambda x: 0.5 * (x @ x), gradH=lambda x: x,
+                       J=[[0, 1], [-1, 0]], G=np.zeros((2, 0)))
+    assert portless.constant_structure and portless.G.shape == (2, 0)
+    assert portless.J.dtype == float
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"J": lambda x: J_OSC}, "J and G must both be .* got a matrix G"),
+    ({"G": lambda x: G_OSC}, "J and G must both be .* got a matrix J"),
+    ({"J": np.eye(3)}, r"^J must have shape \(2, 2\)"),
+    ({"J": J_OSC[0]}, r"^J must have shape \(2, 2\)"),
+    ({"G": np.ones((2, 2))}, r"^G must have shape \(2, 1\)"),
+    ({"G": np.ones(2)}, r"^G must have shape \(2, 1\)"),
+    ({"J": [[0.0, np.nan], [-1.0, 0.0]]}, "^J must be finite"),
+    ({"G": [[0.0], [np.inf]]}, "^G must be finite"),
+    ({"gradH": [[1.0, np.nan], [np.nan, 1.0]]}, "^gradH as the matrix Q must be finite"),
+    ({"gradH": np.eye(3)}, r"^gradH as the matrix Q must have shape \(2, 2\)"),
+    ({"gradH": [[1.0, 1.0], [0.0, 1.0]]}, "^gradH as the matrix Q must be symmetric")])
+def test_matrix_arguments_are_validated(kwargs, match):
+    # each error names the argument it rejects
+    with pytest.raises(ConfigurationError, match=match):
+        _oscillator_with(**kwargs)
 
 
 def test_mechanical_takes_the_symmetric_part():

@@ -25,9 +25,7 @@ def random_linear_ph(seed, n=2, m=1):
     G = rng.normal(size=(n, m))
     return PHModel(n, m,
                    H=lambda x: 0.5 * x @ Q @ x,
-                   gradH=lambda x: Q @ x,
-                   J=lambda x: J, G=lambda x: G,
-                   constant_structure=True, Q=Q,
+                   gradH=Q, J=J, G=G,
                    name=f"random-{seed}")
 
 
