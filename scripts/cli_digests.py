@@ -78,19 +78,17 @@ def api_grid(phint):
     """(key, simulate args, simulate kwargs) of every API entry."""
     import numpy as np
 
-    schemes = {label: phint.make_scheme(kind, s) for kind, s in SCHEMES
-               for label in [f"{kind}-{s}"]}
+    schemes = {f"{kind}-{s}": phint.make_scheme(kind, s) for kind, s in SCHEMES}
     for label, scheme in schemes.items():
         for model in OSCILLATORS:
             for mode in FEEDBACK:
                 feedback = None if mode == "open" else phint.FeedbackConfig(r=0.1, mode=mode)
                 for signal in INPUTS:
                     for x0 in ((0.0, -1.0), (0.0, 0.0)):
-                        factory = getattr(phint, model.replace("-", "_"))
                         inp = phint.pulse_input() if signal == "pulse" else phint.zero_input(1)
                         yield (f"api {label} {model} {mode} {signal} x0={x0}",
-                               (factory(), scheme, np.array(x0), inp, 0.1, 18.0),
-                               {"feedback": feedback})
+                               (getattr(phint, model.replace("-", "_"))(), scheme,
+                                np.array(x0), inp, 0.1, 18.0), {"feedback": feedback})
     for s in (1, 2, 3, 4):
         for x0 in RIGID_X0:
             yield (f"api gauss-{s} rigid-body x0={x0}",
@@ -105,8 +103,8 @@ def api_digest(phint, args, kwargs):
     try:
         traj = phint.simulate(*args, retain_stages=True, **kwargs)
     except (phint.errors.SolverDivergenceError, ValueError) as exc:
-        text = f"{type(exc).__name__}: {exc} {getattr(exc, 'step_index', None)} " \
-               f"{getattr(exc, 'residual', None)!r}"
+        text = (f"{type(exc).__name__}: {exc} {getattr(exc, 'step_index', None)} "
+                f"{getattr(exc, 'residual', None)!r}")
         return hashlib.sha256(text.encode()).hexdigest()
     st = traj.stages
     digest = hashlib.sha256()
