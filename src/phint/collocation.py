@@ -7,13 +7,12 @@ float inputs read exactly), rounded once to float; the Gauss M is diag(b) (C1).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cache
 from math import cos, frexp, pi
 
 import numpy as np
 
-from .errors import SchemeConstructionError
+from .errors import ReadOnly, SchemeConstructionError
 
 GAUSS = "gauss"
 LOBATTO = "lobatto"
@@ -190,23 +189,14 @@ def symplectic_pair_residual(scheme: CollocationScheme) -> float:
     return float(np.max(np.abs(R)))
 
 
-@dataclass(frozen=True)
-class CollocationScheme:
+class CollocationScheme(ReadOnly):
     """Everything a discrete-time step needs: nodes c, tableau (A, b), mass
     matrix M, dense-output coefficients W (W[j, k] multiplies P_k(2 tau - 1)
     in int_0^tau l_j), advertised order and, for a Lobatto pair, the IIIB
-    companion A_hat.  The arrays are read-only."""
+    companion A_hat.  The record and its arrays are read-only."""
 
-    kind: str
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    M: np.ndarray
-    W: np.ndarray
-    order: int
-    A_hat: np.ndarray | None = None
-
-    def __post_init__(self):
+    def __init__(self, kind: str, c, A, b, M, W, order: int, A_hat=None):
+        vars(self).update(kind=kind, c=c, A=A, b=b, M=M, W=W, order=order, A_hat=A_hat)
         for arr in (self.c, self.A, self.b, self.M, self.W, self.A_hat):
             if arr is not None:
                 arr.setflags(write=False)

@@ -4,12 +4,11 @@ and convergence orders (order_fit, the slope of an error curve)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .collocation import GAUSS
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ReadOnly
 
 ROUNDING_FLOOR = 1e-12
 
@@ -50,16 +49,14 @@ def delta_h_bar(model, states):
     return H[1:] - H[:-1]
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(ReadOnly):
     """Total energy increments of one run, with relative errors against a
     reference total when one is available."""
 
-    dh_tilde_tot: float
-    dh_bar_tot: float
-    dh_tot_ref: float | None
-    eps_tilde: float | None
-    eps_bar: float | None
+    def __init__(self, dh_tilde_tot: float, dh_bar_tot: float, dh_tot_ref: float | None,
+                 eps_tilde: float | None, eps_bar: float | None):
+        vars(self).update(dh_tilde_tot=dh_tilde_tot, dh_bar_tot=dh_bar_tot,
+                          dh_tot_ref=dh_tot_ref, eps_tilde=eps_tilde, eps_bar=eps_bar)
 
     @classmethod
     def from_trajectory(cls, traj, reference=None):

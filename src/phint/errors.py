@@ -1,4 +1,15 @@
-"""Shared exception types."""
+"""Shared exception types, and the base of phint's read-only records."""
+
+
+class ReadOnly:
+    """A record whose __init__ fills the instance __dict__ once; assigning or
+    deleting an attribute afterwards raises AttributeError."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
 
 
 class SchemeConstructionError(ValueError):

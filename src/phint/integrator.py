@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,7 +32,7 @@ import numpy as np
 from .collocation import check_c1
 from .dirac import _stack_blocks, discrete_output, drift, efforts
 from .energy import delta_h_bar, delta_h_tilde, supplied_energy
-from .errors import ConfigurationError, SolverDivergenceError
+from .errors import ConfigurationError, ReadOnly, SolverDivergenceError
 from .models import STAGEWISE, _check_finite
 
 # Newton stops once max|R| <= TOL, and reports a divergence after MAX_ITER
@@ -41,32 +40,28 @@ from .models import STAGEWISE, _check_finite
 TOL, MAX_ITER, SQRT_EPS = 1e-12, 50, math.sqrt(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class StageSolution:
-    """Discrete flows, efforts, inputs and states of one sampling interval."""
+class StageSolution(ReadOnly):
+    """Discrete flows, efforts, inputs and states of one sampling interval:
+    stage_x, f and e are (s, n), u and y (s, m), y the discrete output with
+    rows G_i' (M e)_i; iterations counts the Newton residual evaluations
+    (finite-difference columns excluded), builds the finite-difference
+    Jacobian builds.  vars() lists the fields in this order."""
 
-    t0: float
-    h: float
-    x0: np.ndarray
-    stage_x: np.ndarray  # (s, n)
-    f: np.ndarray        # (s, n)
-    e: np.ndarray        # (s, n)
-    u: np.ndarray        # (s, m)
-    y: np.ndarray        # (s, m) discrete output, rows G_i' (M e)_i
-    x_end: np.ndarray
-    iterations: int = 0  # Newton residual evaluations, FD columns excluded
-    residual: float = 0.0
-    builds: int = 0      # finite-difference Jacobian builds
+    def __init__(self, t0: float, h: float, x0, stage_x, f, e, u, y, x_end,
+                 iterations: int = 0, residual: float = 0.0, builds: int = 0):
+        vars(self).update(t0=t0, h=h, x0=x0, stage_x=stage_x, f=f, e=e, u=u, y=y,
+                          x_end=x_end, iterations=iterations, residual=residual,
+                          builds=builds)
 
 
-@dataclass
 class Trajectory:
-    times: np.ndarray
-    states: np.ndarray               # (N+1, n)
-    dh_tilde: np.ndarray             # (N,)
-    dh_bar: np.ndarray               # (N,)
-    supplied: np.ndarray             # (N,) h (y^k)' u^k
-    stages: StageSolution | None = None  # stacked intervals, when retained
+    """States (N+1, n) at the times (N+1,), the per-step increments
+    dh_tilde and dh_bar and the supplied energy h (y^k)' u^k (N,) each, and
+    the stacked StageSolution of the intervals when retained."""
+
+    def __init__(self, times, states, dh_tilde, dh_bar, supplied, stages=None):
+        self.times, self.states, self.dh_tilde = times, states, dh_tilde
+        self.dh_bar, self.supplied, self.stages = dh_bar, supplied, stages
 
     @cached_property
     def stage_solutions(self) -> Sequence:
@@ -89,7 +84,7 @@ class _Intervals(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return list(self)[k]
-        # the fields the dataclass __init__ sets, without its per-field setattr
+        # the fields StageSolution.__init__ sets, without the call
         view = object.__new__(StageSolution)
         view.__dict__.update(zip(self.names, [c[k] for c in self.cols]))
         return view

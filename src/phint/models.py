@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ReadOnly
 
 STAGEWISE = "stagewise"
 PORTLEVEL = "portlevel"
@@ -29,8 +29,10 @@ class PHModel:
     """
 
     def __init__(self, n, m, H, gradH, J, G, *, name="", n_q=None):
-        self.n = int(n)
-        self.m = int(m)
+        for arg, value, low in (("n", n, 1), ("m", m, 0)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ConfigurationError(f"{arg} must be an integer >= {low}, got {value!r}")
+        self.n, self.m = int(n), int(m)
         self.H = H
         self.gradH = gradH if callable(gradH) else _matrix(
             "gradH as the matrix Q", gradH, (self.n, self.n), symmetric=True)
@@ -108,18 +110,15 @@ def pulse_input() -> InputSignal:
     return InputSignal(fn=fn)
 
 
-@dataclass(frozen=True)
-class FeedbackConfig:
+class FeedbackConfig(ReadOnly):
     """Damping injection u = v - r y, v the run's input signal, realized per
     stage or at the discrete port level (coupling stages through M)."""
 
-    r: float
-    mode: str = STAGEWISE
-
-    def __post_init__(self):
-        _check_finite("damping gain r", self.r, low=0.0)
-        if self.mode not in (STAGEWISE, PORTLEVEL):
-            raise ConfigurationError(f"unknown feedback mode {self.mode!r}")
+    def __init__(self, r: float, mode: str = STAGEWISE):
+        _check_finite("damping gain r", r, low=0.0)
+        if mode not in (STAGEWISE, PORTLEVEL):
+            raise ConfigurationError(f"unknown feedback mode {mode!r}")
+        vars(self).update(r=r, mode=mode)
 
 
 def oscillator() -> PHModel:

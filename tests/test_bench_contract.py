@@ -76,6 +76,12 @@ def test_tracer_wraps_and_restores_phint(tracing, capsys):
     # J calls = s * (iterations + s*n*builds + steps); raises otherwise
     assert tracing.newton_builds(newton["j_calls"], newton["s"], newton["n"],
                                  newton["steps"], newton["iterations"]) >= 1
+    # the tracer reads each interval's fields through vars(), so the retained
+    # bytes are those of the array fields of the three views: 24 floats each
+    # (x0, x_end and the (2, 3) stage_x, f and e; u and y are empty)
+    arrays = [getattr(view, name) for view in traj.stage_solutions
+              for name in ("x0", "stage_x", "f", "e", "u", "y", "x_end")]
+    assert newton["retained_bytes"] == sum(a.nbytes for a in arrays) == 3 * 192
     assert "PASS" in capsys.readouterr().out
 
 

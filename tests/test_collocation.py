@@ -539,6 +539,11 @@ def test_make_scheme_is_cached_and_read_only(all_schemes):
                 continue
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+            # the cached record is shared: none of its fields can be rebound
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(scheme, name, None)
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(scheme, name)
 
 
 @pytest.mark.parametrize("kind,s", [(coll.GAUSS, 0), (coll.GAUSS, 9),

@@ -1,10 +1,8 @@
 """Stage solves, stepping, dense output, conservation and solver dispatch."""
-import dataclasses
 import importlib
 import pathlib
 import sys
 import tracemalloc
-from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -254,10 +252,9 @@ def test_retained_stages_are_one_stacked_record(method):
     traj = simulate(*args, retain_stages=True)
     assert len(traj.stage_solutions) == len(traj.stages.t0) == 20
     for k, sol in enumerate(traj.stage_solutions):
-        for fld in fields(StageSolution):
-            kept = getattr(traj.stages, fld.name)
+        for name, kept in vars(traj.stages).items():
             row = kept[k] if np.ndim(kept) else kept
-            assert np.array_equal(getattr(sol, fld.name), row), (k, fld.name)
+            assert np.array_equal(getattr(sol, name), row), (k, name)
     assert traj.stage_solutions is traj.stage_solutions
     bare = simulate(*args)
     assert bare.stages is None and bare.stage_solutions == []
@@ -608,25 +605,22 @@ def test_stage_solutions_build_intervals_on_access():
 
 @pytest.mark.parametrize("k", [0, 23, -1])
 def test_interval_view_is_the_dataclass_instance(k):
-    # a view is filled without the dataclass __init__: the same fields, types
-    # and values as StageSolution(*fields), still frozen, and fields() and
-    # replace() work on it
+    # a view is filled without StageSolution.__init__: the same fields, types
+    # and values as StageSolution(*fields), and read-only
     traj = simulate(oscillator(), coll.make_scheme(coll.GAUSS, 3), X0,
                     pulse_input(), 0.5, 12.0, feedback=_feedback("portlevel"),
                     retain_stages=True)
-    view = traj.stage_solutions[k]
-    built = StageSolution(*[getattr(view, f.name) for f in fields(StageSolution)])
-    assert type(view) is StageSolution and vars(view).keys() == vars(built).keys()
-    for f in fields(view):
-        got, want = getattr(view, f.name), getattr(built, f.name)
-        assert type(got) is type(want) and np.array_equal(got, want), f.name
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    view, names = traj.stage_solutions[k], list(vars(traj.stages))
+    built = StageSolution(*[getattr(view, name) for name in names])
+    assert type(view) is StageSolution and list(vars(view)) == list(vars(built)) == names
+    for name in names:
+        got, want = getattr(view, name), getattr(built, name)
+        assert type(got) is type(want) and np.array_equal(got, want), name
+    with pytest.raises(AttributeError, match="read-only"):
         view.h = 1.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="read-only"):
         del view.f
-    moved = dataclasses.replace(view, h=2.0)
-    assert moved.h == 2.0 and moved.f is view.f and view.h == 0.5
-    assert repr(view) == repr(built)
+    assert view.h == 0.5
 
 
 def _column_jacobian(stepper, X, R, x0, w):

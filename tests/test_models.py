@@ -1,4 +1,6 @@
 """Model catalogue: energies, gradients, structure maps, inputs, feedback."""
+import re
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,22 @@ def test_position_count_must_split_the_state(n_q):
     assert make(1).n_q == make(np.int64(1)).n_q == 1 and make(None).n_q is None
     with pytest.raises(ConfigurationError, match=r"n = 2\b"):
         make(n_q)
+
+
+@pytest.mark.parametrize("n,m,bad", [
+    (2.5, 1, "n"), ("2", 1, "n"), (True, 1, "n"), (np.True_, 1, "n"), (0, 1, "n"),
+    (-2, 1, "n"), (2, -1, "m"), (2, 1.0, "m"), (2, False, "m"), (2, None, "m")], ids=repr)
+def test_state_and_port_counts_must_be_integers(n, m, bad):
+    # 2.5 and "2" built a 2-state model, True a 1-state one, n = 0 simulated
+    # an empty state, and m = -1 failed only inside simulate
+    value, low = (n, 1) if bad == "n" else (m, 0)
+    match = f"^{bad} must be an integer >= {low}, got {re.escape(repr(value))}$"
+    with pytest.raises(ConfigurationError, match=match):
+        PHModel(n, m, H=lambda x: 0.0, gradH=lambda x: x,
+                J=lambda x: np.zeros((2, 2)), G=lambda x: np.zeros((2, 1)))
+    model = PHModel(np.int64(2), np.int64(0), H=lambda x: 0.0, gradH=lambda x: x,
+                    J=lambda x: np.zeros((2, 2)), G=lambda x: np.zeros((2, 0)))
+    assert (model.n, model.m) == (2, 0) and type(model.n) is type(model.m) is int
 
 
 def _with_q(Q, n=2):
@@ -265,6 +283,14 @@ def test_feedback_config_validation():
             FeedbackConfig(r=r)
     with pytest.raises(ConfigurationError):
         FeedbackConfig(r=0.1, mode="perstep")
+    # r is checked once, in __init__, so it cannot be rebound afterwards
+    fb = FeedbackConfig(r=0.1, mode="portlevel")
+    for name in ("r", "mode"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(fb, name, -1.0)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(fb, name)
+    assert (fb.r, fb.mode) == (0.1, "portlevel")
 
 
 @pytest.mark.parametrize("r", [True, False, np.True_, "0.1", None, [0.1], 1j], ids=repr)
