@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import operator
 from functools import cache
-from math import cos, frexp, pi
+from math import cos, frexp, isfinite, pi
 
 import numpy as np
 
@@ -73,14 +73,9 @@ def _stage_count(kind: str, s) -> int:
 
 
 def gauss_legendre_nodes(s: int) -> np.ndarray:
-    """Shifted Gauss-Legendre collocation points on (0, 1), sorted ascending.
-    The lower Gauss-2/3 nodes are 0.6 and 0.98 ulp off (the neighbouring double
-    is the correctly rounded one); the tables are exact for these floats."""
-    s = _stage_count(GAUSS, s)
-    if s in (2, 3):  # closed forms 1/2 -+ sqrt(3)/6; 1/2 -+ sqrt(15)/10 and 1/2
-        d = np.sqrt(3.0) / 6.0 if s == 2 else np.sqrt(15.0) / 10.0
-        return 0.5 + d * np.linspace(-1.0, 1.0, s)
-    return _round(_gauss_nodes(s, _BITS), _BITS)
+    """Shifted Gauss-Legendre collocation points on (0, 1), sorted ascending:
+    the fixed-point Legendre zeros of _gauss_nodes, each correctly rounded."""
+    return _round(_gauss_nodes(_stage_count(GAUSS, s), _BITS), _BITS)
 
 
 def lobatto_nodes(s: int) -> np.ndarray:
@@ -132,8 +127,11 @@ def lagrange_integral_weights(nodes, tau: float) -> np.ndarray:
     """The s integrals int_0^tau l_j(sigma) dsigma, each correctly rounded;
     rows of A at tau = c_i, the weights b at tau = 1."""
     c = np.asarray(nodes, dtype=float)
-    if c.ndim != 1 or c.size < 1 or np.any(np.diff(c) <= 0) or c[0] < 0.0 or c[-1] > 1.0:
+    # every comparison with NaN is false, so a NaN node fails the test
+    if c.ndim != 1 or c.size < 1 or not (np.all(np.diff(c) > 0) and 0 <= c[0] and c[-1] <= 1):
         raise ValueError("nodes must be a nonempty 1-D array increasing within [0, 1]")
+    if not isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau!r}")
     # every input read exactly, and an integral O(tau^2) to 2^-256 of its size
     bits = _BITS + 2 * max(0, -min(frexp(v)[1] for v in (*c, tau)))
     cols = _coefficients([_fixed(v, bits) for v in c], bits)
@@ -144,12 +142,11 @@ def _tables(kind: str, s: int, bits: int):
     """(c, A, b, M, W) as nested lists of fixed-point ints: a_ij = int_0^{c_i} l_j,
     b_j = beta_0j, W[j, m] the P~_m coefficient of int_0^tau l_j and M_ij = int_0^1
     l_i l_j: diag(b) for Gauss, exact on l_i l_j, and for Lobatto sum_k beta_ki
-    beta_kj / (2k + 1), symmetric term by term.  Gauss-2/3, Lobatto nodes are floats."""
+    beta_kj / (2k + 1), symmetric term by term.  Gauss nodes are the fixed-point
+    Legendre zeros, Lobatto nodes floats read exactly."""
     gauss = kind == GAUSS
-    zeros = gauss and s not in (2, 3)
-    c = _gauss_nodes(s, bits) if zeros else [
-        _fixed(v, bits) for v in (gauss_legendre_nodes(s) if gauss else lobatto_nodes(s))]
-    cols = _coefficients(c, bits, zeros)
+    c = _gauss_nodes(s, bits) if gauss else [_fixed(v, bits) for v in lobatto_nodes(s)]
+    cols = _coefficients(c, bits, gauss)
     A = [_integral_weights(cols, ci, bits) for ci in c]
     # beta_kj int_0^tau P~_k is d_k (P~_{k+1} - P~_{k-1}) with d_k = beta_kj / (2 (2k + 1)),
     # and beta_0j tau is d_0 (P~_1 + P~_0) with d_0 = beta_0j / 2

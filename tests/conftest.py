@@ -142,11 +142,12 @@ def _integral_weights_mp(cols, t):
     return [float(mp.fdot(q, col)) for col in cols]
 
 
-def tables_mp(c_mp, gauss, zeros):
+def tables_mp(c_mp, gauss):
     """(A, b, M, W) as float arrays from mpf nodes at the current precision,
-    each entry rounded once: the closed-form Legendre sums of collocation._tables."""
+    each entry rounded once: the closed-form Legendre sums of collocation._tables,
+    with the Gauss nodes taken as Legendre zeros."""
     s = len(c_mp)
-    cols = _coefficients_mp(c_mp, zeros)
+    cols = _coefficients_mp(c_mp, gauss)
     A = np.array([_integral_weights_mp(cols, c) for c in c_mp])
     b = np.array([float(col[0]) for col in cols])
     W = np.array([[d[0] - d[1]] + [d[m - 1] - d[m + 1] for m in range(1, s + 1)]
@@ -161,10 +162,8 @@ def tables_mp(c_mp, gauss, zeros):
 def scheme_mp(kind, s):
     """The 40-digit builder's record of a scheme, as a dict of float arrays."""
     gauss = kind == coll.GAUSS
-    zeros = gauss and s not in (2, 3)
     with mp.workdps(40):
-        c_mp = gauss_nodes_mp(s) if zeros else [
-            mpf(v) for v in (coll.gauss_legendre_nodes(s) if gauss else coll.lobatto_nodes(s))]
-        A, b, M, W = tables_mp(c_mp, gauss, zeros)
+        c_mp = gauss_nodes_mp(s) if gauss else [mpf(v) for v in coll.lobatto_nodes(s)]
+        A, b, M, W = tables_mp(c_mp, gauss)
     return {"c": np.array([float(v) for v in c_mp]), "A": A, "b": b, "M": M, "W": W,
             "A_hat": None if gauss else coll.iiib_from_iiia(A, b)}

@@ -65,8 +65,7 @@ def test_tracer_wraps_and_restores_phint(tracing, capsys):
     spans = {rec[tracing.NAME] for rec in tracer.spans}
     for name in ("cli.main", "integrator.simulate", "collocation.make_scheme",
                  "dirac.assemble_blocks", "dirac.kernel_check",
-                 "dirac.power_residual", "dirac.structure_residual",
-                 "integrator.dense_eval"):
+                 "dirac.power_residual", "integrator.dense_eval"):
         assert name in spans
     # dense output reads the stored coefficients, not the mpmath weights
     assert np.max(np.abs(x_end - sol.x_end)) < 1e-14

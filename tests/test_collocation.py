@@ -20,33 +20,18 @@ from phint.errors import SchemeConstructionError
 from conftest import (fixed_to_mp, gauss_nodes_mp, lagrange_coefficients, leggauss_integral,
                       monomial_lagrange, scheme_mp, tables_mp)
 
-# sha256 of gauss_legendre_nodes(1 .. 8) as float64 little-endian bytes, as
-# the 40-digit mpmath construction made them
-NODES_DIGEST = "3c5ebc28905ae3f36d4b8e7853dd83cc0044edad0f9726048229812397a2a663"
+# sha256 of gauss_legendre_nodes(1 .. 8) as float64 little-endian bytes: the
+# Legendre zeros correctly rounded, which are the mp.polyroots roots of the
+# Rodrigues polynomial at 40 digits rounded once
+NODES_DIGEST = "3cb6a93b35618ddc69b07e21e0bf482696dd9fae18335478265e8ac3d92ba00b"
 
-SQ3 = np.sqrt(3.0)
 SQ5 = np.sqrt(5.0)
-SQ15 = np.sqrt(15.0)
 
-GAUSS_NODES = {
-    1: [0.5],
-    2: [0.5 - SQ3 / 6, 0.5 + SQ3 / 6],
-    3: [0.5 - SQ15 / 10, 0.5, 0.5 + SQ15 / 10],
-}
 LOBATTO_NODES = {
     2: [0.0, 1.0],
     3: [0.0, 0.5, 1.0],
     4: [0.0, 0.5 - SQ5 / 10, 0.5 + SQ5 / 10, 1.0],
 }
-
-GAUSS_A = {
-    1: [[0.5]],
-    2: [[0.25, 0.25 - SQ3 / 6], [0.25 + SQ3 / 6, 0.25]],
-    3: [[5 / 36, 2 / 9 - SQ15 / 15, 5 / 36 - SQ15 / 30],
-        [5 / 36 + SQ15 / 24, 2 / 9, 5 / 36 - SQ15 / 24],
-        [5 / 36 + SQ15 / 30, 2 / 9 + SQ15 / 15, 5 / 36]],
-}
-GAUSS_B = {1: [1.0], 2: [0.5, 0.5], 3: [5 / 18, 4 / 9, 5 / 18]}
 
 LOBATTO_A = {
     2: [[0.0, 0.0], [0.5, 0.5]],
@@ -64,9 +49,27 @@ LOBATTO3_M = np.array([[2 / 15, 1 / 15, -1 / 30],
                        [-1 / 30, 1 / 15, 2 / 15]])
 
 
+def _gauss_closed_form(s):
+    """c, A and b of Gauss s = 1-3 from their closed forms at 60 digits, each
+    entry rounded once to float."""
+    with mp.workdps(60):
+        one = mpmath.mpf(1)
+        h, d, q, f, g = one / 2, mp.sqrt(3) / 6, mp.sqrt(15), 5 * one / 36, 2 * one / 9
+        c, A, b = {
+            1: ([h], [[h]], [one]),
+            2: ([h - d, h + d], [[h / 2, h / 2 - d], [h / 2 + d, h / 2]], [h, h]),
+            3: ([h - q / 10, h, h + q / 10],
+                [[f, g - q / 15, f - q / 30], [f + q / 24, g, f - q / 24],
+                 [f + q / 30, g + q / 15, f]],
+                [5 * one / 18, 4 * one / 9, 5 * one / 18]),
+        }[s]
+        return tuple(np.array(x, dtype=float) for x in (c, A, b))
+
+
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_gauss_nodes_closed_form(s):
-    assert np.allclose(coll.gauss_legendre_nodes(s), GAUSS_NODES[s], atol=1e-15)
+    # 1/2; 1/2 -+ sqrt(3)/6; 1/2 -+ sqrt(15)/10 and 1/2, each correctly rounded
+    assert coll.gauss_legendre_nodes(s).tobytes() == _gauss_closed_form(s)[0].tobytes()
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
@@ -74,7 +77,7 @@ def test_lobatto_nodes_closed_form(s):
     assert np.allclose(coll.lobatto_nodes(s), LOBATTO_NODES[s], atol=1e-15)
 
 
-@pytest.mark.parametrize("s", range(4, 9))
+@pytest.mark.parametrize("s", range(1, 9))
 def test_gauss_nodes_are_legendre_roots(s):
     # shifted Legendre polynomial via the recurrence, evaluated at the nodes
     c = coll.gauss_legendre_nodes(s)
@@ -101,7 +104,7 @@ def _polyroots_nodes(s):
         return sorted(mp.re(r) for r in roots)
 
 
-@pytest.mark.parametrize("s", range(4, 9))
+@pytest.mark.parametrize("s", range(1, 9))
 def test_newton_nodes_equal_polyroots(s):
     # the fixed-point nodes rounded to 40 digits, and the 40-digit oracle's
     assert fixed_to_mp(coll._gauss_nodes(s, coll._BITS), coll._BITS) == _polyroots_nodes(s)
@@ -112,15 +115,15 @@ def test_double_start_leaves_few_mpf_steps(monkeypatch):
     # from the cosine estimates Gauss-8 took 44 mpf steps; from a start within
     # about 1e-16 each node needs at most 4 steps in either arithmetic
     monkeypatch.setattr(coll, "_NODE_MAX_ITER", 4)
-    for s in range(4, 9):
+    for s in range(1, 9):
         assert fixed_to_mp(coll._gauss_nodes(s, coll._BITS), coll._BITS) == _polyroots_nodes(s)
 
 
-@pytest.mark.parametrize("s", range(4, 9))
+@pytest.mark.parametrize("s", range(1, 9))
 def test_tables_over_polyroots_nodes_are_the_scheme(s):
     scheme = coll.make_scheme(coll.GAUSS, s)
     with mp.workdps(40):
-        A, b, M, W = tables_mp(_polyroots_nodes(s), gauss=True, zeros=True)
+        A, b, M, W = tables_mp(_polyroots_nodes(s), gauss=True)
     for name, arr in (("A", A), ("b", b), ("M", M), ("W", W)):
         assert arr.tobytes() == getattr(scheme, name).tobytes(), name
 
@@ -154,11 +157,11 @@ def _digest(arrays):
 
 def test_tables_and_nodes_keep_their_bytes(all_schemes):
     # sha256 of the tables (c, A, b, M, W, A_hat of gauss 1-8, lobatto 2-4, in
-    # that order) and of gauss_legendre_nodes(1 .. 8) as the mpmath builder made them
+    # that order), as the 40-digit oracle makes them, and of gauss_legendre_nodes(1 .. 8)
     tables = [getattr(scheme, name) for scheme in all_schemes.values()
               for name in ("c", "A", "b", "M", "W", "A_hat")]
     assert _digest(t for t in tables if t is not None) == \
-        "cddedec2d3862bb8d93c22ceb7a64b0e36915c41560b466af625db7b0ba1afa0"
+        "7fd6a5cd0df8090ec6a83f05081ccdeb565e35b370160cefcacce760e970b374"
     assert _digest(coll.gauss_legendre_nodes(s) for s in range(1, 9)) == NODES_DIGEST
 
 
@@ -204,12 +207,8 @@ def _monomial_tables(c_mp):
 
 def _oracle_scheme(kind, s):
     with mp.workdps(40):
-        if kind == coll.GAUSS and s not in (2, 3):
-            c_mp = _polyroots_nodes(s)
-        else:
-            nodes = (coll.gauss_legendre_nodes(s) if kind == coll.GAUSS
-                     else coll.lobatto_nodes(s))
-            c_mp = [mpmath.mpf(v) for v in nodes]
+        c_mp = (_polyroots_nodes(s) if kind == coll.GAUSS
+                else [mpmath.mpf(v) for v in coll.lobatto_nodes(s)])
         A, b, M, W = _monomial_tables(c_mp)
     c = np.array([float(v) for v in c_mp])
     A_hat = None if kind == coll.GAUSS else b[None, :] - (b[None, :] / b[:, None]) * A.T
@@ -224,7 +223,8 @@ def _exact_zeros(kind, s, name, shape):
     mask = np.zeros(shape, dtype=bool)
     if name == "A" and kind == coll.LOBATTO:
         mask[0] = True
-    if name == "W" and (kind, s) in ((coll.GAUSS, 5), (coll.GAUSS, 7), (coll.LOBATTO, 3)):
+    if name == "W" and (kind, s) in ((coll.GAUSS, 3), (coll.GAUSS, 5), (coll.GAUSS, 7),
+                                     (coll.LOBATTO, 3)):
         mask[s // 2, 2::2] = True
     return mask
 
@@ -244,9 +244,9 @@ def test_tables_equal_monomial_oracle(kind, s):
         assert np.all(np.abs(old[zero]) < 1.5e-39), name
         assert new[~zero].tobytes() == old[~zero].tobytes(), name
     if kind == coll.GAUSS:
-        # the Gram matrix differs from diag(b) by rounding of the float
-        # Gauss-2/3 nodes and by 40-digit noise at the Legendre zeros
-        assert np.max(np.abs(oracle["M"] - np.diag(scheme.b))) < 6e-17
+        # the Gram matrix differs from diag(b) by 40-digit noise at the
+        # Legendre zeros only (8e-34 at s = 8)
+        assert np.max(np.abs(oracle["M"] - np.diag(scheme.b))) < 1e-32
 
 
 @pytest.mark.parametrize("s", range(1, 9))
@@ -326,16 +326,7 @@ def test_cli_import_leaves_mpmath_out():
 
 @pytest.mark.parametrize("s", range(1, 9))
 def test_gauss_legendre_nodes_unchanged(s):
-    if s == 1:
-        expect = np.array([0.5])
-    elif s == 2:
-        d = np.sqrt(3.0) / 6.0
-        expect = np.array([0.5 - d, 0.5 + d])
-    elif s == 3:
-        d = np.sqrt(15.0) / 10.0
-        expect = np.array([0.5 - d, 0.5, 0.5 + d])
-    else:
-        expect = np.array([float(r) for r in _polyroots_nodes(s)])
+    expect = np.array([float(r) for r in _polyroots_nodes(s)])
     assert coll.gauss_legendre_nodes(s).tobytes() == expect.tobytes()
 
 
@@ -387,9 +378,10 @@ def test_nan_start_never_returns_a_node(monkeypatch):
 
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_gauss_tableau_closed_form(s):
+    # every entry of c, A and b is its closed form rounded once
     scheme = coll.make_scheme(coll.GAUSS, s)
-    assert np.max(np.abs(scheme.A - GAUSS_A[s])) < 1e-14
-    assert np.max(np.abs(scheme.b - GAUSS_B[s])) < 1e-14
+    for name, expect in zip(("c", "A", "b"), _gauss_closed_form(s)):
+        assert getattr(scheme, name).tobytes() == expect.tobytes(), name
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
@@ -604,6 +596,13 @@ def test_bad_nodes_rejected():
         coll.lagrange_integral_weights([-0.1, 0.5], 0.5)
     with pytest.raises(ValueError):
         coll.lagrange_integral_weights([], 0.5)
+    # NaN compares false both ways, so it must fail the order and range test
+    for nodes in ([0.2, float("nan")], [float("nan"), 0.5], [float("nan")], [0.5, float("inf")]):
+        with pytest.raises(ValueError, match="nodes must be"):
+            coll.lagrange_integral_weights(nodes, 0.5)
+    for tau in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"tau must be finite, got {tau}"):
+            coll.lagrange_integral_weights([0.2, 0.8], tau)
 
 
 def scheme_record(c, A, b, W=None):
