@@ -12,10 +12,13 @@ an API entry hashes the retained arrays of a run, or its error.  The grid:
 11 schemes x oscillator/partitioned-oscillator x open/stagewise/portlevel
 feedback x pulse/zero input; lossless and damped `converge` of each scheme
 and model; rigid-body `simulate` and `check` under Gauss 1-4 from four
-states of scale 1 to 1e3; and the same runs through `simulate` with
-retained stages.  The second form lists the keys whose digests differ
-between A and B, each a digest file or a source directory (digested in a
-fresh process), and exits 1 when any differs.
+states of scale 1 to 1e3; the same runs through `simulate` with retained
+stages; and, the same way, a pendulum with constant J and G but no Q (so
+a constant structure on the Newton stepper, which no CLI model is) under
+the 11 schemes x open/stagewise/portlevel feedback and pulse input.  The
+second form lists the keys whose digests differ between A and B, each a
+digest file or a source directory (digested in a fresh process), and exits
+1 when any differs.
 """
 from __future__ import annotations
 
@@ -74,21 +77,36 @@ def command_digest(cli, argv, workdir):
     return digest.hexdigest()
 
 
+def pendulum(phint):
+    """H = p^2/2 + 1 - cos q with the oscillator's constant J and G: a
+    matrix structure without Q, so it runs on the Newton stepper."""
+    import numpy as np
+
+    return phint.PHModel(2, 1, H=lambda x: 0.5 * x[1] ** 2 + 1.0 - np.cos(x[0]),
+                         gradH=lambda x: np.array([np.sin(x[0]), x[1]]),
+                         J=[[0.0, 1.0], [-1.0, 0.0]], G=[[0.0], [1.0]], name="pendulum")
+
+
 def api_grid(phint):
     """(key, simulate args, simulate kwargs) of every API entry."""
     import numpy as np
 
     schemes = {f"{kind}-{s}": phint.make_scheme(kind, s) for kind, s in SCHEMES}
+    feedbacks = {mode: None if mode == "open" else phint.FeedbackConfig(r=0.1, mode=mode)
+                 for mode in FEEDBACK}
     for label, scheme in schemes.items():
         for model in OSCILLATORS:
-            for mode in FEEDBACK:
-                feedback = None if mode == "open" else phint.FeedbackConfig(r=0.1, mode=mode)
+            for mode, feedback in feedbacks.items():
                 for signal in INPUTS:
                     for x0 in ((0.0, -1.0), (0.0, 0.0)):
                         inp = phint.pulse_input() if signal == "pulse" else phint.zero_input(1)
                         yield (f"api {label} {model} {mode} {signal} x0={x0}",
                                (getattr(phint, model.replace("-", "_"))(), scheme,
                                 np.array(x0), inp, 0.1, 18.0), {"feedback": feedback})
+        for mode, feedback in feedbacks.items():
+            yield (f"api {label} pendulum {mode} pulse x0=(0.0, -1.0)",
+                   (pendulum(phint), scheme, np.array((0.0, -1.0)), phint.pulse_input(),
+                    0.1, 18.0), {"feedback": feedback})
     for s in (1, 2, 3, 4):
         for x0 in RIGID_X0:
             yield (f"api gauss-{s} rigid-body x0={x0}",

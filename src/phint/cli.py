@@ -81,16 +81,16 @@ def _build(args):
 
 def _reference_for(args, x0):
     """Closed-form reference, when the configuration matches one of the two
-    oscillator experiments; None otherwise.  Port-level damping applies
-    u_i = -r (G'(M e))_i, which does not converge to the continuous closed
-    loop, so it has no reference."""
+    oscillator experiments (the damped one for r < 2); None otherwise.
+    Port-level damping applies u_i = -r (G'(M e))_i, which does not converge
+    to the continuous closed loop, so it has no reference."""
     if (args.model not in ("oscillator", "partitioned-oscillator")
             or (args.r > 0.0 and args.feedback_mode == PORTLEVEL)
             or tuple(x0) != (0.0, -1.0)):  # the default x0 of both models
         return None
     if args.r == 0.0 and args.input == "pulse":
         return lambda t: energy.reference_solution(energy.LOSSLESS_FORCED, t)
-    if args.r > 0.0 and args.input == "zero":
+    if 0.0 < args.r < 2.0 and args.input == "zero":
         r = args.r
         return lambda t: energy.reference_solution(energy.DAMPED_FREE, t, r)
     return None
@@ -273,7 +273,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         code = args.fn(args)
-    except (ConfigurationError, ValueError) as err:
+    except (ConfigurationError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         code = 2
     except SolverDivergenceError as err:

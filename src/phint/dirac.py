@@ -30,17 +30,19 @@ def assemble_blocks(model, states, scheme=None):
         raise ValueError(f"expected states of shape (..., "
                          f"{', '.join(map(str, shape))}), got shape {X.shape}")
     J, G = _stack_blocks(model, X)
+    if model.constant_structure:  # one matrix each: stride 0, read-only
+        J = np.broadcast_to(J, X.shape + (model.n,))
+        G = G if G is None else np.broadcast_to(G, X.shape + (model.m,))
     return J, np.zeros(X.shape + (0,)) if G is None else G
 
 
 def _stack_blocks(model, X):
     """J(x) and G(x) over the float states X (..., n), unchecked: a constant
-    structure's matrices broadcast (read-only views), any other model's
-    callbacks once per state; G is None, never called, without a port."""
+    structure's matrices themselves, any other model's callbacks once per
+    state; G is None, never called, without a port."""
     n, m, flat = model.n, model.m, X if X.ndim == 2 else X.reshape(-1, model.n)
     if model.constant_structure:
-        return (np.broadcast_to(model.J, X.shape + (n,)),
-                np.broadcast_to(model.G, X.shape + (m,)) if m else None)
+        return model.J, model.G if m else None
     J = np.array([model.J(x) for x in flat])
     G = np.array([model.G(x) for x in flat]) if m else None
     if X.ndim == 2:  # rows of states: the stacks need no reshape

@@ -132,6 +132,8 @@ def reference_solution(experiment: str, t, r: float = 0.1):
     if experiment == LOSSLESS_FORCED:
         x = _lossless_state(t)
     elif experiment == DAMPED_FREE:
+        if not 0.0 <= r < 2.0:  # the underdamped closed form
+            raise ValueError(f"damped reference needs r in [0, 2), got r = {r}")
         x = _damped_state(t, r)
     else:
         raise ConfigurationError(f"unknown experiment {experiment!r}")

@@ -17,9 +17,9 @@ through simplified Newton iteration on the stacked stage states, one interval
 at a time, with a finite-difference iteration matrix and start values carried
 from the previous interval, writing each step into preallocated run arrays
 (rigid body, h = 0.01: 47, 42, 37 and 38 us/step for Gauss 1-4 from
-(1, 1, 1), 91-151 from (100, 100, 100), 2-core x86-64 host), deciding once
-per run how the drift is evaluated.  Both record u and f = -g from their one
-drift evaluation at the accepted stages; only y takes a second stacked pass.
+(1, 1, 1), 91-151 from (100, 100, 100), 2-core x86-64 host).  Both record u
+and f = -g from their one drift evaluation (_drift, a constant J and G as
+matrices) at the accepted stages; only y takes a second stacked pass.
 """
 from __future__ import annotations
 
@@ -103,9 +103,6 @@ class _Stepper:
         self.model, self.scheme, self.h = model, scheme, h
         self.n, self.s, self.m = model.n, scheme.s, model.m
         self.n_q = model.n_q if scheme.A_hat is not None else None
-        # decided once for _drift: Q' of the efforts (None: gradH per state),
-        # J and G at stage states (a linear stepper's constant pair instead)
-        self.QT, self._blocks = None if model.Q is None else model.Q.T, _stack_blocks
         self.signal = input_signal
         if feedback is not None and self.m == 0:
             raise ConfigurationError("feedback requires a model with a port")
@@ -127,23 +124,21 @@ class _Stepper:
                                      f"model {self.model.name!r} has {port}")
         return w
 
-    def _drift(self, stage_x, w, stage_sum=False):
-        """Efforts, G, inputs u, drift g and, with stage_sum, h A g (else
-        None, as a Newton step's bond pass needs no h A g) at stage states
-        (..., s, n) under the stage signals w (..., s, m)."""
-        # e = X Q' of a Newton iterate's (s, n) stages as efforts forms it
-        e = (stage_x @ self.QT if self.QT is not None and stage_x.ndim == 2
-             else efforts(self.model, stage_x))
-        J, G = self._blocks(self.model, stage_x)
+    def _drift(self, stage_x, w):
+        """Efforts, G, inputs u and drift g at stage states (..., s, n) under
+        the stage signals w (..., s, m); G is one matrix under C2."""
+        e = efforts(self.model, stage_x)
+        J, G = _stack_blocks(self.model, stage_x)
         u = w if self.K is None else w - self.r * discrete_output(self.K, G, e)
-        g = drift(J, G, e, u if self.m else None)
-        if not stage_sum:
-            return e, G, u, g, None
+        return e, G, u, drift(J, G, e, u if self.m else None)
+
+    def _stage_sum(self, g):
+        """h A g of the drift g (..., s, n), A_hat on the p rows of a pair."""
         hAg = self.scheme.A @ g
         if self.n_q is not None:
             hAg[..., self.n_q:] = self.scheme.A_hat @ g[..., self.n_q:]
         hAg *= self.h
-        return e, G, u, g, hAg
+        return hAg
 
     def _solution(self, t0, states, stage_x, e, G, u, g, **solver) -> StageSolution:
         """The run's intervals from the bond pass of its stage states: the
@@ -162,16 +157,14 @@ class _LinearStepper(_Stepper):
     def __init__(self, *args):
         super().__init__(*args)
         n, s, sn = self.n, self.s, self.s * self.n
-        self._blocks = lambda *_: (self.model.J, self.model.G)
         # the stage equations are affine in (X, w): row k of g and h A g is
         # their response to unit k of the stacked stage states X (w = 0),
         # then of the inputs w (X = 0), so after the transpose
         # X = 1 (x) x0 + h A g reads (I - hAg_X) X = 1 (x) x0 + hAg_w w
         rows = sn + s * self.m
-        _, _, _, g, hAg = self._drift(np.eye(rows, sn).reshape(rows, s, n),
-                                      np.eye(rows, s * self.m, -sn).reshape(rows, s, self.m),
-                                      stage_sum=True)
-        hAg = hAg.reshape(rows, sn).T
+        g = self._drift(np.eye(rows, sn).reshape(rows, s, n),
+                        np.eye(rows, s * self.m, -sn).reshape(rows, s, self.m))[3]
+        hAg = self._stage_sum(g).reshape(rows, sn).T
         ST = np.linalg.solve(np.eye(sn) - hAg[:, :sn],
                              np.hstack([np.tile(np.eye(n), (s, 1)), hAg[:, sn:]]))
         self.S, self.T = ST[:, :n], ST[:, n:]
@@ -189,7 +182,7 @@ class _LinearStepper(_Stepper):
         X += wf @ self.T.T
         stage_x = X.reshape(len(t0), self.s, self.n)
         return states, self._solution(t0, states, stage_x,
-                                      *self._drift(stage_x, w)[:4])
+                                      *self._drift(stage_x, w))
 
 
 # largest state dimension advanced by the doubling scan.  Its log2(N) passes
@@ -244,7 +237,7 @@ class _NewtonStepper(_Stepper):
     def _residual(self, X, x0, w):
         """Residuals (stage_x - x0) - h A g (..., s n) of stage states X (..., s n)."""
         stage_x = X.reshape(X.shape[:-1] + (self.s, self.n))
-        hAg = self._drift(stage_x, w, stage_sum=True)[4]
+        hAg = self._stage_sum(self._drift(stage_x, w)[3])
         return np.subtract(stage_x - x0, hAg, out=hAg).reshape(X.shape)
 
     def _rebuild(self, X, R, x0, w):
@@ -286,8 +279,8 @@ class _NewtonStepper(_Stepper):
         states, stage_x, e = np.empty((N + 1, n)), np.empty((N, s, n)), np.empty((N, s, n))
         u, g = np.empty((N, s, self.m)), np.empty((N, s, n))
         its, builds, res = np.empty(N, dtype=int), np.empty(N, dtype=int), np.empty(N)
-        # y needs a state-dependent G of every step; a constant G is the
-        # stride-0 stack of one step, which the product broadcasts over N
+        # y needs a state-dependent G of every step; a constant G is one
+        # matrix, which the product applies to every step
         G = np.empty((N, s, n, self.m)) if self.m and not self.model.constant_structure else None
         # E[i, j] = int_0^{1 + c_i} l_j carries the polynomial to the next nodes
         E = dense_weights(self.scheme, 1.0 + self.scheme.c).T
@@ -308,7 +301,7 @@ class _NewtonStepper(_Stepper):
                 raise
             its[k], builds[k] = self.iterations, self.builds
             stage_x[k] = X = X.reshape(s, n)
-            e[k], Gk, u[k], g[k], _ = self._drift(X, w[k])
+            e[k], Gk, u[k], g[k] = self._drift(X, w[k])
             if G is not None:
                 G[k] = Gk
             # x - h b'f and x - h E f with f = -g

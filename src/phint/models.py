@@ -33,6 +33,8 @@ class PHModel:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
                 raise ConfigurationError(f"{arg} must be an integer >= {low}, got {value!r}")
         self.n, self.m = int(n), int(m)
+        if not callable(H):
+            raise ConfigurationError(f"H must be callable, got {H!r}")
         self.H = H
         self.gradH = gradH if callable(gradH) else _matrix(
             "gradH as the matrix Q", gradH, (self.n, self.n), symmetric=True)

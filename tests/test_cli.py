@@ -271,6 +271,35 @@ def test_converge_needs_reference(capsys):
                 "--t-end", "18"]) == 2
 
 
+def test_simulate_has_no_damped_reference_from_r_two(tmp_path):
+    # the damped closed form holds for r < 2: from r = 2 on the energy CSV
+    # has no dh_exact column
+    assert run(["simulate", "--input", "zero", "--r", "2", "--out", str(tmp_path / "P")]) == 0
+    header = read(tmp_path / "P_energy.csv").splitlines()[0]
+    assert header == "k,t_k,dh_tilde,dh_bar,supplied,balance_residual"
+
+
+@pytest.mark.parametrize("r", ["2", "2.5"])
+def test_converge_has_no_damped_reference_from_r_two(r, capsys, monkeypatch):
+    # the sweep stops before its first run, with the usage exit code
+    runs = []
+    monkeypatch.setattr(cli, "simulate", lambda *a, **k: runs.append(a))
+    assert run(["converge", "--input", "zero", "--r", r]) == 2
+    assert "closed-form reference" in capsys.readouterr().err
+    assert runs == []
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["converge", "--input", "zero", "--r", "0.1",
+                                                 "--h-list", "0.5,0.25,0.2"],
+                                  ["tableau"]], ids=["simulate", "converge", "tableau"])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "run"
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "converge", "check"])
 @pytest.mark.parametrize("flag", ["--model", "--input"])
 def test_unknown_model_or_input_is_a_usage_error(command, flag, capsys):

@@ -47,6 +47,13 @@ def test_damped_reference_against_numerical_oracle():
     assert np.max(np.abs(traj.states[-1] - x_ref)) < 1e-12
 
 
+@pytest.mark.parametrize("r", [2.0, 2.5, -0.1, float("nan")])
+def test_damped_reference_needs_r_in_zero_two(r):
+    # the closed form is the underdamped one: w = sqrt(1 - r^2/4) > 0
+    with pytest.raises(ValueError, match=rf"r in \[0, 2\), got r = {r}"):
+        reference_solution(DAMPED_FREE, 1.0, r)
+
+
 def test_reference_segments_join_continuously():
     for t in (8.0, 10.0):
         lo, _ = reference_solution(LOSSLESS_FORCED, t - 1e-9)

@@ -674,7 +674,7 @@ def test_newton_evaluates_constant_structure_once_per_residual(monkeypatch):
     # a constant-structure model on the Newton path makes no J or G call at
     # all: its J and G are matrices, and every residual evaluation, a
     # stacked finite-difference build included, is one _stack_blocks call
-    # that broadcasts them
+    # that returns them as they are
     model, blocks = _pendulum(), []
 
     def counted(*args):
@@ -686,11 +686,23 @@ def test_newton_evaluates_constant_structure_once_per_residual(monkeypatch):
     traj = simulate(model, coll.make_scheme(coll.GAUSS, 2), X0, pulse_input(),
                     0.1, 2.0, retain_stages=True)
     assert not callable(model.J) and not callable(model.G)
-    assert all(np.shares_memory(J, model.J) and np.shares_memory(G, model.G)
-               for J, G in blocks)
+    assert all(J is model.J and G is model.G for J, G in blocks)
     # residual evaluations = iterations + one per build + one per step
     builds = len(blocks) - sum(traj.stages.iterations) - len(traj.dh_tilde)
     assert builds >= 1
+
+
+@pytest.mark.parametrize("kind,s", ALL_SCHEMES, ids=SCHEME_IDS)
+def test_constant_structure_as_matrices_is_the_broadcast_stack_bit_for_bit(kind, s,
+                                                                          monkeypatch):
+    # the Newton stepper applies a constant J and G as one matrix each, one
+    # GEMM per product; every recorded array keeps the bytes of the stride-0
+    # stacks of assemble_blocks, which np.matvec applies stage by stage
+    runs = [((_pendulum(), coll.make_scheme(kind, s), X0, pulse_input(), 0.1, 12.0),
+             {"feedback": _feedback(mode)}) for mode in (None, "stagewise", "portlevel")]
+    got = [_run_bytes(*args, **kwargs) for args, kwargs in runs]
+    monkeypatch.setattr(integrator, "_stack_blocks", assemble_blocks)
+    assert got == [_run_bytes(*args, **kwargs) for args, kwargs in runs]
 
 
 def test_pendulum_energy_is_one_h_call_per_state():

@@ -195,7 +195,8 @@ def test_constant_structure_and_q_follow_from_the_arguments():
     ({"G": [[0.0], [np.inf]]}, "^G must be finite"),
     ({"gradH": [[1.0, np.nan], [np.nan, 1.0]]}, "^gradH as the matrix Q must be finite"),
     ({"gradH": np.eye(3)}, r"^gradH as the matrix Q must have shape \(2, 2\)"),
-    ({"gradH": [[1.0, 1.0], [0.0, 1.0]]}, "^gradH as the matrix Q must be symmetric")])
+    ({"gradH": [[1.0, 1.0], [0.0, 1.0]]}, "^gradH as the matrix Q must be symmetric"),
+    ({"H": None}, "^H must be callable, got None")])
 def test_matrix_arguments_are_validated(kwargs, match):
     # each error names the argument it rejects
     with pytest.raises(ConfigurationError, match=match):
