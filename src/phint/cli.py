@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -69,6 +70,8 @@ def _floats(flag, text) -> tuple:
 def _build(args):
     if not (np.isfinite(args.r) and args.r >= 0.0):
         raise ConfigurationError(f"--r must be a finite gain >= 0, got {args.r}")
+    if getattr(args, "out", None):  # a missing --out directory fails before any run
+        os.stat(os.path.join(os.path.dirname(args.out), "."))
     model = MODELS[args.model]()
     scheme = coll.make_scheme(args.scheme, args.stages)
     x0 = np.array(DEFAULT_X0[args.model] if args.x0 is None

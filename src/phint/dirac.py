@@ -56,8 +56,8 @@ def _apply(A, x) -> np.ndarray:
     if A.ndim > 2:
         return np.matvec(A, x)
     if x.ndim <= 2:
-        return x @ A.T
-    rows = x.reshape(math.prod(x.shape[:-1]), A.shape[1]) @ A.T
+        return x.dot(A.T)
+    rows = x.reshape(math.prod(x.shape[:-1]), A.shape[1]).dot(A.T)
     return rows.reshape(x.shape[:-1] + A.shape[:1])
 
 

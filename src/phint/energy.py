@@ -44,7 +44,7 @@ def delta_h_bar(model, states):
     state."""
     x = np.asarray(states, dtype=float)
     if model.Q is not None:
-        return 0.5 * np.vecdot(x[1:] - x[:-1], (x[1:] + x[:-1]) @ model.Q.T)
+        return 0.5 * np.vecdot(x[1:] - x[:-1], (x[1:] + x[:-1]).dot(model.Q.T))
     H = np.fromiter((model.H(xk) for xk in x), float, len(x))
     return H[1:] - H[:-1]
 

@@ -16,8 +16,8 @@ plus one pass that adds up the per-step increments as the per-step loop does
 through simplified Newton iteration on the stacked stage states, one interval
 at a time, with a finite-difference iteration matrix and start values carried
 from the previous interval, writing each step into preallocated run arrays
-(rigid body, h = 0.01: 47, 42, 37 and 38 us/step for Gauss 1-4 from
-(1, 1, 1), 91-151 from (100, 100, 100), 2-core x86-64 host).  Both record u
+(rigid body, h = 0.01: 65, 55, 50 and 55 us/step for Gauss 1-4 from
+(1, 1, 1), 123-223 from (100, 100, 100), shared 2-core host).  Both record u
 and f = -g from their one drift evaluation (_drift, a constant J and G as
 matrices) at the accepted stages; only y takes a second stacked pass.
 """
@@ -97,7 +97,7 @@ class _Stepper:
     K = None without damping.  A acts on every state, or, for a separable
     (q, p) model under a Lobatto pair, A on the q rows and A_hat on the p
     rows.  run(x0, t0) returns the states (N+1, n) and the stacked
-    StageSolution of the intervals starting at t0."""
+    StageSolution of the intervals starting at t0; x[tile] is np.tile(x, s)."""
 
     def __init__(self, model, scheme, input_signal, h, feedback):
         self.model, self.scheme, self.h = model, scheme, h
@@ -113,6 +113,9 @@ class _Stepper:
         self.M, self.K = diag(scheme.M), None
         if self.r > 0.0:
             self.K = diag(np.eye(self.s) if feedback.mode == STAGEWISE else scheme.M)
+
+    eye = cached_property(lambda self: np.eye(self.s * self.n))
+    tile = cached_property(lambda self: np.arange(self.s * self.n) % self.n)
 
     def _inputs(self, t0):
         """Stage samples w (N, s, m) of the signal on the intervals starting
@@ -165,21 +168,20 @@ class _LinearStepper(_Stepper):
         g = self._drift(np.eye(rows, sn).reshape(rows, s, n),
                         np.eye(rows, s * self.m, -sn).reshape(rows, s, self.m))[3]
         hAg = self._stage_sum(g).reshape(rows, sn).T
-        ST = np.linalg.solve(np.eye(sn) - hAg[:, :sn],
-                             np.hstack([np.tile(np.eye(n), (s, 1)), hAg[:, sn:]]))
+        ST = np.linalg.solve(self.eye - hAg[:, :sn], np.hstack([np.eye(n)[self.tile], hAg[:, sn:]]))
         self.S, self.T = ST[:, :n], ST[:, n:]
         # x+ - x0 = h (b' (x) I) g, kept as an increment: a step matrix
         # I + Delta rounds away the O(h) part Delta x0 at every step
         hbg = self.h * (self.scheme.b @ g).T
-        self.Delta = hbg[:, :sn] @ self.S
-        self.Gamma = hbg[:, :sn] @ self.T + hbg[:, sn:]
+        self.Delta = hbg[:, :sn].dot(self.S)
+        self.Gamma = hbg[:, :sn].dot(self.T) + hbg[:, sn:]
 
     def run(self, x0, t0):
         w = self._inputs(t0)
         wf = w.reshape(len(t0), -1)
-        states = _affine_states(self.Delta, x0, wf @ self.Gamma.T)
-        X = states[:-1] @ self.S.T
-        X += wf @ self.T.T
+        states = _affine_states(self.Delta, x0, wf.dot(self.Gamma.T))
+        X = states[:-1].dot(self.S.T)
+        X += wf.dot(self.T.T)
         stage_x = X.reshape(len(t0), self.s, self.n)
         return states, self._solution(t0, states, stage_x,
                                       *self._drift(stage_x, w))
@@ -209,20 +211,20 @@ def _affine_states(Delta, x0, drive) -> np.ndarray:
     if n > SCAN_MAX_N:
         states = [x0]
         for d in drive:
-            states.append(states[-1] + (Delta @ states[-1] + d))
+            states.append(states[-1] + (Delta.dot(states[-1]) + d))
         return np.array(states)
     v = np.concatenate([x0[None], drive[:-1]])
     P, m = Delta, 1
     while m < N:
         if m > 1:
-            P = P + (P + P @ P)
+            P = P + (P + P.dot(P))
         # v[:-m] + (v[:-m] P' + v[m:]) with two fewer temporaries
-        t = v[:-m] @ P.T
+        t = v[:-m].dot(P.T)
         t += v[m:]
         t += v[:-m]
         v[m:] = t
         m *= 2
-    return np.cumsum(np.concatenate([x0[None], v @ Delta.T + drive]), axis=0)
+    return np.cumsum(np.concatenate([x0[None], v.dot(Delta.T) + drive]), axis=0)
 
 
 class _NewtonStepper(_Stepper):
@@ -232,18 +234,16 @@ class _NewtonStepper(_Stepper):
     previous interval's collocation polynomial at its nodes; if that warm
     attempt fails, the step restarts from x0 with a fresh Jacobian."""
 
-    eye = cached_property(lambda self: np.eye(self.s * self.n))
-
     def _residual(self, X, x0, w):
         """Residuals (stage_x - x0) - h A g (..., s n) of stage states X (..., s n)."""
         stage_x = X.reshape(X.shape[:-1] + (self.s, self.n))
-        hAg = self._stage_sum(self._drift(stage_x, w)[3])
-        return np.subtract(stage_x - x0, hAg, out=hAg).reshape(X.shape)
+        hAg = self._stage_sum(self._drift(stage_x, w)[3]).reshape(X.shape)
+        return np.subtract(X - x0[self.tile], hAg, out=hAg)
 
     def _rebuild(self, X, R, x0, w):
         """Invert the finite-difference Jacobian of the residual at X: its
         column k is row k of the residuals of the stacked guesses X + fd I."""
-        fd_step = SQRT_EPS * (1.0 + math.sqrt(x0 @ x0))
+        fd_step = SQRT_EPS * (1.0 + math.sqrt(x0.dot(x0)))
         Rp = self._residual(X + fd_step * self.eye, x0, w)
         try:
             self.inv = np.linalg.inv(((Rp - R) / fd_step).T)
@@ -262,13 +262,13 @@ class _NewtonStepper(_Stepper):
             prev, res = res, float(np.abs(R).max())
             if res <= TOL:
                 # the last correction needs no further residual evaluation
-                return (X if self.inv is None else X - self.inv @ R), res
+                return (X if self.inv is None else X - self.inv.dot(R)), res
             if not math.isfinite(res) or (warm and it == 1 and res > 0.5 * prev):
                 raise SolverDivergenceError("stage iteration diverges", residual=res)
             if self.inv is None or res > 0.1 * prev:
                 self.builds += 1
                 self._rebuild(X, R, x0, w)
-            X = X - self.inv @ R
+            X = X - self.inv.dot(R)
         raise SolverDivergenceError(
             f"stage equations did not converge below {TOL} "
             f"in {MAX_ITER} iterations", residual=res)
@@ -295,7 +295,7 @@ class _NewtonStepper(_Stepper):
                         guess = None
                 if guess is None:
                     self.inv = None
-                    X, res[k] = self._newton(np.tile(x, s), x, w[k], warm=False)
+                    X, res[k] = self._newton(x[self.tile], x, w[k], warm=False)
             except SolverDivergenceError as err:
                 err.step_index = k
                 raise
@@ -305,8 +305,8 @@ class _NewtonStepper(_Stepper):
             if G is not None:
                 G[k] = Gk
             # x - h b'f and x - h E f with f = -g
-            states[k + 1] = x + self.h * (self.scheme.b @ g[k])
-            guess = (x + self.h * (E @ g[k])).ravel()
+            states[k + 1] = x + self.h * self.scheme.b.dot(g[k])
+            guess = (x + self.h * E.dot(g[k])).ravel()
         return states, self._solution(t0, states, stage_x, e, Gk if G is None else G, u, g,
                                       iterations=its, residual=res, builds=builds)
 
@@ -342,13 +342,13 @@ def solve_stages(model, scheme, x0, input_signal, t0, h,
 
 def dense_weights(scheme, tau) -> np.ndarray:
     """The integrals int_0^tau l_j, shape (s,) + shape(tau), for a float or
-    an array tau: sum_k W[j, k] P_k(2 tau - 1), P_k from Bonnet's recurrence
-    (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}; a float stays a Python float."""
+    an array tau (of two or more axes taken flat): sum_k W[j, k] P_k(2 tau - 1),
+    P_k from Bonnet's recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}."""
     x = 2.0 * tau - 1.0
     p = [x ** 0, x]
     for k in range(1, scheme.s):
         p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
-    return scheme.W @ p
+    return scheme.W.dot(p) if getattr(x, "ndim", 0) < 2 else np.tensordot(scheme.W, p, 1)
 
 
 def dense_eval(sol: StageSolution, scheme, tau: float) -> np.ndarray:
@@ -357,7 +357,8 @@ def dense_eval(sol: StageSolution, scheme, tau: float) -> np.ndarray:
     meet x0 and x_end but not their stages: IIIB is not a collocation method."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    return sol.x0 - sol.h * (dense_weights(scheme, tau) @ sol.f)
+    w = dense_weights(scheme, tau)  # a stacked f (N, s, n) stays on matmul: per-interval bytes
+    return sol.x0 - sol.h * (w.dot(sol.f) if sol.f.ndim == 2 else w @ sol.f)
 
 
 def simulate(model, scheme, x0, input_signal, h, t_end,

@@ -1,3 +1,4 @@
+import math
 from math import cos, pi
 
 import mpmath
@@ -82,6 +83,17 @@ def matmul_discrete_output(K, G, e):
     discrete_output's row scaling."""
     K = np.diag(K) if K.ndim == 1 else K
     return dirac._apply(np.swapaxes(G, -1, -2), K @ e)
+
+
+def matmul_apply(A, x):
+    """dirac._apply with its one-matrix products as the matmul operator, the
+    form they had before they took ndarray.dot: the oracle of their bytes."""
+    if A.ndim > 2:
+        return np.matvec(A, x)
+    if x.ndim <= 2:
+        return x @ A.T
+    rows = x.reshape(math.prod(x.shape[:-1]), A.shape[1]) @ A.T
+    return rows.reshape(x.shape[:-1] + A.shape[:1])
 
 
 # The 40-digit mpmath table builder that the fixed-point one replaced, kept as

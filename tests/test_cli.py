@@ -292,12 +292,16 @@ def test_converge_has_no_damped_reference_from_r_two(r, capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [["simulate"], ["converge", "--input", "zero", "--r", "0.1",
                                                  "--h-list", "0.5,0.25,0.2"],
                                   ["tableau"]], ids=["simulate", "converge", "tableau"])
-def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
+    # the output's directory is checked before the first run, creating nothing
+    runs = []
+    monkeypatch.setattr(cli, "simulate", lambda *a, **k: runs.append(a))
     out = tmp_path / "missing" / "run"
     assert run([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "No such file or directory" in err
     assert not out.parent.exists()
+    assert runs == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "converge", "check"])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import phint.collocation as coll
+import phint.dirac as dirac
 import phint.integrator as integrator
 from phint.cli import DEFAULT_H_LIST
 from phint.dirac import (_stack_blocks, assemble_blocks, discrete_output, drift,
@@ -22,7 +23,7 @@ from phint.models import (STAGEWISE, FeedbackConfig, InputSignal, PHModel,
                           mechanical, oscillator, partitioned_oscillator,
                           pulse_input, rigid_body, zero_input)
 
-from conftest import lagrange_coefficients, matmul_discrete_output
+from conftest import lagrange_coefficients, matmul_apply, matmul_discrete_output
 
 X0 = np.array([0.0, -1.0])
 ALL_SCHEMES = ([(coll.GAUSS, s) for s in range(1, 9)]
@@ -119,6 +120,53 @@ def test_extrapolation_weights_match_integrated_basis(kind, s):
     # the same weights at tau in [0, 1] are the rows of A and b
     assert np.max(np.abs(dense_weights(scheme, scheme.c).T - scheme.A)) < 1e-14
     assert np.max(np.abs(dense_weights(scheme, 1.0) - scheme.b)) < 1e-14
+
+
+def _legendre_basis(s, tau):
+    """P_0 .. P_s at 2 tau - 1 by dense_weights' recurrence, stacked on axis 0."""
+    x = 2.0 * tau - 1.0
+    p = [x ** 0, x]
+    for k in range(1, s):
+        p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+    return np.array(p)
+
+
+@pytest.mark.parametrize("kind,s", ALL_SCHEMES, ids=SCHEME_IDS)
+def test_dense_weights_of_a_tau_array_are_the_per_element_weights(kind, s):
+    # a float and a 1-D tau keep the bytes of the matmul product W p (the
+    # Newton extrapolation E is the 1-D case); a tau of two or more axes,
+    # its first one s + 1 long included, is contracted flat: the bytes of
+    # the flattened 1-D tau, the values of one call per element
+    scheme = coll.make_scheme(kind, s)
+    rng = np.random.default_rng(s)
+    for tau in (0.3, scheme.c[-1], 1.0 + scheme.c, rng.random(5)):
+        want = scheme.W @ _legendre_basis(s, tau)
+        assert dense_weights(scheme, tau).tobytes() == want.tobytes()
+    for shape in ((2, 2), (s + 1, 2), (3, 1, 2)):
+        tau = rng.random(shape)
+        got = dense_weights(scheme, tau)
+        assert got.shape == (s,) + shape
+        assert got.tobytes() == dense_weights(scheme, tau.ravel()).tobytes()
+        each = np.stack([dense_weights(scheme, t) for t in tau.ravel()], axis=-1)
+        assert np.max(np.abs(got - each.reshape(got.shape))) <= 1e-15
+
+
+@pytest.mark.parametrize("kind,s", ALL_SCHEMES, ids=SCHEME_IDS)
+def test_dense_eval_is_the_matmul_product_bit_for_bit(kind, s):
+    # one interval forms its sum of weighted flows with ndarray.dot, a stacked
+    # record (f of shape (N, s, n)) with the batched matmul: both give the
+    # bytes of x0 - h (w @ f) on every interval
+    scheme = coll.make_scheme(kind, s)
+    taus = [0.0, *scheme.c, 1.0, *np.random.default_rng(s).random(8)]
+    for args in ((oscillator(), scheme, X0, pulse_input(), 0.5, 12.0),
+                 (rigid_body(), scheme, 3.0 * RIGID_DIRECTION, zero_input(0), 0.1, 2.0)):
+        traj = simulate(*args, retain_stages=True)
+        for tau in taus:
+            got = [dense_eval(sol, scheme, tau) for sol in traj.stage_solutions]
+            want = [sol.x0 - sol.h * (dense_weights(scheme, tau) @ sol.f)
+                    for sol in traj.stage_solutions]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert dense_eval(traj.stages, scheme, tau).tobytes() == np.array(got).tobytes()
 
 
 def test_dense_eval_runs_without_mpmath(monkeypatch):
@@ -560,6 +608,34 @@ def test_diagonal_stage_matrices_are_the_matrix_products_bit_for_bit(kind, s, mo
     got = [_run_bytes(*args, feedback=_feedback(mode)) for args, mode in runs]
     assert ndims == ({1} if kind == coll.GAUSS else {1, 2})
     monkeypatch.setattr(integrator, "discrete_output", matmul_discrete_output)
+    assert got == [_run_bytes(*args, feedback=_feedback(mode)) for args, mode in runs]
+
+
+@pytest.mark.parametrize("label", NEWTON_RUNS)
+def test_newton_run_keeps_the_matmul_products_bytes(label, monkeypatch):
+    # dirac._apply forms its one-matrix products (the efforts of one Q, the
+    # drift of one J, the outputs of one G) with ndarray.dot, and the per-step
+    # oracle shares it: with the matmul operator's form swapped in, every
+    # recorded array keeps its bytes, on the Newton run and on the oracle
+    args, kwargs = _newton_run(label, monkeypatch)
+    got = _run_bytes(*args, **kwargs)
+    monkeypatch.setattr(dirac, "_apply", matmul_apply)
+    assert got == _run_bytes(*args, **kwargs)
+    monkeypatch.setattr(integrator, "_NewtonStepper", _PerStepNewton)
+    assert got == _run_bytes(*args, **kwargs)
+
+
+@pytest.mark.parametrize("kind,s", ALL_SCHEMES, ids=SCHEME_IDS)
+def test_linear_run_keeps_the_matmul_products_bytes(kind, s, monkeypatch):
+    # the linear runs of the diagonal stage-matrix test, with the matmul
+    # operator's _apply swapped in: the set-up's unit responses, the
+    # efforts and the outputs keep every recorded byte
+    scheme = coll.make_scheme(kind, s)
+    runs = [((factory(), scheme, x0, pulse_input(), 0.1, 12.0), mode)
+            for factory in (oscillator, partitioned_oscillator) for x0 in (X0, np.zeros(2))
+            for mode in (None, "stagewise", "portlevel")]
+    got = [_run_bytes(*args, feedback=_feedback(mode)) for args, mode in runs]
+    monkeypatch.setattr(dirac, "_apply", matmul_apply)
     assert got == [_run_bytes(*args, feedback=_feedback(mode)) for args, mode in runs]
 
 
