@@ -16,9 +16,16 @@ states of scale 1 to 1e3; the same runs through `simulate` with retained
 stages; and, the same way, a pendulum with constant J and G but no Q (so
 a constant structure on the Newton stepper, which no CLI model is) under
 the 11 schemes x open/stagewise/portlevel feedback and pulse input.  The
-second form lists the keys whose digests differ between A and B, each a
-digest file or a source directory (digested in a fresh process), and exits
-1 when any differs.
+rounding-visible models of tests/conftest.py (imported from there, so the
+test dependencies must be installed), whose dense products round, run the
+same way: the dense 4-state model and its Newton twin under the 11
+schemes x open/stagewise/portlevel feedback, and the rotated rigid body
+under Gauss 1-4 from the four rigid-body states.  A dense entry hashes
+dense_eval at 0, each c_i, 1 and a fixed tau grid on every retained
+interval, and the same calls on the stacked record, of the open pulse runs
+of the 11 schemes on both oscillator models.  The second form lists the
+keys whose digests differ between A and B, each a digest file or a source
+directory (digested in a fresh process), and exits 1 when any differs.
 """
 from __future__ import annotations
 
@@ -40,6 +47,8 @@ FEEDBACK = {"open": [], "stagewise": ["--r", "0.1", "--feedback-mode", "stagewis
 INPUTS = ("pulse", "zero")
 RIGID_X0 = ((1.0, 1.0, 1.0), (1.0, 2.0, 3.0), (100.0, -50.0, 20.0),
             (1000.0, 1000.0, 1000.0))
+DENSE_TAUS = (0.1, 0.25, 0.5, 0.75, 0.9)
+TESTS = Path(__file__).resolve().parents[1] / "tests"
 
 
 def command_grid():
@@ -87,8 +96,9 @@ def pendulum(phint):
                          J=[[0.0, 1.0], [-1.0, 0.0]], G=[[0.0], [1.0]], name="pendulum")
 
 
-def api_grid(phint):
-    """(key, simulate args, simulate kwargs) of every API entry."""
+def api_grid(phint, models):
+    """(key, simulate args, simulate kwargs) of every API entry; models is
+    the module that holds the rounding-visible models (tests/conftest.py)."""
     import numpy as np
 
     schemes = {f"{kind}-{s}": phint.make_scheme(kind, s) for kind, s in SCHEMES}
@@ -107,11 +117,38 @@ def api_grid(phint):
             yield (f"api {label} pendulum {mode} pulse x0=(0.0, -1.0)",
                    (pendulum(phint), scheme, np.array((0.0, -1.0)), phint.pulse_input(),
                     0.1, 18.0), {"feedback": feedback})
+            x0 = models.DENSE_X0
+            for model in (models.dense_model(), models.dense_newton_model()):
+                yield (f"api {label} {model.name} {mode} two-channel x0={tuple(x0.tolist())}",
+                       (model, scheme, x0, models.two_channel_input(), 0.1, 18.0),
+                       {"feedback": feedback})
     for s in (1, 2, 3, 4):
         for x0 in RIGID_X0:
             yield (f"api gauss-{s} rigid-body x0={x0}",
                    (phint.rigid_body(), schemes[f"gauss-{s}"], np.array(x0),
                     phint.zero_input(0), 0.01, 1.0), {})
+            yield (f"api gauss-{s} rotated-rigid-body x0={x0}",
+                   (models.rotated_rigid_body(), schemes[f"gauss-{s}"], np.array(x0),
+                    phint.zero_input(0), 0.01, 1.0), {})
+
+
+def dense_digest(phint, kind, s, model):
+    """sha256 of dense_eval at 0, each c_i, 1 and DENSE_TAUS on every interval
+    of an open pulse run, then of the same calls on the stacked record."""
+    import numpy as np
+
+    scheme = phint.make_scheme(kind, s)
+    traj = phint.simulate(getattr(phint, model.replace("-", "_"))(), scheme,
+                          np.array((0.0, -1.0)), phint.pulse_input(), 0.1, 18.0,
+                          retain_stages=True)
+    taus = (0.0, *scheme.c.tolist(), 1.0, *DENSE_TAUS)
+    digest = hashlib.sha256()
+    for sol in traj.stage_solutions:
+        for tau in taus:
+            digest.update(phint.dense_eval(sol, scheme, tau).tobytes())
+    for tau in taus:
+        digest.update(phint.dense_eval(traj.stages, scheme, tau).tobytes())
+    return digest.hexdigest()
 
 
 def api_digest(phint, args, kwargs):
@@ -148,8 +185,15 @@ def digests(src) -> dict:
                 out[" ".join(argv)] = command_digest(phint.cli, argv, Path(tmp))
         finally:
             os.chdir(cwd)
-    for key, args, kwargs in api_grid(phint):
+    sys.path.insert(0, str(TESTS))
+    import conftest
+
+    for key, args, kwargs in api_grid(phint, conftest):
         out[key] = api_digest(phint, args, kwargs)
+    for kind, s in SCHEMES:
+        for model in OSCILLATORS:
+            out[f"dense {kind}-{s} {model} open pulse x0=(0.0, -1.0)"] = dense_digest(
+                phint, kind, s, model)
     return out
 
 

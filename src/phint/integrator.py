@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,11 +82,15 @@ class _Intervals(Sequence):
         return len(self.cols[0])
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return list(self)[k]
+        return list(self)[k] if isinstance(k, slice) else self._view([c[k] for c in self.cols])
+
+    def __iter__(self):
+        return map(self._view, zip(*self.cols))
+
+    def _view(self, row):
         # the fields StageSolution.__init__ sets, without the call
         view = object.__new__(StageSolution)
-        view.__dict__.update(zip(self.names, [c[k] for c in self.cols]))
+        view.__dict__.update(zip(self.names, row))
         return view
 
 
@@ -341,9 +345,10 @@ def solve_stages(model, scheme, x0, input_signal, t0, h,
 
 
 def dense_weights(scheme, tau) -> np.ndarray:
-    """The integrals int_0^tau l_j, shape (s,) + shape(tau), for a float or
-    an array tau (of two or more axes taken flat): sum_k W[j, k] P_k(2 tau - 1),
-    P_k from Bonnet's recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}."""
+    """The integrals int_0^tau l_j, shape (s,) + shape(tau), of a float or an
+    array tau (two or more axes taken flat) in double precision: sum_k W[j, k]
+    P_k(2 tau - 1), P_k by (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}."""
+    tau = tau if isinstance(tau, float) else np.asarray(tau).astype(float, casting="same_kind")
     x = 2.0 * tau - 1.0
     p = [x ** 0, x]
     for k in range(1, scheme.s):
@@ -351,13 +356,19 @@ def dense_weights(scheme, tau) -> np.ndarray:
     return scheme.W.dot(p) if getattr(x, "ndim", 0) < 2 else np.tensordot(scheme.W, p, 1)
 
 
+# dense_eval's weights of the last DENSE_MEMO_SIZE (scheme, float(tau)) keys
+DENSE_MEMO_SIZE = 256
+_memo_weights = lru_cache(maxsize=DENSE_MEMO_SIZE)(dense_weights)
+
+
 def dense_eval(sol: StageSolution, scheme, tau: float) -> np.ndarray:
     """Collocation polynomial x(t0 + tau h) = x0 - h sum_j f_j int_0^tau l_j.
     Under a Lobatto pair every row follows the IIIA polynomial, so the p rows
     meet x0 and x_end but not their stages: IIIB is not a collocation method."""
-    if not 0.0 <= tau <= 1.0:
+    tau = tau if isinstance(tau, float) else np.asarray(tau).astype(float, casting="same_kind")
+    if getattr(tau, "ndim", 0) or not 0.0 <= tau <= 1.0:  # one real number, in double precision
         raise ValueError("tau must lie in [0, 1]")
-    w = dense_weights(scheme, tau)  # a stacked f (N, s, n) stays on matmul: per-interval bytes
+    w = _memo_weights(scheme, float(tau))  # a stacked f stays on matmul: per-interval bytes
     return sol.x0 - sol.h * (w.dot(sol.f) if sol.f.ndim == 2 else w @ sol.f)
 
 

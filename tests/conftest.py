@@ -9,6 +9,7 @@ from mpmath import mp, mpf
 from phint import collocation as coll
 from phint import dirac
 from phint.errors import SchemeConstructionError
+from phint.models import InputSignal, PHModel, rigid_body
 
 
 @pytest.fixture(scope="session")
@@ -94,6 +95,59 @@ def matmul_apply(A, x):
         return x @ A.T
     rows = x.reshape(math.prod(x.shape[:-1]), A.shape[1]) @ A.T
     return rows.reshape(x.shape[:-1] + A.shape[:1])
+
+
+# Rounding-visible models: dense constant matrices with entries that are not
+# dyadic, so a one-matrix product rounds and a change in the order of its sum
+# shows in the bytes of a run.  The catalogue models' diagonal Q and 0/+-1 J
+# and G make every such product exact in any order.  Written as literals.
+
+# symmetric and strictly diagonally dominant with a positive diagonal: SPD
+DENSE_Q = np.array([[2.3, 0.7, -0.4, 0.3],
+                    [0.7, 1.9, 0.5, -0.6],
+                    [-0.4, 0.5, 2.7, 0.8],
+                    [0.3, -0.6, 0.8, 3.1]])
+DENSE_J = np.array([[0.0, 0.9, -0.3, 0.6],
+                    [-0.9, 0.0, 1.1, -0.2],
+                    [0.3, -1.1, 0.0, 0.7],
+                    [-0.6, 0.2, -0.7, 0.0]])
+DENSE_G = np.array([[0.4, -0.3],
+                    [0.2, 0.5],
+                    [-0.6, 0.1],
+                    [0.3, 0.7]])
+DENSE_X0 = np.array([0.6, -0.3, 0.8, 0.1])
+# R diag(1, 1/2.7, 1/3.3) R', R the rotation by 0.7 rad about (1, 2, 2)/3,
+# rounded to double and symmetrized
+ROTATED_RIGID_Q = np.array([[0.7486610503590209, 0.24348909924638387, -0.21606522071783069],
+                            [0.24348909924638387, 0.5156699520733863, -0.10796404537964374],
+                            [-0.21606522071783069, -0.10796404537964374, 0.4090696709682662]])
+ROTATED_RIGID_X0 = np.array([0.9, -0.5, 0.7])
+
+
+def two_channel_input():
+    """u(t) = (sin 0.7 t, cos(1.3 t) / 2), the input of the 4-state models."""
+    return InputSignal(fn=lambda t: np.stack([np.sin(0.7 * t), 0.5 * np.cos(1.3 * t)], axis=-1))
+
+
+def dense_model():
+    """H = x'Qx/2 with the dense DENSE_Q, DENSE_J and DENSE_G: the linear stepper."""
+    return PHModel(4, 2, H=lambda x: 0.5 * (x @ DENSE_Q @ x), gradH=DENSE_Q,
+                   J=DENSE_J, G=DENSE_G, name="dense")
+
+
+def dense_newton_model():
+    """dense_model with gradH the callable x -> Q x: the same constant
+    structure, no Q, so the Newton stepper."""
+    return PHModel(4, 2, H=lambda x: 0.5 * (x @ DENSE_Q @ x), gradH=lambda x: DENSE_Q @ x,
+                   J=DENSE_J, G=DENSE_G, name="dense-newton")
+
+
+def rotated_rigid_body():
+    """The free rigid body with inertias (1, 2.7, 3.3) in a rotated frame:
+    Q = ROTATED_RIGID_Q, and J(x) the cross-product matrix of x, which a
+    rotation leaves as it is.  Its stacked J e products round."""
+    return PHModel(3, 0, H=lambda x: 0.5 * (x @ ROTATED_RIGID_Q @ x), gradH=ROTATED_RIGID_Q,
+                   J=rigid_body().J, G=lambda x: np.zeros((3, 0)), name="rotated-rigid-body")
 
 
 # The 40-digit mpmath table builder that the fixed-point one replaced, kept as

@@ -3,6 +3,8 @@ import importlib
 import pathlib
 import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -23,7 +25,9 @@ from phint.models import (STAGEWISE, FeedbackConfig, InputSignal, PHModel,
                           mechanical, oscillator, partitioned_oscillator,
                           pulse_input, rigid_body, zero_input)
 
-from conftest import lagrange_coefficients, matmul_apply, matmul_discrete_output
+from conftest import (DENSE_X0, ROTATED_RIGID_X0, dense_model, dense_newton_model,
+                      lagrange_coefficients, matmul_apply, matmul_discrete_output,
+                      rotated_rigid_body, two_channel_input)
 
 X0 = np.array([0.0, -1.0])
 ALL_SCHEMES = ([(coll.GAUSS, s) for s in range(1, 9)]
@@ -167,6 +171,113 @@ def test_dense_eval_is_the_matmul_product_bit_for_bit(kind, s):
                     for sol in traj.stage_solutions]
             assert np.array(got).tobytes() == np.array(want).tobytes()
             assert dense_eval(traj.stages, scheme, tau).tobytes() == np.array(got).tobytes()
+
+
+def _dense_runs(scheme):
+    """Retained runs of the oscillator and of the dense 4-state model."""
+    return [simulate(oscillator(), scheme, X0, pulse_input(), 0.5, 12.0, retain_stages=True),
+            simulate(dense_model(), scheme, DENSE_X0, two_channel_input(), 0.5, 12.0,
+                     retain_stages=True)]
+
+
+def _uncached_dense(sol, scheme, tau):
+    return sol.x0 - sol.h * (dense_weights(scheme, float(tau)) @ sol.f)
+
+
+@pytest.mark.parametrize("kind,s", ALL_SCHEMES, ids=SCHEME_IDS)
+def test_memoized_dense_eval_is_the_uncached_product(kind, s):
+    # dense_eval takes its weights from a memo keyed on (scheme, float(tau)):
+    # on every interval it gives the bytes of the uncached weights, for a tau
+    # grid that recurs on every interval, for fresh taus, and for the grid
+    # again once more than DENSE_MEMO_SIZE fresh taus have evicted it
+    scheme = coll.make_scheme(kind, s)
+    rng = np.random.default_rng(100 + s)
+    grid = [0.0, *scheme.c.tolist(), 1.0, 0.125, 0.3, 0.7]
+    for traj in _dense_runs(scheme):
+        sols = traj.stage_solutions
+        for taus in (grid, None, grid):
+            for sol in sols:
+                for tau in rng.random(3).tolist() if taus is None else taus:
+                    got = dense_eval(sol, scheme, tau)
+                    assert got.tobytes() == _uncached_dense(sol, scheme, tau).tobytes()
+            if taus is None:
+                for tau in rng.random(integrator.DENSE_MEMO_SIZE + 50):
+                    got = dense_eval(sols[3], scheme, tau)
+                    assert got.tobytes() == _uncached_dense(sols[3], scheme, tau).tobytes()
+        for tau in grid:
+            got = dense_eval(traj.stages, scheme, tau)
+            each = [dense_eval(sol, scheme, tau) for sol in sols]
+            assert got.tobytes() == np.array(each).tobytes()
+            # the memo's array stays in the memo
+            assert not np.shares_memory(got, integrator._memo_weights(scheme, tau))
+
+
+def test_dense_memo_stays_bounded():
+    # 10^4 random (scheme, tau) keys over the 11 schemes leave at most
+    # DENSE_MEMO_SIZE entries
+    schemes = [coll.make_scheme(kind, s) for kind, s in ALL_SCHEMES]
+    sols = [solve_stages(oscillator(), scheme, X0, pulse_input(), 8.0, 0.5)
+            for scheme in schemes]
+    rng = np.random.default_rng(11)
+    for k, tau in zip(rng.integers(len(schemes), size=10_000), rng.random(10_000)):
+        dense_eval(sols[k], schemes[k], tau)
+    info = integrator._memo_weights.cache_info()
+    assert info.maxsize == integrator.DENSE_MEMO_SIZE
+    assert 0 < info.currsize <= integrator.DENSE_MEMO_SIZE
+
+
+@pytest.mark.parametrize("kind,s", ALL_SCHEMES, ids=SCHEME_IDS)
+def test_iterated_intervals_are_the_indexed_views(kind, s):
+    # iterating stage_solutions builds each view in one pass: field by field
+    # and in type the view that indexing builds, scalars as Python numbers
+    for traj in _dense_runs(coll.make_scheme(kind, s)):
+        sols = traj.stage_solutions
+        listed, indexed = list(sols), [sols[k] for k in range(len(sols))]
+        assert len(listed) == len(indexed) == len(traj.stages.t0)
+        for got, want in zip(listed, indexed):
+            assert type(got) is StageSolution and list(vars(got)) == list(vars(want))
+            for name, value in vars(want).items():
+                field = getattr(got, name)
+                assert type(field) is type(value), name
+                if isinstance(value, np.ndarray):
+                    assert field.dtype == value.dtype and field.tobytes() == value.tobytes()
+                    assert np.shares_memory(field, value)
+                else:
+                    assert field == value, name
+
+
+@pytest.mark.parametrize("kind,s", ALL_SCHEMES, ids=SCHEME_IDS)
+def test_dense_eval_takes_tau_in_double_precision(kind, s):
+    # a float32 or float16 tau is evaluated at its value in double precision
+    # (its own dtype would run the Legendre recurrence in float32 under NEP
+    # 50, up to 1e-8 off); float64, int, bool and 0-d array taus keep the
+    # bytes of the float, a tau with an axis is out of range, and a tau that
+    # is not a bool, int or float (a string, a Decimal, a Fraction) is a
+    # TypeError, as a string was before
+    scheme = coll.make_scheme(kind, s)
+    sol = solve_stages(oscillator(), scheme, X0, pulse_input(), 8.0, 0.5)
+    rng = np.random.default_rng(s)
+    for tau in [0.0, *scheme.c.tolist(), 1.0, *rng.random(8).tolist()]:
+        for low in (np.float32(tau), np.float16(tau)):
+            want = dense_eval(sol, scheme, float(low)).tobytes()
+            assert dense_eval(sol, scheme, low).tobytes() == want
+        want = dense_eval(sol, scheme, tau).tobytes()
+        for same in (np.float64(tau), np.array(tau)):
+            assert dense_eval(sol, scheme, same).tobytes() == want
+    for tau in (0, 1, False, True, np.int64(1)):
+        want = dense_eval(sol, scheme, float(tau)).tobytes()
+        assert dense_eval(sol, scheme, tau).tobytes() == want
+    low = rng.random(6).astype(np.float32)
+    want = dense_weights(scheme, low.astype(float)).tobytes()
+    assert dense_weights(scheme, low).tobytes() == want
+    for tau in (np.array([0.5]), np.array([0.2, 0.4]), np.full((1, 1), 0.5)):
+        with pytest.raises(ValueError):
+            dense_eval(sol, scheme, tau)
+    for tau in ("0.5", np.array("0.5"), Decimal("0.5"), Fraction(1, 2), 0.5 + 0j):
+        with pytest.raises(TypeError):
+            dense_eval(sol, scheme, tau)
+        with pytest.raises(TypeError):
+            dense_weights(scheme, tau)
 
 
 def test_dense_eval_runs_without_mpmath(monkeypatch):
@@ -560,6 +671,16 @@ def _newton_run(label, monkeypatch):
     if label == "pendulum-portlevel":
         return ((_pendulum(), coll.make_scheme(coll.GAUSS, 2), X0,
                  pulse_input(), 0.1, 12.0), {"feedback": _feedback("portlevel")})
+    if label.startswith("dense"):
+        _, scheme, mode = label.split("-")
+        kind, s = scheme[:-1], int(scheme[-1])
+        return ((dense_newton_model(), coll.make_scheme(kind, s), DENSE_X0,
+                 two_channel_input(), 0.1, 12.0),
+                {"feedback": _feedback(None if mode == "open" else mode)})
+    if label.startswith("rotated"):
+        s = int(label.split("-")[-1])
+        return (rotated_rigid_body(), coll.make_scheme(coll.GAUSS, s), ROTATED_RIGID_X0,
+                zero_input(0), 0.01, 1.0), {}
     mode = label.split("-")[-1]
     _force_newton(monkeypatch)
     return ((partitioned_oscillator(), coll.make_scheme(coll.LOBATTO, 3), X0,
@@ -569,7 +690,15 @@ def _newton_run(label, monkeypatch):
 NEWTON_RUNS = ([f"rigid-{s}-{scale}" for s in (1, 2, 3, 4)
                 for scale in ("1", "100", "1000")]
                + ["pendulum-portlevel", "lobatto3-pair-stagewise",
-                  "lobatto3-pair-portlevel", "top-open", "top-stagewise"])
+                  "lobatto3-pair-portlevel", "top-open", "top-stagewise"]
+               # rounding-visible: the rigid body's stacked J products in a rotated frame
+               + ["rotated-rigid-2", "rotated-rigid-4"])
+# rounding-visible too: the dense model's constant J and G on the Newton path.
+# The stepper applies a constant structure as its one J and G, the per-step
+# oracle as the stride-0 stacks of assemble_blocks, and the two round a dense
+# product differently, so these runs are not compared with that oracle
+DENSE_TWIN_RUNS = ([f"dense-{scheme}-{mode}" for scheme in ("gauss2", "gauss4", "lobatto3")
+                    for mode in ("open", "portlevel")] + ["dense-gauss3-stagewise"])
 
 
 @pytest.mark.parametrize("label", NEWTON_RUNS)
@@ -602,6 +731,10 @@ def test_diagonal_stage_matrices_are_the_matrix_products_bit_for_bit(kind, s, mo
     runs += [((_driven_top(), scheme, x0, pulse_input(), 0.25, 10.0), mode)
              for x0 in (np.array([0.6, -0.4, 0.3]), np.zeros(3))
              for mode in (None, "stagewise", "portlevel")]
+    # rounding-visible: dense Q, J and G on the linear and the Newton path
+    runs += [((factory(), scheme, DENSE_X0, two_channel_input(), 0.1, 6.0), mode)
+             for factory in (dense_model, dense_newton_model)
+             for mode in (None, "stagewise", "portlevel")]
     output, ndims = integrator.discrete_output, set()
     monkeypatch.setattr(integrator, "discrete_output",
                         lambda K, G, e: ndims.add(K.ndim) or output(K, G, e))
@@ -625,6 +758,17 @@ def test_newton_run_keeps_the_matmul_products_bytes(label, monkeypatch):
     assert got == _run_bytes(*args, **kwargs)
 
 
+@pytest.mark.parametrize("label", DENSE_TWIN_RUNS)
+def test_dense_twin_run_keeps_the_matmul_products_bytes(label, monkeypatch):
+    # the Newton runs of the dense model, whose one-matrix products round:
+    # with the matmul operator's _apply swapped in, every recorded array
+    # keeps its bytes
+    args, kwargs = _newton_run(label, monkeypatch)
+    got = _run_bytes(*args, **kwargs)
+    monkeypatch.setattr(dirac, "_apply", matmul_apply)
+    assert got == _run_bytes(*args, **kwargs)
+
+
 @pytest.mark.parametrize("kind,s", ALL_SCHEMES, ids=SCHEME_IDS)
 def test_linear_run_keeps_the_matmul_products_bytes(kind, s, monkeypatch):
     # the linear runs of the diagonal stage-matrix test, with the matmul
@@ -634,6 +778,8 @@ def test_linear_run_keeps_the_matmul_products_bytes(kind, s, monkeypatch):
     runs = [((factory(), scheme, x0, pulse_input(), 0.1, 12.0), mode)
             for factory in (oscillator, partitioned_oscillator) for x0 in (X0, np.zeros(2))
             for mode in (None, "stagewise", "portlevel")]
+    runs += [((dense_model(), scheme, DENSE_X0, two_channel_input(), 0.1, 6.0), mode)
+             for mode in (None, "stagewise", "portlevel")]
     got = [_run_bytes(*args, feedback=_feedback(mode)) for args, mode in runs]
     monkeypatch.setattr(dirac, "_apply", matmul_apply)
     assert got == [_run_bytes(*args, feedback=_feedback(mode)) for args, mode in runs]
@@ -936,17 +1082,20 @@ RECURRENCE_CASES = [
 def test_scan_run_matches_per_step_loop(kind, s, mode):
     # the doubling scan of whole runs against the per-step loop: one to
     # three steps, runs around 3600 steps and a long run; Gauss on the
-    # oscillator, the Lobatto pair on the separable form
-    model = partitioned_oscillator() if kind == coll.LOBATTO else oscillator()
-    stepper = _make_stepper(model, coll.make_scheme(kind, s), pulse_input(),
-                            0.01, _feedback(mode))
-    for N in (1, 2, 3, 3599, 3600, 3601, 36000):
-        t0 = np.arange(N) * 0.01
-        states, sol = stepper.run(X0, t0)
-        w = stepper._inputs(t0).reshape(N, -1)
-        oracle = _loop_states(stepper.Delta, X0, np.matvec(stepper.Gamma, w))
-        _assert_close_states(states, oracle)
-        assert np.array_equal(sol.x_end, states[1:])
+    # oscillator, the Lobatto pair on the separable form; and, without the
+    # long run, each scheme on the dense 4-state model, whose products round
+    catalogue = partitioned_oscillator() if kind == coll.LOBATTO else oscillator()
+    for model, signal, x0, long in ((catalogue, pulse_input(), X0, (36000,)),
+                                    (dense_model(), two_channel_input(), DENSE_X0, ())):
+        stepper = _make_stepper(model, coll.make_scheme(kind, s), signal, 0.01,
+                                _feedback(mode))
+        for N in (1, 2, 3, 3599, 3600, 3601, *long):
+            t0 = np.arange(N) * 0.01
+            states, sol = stepper.run(x0, t0)
+            w = stepper._inputs(t0).reshape(N, -1)
+            oracle = _loop_states(stepper.Delta, x0, np.matvec(stepper.Gamma, w))
+            _assert_close_states(states, oracle)
+            assert np.array_equal(sol.x_end, states[1:])
 
 
 SCAN_LENGTHS = sorted(set(range(1, 71)) | {2 ** k + d for k in range(1, 13)
