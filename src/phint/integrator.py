@@ -104,19 +104,20 @@ class _Stepper:
     StageSolution of the intervals starting at t0; x[tile] is np.tile(x, s)."""
 
     def __init__(self, model, scheme, input_signal, h, feedback):
-        self.model, self.scheme, self.h = model, scheme, h
+        self.model, self.scheme, self.h, self.signal = model, scheme, h, input_signal
         self.n, self.s, self.m = model.n, scheme.s, model.m
         self.n_q = model.n_q if scheme.A_hat is not None else None
-        self.signal = input_signal
         if feedback is not None and self.m == 0:
             raise ConfigurationError("feedback requires a model with a port")
         self.r = 0.0 if feedback is None else feedback.r
-        # the stage matrices of y (M) and of the feedback (K), each as its
-        # diagonal, a row scaling in discrete_output, when it is diagonal
+        self._setup(None if feedback is None else feedback.mode)
+
+    def _setup(self, mode):
+        """M of y and K of the feedback, each as its diagonal (a row scaling) if diagonal."""
         diag = lambda K: np.diagonal(K) if check_c1(K) else K
-        self.M, self.K = diag(scheme.M), None
+        self.M, self.K = diag(self.scheme.M), None
         if self.r > 0.0:
-            self.K = diag(np.eye(self.s) if feedback.mode == STAGEWISE else scheme.M)
+            self.K = diag(np.eye(self.s) if mode == STAGEWISE else self.scheme.M)
 
     eye = cached_property(lambda self: np.eye(self.s * self.n))
     tile = cached_property(lambda self: np.arange(self.s * self.n) % self.n)
@@ -159,10 +160,22 @@ class _Stepper:
 class _LinearStepper(_Stepper):
     """Affine recurrence for linear models with constant J and G: the stage
     states are X = S x0 + T w and the step is x+ = x0 + (Delta x0 + Gamma w),
-    with the maps built once per run and the steps taken by a doubling scan."""
+    with the maps built once per configuration and the steps by a doubling scan."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def _setup(self, mode):
+        # a configuration in the memo takes its read-only M, K and maps, a build's bytes
+        key = self.n <= SCAN_MAX_N and (
+            self.scheme, type(self.h), self.h, type(self.r), self.r, mode, self.n, self.m, self.n_q,
+            *[A.tobytes() for A in (self.model.Q, self.model.J, self.model.G)])
+        maps = _maps_memo.pop(key, None) or self._build(mode)
+        if key:
+            _maps_memo[key] = maps  # the most recently used last
+            if len(_maps_memo) > MAPS_MEMO_SIZE:
+                del _maps_memo[next(iter(_maps_memo))]
+        self.M, self.K, self.S, self.T, self.Delta, self.Gamma = maps
+
+    def _build(self, mode):
+        super()._setup(mode)
         n, s, sn = self.n, self.s, self.s * self.n
         # the stage equations are affine in (X, w): row k of g and h A g is
         # their response to unit k of the stacked stage states X (w = 0),
@@ -173,12 +186,12 @@ class _LinearStepper(_Stepper):
                         np.eye(rows, s * self.m, -sn).reshape(rows, s, self.m))[3]
         hAg = self._stage_sum(g).reshape(rows, sn).T
         ST = np.linalg.solve(self.eye - hAg[:, :sn], np.hstack([np.eye(n)[self.tile], hAg[:, sn:]]))
-        self.S, self.T = ST[:, :n], ST[:, n:]
         # x+ - x0 = h (b' (x) I) g, kept as an increment: a step matrix
         # I + Delta rounds away the O(h) part Delta x0 at every step
         hbg = self.h * (self.scheme.b @ g).T
-        self.Delta = hbg[:, :sn].dot(self.S)
-        self.Gamma = hbg[:, :sn].dot(self.T) + hbg[:, sn:]
+        maps = (ST[:, :n], ST[:, n:], hbg[:, :sn].dot(ST[:, :n]),
+                hbg[:, :sn].dot(ST[:, n:]) + hbg[:, sn:])
+        return self.M, self.K, *(a.setflags(write=False) or a for a in maps)
 
     def run(self, x0, t0):
         w = self._inputs(t0)
@@ -198,6 +211,8 @@ class _LinearStepper(_Stepper):
 # loop, and tied the loop at n = 128; longer runs favour the loop (N = 8000,
 # n = 64: 49 against 36 ms)
 SCAN_MAX_N = 64
+# _LinearStepper's maps of the last MAPS_MEMO_SIZE configurations (n <= SCAN_MAX_N)
+MAPS_MEMO_SIZE, _maps_memo = 128, {}
 
 
 def _affine_states(Delta, x0, drive) -> np.ndarray:

@@ -7,9 +7,17 @@ import pytest
 from mpmath import mp, mpf
 
 from phint import collocation as coll
-from phint import dirac
+from phint import dirac, integrator
 from phint.errors import SchemeConstructionError
 from phint.models import InputSignal, PHModel, rigid_body
+
+
+@pytest.fixture(autouse=True)
+def empty_maps_memo():
+    """Every test starts with no linear maps in the memo.  A test that patches
+    what the linear set-up calls clears it again after patching, so that its
+    second side builds the maps rather than reading the first side's."""
+    integrator._maps_memo.clear()
 
 
 @pytest.fixture(scope="session")

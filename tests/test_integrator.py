@@ -25,9 +25,9 @@ from phint.models import (STAGEWISE, FeedbackConfig, InputSignal, PHModel,
                           mechanical, oscillator, partitioned_oscillator,
                           pulse_input, rigid_body, zero_input)
 
-from conftest import (DENSE_X0, ROTATED_RIGID_X0, dense_model, dense_newton_model,
-                      lagrange_coefficients, matmul_apply, matmul_discrete_output,
-                      rotated_rigid_body, two_channel_input)
+from conftest import (DENSE_G, DENSE_J, DENSE_Q, DENSE_X0, ROTATED_RIGID_X0, dense_model,
+                      dense_newton_model, lagrange_coefficients, matmul_apply,
+                      matmul_discrete_output, rotated_rigid_body, two_channel_input)
 
 X0 = np.array([0.0, -1.0])
 ALL_SCHEMES = ([(coll.GAUSS, s) for s in range(1, 9)]
@@ -552,15 +552,23 @@ def test_newton_run_records_builds_per_interval():
 class _PerStepNewton(integrator._Stepper):
     """The Newton loop as it was before its run record was preallocated: a
     negated flow at every iterate, a tuple per step, one restack at the end
-    and a second stacked pass over the restacked J and G for u, f and y.  The
+    and a second stacked pass over the restacked J and G for u, f and y.  A
+    constant structure is applied as its two matrices, one GEMM per product,
+    as the stepper applies it: the stride-0 stacks of assemble_blocks, which
+    np.matvec applies stage by stage, round a dense product differently.  The
     oracle of the differential tests below."""
 
     def _inputs_of(self, e, G, w):
         return w if self.K is None else w - self.r * discrete_output(self.K, G, e)
 
+    def _structure(self, stage_x):
+        if self.model.constant_structure:
+            return self.model.J, self.model.G
+        return assemble_blocks(self.model, stage_x, self.scheme)
+
     def _bonds(self, stage_x, w):
         e = efforts(self.model, stage_x)
-        J, G = assemble_blocks(self.model, stage_x, self.scheme)
+        J, G = self._structure(stage_x)
         return e, J, G, -drift(J, G, e, self._inputs_of(e, G, w))
 
     def _residual(self, X, x0, w):
@@ -626,6 +634,8 @@ class _PerStepNewton(integrator._Stepper):
             guess = (x - self.h * (E @ steps[-1][4])).ravel()
             x = steps[-1][-1]
         stage_x, e, J, G, _, its, res, x_end = map(np.array, zip(*steps))
+        if self.model.constant_structure:  # the matrices, not their restack
+            J, G = self._structure(stage_x)
         states = np.vstack([x0, x_end])
         u = self._inputs_of(e, G, w)
         return states, StageSolution(
@@ -635,15 +645,20 @@ class _PerStepNewton(integrator._Stepper):
             iterations=its, residual=res)
 
 
-def _run_bytes(*args, **kwargs):
-    """Bytes of every array a retained run records."""
+def _run_arrays(*args, **kwargs):
+    """Every array a retained run records."""
     traj = simulate(*args, retain_stages=True, **kwargs)
     st = traj.stages
-    return {name: np.asarray(v).tobytes() for name, v in (
+    return {name: np.asarray(v) for name, v in (
         ("states", traj.states), ("dh_tilde", traj.dh_tilde),
         ("dh_bar", traj.dh_bar), ("supplied", traj.supplied),
         ("stage_x", st.stage_x), ("e", st.e), ("f", st.f), ("u", st.u),
         ("y", st.y), ("iterations", st.iterations), ("residual", st.residual))}
+
+
+def _run_bytes(*args, **kwargs):
+    """Bytes of every array a retained run records."""
+    return {name: v.tobytes() for name, v in _run_arrays(*args, **kwargs).items()}
 
 
 def _driven_top():
@@ -693,15 +708,13 @@ NEWTON_RUNS = ([f"rigid-{s}-{scale}" for s in (1, 2, 3, 4)
                   "lobatto3-pair-portlevel", "top-open", "top-stagewise"]
                # rounding-visible: the rigid body's stacked J products in a rotated frame
                + ["rotated-rigid-2", "rotated-rigid-4"])
-# rounding-visible too: the dense model's constant J and G on the Newton path.
-# The stepper applies a constant structure as its one J and G, the per-step
-# oracle as the stride-0 stacks of assemble_blocks, and the two round a dense
-# product differently, so these runs are not compared with that oracle
+# rounding-visible too: the dense model's constant J and G on the Newton path,
+# which the stepper and the per-step oracle both apply as the two matrices
 DENSE_TWIN_RUNS = ([f"dense-{scheme}-{mode}" for scheme in ("gauss2", "gauss4", "lobatto3")
                     for mode in ("open", "portlevel")] + ["dense-gauss3-stagewise"])
 
 
-@pytest.mark.parametrize("label", NEWTON_RUNS)
+@pytest.mark.parametrize("label", NEWTON_RUNS + DENSE_TWIN_RUNS)
 def test_newton_run_is_the_per_step_loop_bit_for_bit(label, monkeypatch):
     # the preallocated run iterates on the drift g = -f and stores the steps
     # in place: every recorded array equals the per-step loop's, byte for byte
@@ -741,6 +754,7 @@ def test_diagonal_stage_matrices_are_the_matrix_products_bit_for_bit(kind, s, mo
     got = [_run_bytes(*args, feedback=_feedback(mode)) for args, mode in runs]
     assert ndims == ({1} if kind == coll.GAUSS else {1, 2})
     monkeypatch.setattr(integrator, "discrete_output", matmul_discrete_output)
+    integrator._maps_memo.clear()  # the set-up applies K too
     assert got == [_run_bytes(*args, feedback=_feedback(mode)) for args, mode in runs]
 
 
@@ -782,6 +796,7 @@ def test_linear_run_keeps_the_matmul_products_bytes(kind, s, monkeypatch):
              for mode in (None, "stagewise", "portlevel")]
     got = [_run_bytes(*args, feedback=_feedback(mode)) for args, mode in runs]
     monkeypatch.setattr(dirac, "_apply", matmul_apply)
+    integrator._maps_memo.clear()  # the set-up's unit responses too
     assert got == [_run_bytes(*args, feedback=_feedback(mode)) for args, mode in runs]
 
 
@@ -918,8 +933,12 @@ def test_newton_evaluates_constant_structure_once_per_residual(monkeypatch):
 def test_constant_structure_as_matrices_is_the_broadcast_stack_bit_for_bit(kind, s,
                                                                           monkeypatch):
     # the Newton stepper applies a constant J and G as one matrix each, one
-    # GEMM per product; every recorded array keeps the bytes of the stride-0
-    # stacks of assemble_blocks, which np.matvec applies stage by stage
+    # GEMM per product.  For the pendulum, whose J and G are 0 and +-1, every
+    # product is exact in any order, so every recorded array keeps the bytes
+    # of the stride-0 stacks of assemble_blocks, which np.matvec applies
+    # stage by stage.  A dense J and G round differently in the two forms:
+    # the dense twin's runs differ from their stride-0 form by up to 1.2e-15
+    # of the largest state, so the per-step oracle applies the matrices too
     runs = [((_pendulum(), coll.make_scheme(kind, s), X0, pulse_input(), 0.1, 12.0),
              {"feedback": _feedback(mode)}) for mode in (None, "stagewise", "portlevel")]
     got = [_run_bytes(*args, **kwargs) for args, kwargs in runs]
@@ -1052,6 +1071,128 @@ def test_linear_stepper_takes_exactly_the_q_and_constant_models():
             stepper = _make_stepper(model, scheme, zero_input(model.m), 0.1, None)
             want = integrator._LinearStepper if linear else integrator._NewtonStepper
             assert type(stepper) is want, (factory.__name__, scheme.label)
+
+
+MEMO_RUNS = [(factory, x0, signal, h, feedback)
+             for factory, x0, signal in ((oscillator, X0, pulse_input),
+                                         (partitioned_oscillator, X0, pulse_input),
+                                         (dense_model, DENSE_X0, two_channel_input))
+             for h in (0.1, 0.25)
+             for feedback in (None, FeedbackConfig(0.1), FeedbackConfig(0.1, "portlevel"),
+                              FeedbackConfig(0.3, "portlevel"))]
+
+
+def _memo_runs_keep_their_bytes(runs, entries):
+    """Each run with the memo emptied first builds its maps; the same runs in
+    one process, each with a freshly built model, fill the memo with one of
+    `entries` entries per configuration, then take every map from it and
+    keep every recorded byte."""
+    built = []
+    for run in runs:
+        integrator._maps_memo.clear()
+        built.append(run())
+    integrator._maps_memo.clear()
+    assert [run() for run in runs] == built
+    memo = list(integrator._maps_memo.values())
+    assert len(memo) == entries
+    assert [run() for run in runs] == built
+    assert all(a is b for a, b in zip(integrator._maps_memo.values(), memo, strict=True))
+
+
+@pytest.mark.parametrize("kind,s", ALL_SCHEMES, ids=SCHEME_IDS)
+def test_memoized_maps_keep_the_run_bytes(kind, s):
+    # the oscillator and its separable form have the same matrices, so they
+    # share entries under Gauss and differ only in n_q under Lobatto
+    scheme = coll.make_scheme(kind, s)
+    runs = [lambda f=factory, x0=x0, sig=signal, h=h, fb=feedback:
+            _run_bytes(f(), scheme, x0, sig(), h, 3.0, feedback=fb)
+            for factory, x0, signal, h, feedback in MEMO_RUNS]
+    _memo_runs_keep_their_bytes(runs, 24 if kind == coll.LOBATTO else 16)
+
+
+def _run_values(*args, **kwargs):
+    """_run_bytes by value: a long double as the exact sum of two doubles,
+    since its padding bytes are not part of it."""
+    values = {}
+    for name, v in _run_arrays(*args, **kwargs).items():
+        hi = v.astype(np.float64)
+        values[name] = (v.dtype.str, hi.tobytes(), (v - hi).astype(np.float64).tobytes())
+    return values
+
+
+def test_memo_keys_h_and_r_with_their_types():
+    # a np.longdouble h runs in extended precision, and a np.longdouble r
+    # rounds the feedback differently, so neither shares an equal float's entry
+    scheme = coll.make_scheme(coll.GAUSS, 3)
+    runs = [lambda h=h, r=r: _run_values(dense_model(), scheme, DENSE_X0, two_channel_input(),
+                                         h, 3.0, feedback=FeedbackConfig(r, "portlevel"))
+            for h, r in ((0.25, 0.1), (np.longdouble(0.25), 0.1), (0.25, np.longdouble(0.1)))]
+    _memo_runs_keep_their_bytes(runs, 3)
+
+
+@pytest.mark.parametrize("edit", ["Q", "J", "G"])
+def test_a_matrix_edited_in_place_misses_the_memo(edit):
+    # the key holds the bytes of Q, J and G, not the model: a run after an
+    # edit in place builds new maps, and they are the edited model's
+    model = PHModel(4, 2, H=dense_model().H, gradH=DENSE_Q.copy(), J=DENSE_J.copy(),
+                    G=DENSE_G.copy())
+    scheme = coll.make_scheme(coll.GAUSS, 3)
+    args = (scheme, DENSE_X0, two_channel_input(), 0.1, 3.0)
+    kwargs = {"feedback": _feedback("portlevel")}
+    before = _run_bytes(model, *args, **kwargs)
+    A = getattr(model, edit)
+    A[0, 1] += 0.25
+    if edit != "G":  # Q stays symmetric, J skew
+        A[1, 0] += 0.25 if edit == "Q" else -0.25
+    edited = _run_bytes(model, *args, **kwargs)
+    assert len(integrator._maps_memo) == 2 and edited != before
+    integrator._maps_memo.clear()
+    fresh = PHModel(4, 2, H=model.H, gradH=model.Q.copy(), J=model.J.copy(),
+                    G=model.G.copy())
+    assert _run_bytes(fresh, *args, **kwargs) == edited
+
+
+def test_memoized_maps_are_read_only():
+    stepper = _make_stepper(dense_model(), coll.make_scheme(coll.LOBATTO, 3),
+                            two_channel_input(), 0.1, _feedback("portlevel"))
+    maps = (stepper.M, stepper.K, stepper.S, stepper.T, stepper.Delta, stepper.Gamma)
+    (entry,) = integrator._maps_memo.values()
+    assert all(a is b for a, b in zip(maps, entry, strict=True))
+    for a in maps:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_maps_memo_stays_bounded():
+    # bound + 50 distinct h: the least recently used entries leave, a hit
+    # makes its entry the most recent, and no more than the bound stay
+    bound, scheme = integrator.MAPS_MEMO_SIZE, coll.make_scheme(coll.GAUSS, 2)
+    assert bound >= 95  # the configurations oscillator-sweep cycles through
+    hs = [0.001 * (k + 1) for k in range(bound + 50)]
+    first = [_make_stepper(oscillator(), scheme, pulse_input(), h, None) for h in hs]
+    assert len(integrator._maps_memo) == bound
+    again = lambda k: _make_stepper(oscillator(), scheme, pulse_input(), hs[k], None)
+    assert again(-1).S is first[-1].S and again(-bound).S is first[-bound].S
+    _make_stepper(oscillator(), scheme, pulse_input(), 1.0, None)  # evicts hs[-bound + 1]
+    assert again(-bound).S is first[-bound].S
+    assert again(-bound + 1).S is not first[-bound + 1].S
+    assert again(49).S is not first[49].S
+    assert len(integrator._maps_memo) == bound
+
+
+@pytest.mark.parametrize("n", [SCAN_MAX_N, SCAN_MAX_N + 1])
+def test_maps_memo_takes_models_up_to_scan_max_n(n):
+    # above SCAN_MAX_N states the maps are built on every run
+    rng = np.random.default_rng(3)
+    J = rng.normal(size=(n, n))
+    model = PHModel(n, 1, H=lambda x: 0.5 * (x @ x), gradH=np.eye(n), J=J - J.T,
+                    G=np.ones((n, 1)))
+    runs = [_make_stepper(model, coll.make_scheme(coll.GAUSS, 1), pulse_input(), 0.1, None)
+            for _ in range(2)]
+    assert len(integrator._maps_memo) == (n <= SCAN_MAX_N)
+    assert (runs[0].S is runs[1].S) == (n <= SCAN_MAX_N)
+    assert np.array_equal(runs[0].S, runs[1].S)
 
 
 def _loop_states(Delta, x0, drive):
@@ -1224,6 +1365,7 @@ def test_shared_matrix_products_match_per_interval_forms(kind, s, monkeypatch):
     monkeypatch.setattr(integrator, "efforts", _stacked_efforts)
     monkeypatch.setattr(integrator, "drift", _stacked_drift)
     monkeypatch.setattr(integrator, "discrete_output", _stacked_output)
+    integrator._maps_memo.clear()  # the set-up's products too
     oracle = simulate(*args, retain_stages=True)
     for got, want in [(gemm.states, oracle.states),
                       (gemm.stages.f, oracle.stages.f),
