@@ -16,7 +16,7 @@ import numpy as np
 from . import collocation as coll
 from . import dirac, energy
 from .errors import ConfigurationError, SolverDivergenceError
-from .integrator import simulate
+from .integrator import _step_count, simulate
 from .models import (PORTLEVEL, FeedbackConfig, oscillator,
                      partitioned_oscillator, pulse_input, rigid_body,
                      zero_input)
@@ -111,7 +111,7 @@ def cmd_tableau(args) -> int:
         for index, value in np.ndenumerate(table if table is not None else []):
             emit(name, value, *(k + 1 for k in index))
     emit("order", scheme.order)
-    emit("c1", coll.check_c1(scheme.M))
+    emit("c1", scheme.c1)
     emit("quadratic_invariant_residual",
          coll.quadratic_invariant_residual(scheme))
     if args.format == "csv":
@@ -160,13 +160,12 @@ def cmd_simulate(args) -> int:
 def cmd_converge(args) -> int:
     h_list = (DEFAULT_H_LIST if args.h_list is None
               else _floats("--h-list", args.h_list))
-    if not np.isfinite(args.t_end):
-        raise ConfigurationError(f"--t-end must be finite, got {args.t_end}")
+    if not (np.isfinite(args.t_end) and args.t_end > 0.0):
+        raise ConfigurationError(f"--t-end must be finite and positive, got {args.t_end}")
     for h in h_list:
         if not (np.isfinite(h) and h > 0.0):
             raise ConfigurationError(f"--h-list entries must be finite and positive, got {h}")
-        if abs(args.t_end / h - round(args.t_end / h)) > 1e-9:
-            raise ConfigurationError(f"h={h} does not divide t_end={args.t_end}")
+        _step_count(h, args.t_end)  # simulate's grid rule, before any run
     # one set-up for every h, which names a bad --r, input or x0 first
     model, scheme, x0, signal, feedback = _build(args)
     reference = _reference_for(args, x0)
@@ -216,8 +215,6 @@ def cmd_check(args) -> int:
     model, scheme, x0, signal, feedback = _build(args)
     traj = simulate(model, scheme, x0, signal, args.h, args.t_end,
                     feedback=feedback, retain_stages=True)
-    c1 = coll.check_c1(scheme.M)
-    c2 = model.constant_structure
     sol = traj.stages
     J = dirac.assemble_blocks(model, sol.stage_x, scheme)[0]
     e, f = (v.reshape(len(v), -1) for v in (sol.e, sol.f))
@@ -229,7 +226,8 @@ def cmd_check(args) -> int:
     max_power, max_skew = power.max(), skew.max()
     ok = max_power <= POWER_TOL and max_skew <= SKEW_TOL
     print(f"scheme: {scheme.label}  model: {model.name}")
-    print(f"classification: C1={'yes' if c1 else 'no'} C2={'yes' if c2 else 'no'}")
+    print(f"classification: C1={'yes' if scheme.c1 else 'no'} "
+          f"C2={'yes' if model.constant_structure else 'no'}")
     print(f"max normalized power residual: {_fmt(max_power)}")
     print(f"max kernel skew defect: {_fmt(max_skew)}")
     print(_worst("power residual", power, traj.times))

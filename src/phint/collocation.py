@@ -189,11 +189,13 @@ def symplectic_pair_residual(scheme: CollocationScheme) -> float:
 class CollocationScheme(ReadOnly):
     """Everything a discrete-time step needs: nodes c, tableau (A, b), mass
     matrix M, dense-output coefficients W (W[j, k] multiplies P_k(2 tau - 1)
-    in int_0^tau l_j), advertised order and, for a Lobatto pair, the IIIB
-    companion A_hat.  The record and its arrays are read-only."""
+    in int_0^tau l_j), advertised order, c1 = check_c1(M) for every reader
+    and, for a Lobatto pair, the IIIB companion A_hat.  The record and its
+    arrays are read-only."""
 
     def __init__(self, kind: str, c, A, b, M, W, order: int, A_hat=None):
-        vars(self).update(kind=kind, c=c, A=A, b=b, M=M, W=W, order=order, A_hat=A_hat)
+        vars(self).update(kind=kind, c=c, A=A, b=b, M=M, W=W, order=order, A_hat=A_hat,
+                          c1=check_c1(M))
         for arr in (self.c, self.A, self.b, self.M, self.W, self.A_hat):
             if arr is not None:
                 arr.setflags(write=False)

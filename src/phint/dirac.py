@@ -89,9 +89,7 @@ def drift(J, G, e, u=None) -> np.ndarray:
 
 def structure_residual(J, G, f, e, u):
     """Max-norm defect of (f_i + J_i e_i) + G_i u_i over the stages of each
-    interval; a stack broadcast from one matrix (stride 0 on the leading axes,
-    a constant structure) is applied as that matrix, one GEMM per product."""
-    J, G = (A if any(A.strides[:-2]) else A[(0,) * (A.ndim - 2)] for A in (J, G))
+    interval, of the stacks J and G as given (one matrix each is one GEMM)."""
     res = f + _apply(J, e)
     res += _apply(G, u)
     return np.max(np.abs(res), axis=(-2, -1), initial=0.0)

@@ -7,7 +7,6 @@ import math
 
 import numpy as np
 
-from .collocation import GAUSS
 from .errors import ConfigurationError, ReadOnly
 
 ROUNDING_FLOOR = 1e-12
@@ -22,10 +21,9 @@ DAMPED_FREE = "damped-free"
 
 def delta_h_tilde(sol, scheme):
     """Supplied-energy approximation -h e' (M (x) I) f of one interval, or of
-    each interval of a stacked solution.  A Gauss M is diag(b) (C1), so M f
-    is b_i f_i row by row; only the signs of its zeros can differ from the
-    matmul's, and the sum, which starts from +0.0, does not see them."""
-    Mf = scheme.b[:, None] * sol.f if scheme.kind == GAUSS else scheme.M @ sol.f
+    each interval of a stacked solution.  Under C1 M f is M_ii f_i by rows:
+    only zero signs differ from the matmul's, unseen by a sum from +0.0."""
+    Mf = scheme.M.diagonal()[:, None] * sol.f if scheme.c1 else scheme.M @ sol.f
     Mf *= sol.e
     return -sol.h * Mf.sum(axis=(-2, -1))
 

@@ -29,7 +29,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .collocation import check_c1
 from .dirac import _stack_blocks, discrete_output, drift, efforts
 from .energy import delta_h_bar, delta_h_tilde, supplied_energy
 from .errors import ConfigurationError, ReadOnly, SolverDivergenceError
@@ -98,10 +97,11 @@ class _Stepper:
     """The stage equations X = 1 (x) x0 + h A g of both stage solvers, with
     the drift g = J e + G u = -f of the signal w (u, or v under feedback) and
     the feedback u = w - r G'(K e), K = I_s (stagewise) or M (portlevel),
-    K = None without damping.  A acts on every state, or, for a separable
-    (q, p) model under a Lobatto pair, A on the q rows and A_hat on the p
-    rows.  run(x0, t0) returns the states (N+1, n) and the stacked
-    StageSolution of the intervals starting at t0; x[tile] is np.tile(x, s)."""
+    K = None without damping; M and K as their diagonals under C1.  A acts
+    on every state, or, for a separable (q, p) model under a Lobatto pair, A
+    on the q rows and A_hat on the p rows.  run(x0, t0) returns the states
+    (N+1, n) and the stacked StageSolution of the intervals starting at t0;
+    x[tile] is np.tile(x, s)."""
 
     def __init__(self, model, scheme, input_signal, h, feedback):
         self.model, self.scheme, self.h, self.signal = model, scheme, h, input_signal
@@ -110,14 +110,9 @@ class _Stepper:
         if feedback is not None and self.m == 0:
             raise ConfigurationError("feedback requires a model with a port")
         self.r = 0.0 if feedback is None else feedback.r
-        self._setup(None if feedback is None else feedback.mode)
-
-    def _setup(self, mode):
-        """M of y and K of the feedback, each as its diagonal (a row scaling) if diagonal."""
-        diag = lambda K: np.diagonal(K) if check_c1(K) else K
-        self.M, self.K = diag(self.scheme.M), None
+        self.M, self.K = scheme.M.diagonal() if scheme.c1 else scheme.M, None
         if self.r > 0.0:
-            self.K = diag(np.eye(self.s) if mode == STAGEWISE else self.scheme.M)
+            self.K = np.ones(self.s) if feedback.mode == STAGEWISE else self.M
 
     eye = cached_property(lambda self: np.eye(self.s * self.n))
     tile = cached_property(lambda self: np.arange(self.s * self.n) % self.n)
@@ -162,20 +157,20 @@ class _LinearStepper(_Stepper):
     states are X = S x0 + T w and the step is x+ = x0 + (Delta x0 + Gamma w),
     with the maps built once per configuration and the steps by a doubling scan."""
 
-    def _setup(self, mode):
-        # a configuration in the memo takes its read-only M, K and maps, a build's bytes
+    def __init__(self, model, scheme, input_signal, h, feedback):
+        super().__init__(model, scheme, input_signal, h, feedback)
+        # a configuration in the memo takes its read-only maps, a build's bytes
         key = self.n <= SCAN_MAX_N and (
-            self.scheme, type(self.h), self.h, type(self.r), self.r, mode, self.n, self.m, self.n_q,
-            *[A.tobytes() for A in (self.model.Q, self.model.J, self.model.G)])
-        maps = _maps_memo.pop(key, None) or self._build(mode)
+            scheme, type(h), h, type(self.r), self.r, getattr(feedback, "mode", None),
+            self.n, self.m, self.n_q, *[A.tobytes() for A in (model.Q, model.J, model.G)])
+        maps = _maps_memo.pop(key, None) or self._build()
         if key:
             _maps_memo[key] = maps  # the most recently used last
             if len(_maps_memo) > MAPS_MEMO_SIZE:
                 del _maps_memo[next(iter(_maps_memo))]
-        self.M, self.K, self.S, self.T, self.Delta, self.Gamma = maps
+        self.S, self.T, self.Delta, self.Gamma = maps
 
-    def _build(self, mode):
-        super()._setup(mode)
+    def _build(self):
         n, s, sn = self.n, self.s, self.s * self.n
         # the stage equations are affine in (X, w): row k of g and h A g is
         # their response to unit k of the stacked stage states X (w = 0),
@@ -191,7 +186,7 @@ class _LinearStepper(_Stepper):
         hbg = self.h * (self.scheme.b @ g).T
         maps = (ST[:, :n], ST[:, n:], hbg[:, :sn].dot(ST[:, :n]),
                 hbg[:, :sn].dot(ST[:, n:]) + hbg[:, sn:])
-        return self.M, self.K, *(a.setflags(write=False) or a for a in maps)
+        return tuple(a.setflags(write=False) or a for a in maps)
 
     def run(self, x0, t0):
         w = self._inputs(t0)
@@ -211,7 +206,8 @@ class _LinearStepper(_Stepper):
 # loop, and tied the loop at n = 128; longer runs favour the loop (N = 8000,
 # n = 64: 49 against 36 ms)
 SCAN_MAX_N = 64
-# _LinearStepper's maps of the last MAPS_MEMO_SIZE configurations (n <= SCAN_MAX_N)
+# _LinearStepper's maps of the last MAPS_MEMO_SIZE configurations (n <= SCAN_MAX_N),
+# 8 (s + 1) n (n + s m) bytes an entry
 MAPS_MEMO_SIZE, _maps_memo = 128, {}
 
 
@@ -387,6 +383,15 @@ def dense_eval(sol: StageSolution, scheme, tau: float) -> np.ndarray:
     return sol.x0 - sol.h * (w.dot(sol.f) if sol.f.ndim == 2 else w @ sol.f)
 
 
+def _step_count(h, t_end) -> int:
+    """N = t_end / h rounded, when that is at least 1 and within 1e-9 N of an integer."""
+    n_float = t_end / h
+    N = int(round(n_float))
+    if N < 1 or abs(n_float - N) > 1e-9 * N:
+        raise ConfigurationError(f"t_end/h = {n_float} is not an integer step count")
+    return N
+
+
 def simulate(model, scheme, x0, input_signal, h, t_end,
              feedback=None, retain_stages: bool = False) -> Trajectory:
     """Run N = t_end / h fixed steps, chaining intervals and recording the
@@ -395,10 +400,7 @@ def simulate(model, scheme, x0, input_signal, h, t_end,
     first such step."""
     _check_finite("step size h", h, positive=True)
     _check_finite("t_end", t_end, positive=True)
-    n_float = t_end / h
-    N = int(round(n_float))
-    if N < 1 or abs(n_float - N) > 1e-9 * max(1.0, N):
-        raise ConfigurationError(f"t_end/h = {n_float} is not an integer step count")
+    N = _step_count(h, t_end)
     x = _initial_state(model, x0)
     stepper = _make_stepper(model, scheme, input_signal, h, feedback)
     # overflow is reported below with its step index, not as numpy warnings

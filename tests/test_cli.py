@@ -208,6 +208,31 @@ def test_converge_rejects_non_divisor_h(capsys):
     assert run(["converge", "--t-end", "18", "--h-list", "0.7"]) == 2
 
 
+def test_converge_takes_the_grids_simulate_takes(capsys, monkeypatch):
+    # t_end / h = 9999477.999999998: off an integer by 2e-9, inside
+    # simulate's 1e-9 N, so the sweep reaches its first run (a stub here);
+    # a grid simulate refuses stops before any run, with simulate's message
+    runs = []
+
+    def first_run(model, scheme, x0, signal, h, t_end, feedback=None):
+        runs.append((h, t_end))
+        raise SolverDivergenceError("stub run", step_index=0)
+
+    monkeypatch.setattr(cli, "simulate", first_run)
+    assert run(["converge", "--t-end", "18", "--h-list", "0.1,0.7"]) == 2
+    assert "t_end/h = 25.714285714285715 is not an integer step count" in capsys.readouterr().err
+    assert run(["converge", "--t-end", "19998.956", "--h-list", "0.002"]) == 3
+    assert runs == [(0.002, 19998.956)]
+    assert "stub run" in capsys.readouterr().err
+    assert integrator._step_count(0.002, 19998.956) == 9999478
+
+
+@pytest.mark.parametrize("t_end", ["0", "-18"])
+def test_converge_names_non_positive_t_end(capsys, t_end):
+    assert run(["converge", f"--t-end={t_end}", "--h-list", "0.1"]) == 2
+    assert "--t-end must be finite and positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("h_list", ["0", "-0.1", "0.1,nan"])
 def test_converge_rejects_non_positive_h(capsys, h_list):
     assert run(["converge", "--t-end", "18", f"--h-list={h_list}"]) == 2

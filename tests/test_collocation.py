@@ -631,6 +631,25 @@ def test_check_c1_is_exact():
     assert not coll.check_c1(M)
 
 
+def test_c1_is_a_field_of_the_scheme(all_schemes):
+    # decided once, when the record is built, as check_c1 decides it
+    for scheme in all_schemes.values():
+        assert scheme.c1 is coll.check_c1(scheme.M) is (scheme.kind == coll.GAUSS)
+    assert scheme_record([0.0, 1.0], [[0.0, 0.0], [0.5, 0.5]], [0.5, 0.5]).c1 is True  # M = I
+    lob2 = all_schemes[(coll.LOBATTO, 2)]
+    for M, c1 in ((lob2.M, False), (np.diag(lob2.b), True)):
+        hand = coll.CollocationScheme(coll.LOBATTO, lob2.c, lob2.A, lob2.b, M, lob2.W,
+                                      order=2, A_hat=lob2.A_hat)
+        assert hand.c1 is coll.check_c1(M) is c1
+    with pytest.raises(AttributeError, match="read-only"):
+        lob2.c1 = True
+
+
+def test_make_scheme_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown scheme kind 'radau'"):
+        coll.make_scheme("radau", 2)
+
+
 def test_pair_construction_needs_nonzero_weights():
     A = np.array([[0.0, 0.0], [0.5, 0.5]])
     assert coll.iiib_from_iiia(A, np.array([0.5, 0.5])).shape == (2, 2)

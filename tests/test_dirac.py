@@ -13,7 +13,7 @@ from phint.models import (FeedbackConfig, PHModel, oscillator,
                           partitioned_oscillator, pulse_input, rigid_body,
                           zero_input)
 
-from conftest import general_kernel_check
+from conftest import dense_model, general_kernel_check, two_channel_input
 
 RNG = np.random.default_rng(7)
 
@@ -194,14 +194,16 @@ def _matvec_structure_residual(J, G, f, e, u):
     (oscillator, coll.GAUSS, s, mode) for s in (1, 2, 4, 8)
     for mode in (None, "portlevel")] + [
     (partitioned_oscillator, coll.LOBATTO, s, "stagewise") for s in (3, 4)] + [
-    (rigid_body, coll.GAUSS, 2, None)])
+    (rigid_body, coll.GAUSS, 2, None)] + [
+    (dense_model, kind, s, mode) for kind, s in SCHEMES
+    for mode in (None, "stagewise", "portlevel")])
 def test_structure_residual_matches_the_per_stage_products(factory, kind, s, mode):
-    # a constant structure is applied as its one J and one G, a state-dependent
-    # one stage by stage; both give the per-stage matvec bytes of every
-    # interval, the stacked run and each interval alone
+    # the stacks are applied as given, a constant structure's stride-0 stacks
+    # too: the per-stage matvec bytes of every interval, the stacked run and
+    # each interval alone, also for the dense model, whose products round
     model, scheme = factory(), coll.make_scheme(kind, s)
-    traj = simulate(model, scheme, RNG.normal(size=model.n),
-                    pulse_input() if model.m else zero_input(0), 0.05, 10.0,
+    signal = {0: zero_input(0), 1: pulse_input(), 2: two_channel_input()}[model.m]
+    traj = simulate(model, scheme, RNG.normal(size=model.n), signal, 0.05, 10.0,
                     feedback=None if mode is None else FeedbackConfig(0.1, mode),
                     retain_stages=True)
     sol = traj.stages

@@ -1155,13 +1155,52 @@ def test_a_matrix_edited_in_place_misses_the_memo(edit):
 def test_memoized_maps_are_read_only():
     stepper = _make_stepper(dense_model(), coll.make_scheme(coll.LOBATTO, 3),
                             two_channel_input(), 0.1, _feedback("portlevel"))
-    maps = (stepper.M, stepper.K, stepper.S, stepper.T, stepper.Delta, stepper.Gamma)
+    maps = (stepper.S, stepper.T, stepper.Delta, stepper.Gamma)
     (entry,) = integrator._maps_memo.values()
     assert all(a is b for a, b in zip(maps, entry, strict=True))
     for a in maps:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+@pytest.mark.parametrize("kind,s", [(coll.GAUSS, 2), (coll.LOBATTO, 3)])
+@pytest.mark.parametrize("mode", [None, "stagewise", "portlevel"])
+def test_a_memo_entry_is_exactly_the_four_maps(kind, s, mode):
+    # S (sn, n), T (sn, sm), Delta (n, n) and Gamma (n, sm): 8 (s + 1) n (n + s m)
+    # bytes; the M and K of y and the feedback are the scheme's, not the memo's
+    scheme, n, m = coll.make_scheme(kind, s), 4, 2
+    stepper = _make_stepper(dense_model(), scheme, two_channel_input(), 0.1, _feedback(mode))
+    (entry,) = integrator._maps_memo.values()
+    assert type(entry) is tuple
+    assert [a.shape for a in entry] == [(s * n, n), (s * n, s * m), (n, n), (n, s * m)]
+    assert sum(a.nbytes for a in entry) == 8 * (s + 1) * n * (n + s * m)
+    assert all(a is b for a, b in zip(entry, (stepper.S, stepper.T, stepper.Delta,
+                                              stepper.Gamma), strict=True))
+    assert not any(a is b for a in entry for b in (stepper.M, stepper.K))
+    assert all(not a.flags.writeable for a in entry)
+
+
+@pytest.mark.parametrize("factory", [dense_model, dense_newton_model, oscillator, _pendulum])
+def test_steppers_take_c1_from_the_scheme(factory, monkeypatch):
+    # C1 is decided when a scheme is built: no stepper set-up or run tests M
+    # again.  The count sees a record built under the patch
+    model, calls, check_c1 = factory(), [], coll.check_c1
+    monkeypatch.setattr(coll, "check_c1", lambda M: calls.append(M) or check_c1(M))
+    signal = two_channel_input() if model.m == 2 else pulse_input()
+    for kind, s in ALL_SCHEMES:
+        scheme = coll.make_scheme(kind, s)
+        for mode in (None, "stagewise", "portlevel"):
+            stepper = _make_stepper(model, scheme, signal, 0.1, _feedback(mode))
+            assert stepper.M is scheme.M or stepper.M.base is scheme.M
+            assert stepper.M.ndim == (1 if scheme.c1 else 2)
+            simulate(model, scheme, np.full(model.n, 0.5), signal, 0.1, 0.3,
+                     feedback=_feedback(mode))
+    assert calls == []
+    lob2 = coll.make_scheme(coll.LOBATTO, 2)
+    coll.CollocationScheme(lob2.kind, lob2.c, lob2.A, lob2.b, lob2.M, lob2.W, lob2.order,
+                           lob2.A_hat)
+    assert len(calls) == 1
 
 
 def test_maps_memo_stays_bounded():
