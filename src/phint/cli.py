@@ -222,7 +222,7 @@ def cmd_check(args) -> int:
     scale = np.maximum(1.0, sol.h * np.sqrt(np.vecdot(e, e))
                        * np.sqrt(np.vecdot(f, f)))
     power = np.abs(dirac.power_residual(sol, scheme)) / scale
-    skew = dirac.kernel_check(J, scheme.M)
+    skew = np.broadcast_to(dirac.kernel_check(J, scheme.M), power.shape)
     max_power, max_skew = power.max(), skew.max()
     ok = max_power <= POWER_TOL and max_skew <= SKEW_TOL
     print(f"scheme: {scheme.label}  model: {model.name}")
@@ -274,7 +274,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         code = args.fn(args)
-    except (ConfigurationError, ValueError, OSError) as err:
+    except (ConfigurationError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         code = 2
     except SolverDivergenceError as err:

@@ -1,14 +1,13 @@
 """Bond formulas and discrete Dirac-structure checks.
 
-The checks take the stage structure J (s, n, n), G (s, n, m) of one interval,
-or of a run stacked along a leading interval axis, and return one value per
-interval.  kernel_check makes no rank test: [F E][F E]' = I + E E' >= I with
-F = I, so [F E] has full row rank (singular values >= 1) for any E.  Under
-the paper's conditions it skips work that cannot change its result: a
-constant structure (C2, stride 0 over the run) is tested on one interval,
-and only the stage pairs (i, j) with (M^-1)_ij != 0 are formed, which for a
-diagonal M (C1) are the s pairs (i, i).  A diagonal stage matrix is likewise
-a row scaling in discrete_output, given as its diagonal.
+A constant structure (C2) is its two matrices J (n, n) and G (n, m) here,
+each applied as one GEMM; any other is a stage stack J (s, n, n), G (s, n, m)
+of one interval, or of a run stacked along a leading interval axis, checked
+per interval.  kernel_check makes no rank test: [F E][F E]' = I + E E' >= I
+with F = I, so [F E] has full row rank (singular values >= 1) for any E.  It
+forms only the stage pairs (i, j) with (M^-1)_ij != 0, which for a diagonal M
+(C1) are the s pairs (i, i); a diagonal stage matrix is likewise a row
+scaling in discrete_output, given as its diagonal.
 """
 from __future__ import annotations
 
@@ -20,29 +19,26 @@ from .energy import delta_h_tilde, supplied_energy
 
 
 def assemble_blocks(model, states, scheme=None):
-    """Stacks J(x) and G(x) over states (..., n), the stage states
-    (..., s, n) of the scheme's intervals when one is given; returns
-    (..., n, n) and (..., n, m), by _stack_blocks after a shape check (an
-    empty G for a model without a port)."""
+    """J(x) and G(x) over states (..., n), the stage states (..., s, n) of
+    the scheme's intervals when one is given, after a shape check: a
+    constant structure's two matrices themselves, any other model's stacks
+    (..., n, n) and (..., n, m) (an empty G without a port)."""
     X = np.asarray(states, dtype=float)
     shape = (model.n,) if scheme is None else (scheme.s, model.n)
     if X.shape[-len(shape):] != shape:
         raise ValueError(f"expected states of shape (..., "
                          f"{', '.join(map(str, shape))}), got shape {X.shape}")
     J, G = _stack_blocks(model, X)
-    if model.constant_structure:  # one matrix each: stride 0, read-only
-        J = np.broadcast_to(J, X.shape + (model.n,))
-        G = G if G is None else np.broadcast_to(G, X.shape + (model.m,))
     return J, np.zeros(X.shape + (0,)) if G is None else G
 
 
 def _stack_blocks(model, X):
     """J(x) and G(x) over the float states X (..., n), unchecked: a constant
-    structure's matrices themselves, any other model's callbacks once per
-    state; G is None, never called, without a port."""
+    structure's two matrices themselves, any other model's callbacks once per
+    state, G None, never called, for a callable model without a port."""
     n, m, flat = model.n, model.m, X if X.ndim == 2 else X.reshape(-1, model.n)
     if model.constant_structure:
-        return model.J, model.G if m else None
+        return model.J, model.G
     J = np.array([model.J(x) for x in flat])
     G = np.array([model.G(x) for x in flat]) if m else None
     if X.ndim == 2:  # rows of states: the stacks need no reshape
@@ -102,25 +98,20 @@ def power_residual(sol, scheme):
 
 
 def kernel_check(J, M):
-    """Skew defect of E F' + F E' with F = I, E = [[J M^-1, G], [-G', 0]], per
-    interval; interval axes of stride 0 (C2) are tested on one interval."""
-    lead = J.shape[:-3]
-    if lead and not any(J.strides[:-3]):
-        return np.full(lead, _skew_defect(J[(slice(1),) * len(lead)], M))
-    return _skew_defect(J, M)
-
-
-def _skew_defect(J, M):
-    """The G blocks cancel in E + E', whose (i, j) block is
-    (M^-1)_ij (J_i + J_j'), so the defect is max_ij |(M^-1)_ij| |J_i + J_j'|:
-    zero under C1 (diagonal M, skew J_i) and C2 (constant skew J).  The pairs
-    are the nonzero entries of M^-1, gathered into one (..., P, n, n) stack:
-    under C1 the s pairs (i, i) alone, since the others multiply exact zeros."""
-    s = J.shape[-3]
+    """Skew defect of E F' + F E' with F = I, E = [[J M^-1, G], [-G', 0]].  The
+    G blocks cancel in E + E', whose (i, j) block is (M^-1)_ij (J_i + J_j'), so
+    it is max_ij |(M^-1)_ij| |J_i + J_j'|: zero under C1 (diagonal M, skew J_i)
+    and C2 (constant skew J).  One matrix J (n, n) gives max|J + J'| max|M^-1|;
+    a stack (..., s, n, n) one value per interval, from the pairs with
+    (M^-1)_ij != 0 gathered into one (..., P, n, n) stack (under C1 the s
+    pairs (i, i) alone: the others multiply exact zeros)."""
+    s = J.shape[-3] if J.ndim > 2 else len(M)
     if np.shape(M) != (s, s):
         raise ValueError(f"expected M of shape ({s}, {s}) for {s} stages, "
                          f"got shape {np.shape(M)}")
     Minv = np.abs(np.linalg.inv(M))
+    if J.ndim == 2:
+        return np.max(np.abs(J + J.T)) * Minv.max()
     i, j = np.nonzero(Minv)
     D = J[..., i, :, :]
     D += np.swapaxes(J[..., j, :, :], -1, -2)

@@ -384,9 +384,9 @@ def dense_eval(sol: StageSolution, scheme, tau: float) -> np.ndarray:
 
 
 def _step_count(h, t_end) -> int:
-    """N = t_end / h rounded, when that is at least 1 and within 1e-9 N of an integer."""
+    """N = t_end / h rounded, when that is finite, at least 1 and within 1e-9 N of an integer."""
     n_float = t_end / h
-    N = int(round(n_float))
+    N = int(round(n_float)) if math.isfinite(n_float) else 0
     if N < 1 or abs(n_float - N) > 1e-9 * N:
         raise ConfigurationError(f"t_end/h = {n_float} is not an integer step count")
     return N

@@ -8,6 +8,7 @@ from mpmath import mp, mpf
 
 from phint import collocation as coll
 from phint import dirac, integrator
+from phint.dirac import assemble_blocks
 from phint.errors import SchemeConstructionError
 from phint.models import InputSignal, PHModel, rigid_body
 
@@ -76,6 +77,18 @@ def general_kernel_check(J, M):
         np.max(buf, axis=0, out=norms[i])
     norms *= np.abs(np.linalg.inv(M)).reshape((s, s) + (1,) * len(lead))
     return np.max(norms.reshape((s * s,) + lead), axis=0)
+
+
+def stride0_blocks(model, states, scheme=None):
+    """assemble_blocks with a constant structure's J and G broadcast over
+    the states to stride-0 stacks (..., n, n) and (..., n, m), read-only and
+    without a copy: the stacked form that np.matvec applies stage by stage,
+    for the tests that need stacks of every model."""
+    J, G = assemble_blocks(model, states, scheme)
+    if model.constant_structure:
+        lead = np.shape(states)[:-1]
+        J, G = (np.broadcast_to(B, lead + B.shape) for B in (J, G))
+    return J, G
 
 
 def matmul_delta_h_tilde(sol, scheme):

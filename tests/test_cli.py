@@ -18,7 +18,8 @@ from phint.models import (FeedbackConfig, InputSignal, PHModel, oscillator,
                           partitioned_oscillator, pulse_input, rigid_body,
                           zero_input)
 
-from conftest import general_kernel_check, matmul_delta_h_tilde, matmul_discrete_output
+from conftest import (general_kernel_check, matmul_delta_h_tilde, matmul_discrete_output,
+                      stride0_blocks)
 
 
 def run(argv):
@@ -225,6 +226,32 @@ def test_converge_takes_the_grids_simulate_takes(capsys, monkeypatch):
     assert runs == [(0.002, 19998.956)]
     assert "stub run" in capsys.readouterr().err
     assert integrator._step_count(0.002, 19998.956) == 9999478
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--t-end", "1e308", "--h", "1e-10"],
+    ["converge", "--h-list", "1e-320"],
+    ["check", "--h", "5e-324"]], ids=["simulate", "converge", "check"])
+def test_step_counts_that_overflow_exit_2(argv, capsys, tmp_path):
+    # t_end / h overflows to inf, which rounds to no integer: a configuration
+    # error before any run, not an OverflowError
+    out = ["--out", str(tmp_path / "x")] if argv[0] != "check" else []
+    assert run(argv + out) == 2
+    assert ("error: t_end/h = inf is not an integer step count"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    # 1e10 steps ask numpy for 74.5 GiB; a stub raises what numpy raises
+    def huge(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(10000000000,) and data type int64")
+
+    monkeypatch.setattr(cli, "simulate", huge)
+    assert run(["check", "--t-end", "1e300", "--h", "1e290"]) == 2
+    assert capsys.readouterr().err == ("error: Unable to allocate 74.5 GiB for an array "
+                                       "with shape (10000000000,) and data type int64\n")
 
 
 @pytest.mark.parametrize("t_end", ["0", "-18"])
@@ -443,11 +470,14 @@ CHECK_ARGVS = ([["--model", "oscillator", "--scheme", kind, "--stages", str(s),
 
 @pytest.mark.parametrize("argv", CHECK_ARGVS, ids=lambda a: f"{a[1]}-{a[3]}{a[5]}")
 def test_check_prints_the_general_checks_bytes(argv, capsys, monkeypatch):
-    # the C1 and C2 fast paths of kernel_check and delta_h_tilde print what
-    # the s^2 pair loop and the M f product print, the FAILing Lobatto rigid
-    # body's nonzero defect and worst step included
+    # the C1 fast path of kernel_check, its one-matrix defect of a constant
+    # structure and delta_h_tilde's row scaling print what the s^2 pair loop
+    # on every interval's stack (stride-0 stacks of a constant J) and the
+    # M f product print, the FAILing Lobatto rigid body's nonzero defect and
+    # worst step included
     code = run(["check", *argv])
     out = capsys.readouterr().out
+    monkeypatch.setattr(dirac, "assemble_blocks", stride0_blocks)
     monkeypatch.setattr(dirac, "kernel_check", general_kernel_check)
     monkeypatch.setattr(dirac, "delta_h_tilde", matmul_delta_h_tilde)
     monkeypatch.setattr(integrator, "delta_h_tilde", matmul_delta_h_tilde)
@@ -458,13 +488,14 @@ def test_check_prints_the_general_checks_bytes(argv, capsys, monkeypatch):
 
 
 def test_check_tests_the_kernel_once_per_run(capsys, monkeypatch):
-    # check calls kernel_check once on the stacked run, which does not call
-    # itself through the module name that a tracer wraps
+    # check calls kernel_check once on the run, which does not call itself
+    # through the module name that a tracer wraps; a constant structure is
+    # its one J
     calls, inner = [], dirac.kernel_check
     monkeypatch.setattr(dirac, "kernel_check",
                         lambda J, M: calls.append(J.shape) or inner(J, M))
     assert run(["check", *CHECK_ARGVS[6]]) == 0
-    assert calls == [(1000, 8, 2, 2)]
+    assert calls == [(2, 2)]
     assert "max kernel skew defect: 0" in capsys.readouterr().out.splitlines()
 
 

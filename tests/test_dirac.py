@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 import phint.collocation as coll
-import phint.dirac as dirac
-from phint.dirac import (_skew_defect, assemble_blocks, discrete_output, drift,
-                         kernel_check, power_residual, structure_residual)
+from phint.dirac import (assemble_blocks, discrete_output, drift, kernel_check,
+                         power_residual, structure_residual)
 from phint.integrator import StageSolution, simulate, solve_stages
 from phint.models import (FeedbackConfig, PHModel, oscillator,
                           partitioned_oscillator, pulse_input, rigid_body,
                           zero_input)
 
-from conftest import dense_model, general_kernel_check, two_channel_input
+from conftest import (DENSE_X0, dense_model, general_kernel_check, stride0_blocks,
+                      two_channel_input)
 
 RNG = np.random.default_rng(7)
 
@@ -52,7 +52,7 @@ def dense_skew_defect(J, G, M) -> float:
 def test_assemble_blocks_shapes_and_errors():
     scheme = coll.make_scheme(coll.GAUSS, 2)
     model, (J, G) = oscillator_blocks(scheme)
-    assert J.shape == (2, 2, 2) and G.shape == (2, 2, 1)
+    assert J is model.J and G is model.G
     with pytest.raises(ValueError):
         assemble_blocks(model, np.zeros((3, 2)), scheme)
     # a stack of intervals gives one block per stage state, in order
@@ -71,17 +71,23 @@ def output_weight_and_ports(scheme, weight, stacked):
     return K, (np.array([G] * scheme.s) if stacked else G)
 
 
+def _portless_oscillator():
+    """The oscillator's constant J without a port: G is the (2, 0) matrix."""
+    return PHModel(2, 0, H=lambda x: 0.5 * (x @ x), gradH=np.eye(2),
+                   J=np.array([[0.0, 1.0], [-1.0, 0.0]]), G=np.zeros((2, 0)))
+
+
 def test_assemble_blocks_evaluates_constant_structure_once():
-    # a constant structure is its two matrices, broadcast over the states
-    # without a copy: there is no J or G callback to evaluate
+    # a constant structure is its two matrices themselves, whatever the
+    # states: there is no J or G callback to evaluate, and no stack to build
     scheme = coll.make_scheme(coll.GAUSS, 3)
-    model = oscillator()
-    states = RNG.normal(size=(5, 3, 2))
-    J, G = assemble_blocks(model, states, scheme)
-    assert J.shape == (5, 3, 2, 2) and G.shape == (5, 3, 2, 1)
-    assert np.shares_memory(J, model.J) and np.shares_memory(G, model.G)
-    assert np.array_equal(J, np.broadcast_to(model.J, J.shape))
-    assert np.array_equal(G, np.broadcast_to(model.G, G.shape))
+    for factory in (oscillator, partitioned_oscillator, dense_model, _portless_oscillator):
+        model = factory()
+        for states in (RNG.normal(size=(5, 3, model.n)), RNG.normal(size=(3, model.n))):
+            J, G = assemble_blocks(model, states, scheme)
+            assert J is model.J and G is model.G
+        J, G = assemble_blocks(model, RNG.normal(size=(7, model.n)))
+        assert J is model.J and G is model.G and G.shape == (model.n, model.m)
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["constant", "stacked"])
@@ -116,7 +122,7 @@ def consistent_bond(blocks, scheme, e, u, h):
     """Interval whose flows and output are generated from the stage structure
     equation at the given efforts and inputs."""
     J, G = blocks
-    s, n, m = G.shape
+    s, n, m = scheme.s, J.shape[-1], G.shape[-1]
     e2 = e.reshape(s, n)
     u2 = u.reshape(s, m)
     return StageSolution(t0=0.0, h=h, x0=None, stage_x=None,
@@ -199,20 +205,21 @@ def _matvec_structure_residual(J, G, f, e, u):
     for mode in (None, "stagewise", "portlevel")])
 def test_structure_residual_matches_the_per_stage_products(factory, kind, s, mode):
     # the stacks are applied as given, a constant structure's stride-0 stacks
-    # too: the per-stage matvec bytes of every interval, the stacked run and
-    # each interval alone, also for the dense model, whose products round
+    # built here too: the per-stage matvec bytes of every interval, the
+    # stacked run and each interval alone, also for the dense model, whose
+    # products round
     model, scheme = factory(), coll.make_scheme(kind, s)
     signal = {0: zero_input(0), 1: pulse_input(), 2: two_channel_input()}[model.m]
     traj = simulate(model, scheme, RNG.normal(size=model.n), signal, 0.05, 10.0,
                     feedback=None if mode is None else FeedbackConfig(0.1, mode),
                     retain_stages=True)
     sol = traj.stages
-    J, G = assemble_blocks(model, sol.stage_x, scheme)
+    J, G = stride0_blocks(model, sol.stage_x, scheme)
     got = structure_residual(J, G, sol.f, sol.e, sol.u)
     assert got.tobytes() == _matvec_structure_residual(
         J, G, sol.f, sol.e, sol.u).tobytes()
     for k in (0, 99, 199):
-        Jk, Gk = assemble_blocks(model, sol.stage_x[k], scheme)
+        Jk, Gk = stride0_blocks(model, sol.stage_x[k], scheme)
         assert got[k] == structure_residual(Jk, Gk, sol.f[k], sol.e[k], sol.u[k])
     assert np.max(got) <= 1e-13 * max(1.0, np.max(np.abs(sol.f)))
 
@@ -251,13 +258,15 @@ def test_kernel_check_matches_dense_oracle(kind, s, model_name):
     scales = (1e-3, 1.0, 10.0, 1e3)
     states = np.array([scale * rng.normal(size=(scheme.s, model.n))
                        for scale in scales])
-    J, G = assemble_blocks(model, states, scheme)
+    J, G = stride0_blocks(model, states, scheme)
     factored = kernel_check(J, scheme.M)
     assert factored.shape == (len(scales),)
     for k in range(len(scales)):
         dense = dense_skew_defect(J[k], G[k], scheme.M)
         assert abs(factored[k] - dense) <= 1e-14 * max(1.0, dense)
         assert kernel_check(J[k], scheme.M) == factored[k]
+    if model.constant_structure:  # the one matrix gives every interval's value
+        assert np.all(kernel_check(model.J, scheme.M) == factored)
 
 
 def _leaky_oscillator():
@@ -275,26 +284,75 @@ CHECK_SCHEMES = ([(coll.LOBATTO, s) for s in (3, 4)]
 @pytest.mark.parametrize("kind,s", CHECK_SCHEMES,
                          ids=[f"{k}{s}" for k, s in CHECK_SCHEMES])
 def test_kernel_check_of_broadcast_blocks_is_the_contiguous_one(kind, s,
-                                                                factory,
-                                                                monkeypatch):
-    # assemble_blocks broadcasts a constant J over the run (zero strides);
-    # kernel_check tests one interval of it and returns that defect for
-    # every interval: the values of a contiguous stack and of the s^2 loop
+                                                                factory):
+    # a constant J broadcast over a run (zero strides) is a stack like any
+    # other: its defects are those of a contiguous stack and of the s^2 loop,
+    # and each is the one-matrix defect of J itself
     model, scheme = factory(), coll.make_scheme(kind, s)
     states = np.random.default_rng(s).normal(size=(50, scheme.s, model.n))
-    J, _ = assemble_blocks(model, states, scheme)
+    J, _ = stride0_blocks(model, states, scheme)
     assert J.strides[0] == 0
-    seen = []
-    monkeypatch.setattr(dirac, "_skew_defect",
-                        lambda J, M: seen.append(J.shape) or _skew_defect(J, M))
     broadcast = kernel_check(J, scheme.M)
-    assert seen == [(1, scheme.s, 2, 2)] and broadcast.flags.writeable
+    assert broadcast.flags.writeable
+    assert np.all(broadcast == kernel_check(model.J, scheme.M))
     assert np.array_equal(broadcast,
                           kernel_check(np.ascontiguousarray(J), scheme.M))
     assert broadcast.tobytes() == general_kernel_check(J, scheme.M).tobytes()
     assert broadcast.shape == (50,)
     two_axes = kernel_check(np.broadcast_to(J[0], (6, 5) + J.shape[1:]), scheme.M)
     assert two_axes.shape == (6, 5) and np.all(two_axes == broadcast[0])
+
+
+def _constant_structures():
+    """One-matrix J: two skew (the oscillator's, the dense model's) and three
+    non-skew (the leaky oscillator's, a random 5 x 5 J, and one at 1e300)."""
+    rng = np.random.default_rng(33)
+    yield oscillator().J
+    yield dense_model().J
+    yield _leaky_oscillator().J
+    yield rng.normal(size=(5, 5))
+    yield 1e300 * rng.normal(size=(3, 3))
+
+
+@pytest.mark.parametrize("kind,s", SCHEMES, ids=[f"{k}{s}" for k, s in SCHEMES])
+def test_kernel_check_of_one_matrix_is_the_pair_loop_on_its_stack(kind, s):
+    # a constant J is every J_i, so the s^2 loop multiplies the one norm
+    # max|J + J'| by each |(M^-1)_ij|; rounding is monotone, so the largest
+    # product is max|J + J'| max|M^-1|, the one-matrix value, bit for bit
+    M = coll.make_scheme(kind, s).M
+    for J in _constant_structures():
+        got = kernel_check(J, M)
+        assert np.shape(got) == () and np.asarray(got).dtype == np.float64
+        for lead in ((), (3,)):
+            expect = general_kernel_check(np.broadcast_to(J, lead + (s,) + J.shape), M)
+            assert np.asarray(expect).tobytes() == np.full(lead, got).tobytes()
+        assert (got == 0.0) == np.array_equal(J, -J.T)
+
+
+@pytest.mark.parametrize("mode", [None, "portlevel"])
+@pytest.mark.parametrize("kind,s", SCHEMES, ids=[f"{k}{s}" for k, s in SCHEMES])
+def test_structure_residual_of_the_models_matrices_is_the_one_gemm_form(kind, s, mode):
+    # the dense model's J and G come back as themselves, and structure_residual
+    # applies each as one GEMM over the rows of the run: (f + J e) + G u by
+    # the products the stepper formed its flows f = -(J e + G u) with
+    model, scheme = dense_model(), coll.make_scheme(kind, s)
+    traj = simulate(model, scheme, DENSE_X0, two_channel_input(), 0.05, 10.0,
+                    feedback=None if mode is None else FeedbackConfig(0.1, mode),
+                    retain_stages=True)
+    sol = traj.stages
+    J, G = assemble_blocks(model, sol.stage_x, scheme)
+    assert J is model.J and G is model.G
+
+    def gemm(A, x):
+        return (x.reshape(-1, A.shape[1]) @ A.T).reshape(x.shape[:-1] + A.shape[:1])
+
+    g = gemm(J, sol.e)
+    g += gemm(G, sol.u)
+    assert np.array_equal(sol.f, -g)
+    res = sol.f + gemm(J, sol.e)
+    res += gemm(G, sol.u)
+    expect = np.max(np.abs(res), axis=(-2, -1))
+    assert structure_residual(J, G, sol.f, sol.e, sol.u).tobytes() == expect.tobytes()
 
 
 def _non_skew_stacks(s, rng):
@@ -312,7 +370,7 @@ def test_skew_defect_is_the_general_pair_loop_bit_for_bit(kind, s):
     # multiply exact zeros of M^-1, so each defect keeps the s^2 loop's bytes
     M = coll.make_scheme(kind, s).M
     for J in _non_skew_stacks(s, np.random.default_rng([s, len(kind)])):
-        got, expect = _skew_defect(J, M), general_kernel_check(J, M)
+        got, expect = kernel_check(J, M), general_kernel_check(J, M)
         assert np.shape(got) == J.shape[:-3] and np.all(expect > 0)
         assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
 

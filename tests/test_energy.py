@@ -135,9 +135,9 @@ def test_supplied_energy_matches_output_pairing():
     scheme = coll.make_scheme(coll.GAUSS, 2)
     model = oscillator()
     sol = solve_stages(model, scheme, X0, pulse_input(), 8.5, 0.25)
-    _, G = assemble_blocks(model, sol.stage_x, scheme)
+    _, G = assemble_blocks(model, sol.stage_x, scheme)  # the constant G itself
     Me = scheme.M @ sol.e
-    y = np.array([G[i].T @ Me[i] for i in range(scheme.s)])
+    y = np.array([G.T @ Me[i] for i in range(scheme.s)])
     assert supplied_energy(sol) == pytest.approx(
         sol.h * np.sum(y * sol.u), abs=1e-16)
 

@@ -27,7 +27,8 @@ from phint.models import (STAGEWISE, FeedbackConfig, InputSignal, PHModel,
 
 from conftest import (DENSE_G, DENSE_J, DENSE_Q, DENSE_X0, ROTATED_RIGID_X0, dense_model,
                       dense_newton_model, lagrange_coefficients, matmul_apply,
-                      matmul_discrete_output, rotated_rigid_body, two_channel_input)
+                      matmul_discrete_output, rotated_rigid_body, stride0_blocks,
+                      two_channel_input)
 
 X0 = np.array([0.0, -1.0])
 ALL_SCHEMES = ([(coll.GAUSS, s) for s in range(1, 9)]
@@ -554,9 +555,9 @@ class _PerStepNewton(integrator._Stepper):
     negated flow at every iterate, a tuple per step, one restack at the end
     and a second stacked pass over the restacked J and G for u, f and y.  A
     constant structure is applied as its two matrices, one GEMM per product,
-    as the stepper applies it: the stride-0 stacks of assemble_blocks, which
-    np.matvec applies stage by stage, round a dense product differently.  The
-    oracle of the differential tests below."""
+    as the stepper applies it: stride-0 stacks of them, which np.matvec
+    applies stage by stage, round a dense product differently.  The oracle of
+    the differential tests below."""
 
     def _inputs_of(self, e, G, w):
         return w if self.K is None else w - self.r * discrete_output(self.K, G, e)
@@ -935,15 +936,18 @@ def test_constant_structure_as_matrices_is_the_broadcast_stack_bit_for_bit(kind,
     # the Newton stepper applies a constant J and G as one matrix each, one
     # GEMM per product.  For the pendulum, whose J and G are 0 and +-1, every
     # product is exact in any order, so every recorded array keeps the bytes
-    # of the stride-0 stacks of assemble_blocks, which np.matvec applies
-    # stage by stage.  A dense J and G round differently in the two forms:
-    # the dense twin's runs differ from their stride-0 form by up to 1.2e-15
-    # of the largest state, so the per-step oracle applies the matrices too
+    # of stride-0 stacks of the two matrices, which np.matvec applies stage
+    # by stage.  A dense J and G round differently in the two forms: the
+    # dense twin's runs differ from their stride-0 form by up to 1.2e-15 of
+    # the largest state, so the per-step oracle applies the matrices too
     runs = [((_pendulum(), coll.make_scheme(kind, s), X0, pulse_input(), 0.1, 12.0),
              {"feedback": _feedback(mode)}) for mode in (None, "stagewise", "portlevel")]
     got = [_run_bytes(*args, **kwargs) for args, kwargs in runs]
-    monkeypatch.setattr(integrator, "_stack_blocks", assemble_blocks)
+    blocks = []
+    monkeypatch.setattr(integrator, "_stack_blocks",
+                        lambda *a: blocks.append(stride0_blocks(*a)) or blocks[-1])
     assert got == [_run_bytes(*args, **kwargs) for args, kwargs in runs]
+    assert blocks and all(J.ndim > 2 and not any(J.strides[:-2]) for J, _ in blocks)
 
 
 def test_pendulum_energy_is_one_h_call_per_state():

@@ -66,10 +66,11 @@ def test_constant_structure_bond_balance(seed, kind_s, h):
     scheme = coll.make_scheme(*kind_s)
     rng = np.random.default_rng(seed + 1)
     J, G = assemble_blocks(model, rng.normal(size=(scheme.s, 2)), scheme)
+    assert J is model.J and G is model.G
     e = rng.normal(size=scheme.s * 2)
     u = rng.normal(size=scheme.s)
     e2, u2 = e.reshape(-1, 2), u.reshape(-1, 1)
-    f = np.array([-(J[i] @ e2[i] + G[i] @ u2[i]) for i in range(scheme.s)])
+    f = np.array([-(J @ e2[i] + G @ u2[i]) for i in range(scheme.s)])
     y = discrete_output(scheme.M, G, e2)
     bond = StageSolution(t0=0.0, h=h, x0=None, stage_x=None, f=f, e=e2, u=u2,
                          y=y, x_end=None)
