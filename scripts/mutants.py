@@ -4,13 +4,15 @@
 
 Each mutant is a (file, old text, new text) patch of src/phint whose old
 text must occur in its file exactly once, marked semantic (a change of the
-method that must be killed) or equivalent (a change of rounding order that
-only the byte oracles can see; one that survives is a gap in them, not a
-bug).  For each mutant the script copies src/, tests/, perfbench/ (which
+method that must be killed), equivalent (the same numbers but for rounding
+order or non-finite entries, which only the byte oracles can see; one that
+survives is a gap in them, not a bug) or limit (a bound or size constant
+moved past the edge that a test must hold).  For each mutant the script copies src/, tests/, perfbench/ (which
 tests read) and pyproject.toml of DIR (default: this repository) to a
 temporary directory, applies the patch there, and runs:
 
-- the tier-1 suite with -x: killed or survived, and the first failing test;
+- the tier-1 suite with -x: killed or survived, the first failing test and
+  the message lines (pytest's "E" lines) of its failure;
 - the check panel below: the exit code of each command (0 PASS, 4 FAIL,
   2 or 3 an error).
 
@@ -35,6 +37,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# the first message lines of a failure kept in the table
+MESSAGE_LINES = 12
 
 # name -> (kind, file under src/phint, old text, new text)
 MUTANTS = {
@@ -74,6 +78,49 @@ MUTANTS = {
         "semantic", "dirac.py",
         "np.abs(J + J.T)",
         "np.abs(J - J.T)"),
+    "check POWER_TOL 1e-6": (
+        "limit", "cli.py", "POWER_TOL = 1e-12", "POWER_TOL = 1e-6"),
+    "check SKEW_TOL 1e-6": (
+        "limit", "cli.py", "SKEW_TOL = 1e-12", "SKEW_TOL = 1e-6"),
+    "symplectic-pair tolerance 1e-3": (
+        "limit", "collocation.py",
+        "_SYMPLECTIC_PAIR_TOL = 1e-13", "_SYMPLECTIC_PAIR_TOL = 1e-3"),
+    "row-sum tolerance 1e-3": (
+        "limit", "collocation.py", "_ROW_SUM_TOL = 1e-13", "_ROW_SUM_TOL = 1e-3"),
+    "step count tolerance 1e-3 N": (
+        "limit", "integrator.py", "abs(n_float - N) > 1e-9 * N", "abs(n_float - N) > 1e-3 * N"),
+    "Newton MAX_ITER 20": (
+        "limit", "integrator.py",
+        "TOL, MAX_ITER, SQRT_EPS = 1e-12, 50,", "TOL, MAX_ITER, SQRT_EPS = 1e-12, 20,"),
+    "ROUNDING_FLOOR 1e-9": (
+        "limit", "energy.py", "ROUNDING_FLOOR = 1e-12", "ROUNDING_FLOOR = 1e-9"),
+    "order_fit over every point": (
+        "semantic", "energy.py",
+        "    usable = sorted(usable, key=lambda p: p[0])[:SLOPE_FIT_TAIL]\n", ""),
+    "linear-maps memo size 0": (
+        "limit", "integrator.py",
+        "MAPS_MEMO_SIZE, _maps_memo = 128, {}", "MAPS_MEMO_SIZE, _maps_memo = 0, {}"),
+    "dense-weights memo size 0": (
+        "limit", "integrator.py", "DENSE_MEMO_SIZE = 256", "DENSE_MEMO_SIZE = 0"),
+    "SCAN_MAX_N 0": (
+        "limit", "integrator.py", "SCAN_MAX_N = 64", "SCAN_MAX_N = 0"),
+    "Newton rebuild threshold 0.5": (
+        "limit", "integrator.py", "res > 0.1 * prev", "res > 0.5 * prev"),
+    "Newton warm give-up 0.9": (
+        "limit", "integrator.py", "it == 1 and res > 0.5 * prev", "it == 1 and res > 0.9 * prev"),
+    "Newton last correction dropped": (
+        "semantic", "integrator.py",
+        "return (X if self.inv is None else X - self.inv.dot(R)), res", "return X, res"),
+    "mechanical without its symmetrization": (
+        "semantic", "models.py", "    Q, P = 0.5 * (Q + Q.T), 0.5 * (P + P.T)\n", ""),
+    "one-matrix skew defect without max|M^-1|": (
+        "semantic", "dirac.py",
+        "return np.max(np.abs(J + J.T)) * Minv.max()", "return np.max(np.abs(J + J.T))"),
+    "skew defect over all stage pairs": (
+        "equivalent", "dirac.py",
+        "i, j = np.nonzero(Minv)", "i, j = np.nonzero(np.ones_like(Minv))"),
+    "dense_eval tau in [-1, 2]": (
+        "limit", "integrator.py", "not 0.0 <= tau <= 1.0", "not -1.0 <= tau <= 2.0"),
 }
 
 PANEL = {
@@ -85,6 +132,10 @@ PANEL = {
     "rigid-body gauss-4 x0=100,-50,20": ["--model", "rigid-body", "--input", "zero",
                                          "--scheme", "gauss", "--stages", "4",
                                          "--x0", "100,-50,20"],
+    "oscillator lobatto-3": ["--model", "oscillator", "--scheme", "lobatto", "--stages", "3"],
+    "oscillator gauss-2 r=0.5 portlevel": ["--model", "oscillator", "--scheme", "gauss",
+                                           "--stages", "2", "--r", "0.5",
+                                           "--feedback-mode", "portlevel"],
 }
 
 
@@ -99,7 +150,7 @@ def copy_tree(root: Path, work: Path):
 
 def run_suite(work: Path, env) -> dict:
     """The tier-1 suite of the copy with -x: killed or survived, the first
-    failing test, and the seconds it took."""
+    failing test with the message lines of its failure, and the seconds it took."""
     start = time.perf_counter()
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                           "-c", "pyproject.toml", "--rootdir", "."],
@@ -108,6 +159,7 @@ def run_suite(work: Path, env) -> dict:
     failed = re.search(r"^(?:FAILED|ERROR) (\S+)", run.stdout, re.MULTILINE)
     if failed:
         out["first_failure"] = failed.group(1)
+        out["message"] = re.findall(r"^E +(.*\S)", run.stdout, re.MULTILINE)[:MESSAGE_LINES]
     elif run.returncode:
         out["output"] = (run.stdout + run.stderr).strip().splitlines()[-3:]
     out["seconds"] = round(time.perf_counter() - start, 1)

@@ -17,9 +17,8 @@ from . import collocation as coll
 from . import dirac, energy
 from .errors import ConfigurationError, SolverDivergenceError
 from .integrator import _step_count, simulate
-from .models import (PORTLEVEL, FeedbackConfig, oscillator,
-                     partitioned_oscillator, pulse_input, rigid_body,
-                     zero_input)
+from .models import (PORTLEVEL, FeedbackConfig, _check_finite, oscillator,
+                     partitioned_oscillator, pulse_input, rigid_body, zero_input)
 
 MODELS = {
     "oscillator": oscillator,
@@ -160,12 +159,12 @@ def cmd_simulate(args) -> int:
 def cmd_converge(args) -> int:
     h_list = (DEFAULT_H_LIST if args.h_list is None
               else _floats("--h-list", args.h_list))
-    if not (np.isfinite(args.t_end) and args.t_end > 0.0):
-        raise ConfigurationError(f"--t-end must be finite and positive, got {args.t_end}")
-    for h in h_list:
-        if not (np.isfinite(h) and h > 0.0):
-            raise ConfigurationError(f"--h-list entries must be finite and positive, got {h}")
-        _step_count(h, args.t_end)  # simulate's grid rule, before any run
+    _check_finite("--t-end", args.t_end, positive=True)
+    for i, h in enumerate(h_list):
+        _check_finite("--h-list entries", h, positive=True)
+        N = _step_count(h, args.t_end)  # simulate's grid rule, before any run
+        if N in (_step_count(g, args.t_end) for g in h_list[:i]):  # a slope needs distinct h
+            raise ConfigurationError(f"--h-list repeats the step size {h} ({N} steps)")
     # one set-up for every h, which names a bad --r, input or x0 first
     model, scheme, x0, signal, feedback = _build(args)
     reference = _reference_for(args, x0)
@@ -191,7 +190,7 @@ def cmd_converge(args) -> int:
     slopes = []
     for column, points in (("eps_tilde", points_t), ("eps_bar", points_b)):
         try:
-            slopes.append(_fmt(energy.order_fit(points, tail=energy.SLOPE_FIT_TAIL)))
+            slopes.append(_fmt(energy.order_fit(points)))
         except ValueError as err:  # the rows are written without a slope row
             _write(args.out, [",".join(r) for r in [header] + rows])
             raise ConfigurationError(f"no {column} slope: {err}; choose --h-list "

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import operator
 from functools import cache
-from math import cos, frexp, isfinite, pi
+from math import cos, frexp, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -72,18 +72,9 @@ def _stage_count(kind: str, s) -> int:
     return operator.index(s)
 
 
-def gauss_legendre_nodes(s: int) -> np.ndarray:
-    """Shifted Gauss-Legendre collocation points on (0, 1), sorted ascending:
-    the fixed-point Legendre zeros of _gauss_nodes, each correctly rounded."""
-    return _round(_gauss_nodes(_stage_count(GAUSS, s), _BITS), _BITS)
-
-
-def lobatto_nodes(s: int) -> np.ndarray:
-    """Lobatto collocation points on [0, 1]: both endpoints plus the extrema
-    of the degree s-1 Legendre polynomial mapped to the unit interval."""
-    s = _stage_count(LOBATTO, s)
-    d = np.sqrt(5.0) / 10.0
-    return np.array({2: [0.0, 1.0], 3: [0.0, 0.5, 1.0], 4: [0.0, 0.5 - d, 0.5 + d, 1.0]}[s])
+# Lobatto nodes on [0, 1]: both endpoints plus the extrema of P_{s-1}(2t - 1)
+_LOBATTO_NODES = {2: (0.0, 1.0), 3: (0.0, 0.5, 1.0),
+                  4: (0.0, 0.5 - sqrt(5.0) / 10, 0.5 + sqrt(5.0) / 10, 1.0)}
 
 
 def _legendre(n: int, t: int, bits: int) -> list[int]:
@@ -145,7 +136,7 @@ def _tables(kind: str, s: int, bits: int):
     beta_kj / (2k + 1), symmetric term by term.  Gauss nodes are the fixed-point
     Legendre zeros, Lobatto nodes floats read exactly."""
     gauss = kind == GAUSS
-    c = _gauss_nodes(s, bits) if gauss else [_fixed(v, bits) for v in lobatto_nodes(s)]
+    c = _gauss_nodes(s, bits) if gauss else [_fixed(v, bits) for v in _LOBATTO_NODES[s]]
     cols = _coefficients(c, bits, gauss)
     A = [_integral_weights(cols, ci, bits) for ci in c]
     # beta_kj int_0^tau P~_k is d_k (P~_{k+1} - P~_{k-1}) with d_k = beta_kj / (2 (2k + 1)),
@@ -156,19 +147,6 @@ def _tables(kind: str, s: int, bits: int):
     M = [[(u[0] if u is v else 0) if gauss else
           sum(u[k] * v[k] // (2 * k + 1) for k in range(s)) >> bits for v in cols] for u in cols]
     return c, A, [col[0] for col in cols], M, W
-
-
-def iiib_from_iiia(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Companion coefficients from the symplectic-pair identity,
-    a_hat_ij = b_j - (b_j / b_i) a_ji."""
-    if np.any(b == 0.0):
-        raise ZeroDivisionError("pair construction needs nonzero weights")
-    return b[None, :] - (b[None, :] / b[:, None]) * A.T
-
-
-def check_c1(M: np.ndarray) -> bool:
-    """True iff every off-diagonal mass-matrix entry is exactly zero (C1)."""
-    return np.array_equal(M, np.diag(np.diagonal(M)))
 
 
 def quadratic_invariant_residual(scheme: CollocationScheme) -> float:
@@ -189,13 +167,13 @@ def symplectic_pair_residual(scheme: CollocationScheme) -> float:
 class CollocationScheme(ReadOnly):
     """Everything a discrete-time step needs: nodes c, tableau (A, b), mass
     matrix M, dense-output coefficients W (W[j, k] multiplies P_k(2 tau - 1)
-    in int_0^tau l_j), advertised order, c1 = check_c1(M) for every reader
-    and, for a Lobatto pair, the IIIB companion A_hat.  The record and its
+    in int_0^tau l_j), advertised order, c1 (True iff M is exactly diagonal,
+    C1) and, for a Lobatto pair, the IIIB companion A_hat.  The record and its
     arrays are read-only."""
 
     def __init__(self, kind: str, c, A, b, M, W, order: int, A_hat=None):
         vars(self).update(kind=kind, c=c, A=A, b=b, M=M, W=W, order=order, A_hat=A_hat,
-                          c1=check_c1(M))
+                          c1=np.array_equal(M, np.diag(np.diagonal(M))))
         for arr in (self.c, self.A, self.b, self.M, self.W, self.A_hat):
             if arr is not None:
                 arr.setflags(write=False)
@@ -235,5 +213,6 @@ def make_scheme(kind: str, s: int) -> CollocationScheme:
 def _make_scheme(kind: str, s: int) -> CollocationScheme:
     c, A, b, M, W = (_round(t, _BITS) for t in _tables(kind, s, _BITS))
     gauss = kind == GAUSS
+    # the IIIB companion from the symplectic-pair identity, a_hat_ij = b_j - (b_j / b_i) a_ji
     return CollocationScheme(kind, c, A, b, M, W, order=2 * s if gauss else 2 * s - 2,
-                             A_hat=None if gauss else iiib_from_iiia(A, b))
+                             A_hat=None if gauss else b[None, :] - (b[None, :] / b[:, None]) * A.T)

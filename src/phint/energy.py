@@ -11,8 +11,8 @@ from .errors import ConfigurationError, ReadOnly
 
 ROUNDING_FLOOR = 1e-12
 
-# number of smallest usable step sizes the convergence studies fit over; see
-# order_fit on why the large-h end of an error curve is left out
+# number of smallest usable step sizes order_fit fits over; see order_fit on
+# why the large-h end of an error curve is left out
 SLOPE_FIT_TAIL = 5
 
 LOSSLESS_FORCED = "lossless-forced"
@@ -138,24 +138,26 @@ def reference_solution(experiment: str, t, r: float = 0.1):
     return x, 0.5 * np.vecdot(x, x)
 
 
-def order_fit(points, tail: int | None = None) -> float:
+def order_fit(points) -> float:
     """Least-squares slope of log|error| vs log h, a convergence order, from
-    (h, |error|) pairs; points under the rounding floor are dropped, at least
-    3 must survive.
-
-    With tail=k the fit uses only the k smallest surviving step sizes.  Error
-    curves typically bend upward at large h (higher-order terms of the error
+    (h, error) pairs with distinct finite h > 0 and finite errors; points
+    under the rounding floor are dropped, at least 3 must survive, and the fit
+    uses only the SLOPE_FIT_TAIL smallest surviving step sizes.  Error curves
+    typically bend upward at large h (higher-order terms of the error
     expansion are not negligible there), and restricting the fit to the small-h
     tail keeps those pre-asymptotic points from biasing the slope.
     """
+    points = list(points)
+    for h, err in points:
+        if not (math.isfinite(h) and h > 0.0 and math.isfinite(err)):
+            raise ValueError(f"need a finite h > 0 and a finite error, got ({h}, {err})")
+    if len({h for h, _ in points}) < len(points):
+        raise ValueError("two points share a step size")
     usable = [(h, abs(err)) for h, err in points if abs(err) >= ROUNDING_FLOOR]
     if len(usable) < 3:
         raise ValueError(f"need >= 3 points above the {ROUNDING_FLOOR} rounding "
                          f"floor, have {len(usable)}")
-    if tail is not None:
-        if tail < 3:
-            raise ValueError("tail must be at least 3 points")
-        usable = sorted(usable, key=lambda p: p[0])[:tail]
+    usable = sorted(usable, key=lambda p: p[0])[:SLOPE_FIT_TAIL]
     log_h = np.log([h for h, _ in usable])
     log_e = np.log([err for _, err in usable])
     return float(np.polyfit(log_h, log_e, 1)[0])

@@ -246,11 +246,19 @@ def tables_mp(c_mp, gauss):
     return A, b, M, W
 
 
+# Lobatto float nodes on [0, 1]: both endpoints and the zeros of P_{s-1}'(2t - 1),
+# 1/2 and 1/2 -+ sqrt(5)/10, each correctly rounded
+LOBATTO_NODES = {2: [0.0, 1.0], 3: [0.0, 0.5, 1.0],
+                 4: [0.0, 0.5 - math.sqrt(5.0) / 10, 0.5 + math.sqrt(5.0) / 10, 1.0]}
+
+
 def scheme_mp(kind, s):
-    """The 40-digit builder's record of a scheme, as a dict of float arrays."""
+    """The 40-digit builder's record of a scheme, as a dict of float arrays;
+    a Lobatto pair's A_hat from the symplectic-pair identity
+    b_i a_hat_ij + b_j a_ji = b_i b_j on the rounded A and b."""
     gauss = kind == coll.GAUSS
     with mp.workdps(40):
-        c_mp = gauss_nodes_mp(s) if gauss else [mpf(v) for v in coll.lobatto_nodes(s)]
+        c_mp = gauss_nodes_mp(s) if gauss else [mpf(v) for v in LOBATTO_NODES[s]]
         A, b, M, W = tables_mp(c_mp, gauss)
     return {"c": np.array([float(v) for v in c_mp]), "A": A, "b": b, "M": M, "W": W,
-            "A_hat": None if gauss else coll.iiib_from_iiia(A, b)}
+            "A_hat": None if gauss else b[None, :] - (b[None, :] / b[:, None]) * A.T}

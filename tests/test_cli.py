@@ -266,6 +266,23 @@ def test_converge_rejects_non_positive_h(capsys, h_list):
     assert "--h-list entries must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h_list,repeated", [("0.1,0.1,0.1", "0.1 (180 steps)"),
+                                             ("0.1,0.05,0.05,0.05", "0.05 (360 steps)"),
+                                             ("0.1,0.05,0.1", "0.1 (180 steps)"),
+                                             ("0.1,0.10000000001,0.05",
+                                              "0.10000000001 (180 steps)")])
+def test_converge_rejects_a_repeated_step_size(capsys, monkeypatch, tmp_path, h_list, repeated):
+    # a slope over repeated h fits fewer step sizes than rows (it read 3.897
+    # and 4.383 with exit 0): exit 2 before the first run, naming the value,
+    # with no CSV.  An h within the step-count rule of an earlier one, the
+    # same grid, is a repeat too
+    monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("a run started"))
+    out = tmp_path / "sweep.csv"
+    assert run(["converge", "--t-end", "18", "--h-list", h_list, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --h-list repeats the step size {repeated}\n"
+    assert not out.exists()
+
+
 def test_converge_rejects_non_finite_t_end(capsys):
     assert run(["converge", "--t-end", "nan", "--h-list", "0.1"]) == 2
     assert "--t-end must be finite" in capsys.readouterr().err

@@ -17,21 +17,15 @@ from mpmath import mp
 from phint import collocation as coll
 from phint.errors import SchemeConstructionError
 
-from conftest import (fixed_to_mp, gauss_nodes_mp, lagrange_coefficients, leggauss_integral,
-                      monomial_lagrange, scheme_mp, tables_mp)
+from conftest import (LOBATTO_NODES, fixed_to_mp, gauss_nodes_mp, lagrange_coefficients,
+                      leggauss_integral, monomial_lagrange, scheme_mp, tables_mp)
 
-# sha256 of gauss_legendre_nodes(1 .. 8) as float64 little-endian bytes: the
-# Legendre zeros correctly rounded, which are the mp.polyroots roots of the
-# Rodrigues polynomial at 40 digits rounded once
+# sha256 of the Gauss 1 .. 8 node sets (the records' c) as float64 little-endian
+# bytes: the Legendre zeros correctly rounded, which are the mp.polyroots roots
+# of the Rodrigues polynomial at 40 digits rounded once
 NODES_DIGEST = "3cb6a93b35618ddc69b07e21e0bf482696dd9fae18335478265e8ac3d92ba00b"
 
 SQ5 = np.sqrt(5.0)
-
-LOBATTO_NODES = {
-    2: [0.0, 1.0],
-    3: [0.0, 0.5, 1.0],
-    4: [0.0, 0.5 - SQ5 / 10, 0.5 + SQ5 / 10, 1.0],
-}
 
 LOBATTO_A = {
     2: [[0.0, 0.0], [0.5, 0.5]],
@@ -66,21 +60,37 @@ def _gauss_closed_form(s):
         return tuple(np.array(x, dtype=float) for x in (c, A, b))
 
 
+def gauss_legendre_nodes(s):
+    """The Gauss node set of the record make_scheme builds."""
+    return coll.make_scheme(coll.GAUSS, s).c
+
+
+def lobatto_nodes(s):
+    """The Lobatto node set of the record make_scheme builds."""
+    return coll.make_scheme(coll.LOBATTO, s).c
+
+
+def _off_diagonal_zero(M):
+    """C1 written out: no off-diagonal entry of M is nonzero."""
+    return not np.any(M[~np.eye(len(M), dtype=bool)])
+
+
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_gauss_nodes_closed_form(s):
     # 1/2; 1/2 -+ sqrt(3)/6; 1/2 -+ sqrt(15)/10 and 1/2, each correctly rounded
-    assert coll.gauss_legendre_nodes(s).tobytes() == _gauss_closed_form(s)[0].tobytes()
+    assert gauss_legendre_nodes(s).tobytes() == _gauss_closed_form(s)[0].tobytes()
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_lobatto_nodes_closed_form(s):
-    assert np.allclose(coll.lobatto_nodes(s), LOBATTO_NODES[s], atol=1e-15)
+    # 0 and 1; 1/2; 1/2 -+ sqrt(5)/10, each correctly rounded
+    assert lobatto_nodes(s).tobytes() == np.array(LOBATTO_NODES[s]).tobytes()
 
 
 @pytest.mark.parametrize("s", range(1, 9))
 def test_gauss_nodes_are_legendre_roots(s):
     # shifted Legendre polynomial via the recurrence, evaluated at the nodes
-    c = coll.gauss_legendre_nodes(s)
+    c = gauss_legendre_nodes(s)
     x = 2.0 * c - 1.0
     pk_1, pk = np.ones_like(x), x
     for k in range(1, s):
@@ -157,12 +167,12 @@ def _digest(arrays):
 
 def test_tables_and_nodes_keep_their_bytes(all_schemes):
     # sha256 of the tables (c, A, b, M, W, A_hat of gauss 1-8, lobatto 2-4, in
-    # that order), as the 40-digit oracle makes them, and of gauss_legendre_nodes(1 .. 8)
+    # that order), as the 40-digit oracle makes them, and of the Gauss 1 .. 8 nodes
     tables = [getattr(scheme, name) for scheme in all_schemes.values()
               for name in ("c", "A", "b", "M", "W", "A_hat")]
     assert _digest(t for t in tables if t is not None) == \
         "7fd6a5cd0df8090ec6a83f05081ccdeb565e35b370160cefcacce760e970b374"
-    assert _digest(coll.gauss_legendre_nodes(s) for s in range(1, 9)) == NODES_DIGEST
+    assert _digest(gauss_legendre_nodes(s) for s in range(1, 9)) == NODES_DIGEST
 
 
 # The monomial construction the Legendre basis replaced, kept as its oracle:
@@ -208,7 +218,7 @@ def _monomial_tables(c_mp):
 def _oracle_scheme(kind, s):
     with mp.workdps(40):
         c_mp = (_polyroots_nodes(s) if kind == coll.GAUSS
-                else [mpmath.mpf(v) for v in coll.lobatto_nodes(s)])
+                else [mpmath.mpf(v) for v in LOBATTO_NODES[s]])
         A, b, M, W = _monomial_tables(c_mp)
     c = np.array([float(v) for v in c_mp])
     A_hat = None if kind == coll.GAUSS else b[None, :] - (b[None, :] / b[:, None]) * A.T
@@ -271,6 +281,24 @@ def test_lobatto_record_needs_symplectic_pair():
                                order=4, A_hat=lob3.A.copy())
 
 
+@pytest.mark.parametrize("kind,s,name,message", [
+    (coll.GAUSS, 2, "A", "row-sum consistency"),
+    (coll.LOBATTO, 3, "A_hat", "symplectic-pair")])
+def test_record_checks_at_their_tolerance(kind, s, name, message):
+    # a built record with one entry moved by 1e-9 fails its 1e-13 check (a
+    # check loosened to 1e-3 would pass it); moved by 1e-14 it passes
+    scheme = coll.make_scheme(kind, s)
+    for shift, caught in ((1e-9, True), (1e-14, False)):
+        arrays = {k: getattr(scheme, k) for k in ("c", "A", "b", "M", "W", "A_hat")}
+        arrays[name] = arrays[name].copy()
+        arrays[name][0, 0] += shift
+        if caught:
+            with pytest.raises(SchemeConstructionError, match=message):
+                coll.CollocationScheme(kind, order=scheme.order, **arrays)
+        else:
+            coll.CollocationScheme(kind, order=scheme.order, **arrays)
+
+
 def test_lagrange_functions_match_monomial_oracle(all_schemes):
     # the public float helper over float nodes against the monomial
     # construction over the same nodes
@@ -327,7 +355,7 @@ def test_cli_import_leaves_mpmath_out():
 @pytest.mark.parametrize("s", range(1, 9))
 def test_gauss_legendre_nodes_unchanged(s):
     expect = np.array([float(r) for r in _polyroots_nodes(s)])
-    assert coll.gauss_legendre_nodes(s).tobytes() == expect.tobytes()
+    assert gauss_legendre_nodes(s).tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("s", range(1, 9))
@@ -392,15 +420,13 @@ def test_lobatto_tableau_closed_form(s):
 
 
 def test_companion_tableau_closed_form():
-    # s=2: A_hat rows all (1/2, 0); s=3 from the pair identity, checked
-    # against the standard table
+    # the records' IIIB companions: s=2 rows all (1/2, 0); s=3 the standard table
     lob2 = coll.make_scheme(coll.LOBATTO, 2)
-    assert np.max(np.abs(coll.iiib_from_iiia(lob2.A, lob2.b) - [[0.5, 0.0], [0.5, 0.0]])) < 1e-14
+    assert np.max(np.abs(lob2.A_hat - [[0.5, 0.0], [0.5, 0.0]])) < 1e-14
     lob3 = coll.make_scheme(coll.LOBATTO, 3)
     expect = np.array([[1 / 6, -1 / 6, 0.0],
                        [1 / 6, 1 / 3, 0.0],
                        [1 / 6, 5 / 6, 0.0]])
-    assert np.max(np.abs(coll.iiib_from_iiia(lob3.A, lob3.b) - expect)) < 1e-14
     assert np.max(np.abs(lob3.A_hat - expect)) < 1e-14
 
 
@@ -445,7 +471,7 @@ def test_gauss_mass_matrix_is_diagonal(all_schemes):
     for (kind, s), scheme in all_schemes.items():
         if kind != coll.GAUSS:
             continue
-        assert coll.check_c1(scheme.M)
+        assert scheme.c1 and _off_diagonal_zero(scheme.M)
         assert np.max(np.abs(np.diag(scheme.M) - scheme.b)) < 1e-14
 
 
@@ -453,7 +479,7 @@ def test_lobatto_mass_matrix_not_diagonal(all_schemes):
     for (kind, s), scheme in all_schemes.items():
         if kind != coll.LOBATTO:
             continue
-        assert not coll.check_c1(scheme.M)
+        assert not scheme.c1 and not _off_diagonal_zero(scheme.M)
 
 
 def test_mass_matrix_symmetric_positive_definite(all_schemes):
@@ -499,7 +525,7 @@ def test_lagrange_basis_cardinal_property(all_schemes):
 
 
 def test_lagrange_partition_of_unity():
-    c = coll.gauss_legendre_nodes(4)
+    c = gauss_legendre_nodes(4)
     total = sum(np.polynomial.Polynomial(lagrange_coefficients(c, i))
                 for i in range(4))
     ts = np.linspace(0, 1, 17)
@@ -554,14 +580,14 @@ def test_non_integer_stage_counts_rejected(kind, s):
 
 
 @pytest.mark.parametrize("nodes,s", [
-    (coll.gauss_legendre_nodes, 2.0), (coll.gauss_legendre_nodes, 5.0),
-    (coll.gauss_legendre_nodes, True), (coll.gauss_legendre_nodes, "4"),
-    (coll.gauss_legendre_nodes, 0), (coll.gauss_legendre_nodes, 9),
-    (coll.lobatto_nodes, 4.0), (coll.lobatto_nodes, False),
-    (coll.lobatto_nodes, 1), (coll.lobatto_nodes, 5), (coll.lobatto_nodes, None)])
+    (gauss_legendre_nodes, 2.0), (gauss_legendre_nodes, 5.0),
+    (gauss_legendre_nodes, True), (gauss_legendre_nodes, "4"),
+    (gauss_legendre_nodes, 0), (gauss_legendre_nodes, 9),
+    (lobatto_nodes, 4.0), (lobatto_nodes, False),
+    (lobatto_nodes, 1), (lobatto_nodes, 5), (lobatto_nodes, None)])
 def test_node_sets_check_the_stage_count(nodes, s):
-    # the node functions take s as make_scheme does: bool, float and string
-    # counts are rejected with s named, not coerced or failed on in numpy
+    # make_scheme, the one source of a node set, rejects bool, float, string,
+    # None and out-of-range counts with s named, not coerced or failed on in numpy
     with pytest.raises(ValueError, match=f"stage count {s!r}"):
         nodes(s)
 
@@ -569,9 +595,8 @@ def test_node_sets_check_the_stage_count(nodes, s):
 @pytest.mark.parametrize("kind,s", [(coll.GAUSS, 2), (coll.GAUSS, 5),
                                     (coll.LOBATTO, 4)])
 def test_node_sets_take_numpy_integer_counts(kind, s):
-    nodes = coll.gauss_legendre_nodes if kind == coll.GAUSS else coll.lobatto_nodes
-    assert nodes(np.int64(s)).tobytes() == nodes(s).tobytes()
-    assert nodes(s).tobytes() == coll.make_scheme(kind, s).c.tobytes()
+    nodes = gauss_legendre_nodes if kind == coll.GAUSS else lobatto_nodes
+    assert nodes(np.int64(s)) is nodes(s)
 
 
 def test_numpy_integer_stage_count_is_the_int_scheme(monkeypatch):
@@ -624,23 +649,26 @@ def test_tableau_validation():
 
 
 def test_check_c1_is_exact():
-    # the smallest subnormal off the diagonal is not C1
-    M = coll.make_scheme(coll.GAUSS, 4).M.copy()
-    assert coll.check_c1(M)
-    M[0, 1] = 5e-324
-    assert not coll.check_c1(M)
+    # the record's c1 on Gauss-4's arrays (kind lobatto: no diag(b) check) is
+    # True, and the smallest subnormal off the diagonal is not C1
+    g4 = coll.make_scheme(coll.GAUSS, 4)
+    M = g4.M.copy()
+    for off, c1 in ((0.0, True), (5e-324, False)):
+        M[0, 1] = off
+        hand = coll.CollocationScheme(coll.LOBATTO, g4.c, g4.A, g4.b, M.copy(), g4.W, order=8)
+        assert hand.c1 is c1
 
 
 def test_c1_is_a_field_of_the_scheme(all_schemes):
-    # decided once, when the record is built, as check_c1 decides it
+    # decided once, when the record is built: M is diagonal exactly
     for scheme in all_schemes.values():
-        assert scheme.c1 is coll.check_c1(scheme.M) is (scheme.kind == coll.GAUSS)
+        assert scheme.c1 is _off_diagonal_zero(scheme.M) is (scheme.kind == coll.GAUSS)
     assert scheme_record([0.0, 1.0], [[0.0, 0.0], [0.5, 0.5]], [0.5, 0.5]).c1 is True  # M = I
     lob2 = all_schemes[(coll.LOBATTO, 2)]
     for M, c1 in ((lob2.M, False), (np.diag(lob2.b), True)):
         hand = coll.CollocationScheme(coll.LOBATTO, lob2.c, lob2.A, lob2.b, M, lob2.W,
                                       order=2, A_hat=lob2.A_hat)
-        assert hand.c1 is coll.check_c1(M) is c1
+        assert hand.c1 is _off_diagonal_zero(M) is c1
     with pytest.raises(AttributeError, match="read-only"):
         lob2.c1 = True
 
@@ -651,8 +679,4 @@ def test_make_scheme_rejects_an_unknown_kind():
 
 
 def test_pair_construction_needs_nonzero_weights():
-    A = np.array([[0.0, 0.0], [0.5, 0.5]])
-    assert coll.iiib_from_iiia(A, np.array([0.5, 0.5])).shape == (2, 2)
-    with pytest.raises(ZeroDivisionError):
-        coll.iiib_from_iiia(A, np.array([1.0, 0.0]))
     assert scheme_record([0.5], [[0.5]], [1.0]).s == 1

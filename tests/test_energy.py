@@ -1,5 +1,6 @@
 """Energy bookkeeping: increments, references, error metrics, slope fits and
 the dissipation split."""
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import phint.collocation as coll
 from phint.dirac import assemble_blocks
-from phint.energy import (DAMPED_FREE, LOSSLESS_FORCED, EnergyReport,
+from phint.energy import (DAMPED_FREE, LOSSLESS_FORCED, SLOPE_FIT_TAIL, EnergyReport,
                           delta_h_bar, delta_h_tilde, order_fit,
                           reference_solution, supplied_energy)
 from phint.errors import ConfigurationError
@@ -281,13 +282,34 @@ def test_order_fit_floor_and_point_count():
 
 
 def test_order_fit_tail_restriction():
-    # a contaminated large-h point is excluded by the tail fit
-    pts = [(h, h**2) for h in (0.1, 0.05, 0.025, 0.0125)]
-    pts.append((0.8, 10.0 * 0.8**2))
-    assert abs(order_fit(pts) - 2.0) > 0.1
-    assert abs(order_fit(pts, tail=4) - 2.0) < 1e-10
-    with pytest.raises(ValueError):
-        order_fit(pts, tail=2)
+    # the fit takes the SLOPE_FIT_TAIL = 5 smallest step sizes, in any order,
+    # so a contaminated large-h point that would bias a fit over all six
+    # points is dropped
+    pts = [(h, h**2) for h in (0.1, 0.05, 0.025, 0.0125, 0.00625)]
+    pts.insert(2, (0.8, 10.0 * 0.8**2))
+    assert SLOPE_FIT_TAIL == 5
+    every = np.polyfit(*np.log(pts).T, 1)[0]
+    assert abs(every - 2.0) > 0.1
+    assert abs(order_fit(pts) - 2.0) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [(0.0, 1e-3), (-0.1, 1e-3), (math.inf, 1e-3),
+                                 (math.nan, 1e-3), (0.4, math.inf), (0.4, -math.inf),
+                                 (0.4, math.nan)])
+def test_order_fit_rejects_a_point_with_no_log(bad):
+    # a non-finite or non-positive h and a non-finite error are errors, not a
+    # NaN slope or a point dropped as if it were under the rounding floor
+    pts = [(h, h**2) for h in (0.2, 0.1, 0.05)] + [bad]
+    with pytest.raises(ValueError, match=r"finite h > 0 and a finite error, got \("):
+        order_fit(pts)
+
+
+@pytest.mark.parametrize("hs", [(0.1, 0.1, 0.1), (0.1, 0.05, 0.05, 0.05),
+                                (0.2, 0.1, 0.05, 0.2)])
+def test_order_fit_rejects_a_repeated_step_size(hs):
+    # repeated h would fit a slope to fewer step sizes than points
+    with pytest.raises(ValueError, match="two points share a step size"):
+        order_fit([(h, h**2) for h in hs])
 
 
 # --- one-step energy error ---------------------------------------------------

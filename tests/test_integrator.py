@@ -475,6 +475,16 @@ def test_solver_divergence_reported(monkeypatch):
     assert exc.value.residual > 0.0
 
 
+@pytest.mark.parametrize("s", [2, 3])
+def test_newton_attempts_need_more_than_20_iterations(s):
+    # the rigid body from (100, 200, 300) at h = 0.05: the worst steps of
+    # Gauss-2 and Gauss-3 take 28 and 30 residual evaluations, so a MAX_ITER
+    # of 20 would stop the runs at steps 1 and 9
+    traj = simulate(rigid_body(), coll.make_scheme(coll.GAUSS, s),
+                    np.array([100.0, 200.0, 300.0]), zero_input(0), 0.05, 1.0)
+    assert traj.states.shape == (21, 3) and np.all(np.isfinite(traj.states))
+
+
 def test_singular_stage_jacobian_is_a_divergence():
     # xdot = 20 x under Gauss-1 at h = 0.1: the stage equation
     # X - x0 - h a 20 X = 0 has the zero Jacobian 1 - 0.1 * 0.5 * 20
@@ -1186,25 +1196,29 @@ def test_a_memo_entry_is_exactly_the_four_maps(kind, s, mode):
 
 
 @pytest.mark.parametrize("factory", [dense_model, dense_newton_model, oscillator, _pendulum])
-def test_steppers_take_c1_from_the_scheme(factory, monkeypatch):
-    # C1 is decided when a scheme is built: no stepper set-up or run tests M
-    # again.  The count sees a record built under the patch
-    model, calls, check_c1 = factory(), [], coll.check_c1
-    monkeypatch.setattr(coll, "check_c1", lambda M: calls.append(M) or check_c1(M))
+def test_steppers_take_c1_from_the_scheme(factory):
+    # C1 is decided when a scheme is built: a stepper takes M (and the
+    # port-level K) as the record's c1 says and never tests M again, so a
+    # field set against its M, through vars, decides the stepper's M too
+    model = factory()
     signal = two_channel_input() if model.m == 2 else pulse_input()
     for kind, s in ALL_SCHEMES:
         scheme = coll.make_scheme(kind, s)
+        liar = coll.CollocationScheme(scheme.kind, scheme.c, scheme.A, scheme.b, scheme.M,
+                                      scheme.W, scheme.order, scheme.A_hat)
+        vars(liar)["c1"] = not scheme.c1
         for mode in (None, "stagewise", "portlevel"):
-            stepper = _make_stepper(model, scheme, signal, 0.1, _feedback(mode))
-            assert stepper.M is scheme.M or stepper.M.base is scheme.M
-            assert stepper.M.ndim == (1 if scheme.c1 else 2)
-            simulate(model, scheme, np.full(model.n, 0.5), signal, 0.1, 0.3,
-                     feedback=_feedback(mode))
-    assert calls == []
-    lob2 = coll.make_scheme(coll.LOBATTO, 2)
-    coll.CollocationScheme(lob2.kind, lob2.c, lob2.A, lob2.b, lob2.M, lob2.W, lob2.order,
-                           lob2.A_hat)
-    assert len(calls) == 1
+            for record in (scheme, liar):
+                stepper = _make_stepper(model, record, signal, 0.1, _feedback(mode))
+                assert stepper.M is scheme.M or stepper.M.base is scheme.M
+                assert stepper.M.ndim == (1 if record.c1 else 2)
+                assert mode != "portlevel" or stepper.K is stepper.M
+            # a diagonal M gives the same y either way; a Lobatto M taken as
+            # its diagonal gives another
+            y = [simulate(model, record, np.full(model.n, 0.5), signal, 0.1, 0.3,
+                          feedback=_feedback(mode), retain_stages=True).stages.y
+                 for record in (scheme, liar)]
+            assert np.array_equal(*y) is scheme.c1
 
 
 def test_maps_memo_stays_bounded():
@@ -1515,6 +1529,15 @@ def test_non_positive_t_end_named(t_end):
                        match="t_end must be finite and positive"):
         simulate(oscillator(), coll.make_scheme(coll.GAUSS, 1), X0,
                  zero_input(), 0.1, t_end)
+
+
+@pytest.mark.parametrize("N", [1, 8, 1000])
+def test_step_count_tolerance_edge(N):
+    # t_end / h within 1e-9 N of N is N steps; N (1 + 1e-6) is no step count
+    h, scheme = 0.125, coll.make_scheme(coll.GAUSS, 1)
+    assert integrator._step_count(h, N * h * (1 + 1e-10)) == N
+    with pytest.raises(ConfigurationError, match="is not an integer step count"):
+        simulate(oscillator(), scheme, X0, zero_input(), h, N * h * (1 + 1e-6))
 
 
 # --- the one input path: the run's signal, of the model's width -------------
