@@ -20,7 +20,10 @@ rounding-visible models of tests/conftest.py (imported from there, so the
 test dependencies must be installed), whose dense products round, run the
 same way: the dense 4-state model and its Newton twin under the 11
 schemes x open/stagewise/portlevel feedback, and the rotated rigid body
-under Gauss 1-4 from the four rigid-body states.  A dense entry hashes
+under Gauss 1-4 from the four rigid-body states.  Every run so far takes
+180 steps or more; the oscillator and the dense model also run 1 and 129
+steps (SHORT_STEPS), open and port-level, under Gauss-1, Gauss-8 and
+Lobatto-4, so that the grid holds one-row products.  A dense entry hashes
 dense_eval at 0, each c_i, 1 and a fixed tau grid on every retained
 interval, and the same calls on the stacked record, of the open pulse runs
 of the 11 schemes on both oscillator models.  The second form lists the
@@ -48,6 +51,7 @@ INPUTS = ("pulse", "zero")
 RIGID_X0 = ((1.0, 1.0, 1.0), (1.0, 2.0, 3.0), (100.0, -50.0, 20.0),
             (1000.0, 1000.0, 1000.0))
 DENSE_TAUS = (0.1, 0.25, 0.5, 0.75, 0.9)
+SHORT_STEPS = (1, 129)
 TESTS = Path(__file__).resolve().parents[1] / "tests"
 
 
@@ -122,6 +126,19 @@ def api_grid(phint, models):
                 yield (f"api {label} {model.name} {mode} two-channel x0={tuple(x0.tolist())}",
                        (model, scheme, x0, models.two_channel_input(), 0.1, 18.0),
                        {"feedback": feedback})
+    # every entry above runs 180 steps; these linear runs of 1 and 129 steps
+    # also hold one-row products (N = 1, and the last scan pass at N = 129)
+    for label in ("gauss-1", "gauss-8", "lobatto-4"):
+        for mode in ("open", "portlevel"):
+            for steps in SHORT_STEPS:
+                yield (f"api {label} oscillator {mode} pulse x0=(0.0, -1.0) steps={steps}",
+                       (phint.oscillator(), schemes[label], np.array((0.0, -1.0)),
+                        phint.pulse_input(), 0.1, 0.1 * steps), {"feedback": feedbacks[mode]})
+                yield (f"api {label} dense {mode} two-channel "
+                       f"x0={tuple(models.DENSE_X0.tolist())} steps={steps}",
+                       (models.dense_model(), schemes[label], models.DENSE_X0,
+                        models.two_channel_input(), 0.1, 0.1 * steps),
+                       {"feedback": feedbacks[mode]})
     for s in (1, 2, 3, 4):
         for x0 in RIGID_X0:
             yield (f"api gauss-{s} rigid-body x0={x0}",

@@ -60,7 +60,7 @@ MUTANTS = {
         "TOL, MAX_ITER, SQRT_EPS = 1e-6,"),
     "scan without its increment pass": (
         "semantic", "integrator.py",
-        "return np.cumsum(np.concatenate([x0[None], v.dot(Delta.T) + drive]), axis=0)",
+        "return np.cumsum(np.concatenate([x0[None], _dot_t(v, Delta) + drive]), axis=0)",
         "return np.concatenate([v, v[-1:] + (v[-1:].dot(Delta.T) + drive[-1:])])"),
     "delta_h_tilde with b for M": (
         "semantic", "energy.py",
@@ -121,6 +121,11 @@ MUTANTS = {
         "i, j = np.nonzero(Minv)", "i, j = np.nonzero(np.ones_like(Minv))"),
     "dense_eval tau in [-1, 2]": (
         "limit", "integrator.py", "not 0.0 <= tau <= 1.0", "not -1.0 <= tau <= 2.0"),
+    "one-row products take the copy": (
+        "semantic", "dirac.py", "if len(x) >= 128 and", "if len(x) >= 1 and"),
+    "layout rule off": (
+        "equivalent", "dirac.py",
+        "np.ascontiguousarray(A.T) if len(x) >= 128 and A.shape[1] < 16 else A.T", "A.T"),
 }
 
 PANEL = {

@@ -46,14 +46,24 @@ def _stack_blocks(model, X):
     return J.reshape(X.shape + (n,)), G if G is None else G.reshape(X.shape + (m,))
 
 
+def _dot_t(x, A) -> np.ndarray:
+    """x A' for rows x (N, k) and one matrix A (r, k): A' copied C-contiguous,
+    which OpenBLAS runs about 3x faster than the transposed view ((3 600, 2)
+    by (2, 2): 5.6 against 17 us) with the same bytes, for N >= 128, k <= 15.
+    Every other product keeps the view: under the copy one row (numpy's
+    dgemv) and k >= 16 at some widths round differently, and under 128 rows
+    the copy costs more than it saves."""
+    return x.dot(np.ascontiguousarray(A.T) if len(x) >= 128 and A.shape[1] < 16 else A.T)
+
+
 def _apply(A, x) -> np.ndarray:
     """A x_k for every row x_k of x (..., k): a matvec per row for a stack A
-    (..., r, k), a single GEMM on the (rows, k) reshape for one matrix A."""
+    (..., r, k), a single GEMM (_dot_t) on the (rows, k) reshape for one matrix A."""
     if A.ndim > 2:
         return np.matvec(A, x)
     if x.ndim <= 2:
         return x.dot(A.T)
-    rows = x.reshape(math.prod(x.shape[:-1]), A.shape[1]).dot(A.T)
+    rows = _dot_t(x.reshape(math.prod(x.shape[:-1]), A.shape[1]), A)
     return rows.reshape(x.shape[:-1] + A.shape[:1])
 
 

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from . import dirac
 from .errors import ConfigurationError, ReadOnly
 
 ROUNDING_FLOOR = 1e-12
@@ -42,7 +43,7 @@ def delta_h_bar(model, states):
     state."""
     x = np.asarray(states, dtype=float)
     if model.Q is not None:
-        return 0.5 * np.vecdot(x[1:] - x[:-1], (x[1:] + x[:-1]).dot(model.Q.T))
+        return 0.5 * np.vecdot(x[1:] - x[:-1], dirac._dot_t(x[1:] + x[:-1], model.Q))
     H = np.fromiter((model.H(xk) for xk in x), float, len(x))
     return H[1:] - H[:-1]
 

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dirac import _stack_blocks, discrete_output, drift, efforts
+from .dirac import _dot_t, _stack_blocks, discrete_output, drift, efforts
 from .energy import delta_h_bar, delta_h_tilde, supplied_energy
 from .errors import ConfigurationError, ReadOnly, SolverDivergenceError
 from .models import STAGEWISE, _check_finite
@@ -137,7 +137,7 @@ class _Stepper:
 
     def _stage_sum(self, g):
         """h A g of the drift g (..., s, n), A_hat on the p rows of a pair."""
-        hAg = self.scheme.A @ g
+        hAg = self.scheme.A.dot(g) if g.ndim == 2 else self.scheme.A @ g
         if self.n_q is not None:
             hAg[..., self.n_q:] = self.scheme.A_hat @ g[..., self.n_q:]
         hAg *= self.h
@@ -191,9 +191,9 @@ class _LinearStepper(_Stepper):
     def run(self, x0, t0):
         w = self._inputs(t0)
         wf = w.reshape(len(t0), -1)
-        states = _affine_states(self.Delta, x0, wf.dot(self.Gamma.T))
-        X = states[:-1].dot(self.S.T)
-        X += wf.dot(self.T.T)
+        states = _affine_states(self.Delta, x0, _dot_t(wf, self.Gamma))
+        X = _dot_t(states[:-1], self.S)
+        X += _dot_t(wf, self.T)
         stage_x = X.reshape(len(t0), self.s, self.n)
         return states, self._solution(t0, states, stage_x,
                                       *self._drift(stage_x, w))
@@ -234,12 +234,12 @@ def _affine_states(Delta, x0, drive) -> np.ndarray:
         if m > 1:
             P = P + (P + P.dot(P))
         # v[:-m] + (v[:-m] P' + v[m:]) with two fewer temporaries
-        t = v[:-m].dot(P.T)
+        t = _dot_t(v[:-m], P)
         t += v[m:]
         t += v[:-m]
         v[m:] = t
         m *= 2
-    return np.cumsum(np.concatenate([x0[None], v.dot(Delta.T) + drive]), axis=0)
+    return np.cumsum(np.concatenate([x0[None], _dot_t(v, Delta) + drive]), axis=0)
 
 
 class _NewtonStepper(_Stepper):
@@ -274,7 +274,7 @@ class _NewtonStepper(_Stepper):
         for it in range(MAX_ITER):
             R = self._residual(X, x0, w)
             self.iterations += 1
-            prev, res = res, float(np.abs(R).max())
+            prev, res = res, float(np.maximum.reduce(np.abs(R)))
             if res <= TOL:
                 # the last correction needs no further residual evaluation
                 return (X if self.inv is None else X - self.inv.dot(R)), res

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import phint.collocation as coll
-from phint.dirac import (assemble_blocks, discrete_output, drift, kernel_check,
+from phint.dirac import (_dot_t, assemble_blocks, discrete_output, drift, kernel_check,
                          power_residual, structure_residual)
 from phint.integrator import StageSolution, simulate, solve_stages
 from phint.models import (FeedbackConfig, PHModel, oscillator,
@@ -187,6 +187,41 @@ def test_structure_residual_roundtrip():
     bond = consistent_bond(blocks, scheme, e, u, 0.1)
     assert structure_residual(*blocks, bond.f, bond.e, bond.u) < 1e-14
     assert structure_residual(*blocks, bond.f + 1e-3, bond.e, bond.u) > 1e-4
+
+
+class _Rows(np.ndarray):
+    """Rows whose dot records whether its right operand is C-contiguous."""
+    layouts = []
+
+    def dot(self, B):
+        _Rows.layouts.append(B.flags.c_contiguous)
+        return np.asarray(self).dot(B)
+
+
+@pytest.mark.parametrize("rows,k,copied", [(1, 2, False), (1, 15, False), (127, 2, False),
+                                           (128, 2, True), (2049, 15, True),
+                                           (128, 16, False), (2049, 16, False)])
+def test_layout_rule_edges(rows, k, copied):
+    # one row (numpy's dgemv) and fewer than 128 rows keep the transposed
+    # view of a C-contiguous A, 128 rows of at most 15 columns take A'
+    # C-contiguous, 16 columns keep the view; the bytes are the view's
+    rng = np.random.default_rng(rows + k)
+    x, A = rng.normal(size=(rows, k)), rng.normal(size=(3, k))
+    _Rows.layouts.clear()
+    assert _dot_t(x.view(_Rows), A).tobytes() == x.dot(A.T).tobytes()
+    assert _Rows.layouts == [copied]
+
+
+def test_both_layouts_round_alike_where_the_rule_copies():
+    # the rule's premise on the BLAS in use: for two or more rows and at most
+    # 15 columns, x A' with A' C-contiguous has the transposed view's bytes
+    rng = np.random.default_rng(17)
+    for rows in (2, 3, 128, 129, 4097):
+        for k in range(1, 16):
+            for r in (1, 2, 3, 4, 12, 16, 64):
+                x, A = rng.normal(size=(rows, k)), rng.normal(size=(r, k))
+                assert (x.dot(A.T).tobytes()
+                        == x.dot(np.ascontiguousarray(A.T)).tobytes()), (rows, k, r)
 
 
 def _matvec_structure_residual(J, G, f, e, u):

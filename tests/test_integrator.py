@@ -811,6 +811,40 @@ def test_linear_run_keeps_the_matmul_products_bytes(kind, s, monkeypatch):
     assert got == [_run_bytes(*args, feedback=_feedback(mode)) for args, mode in runs]
 
 
+LAYOUT_SCHEMES = [(coll.GAUSS, 1), (coll.GAUSS, 2), (coll.GAUSS, 8),
+                  (coll.LOBATTO, 3), (coll.LOBATTO, 4)]
+
+
+@pytest.mark.parametrize("kind,s", LAYOUT_SCHEMES, ids=[f"{k}{s}" for k, s in LAYOUT_SCHEMES])
+def test_layout_rule_keeps_every_byte(kind, s, monkeypatch):
+    # dirac._dot_t hands BLAS A' C-contiguous on products of at least 128
+    # rows and at most 15 columns; with every product forced onto the
+    # transposed view, linear runs of 1 to 2 049 steps (one-row scan passes
+    # at N = 2, 3, 17, 129 and 2 049) keep every recorded byte, on both
+    # oscillators and the dense two-channel model, open and under feedback
+    scheme = coll.make_scheme(kind, s)
+    runs = [((factory(), scheme, x0, signal(), 0.05, N * 0.05), mode)
+            for factory, x0, signal in ((oscillator, X0, pulse_input),
+                                        (partitioned_oscillator, X0, pulse_input),
+                                        (dense_model, DENSE_X0, two_channel_input))
+            for mode in (None, "stagewise", "portlevel") for N in (1, 2, 3, 17, 129, 2049)]
+    dot_t, copied = dirac._dot_t, []
+
+    def spy(x, A):
+        copied.append(len(x) >= 128 and A.shape[1] < 16)
+        return dot_t(x, A)
+
+    for module in (dirac, integrator):
+        monkeypatch.setattr(module, "_dot_t", spy)
+    integrator._maps_memo.clear()
+    got = [_run_bytes(*args, feedback=_feedback(mode)) for args, mode in runs]
+    assert any(copied) and not all(copied)
+    for module in (dirac, integrator):
+        monkeypatch.setattr(module, "_dot_t", lambda x, A: x.dot(A.T))
+    integrator._maps_memo.clear()
+    assert got == [_run_bytes(*args, feedback=_feedback(mode)) for args, mode in runs]
+
+
 @pytest.mark.parametrize("x0", [[300.0, -900.0, 300.0], [-200.0, 900.0, 400.0]])
 def test_newton_divergence_is_the_per_step_loops(x0, monkeypatch):
     # Gauss-1 from these states stops after a few steps: the same step index,
