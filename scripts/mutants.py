@@ -108,6 +108,11 @@ MUTANTS = {
         "limit", "integrator.py", "res > 0.1 * prev", "res > 0.5 * prev"),
     "Newton warm give-up 0.9": (
         "limit", "integrator.py", "it == 1 and res > 0.5 * prev", "it == 1 and res > 0.9 * prev"),
+    "no continuation in h": (
+        "semantic", "integrator.py", "if step < MIN_THETA_STEP:", "if True:"),
+    "continuation returns the last theta < 1": (
+        "semantic", "integrator.py",
+        "while theta < 1.0:", "while theta == 0.0 or theta + step < 1.0:"),
     "Newton last correction dropped": (
         "semantic", "integrator.py",
         "return (X if self.inv is None else X - self.inv.dot(R)), res", "return X, res"),

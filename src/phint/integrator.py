@@ -35,8 +35,10 @@ from .errors import ConfigurationError, ReadOnly, SolverDivergenceError
 from .models import STAGEWISE, _check_finite
 
 # Newton stops once max|R| <= TOL, and reports a divergence after MAX_ITER
-# residual evaluations of one attempt
+# residual evaluations of one attempt; continuation in h gives up on a step
+# once its increment of the fraction of h falls below MIN_THETA_STEP
 TOL, MAX_ITER, SQRT_EPS = 1e-12, 50, math.sqrt(np.finfo(float).eps)
+MIN_THETA_STEP = 2.0 ** -10
 
 
 class StageSolution(ReadOnly):
@@ -247,7 +249,8 @@ class _NewtonStepper(_Stepper):
     finite-difference Jacobian, one interval at a time.  The inverted
     iteration matrix is carried across steps, and a step starts from the
     previous interval's collocation polynomial at its nodes; if that warm
-    attempt fails, the step restarts from x0 with a fresh Jacobian."""
+    attempt fails, the step restarts from x0 with a fresh Jacobian, and if
+    that cold attempt fails too, it is reached by continuation in h (_cold)."""
 
     def _residual(self, X, x0, w):
         """Residuals (stage_x - x0) - h A g (..., s n) of stage states X (..., s n)."""
@@ -288,6 +291,32 @@ class _NewtonStepper(_Stepper):
             f"stage equations did not converge below {TOL} "
             f"in {MAX_ITER} iterations", residual=res)
 
+    def _cold(self, x0, w):
+        """Stages and residual of the step from x0 by continuation in h: the
+        stage equations with theta h for h, solved for theta up to exactly 1,
+        each from the last theta's stages with the matrix carried (fresh at
+        the start and after a failure).  Theta's increment starts at
+        self.theta_step, 1 (the cold attempt itself) or, after a run's first
+        failed cold attempt, 1/2; it doubles after a success, halves after a
+        failure, and the step fails once it is below MIN_THETA_STEP."""
+        h, X, theta, step, self.inv = self.h, x0[self.tile], 0.0, self.theta_step, None
+        try:
+            while theta < 1.0:
+                step = min(step, 1.0 - theta)
+                self.h = (theta + step) * h
+                try:
+                    X, res = self._newton(X, x0, w, warm=False)
+                    theta, step = theta + step, 2.0 * step
+                except SolverDivergenceError as err:
+                    step, self.inv, self.theta_step = 0.5 * step, None, 0.5
+                    if step < MIN_THETA_STEP:
+                        raise SolverDivergenceError(
+                            f"{err}; continuation in h reached {theta:g} of h",
+                            residual=err.residual) from None
+        finally:
+            self.h = h
+        return X, res
+
     def run(self, x0, t0):
         w = self._inputs(t0)
         N, s, n = len(t0), self.s, self.n
@@ -299,7 +328,7 @@ class _NewtonStepper(_Stepper):
         G = np.empty((N, s, n, self.m)) if self.m and not self.model.constant_structure else None
         # E[i, j] = int_0^{1 + c_i} l_j carries the polynomial to the next nodes
         E = dense_weights(self.scheme, 1.0 + self.scheme.c).T
-        states[0], guess, self.inv = x0, None, None
+        states[0], guess, self.inv, self.theta_step = x0, None, None, 1.0
         for k in range(N):
             x, self.iterations, self.builds = states[k], 0, 0
             try:
@@ -309,8 +338,7 @@ class _NewtonStepper(_Stepper):
                     except SolverDivergenceError:
                         guess = None
                 if guess is None:
-                    self.inv = None
-                    X, res[k] = self._newton(x[self.tile], x, w[k], warm=False)
+                    X, res[k] = self._cold(x, w[k])
             except SolverDivergenceError as err:
                 err.step_index = k
                 raise

@@ -171,6 +171,14 @@ def rotated_rigid_body():
                    J=rigid_body().J, G=lambda x: np.zeros((3, 0)), name="rotated-rigid-body")
 
 
+def fold_model():
+    """xdot = x^2 (J = [[x]], H = x^2 / 2): the Gauss-1 stage equation
+    X = x0 + (theta h / 2) X^2 has a real root only up to the fold
+    theta = 1 / (2 h x0), so continuation in h cannot reach h beyond it."""
+    return PHModel(1, 0, H=lambda x: 0.5 * (x @ x), gradH=lambda x: x,
+                   J=lambda x: [[x[0]]], G=lambda x: np.zeros((1, 0)), name="fold")
+
+
 # The 40-digit mpmath table builder that the fixed-point one replaced, kept as
 # its oracle: the same algorithm on mpf at 40 digits, rounded once to float.
 

@@ -18,8 +18,8 @@ from phint.models import (FeedbackConfig, InputSignal, PHModel, oscillator,
                           partitioned_oscillator, pulse_input, rigid_body,
                           zero_input)
 
-from conftest import (general_kernel_check, matmul_delta_h_tilde, matmul_discrete_output,
-                      stride0_blocks)
+from conftest import (fold_model, general_kernel_check, matmul_delta_h_tilde,
+                      matmul_discrete_output, stride0_blocks)
 
 
 def run(argv):
@@ -595,6 +595,20 @@ def test_simulate_overflowing_energy_exits_3(tmp_path, capsys):
     assert "solver failure at step 0" in capsys.readouterr().err
     assert not (tmp_path / "big_traj.csv").exists()
     assert not (tmp_path / "big_energy.csv").exists()
+
+
+def test_failed_continuation_exits_3(tmp_path, capsys, monkeypatch):
+    # a step that neither Newton attempt nor continuation in h solves (Gauss-1
+    # on the fold model from 1 at h = 0.3, step 2) exits 3 with its step
+    # index, the continuation's reach and the residual, and writes no CSV
+    monkeypatch.setitem(cli.MODELS, "oscillator", fold_model)
+    code = run(["simulate", "--x0", "1", "--input", "zero", "--scheme", "gauss",
+                "--stages", "1", "--h", "0.3", "--t-end", "3", "--out", str(tmp_path / "f")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure at step 2: stage equations did not converge")
+    assert "; continuation in h reached 0.5" in err and "of h (residual " in err
+    assert not list(tmp_path.iterdir())
 
 
 def _jump_input():

@@ -1,6 +1,8 @@
 """Stage solves, stepping, dense output, conservation and solver dispatch."""
 import importlib
+import math
 import pathlib
+import re
 import sys
 import tracemalloc
 from decimal import Decimal
@@ -26,7 +28,7 @@ from phint.models import (STAGEWISE, FeedbackConfig, InputSignal, PHModel,
                           pulse_input, rigid_body, zero_input)
 
 from conftest import (DENSE_G, DENSE_J, DENSE_Q, DENSE_X0, ROTATED_RIGID_X0, dense_model,
-                      dense_newton_model, lagrange_coefficients, matmul_apply,
+                      dense_newton_model, fold_model, lagrange_coefficients, matmul_apply,
                       matmul_discrete_output, rotated_rigid_body, stride0_blocks,
                       two_channel_input)
 
@@ -487,10 +489,12 @@ def test_newton_attempts_need_more_than_20_iterations(s):
 
 def test_singular_stage_jacobian_is_a_divergence():
     # xdot = 20 x under Gauss-1 at h = 0.1: the stage equation
-    # X - x0 - h a 20 X = 0 has the zero Jacobian 1 - 0.1 * 0.5 * 20
+    # X - x0 - h a 20 X = 0 has the zero Jacobian 1 - 0.1 * 0.5 * 20, which
+    # continuation in h approaches to within its last increment, 2^-10
     model = PHModel(1, 0, H=lambda x: 0.5 * (x @ x), gradH=lambda x: x,
                     J=lambda x: [[20.0]], G=lambda x: np.zeros((1, 0)))
-    with pytest.raises(SolverDivergenceError, match="singular") as exc:
+    with pytest.raises(SolverDivergenceError,
+                       match="singular; continuation in h reached 0.999023 of h$") as exc:
         simulate(model, coll.make_scheme(coll.GAUSS, 1), np.array([1.0]),
                  zero_input(0), 0.1, 1.0)
     assert exc.value.step_index == 0
@@ -521,22 +525,28 @@ def test_newton_work_budget(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     newton_builds = importlib.import_module("tracing").newton_builds
     n, steps = 3, 100
-    for s in (1, 2, 3, 4):
-        for x0 in (np.ones(3), RIGID_DIRECTION, 1e3 * RIGID_DIRECTION):
-            model, calls = rigid_body(), []
-            cross = model.J
-            model.J = lambda x: calls.append(1) or cross(x)
-            traj = simulate(model, coll.make_scheme(coll.GAUSS, s), x0,
-                            zero_input(0), 0.01, 1.0, retain_stages=True)
-            iterations = int(traj.stages.iterations.sum())
-            builds = int(traj.stages.builds.sum())
-            assert iterations == sum(sol.iterations for sol in traj.stage_solutions)
-            assert builds == sum(sol.builds for sol in traj.stage_solutions)
-            assert len(calls) == s * (iterations + s * n * builds + steps)
-            assert newton_builds(len(calls), s, n, steps, iterations) == builds >= 1
-            if s == 2 and x0[0] == 1.0:
-                # a Jacobian rebuilt on every step alone costs 2 * 6 * 100
-                assert len(calls) <= 1000
+    # the last run reaches some of its steps by continuation in h
+    runs = [(s, x0) for s in (1, 2, 3, 4)
+            for x0 in (np.ones(3), RIGID_DIRECTION, 1e3 * RIGID_DIRECTION)]
+    runs.append((1, np.array(RIGID_PANEL_STOPS[0])))
+    sizes = _record_step_sizes(monkeypatch)
+    for i, (s, x0) in enumerate(runs):
+        sizes.clear()
+        model, calls = rigid_body(), []
+        cross = model.J
+        model.J = lambda x: calls.append(1) or cross(x)
+        traj = simulate(model, coll.make_scheme(coll.GAUSS, s), x0,
+                        zero_input(0), 0.01, 1.0, retain_stages=True)
+        iterations = int(traj.stages.iterations.sum())
+        builds = int(traj.stages.builds.sum())
+        assert iterations == sum(sol.iterations for sol in traj.stage_solutions)
+        assert builds == sum(sol.builds for sol in traj.stage_solutions)
+        assert len(calls) == s * (iterations + s * n * builds + steps)
+        assert newton_builds(len(calls), s, n, steps, iterations) == builds >= 1
+        assert (min(sizes) < 0.01) == (i == len(runs) - 1)
+        if s == 2 and x0[0] == 1.0:
+            # a Jacobian rebuilt on every step alone costs 2 * 6 * 100
+            assert len(calls) <= 1000
 
 
 def test_linear_run_records_no_builds():
@@ -563,7 +573,8 @@ def test_newton_run_records_builds_per_interval():
 class _PerStepNewton(integrator._Stepper):
     """The Newton loop as it was before its run record was preallocated: a
     negated flow at every iterate, a tuple per step, one restack at the end
-    and a second stacked pass over the restacked J and G for u, f and y.  A
+    and a second stacked pass over the restacked J and G for u, f and y,
+    with the stepper's continuation in h after a failed cold attempt.  A
     constant structure is applied as its two matrices, one GEMM per product,
     as the stepper applies it: stride-0 stacks of them, which np.matvec
     applies stage by stage, round a dense product differently.  The oracle of
@@ -616,6 +627,30 @@ class _PerStepNewton(integrator._Stepper):
             f"stage equations did not converge below {tol} "
             f"in {integrator.MAX_ITER} iterations", residual=res)
 
+    def _continued(self, x0, w):
+        """The cold attempt, then continuation in h: attempts on the stage
+        equations with the fraction theta of h, theta in exact dyadic steps
+        of 1 (1/2 once the run has failed a cold attempt), doubled after a
+        success and halved after a failure down to 2^-10, each from the last
+        stages solved, with a fresh matrix first and after a failure."""
+        h, X, theta, step = self.h, np.tile(x0, self.s), Fraction(0), self.first_step
+        self.inv = None
+        while theta < 1:
+            step = min(step, 1 - theta)
+            self.h = float(theta + step) * h
+            try:
+                X, res = self._newton(X, x0, w, warm=False)
+            except SolverDivergenceError as err:
+                self.h, self.inv, self.first_step, step = h, None, Fraction(1, 2), step / 2
+                if step < Fraction(1, 1024):
+                    raise SolverDivergenceError(
+                        f"{err}; continuation in h reached {float(theta):g} of h",
+                        residual=err.residual) from None
+                continue
+            theta, step = theta + step, 2 * step
+        self.h = h
+        return X, res
+
     def _step(self, x0, w, guess):
         self.iterations = 0
         if guess is not None:
@@ -624,8 +659,7 @@ class _PerStepNewton(integrator._Stepper):
             except SolverDivergenceError:
                 guess = None
         if guess is None:
-            self.inv = None
-            X, res = self._newton(np.tile(x0, self.s), x0, w, warm=False)
+            X, res = self._continued(x0, w)
         stage_x = X.reshape(self.s, self.n)
         e, J, G, f = self._bonds(stage_x, w)
         return (stage_x, e, J, G, f, self.iterations, res,
@@ -634,7 +668,7 @@ class _PerStepNewton(integrator._Stepper):
     def run(self, x0, t0):
         w = self._inputs(t0)
         x, guess, steps = x0, None, []
-        self.inv = None
+        self.inv, self.first_step = None, Fraction(1)
         E = dense_weights(self.scheme, 1.0 + self.scheme.c).T
         for k, wk in enumerate(w):
             try:
@@ -845,20 +879,85 @@ def test_layout_rule_keeps_every_byte(kind, s, monkeypatch):
     assert got == [_run_bytes(*args, feedback=_feedback(mode)) for args, mode in runs]
 
 
+def _record_step_sizes(monkeypatch):
+    """The h of every Newton attempt of the runs that follow: a fraction of
+    the run's h on the attempts of a continuation."""
+    sizes, newton = [], integrator._NewtonStepper._newton
+    monkeypatch.setattr(integrator._NewtonStepper, "_newton",
+                        lambda self, *a, warm: sizes.append(self.h)
+                        or newton(self, *a, warm=warm))
+    return sizes
+
+
 @pytest.mark.parametrize("x0", [[300.0, -900.0, 300.0], [-200.0, 900.0, 400.0]])
-def test_newton_divergence_is_the_per_step_loops(x0, monkeypatch):
-    # Gauss-1 from these states stops after a few steps: the same step index,
-    # message and residual as the per-step loop
+def test_newton_rescue_is_the_per_step_loops(x0, monkeypatch):
+    # Gauss-1 from these states fails a cold attempt after a few steps and
+    # reaches that step by continuation in h: every recorded array equals
+    # the per-step loop's, which continues the same way, byte for byte
     args = (rigid_body(), coll.make_scheme(coll.GAUSS, 1), np.array(x0),
             zero_input(0), 0.01, 1.0)
-    with pytest.raises(SolverDivergenceError) as got:
+    sizes = _record_step_sizes(monkeypatch)
+    got = _run_bytes(*args)
+    assert min(sizes) < 0.01 == max(sizes)
+    monkeypatch.setattr(integrator, "_NewtonStepper", _PerStepNewton)
+    assert got == _run_bytes(*args)
+
+
+def test_newton_divergence_is_the_per_step_loops(monkeypatch):
+    # Gauss-1 on the fold model from x0 = 1 at h = 0.3 solves steps 0 and 1
+    # by the root X = (1 - sqrt(1 - 2 h x)) / h and fails step 2, where
+    # 2 h x_2 > 1: the message names the theta continuation reached, within
+    # two of its last increments of the fold 1 / (2 h x_2), and the step
+    # index, message and residual are the per-step loop's
+    args = (fold_model(), coll.make_scheme(coll.GAUSS, 1), np.array([1.0]),
+            zero_input(0), 0.3, 3.0)
+    with pytest.raises(SolverDivergenceError, match="did not converge") as got:
         simulate(*args)
+    x = 1.0
+    for _ in range(2):
+        x += 0.3 * ((1.0 - math.sqrt(1.0 - 0.6 * x)) / 0.3) ** 2
+    reached = re.search(r"; continuation in h reached (\S+) of h$", str(got.value))
+    assert abs(float(reached.group(1)) - 1.0 / (0.6 * x)) <= 2.0 ** -8
     monkeypatch.setattr(integrator, "_NewtonStepper", _PerStepNewton)
     with pytest.raises(SolverDivergenceError) as want:
         simulate(*args)
-    assert got.value.step_index == want.value.step_index > 0
+    assert got.value.step_index == want.value.step_index == 2
     assert str(got.value) == str(want.value)
     assert got.value.residual.hex() == want.value.residual.hex()
+
+
+# the fixed 10^3 panel of the rigid-newton benchmark (blocks 0-15) holds nine
+# directions from which Gauss-1 at h = 0.01 fails a cold attempt (at steps 0,
+# 1, 1, 2, 4, 4, 5, 13 and 79), so a run with no continuation stops there
+RIGID_PANEL_STOPS = [
+    (0.3751813905850593, -985.9811945672426, 166.85605532517337),
+    (288.6783449626961, 949.0182186986165, -126.6066101264211),
+    (-386.20068930687506, -410.5707477110741, 826.0028381929836),
+    (-389.5287218281157, 459.2821659428707, -798.3277941533665),
+    (437.12194195233116, 506.47530081388254, -743.2409955924862),
+    (-525.7678515212276, -332.69650414380857, 782.8672955471068),
+    (516.3847093450129, -647.4470795575929, -560.4989840552886),
+    (-557.2826515978855, -338.555495685787, -758.166355471529),
+    (-539.8043443587417, -383.33851880048763, -749.4416920716895)]
+# (s, x0, h) of rigid-body runs over t_end = 1 that stop without continuation
+RIGID_RESCUES = ([(1, x0, 0.01) for x0 in RIGID_PANEL_STOPS]
+                 + [(s, (100.0, 200.0, 300.0), 0.1) for s in (2, 3, 4)]
+                 + [(s, (1e3, 1e3, 1e3), 0.01) for s in (1, 2, 3, 4)])
+RESCUE_IDS = ([f"gauss1-panel{i}" for i in range(9)]
+              + [f"gauss{s}-100x123-h0.1" for s in (2, 3, 4)]
+              + [f"gauss{s}-1e3x111" for s in (1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("s,x0,h", RIGID_RESCUES, ids=RESCUE_IDS)
+def test_rigid_body_at_scale_completes_by_continuation(s, x0, h, monkeypatch):
+    # every run reaches a step by continuation in h and completes, with the
+    # energy balance of the benchmark's gate and the Casimir |x|^2 kept
+    model, x0 = rigid_body(), np.array(x0)
+    sizes = _record_step_sizes(monkeypatch)
+    traj = simulate(model, coll.make_scheme(coll.GAUSS, s), x0, zero_input(0), h, 1.0)
+    assert min(sizes) < h and traj.states.shape == (round(1.0 / h) + 1, 3)
+    assert np.max(np.abs(traj.dh_bar)) <= 1e-12 * max(1.0, model.H(x0))
+    assert np.max(np.abs(np.sum(traj.states ** 2, axis=1) / (x0 @ x0) - 1.0)) <= 1e-13
 
 
 def test_stage_solutions_build_intervals_on_access():
