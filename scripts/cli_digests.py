@@ -20,8 +20,10 @@ rounding-visible models of tests/conftest.py (imported from there, so the
 test dependencies must be installed), whose dense products round, run the
 same way: the dense 4-state model and its Newton twin under the 11
 schemes x open/stagewise/portlevel feedback, and the rotated rigid body
-under Gauss 1-4 from the four rigid-body states.  Every run so far takes
-180 steps or more; the oscillator and the dense model also run 1 and 129
+under Gauss 1-4 from the four rigid-body states; so do the nine Gauss-1
+rigid-body runs of the benchmark's 10^3 panel (RIGID_PANEL_STOPS there),
+which reach a step by continuation in h.  Every run so far takes 100
+steps or more; the oscillator and the dense model also run 1 and 129
 steps (SHORT_STEPS), open and port-level, under Gauss-1, Gauss-8 and
 Lobatto-4, so that the grid holds one-row products.  A dense entry hashes
 dense_eval at 0, each c_i, 1 and a fixed tau grid on every retained
@@ -147,6 +149,12 @@ def api_grid(phint, models):
             yield (f"api gauss-{s} rotated-rigid-body x0={x0}",
                    (models.rotated_rigid_body(), schemes[f"gauss-{s}"], np.array(x0),
                     phint.zero_input(0), 0.01, 1.0), {})
+    # the Gauss-1 runs of the benchmark's 10^3 panel that reach a step by
+    # continuation in h
+    for x0 in models.RIGID_PANEL_STOPS:
+        yield (f"api gauss-1 rigid-body x0={x0}",
+               (phint.rigid_body(), schemes["gauss-1"], np.array(x0), phint.zero_input(0),
+                0.01, 1.0), {})
 
 
 def dense_digest(phint, kind, s, model):

@@ -99,7 +99,12 @@ MUTANTS = {
         "    usable = sorted(usable, key=lambda p: p[0])[:SLOPE_FIT_TAIL]\n", ""),
     "linear-maps memo size 0": (
         "limit", "integrator.py",
-        "MAPS_MEMO_SIZE, _maps_memo = 128, {}", "MAPS_MEMO_SIZE, _maps_memo = 0, {}"),
+        "MAPS_MEMO_SIZE, MAPS_MEMO_BYTES, _maps_memo = 128, 2 ** 26, {}",
+        "MAPS_MEMO_SIZE, MAPS_MEMO_BYTES, _maps_memo = 0, 2 ** 26, {}"),
+    "linear-maps memo bytes 2 ** 27": (
+        "limit", "integrator.py",
+        "MAPS_MEMO_SIZE, MAPS_MEMO_BYTES, _maps_memo = 128, 2 ** 26, {}",
+        "MAPS_MEMO_SIZE, MAPS_MEMO_BYTES, _maps_memo = 128, 2 ** 27, {}"),
     "dense-weights memo size 0": (
         "limit", "integrator.py", "DENSE_MEMO_SIZE = 256", "DENSE_MEMO_SIZE = 0"),
     "SCAN_MAX_N 0": (
@@ -131,6 +136,15 @@ MUTANTS = {
     "layout rule off": (
         "equivalent", "dirac.py",
         "np.ascontiguousarray(A.T) if len(x) >= 128 and A.shape[1] < 16 else A.T", "A.T"),
+    "residual reads the previous step's tiled x0": (
+        "semantic", "integrator.py",
+        "x0t, self.iterations, self.builds, self.fd_eye = x[self.tile], 0, 0, None",
+        ("x0t, self.iterations, self.builds, self.fd_eye = "
+         "states[max(k - 1, 0)][self.tile], 0, 0, None")),
+    "FD step of the previous step": (
+        "semantic", "integrator.py",
+        "x0t, self.iterations, self.builds, self.fd_eye = x[self.tile], 0, 0, None",
+        "x0t, self.iterations, self.builds = x[self.tile], 0, 0"),
 }
 
 PANEL = {

@@ -16,8 +16,8 @@ plus one pass that adds up the per-step increments as the per-step loop does
 through simplified Newton iteration on the stacked stage states, one interval
 at a time, with a finite-difference iteration matrix and start values carried
 from the previous interval, writing each step into preallocated run arrays
-(rigid body, h = 0.01: 65, 55, 50 and 55 us/step for Gauss 1-4 from
-(1, 1, 1), 123-223 from (100, 100, 100), shared 2-core host).  Both record u
+(rigid body, h = 0.01, 100 steps: 49, 49, 42 and 47 us/step for Gauss 1-4
+from (1, 1, 1), 105-186 from (100, 100, 100), shared 2-core host).  Both record u
 and f = -g from their one drift evaluation (_drift, a constant J and G as
 matrices) at the accepted stages; only y takes a second stacked pass.
 """
@@ -162,7 +162,8 @@ class _LinearStepper(_Stepper):
     def __init__(self, model, scheme, input_signal, h, feedback):
         super().__init__(model, scheme, input_signal, h, feedback)
         # a configuration in the memo takes its read-only maps, a build's bytes
-        key = self.n <= SCAN_MAX_N and (
+        entry = 8 * self.n * ((self.s + 1) * (self.n + self.s * self.m) + 2 * self.n + self.m)
+        key = self.n <= SCAN_MAX_N and entry * MAPS_MEMO_SIZE <= MAPS_MEMO_BYTES and (
             scheme, type(h), h, type(self.r), self.r, getattr(feedback, "mode", None),
             self.n, self.m, self.n_q, *[A.tobytes() for A in (model.Q, model.J, model.G)])
         maps = _maps_memo.pop(key, None) or self._build()
@@ -209,8 +210,9 @@ class _LinearStepper(_Stepper):
 # n = 64: 49 against 36 ms)
 SCAN_MAX_N = 64
 # _LinearStepper's maps of the last MAPS_MEMO_SIZE configurations (n <= SCAN_MAX_N),
-# 8 (s + 1) n (n + s m) bytes an entry
-MAPS_MEMO_SIZE, _maps_memo = 128, {}
+# 8 (s + 1) n (n + s m) bytes of maps and 8 n (2n + m) of key an entry; one above
+# MAPS_MEMO_BYTES / MAPS_MEMO_SIZE is not kept, so the memo holds MAPS_MEMO_BYTES at most
+MAPS_MEMO_SIZE, MAPS_MEMO_BYTES, _maps_memo = 128, 2 ** 26, {}
 
 
 def _affine_states(Delta, x0, drive) -> np.ndarray:
@@ -250,34 +252,40 @@ class _NewtonStepper(_Stepper):
     iteration matrix is carried across steps, and a step starts from the
     previous interval's collocation polynomial at its nodes; if that warm
     attempt fails, the step restarts from x0 with a fresh Jacobian, and if
-    that cold attempt fails too, it is reached by continuation in h (_cold)."""
+    that cold attempt fails too, it is reached by continuation in h (_cold).
+    A step's x0 reaches its attempts tiled, x0t = x0[tile]."""
+    fd_eye = None  # fd I of the step, None until its first build
 
-    def _residual(self, X, x0, w):
+    def _residual(self, X, x0t, w):
         """Residuals (stage_x - x0) - h A g (..., s n) of stage states X (..., s n)."""
         stage_x = X.reshape(X.shape[:-1] + (self.s, self.n))
         hAg = self._stage_sum(self._drift(stage_x, w)[3]).reshape(X.shape)
-        return np.subtract(X - x0[self.tile], hAg, out=hAg)
+        return np.subtract(X - x0t, hAg, out=hAg)
 
-    def _rebuild(self, X, R, x0, w):
+    def _rebuild(self, X, R, x0t, w):
         """Invert the finite-difference Jacobian of the residual at X: its
-        column k is row k of the residuals of the stacked guesses X + fd I."""
-        fd_step = SQRT_EPS * (1.0 + math.sqrt(x0.dot(x0)))
-        Rp = self._residual(X + fd_step * self.eye, x0, w)
+        column k is row k of the residuals of the stacked guesses X + fd I,
+        fd = SQRT_EPS (1 + |x0|) and fd I formed on the step's first build."""
+        if self.fd_eye is None:
+            self.fd_step = SQRT_EPS * (1.0 + math.sqrt(x0t[:self.n].dot(x0t[:self.n])))
+            self.fd_eye = self.fd_step * self.eye
+        Rp = self._residual(X + self.fd_eye, x0t, w)
         try:
-            self.inv = np.linalg.inv(((Rp - R) / fd_step).T)
+            self.inv = np.linalg.inv(((Rp - R) / self.fd_step).T)
         except np.linalg.LinAlgError:
             raise SolverDivergenceError("stage Jacobian is singular") from None
 
-    def _newton(self, X, x0, w, warm):
+    def _newton(self, X, x0t, w, warm):
         """Iterate from X with the carried matrix, rebuilt when the residual
         contracts by less than a factor 0.1; a warm attempt gives up when its
         second residual does not halve.  Counts residual evaluations and
         builds in self.iterations, self.builds; returns stages and residual."""
         res = math.inf
         for it in range(MAX_ITER):
-            R = self._residual(X, x0, w)
+            R = self._residual(X, x0t, w)
             self.iterations += 1
-            prev, res = res, float(np.maximum.reduce(np.abs(R)))
+            a = np.abs(R)  # max|R| by argmax: np.maximum.reduce's value, NaN too, faster
+            prev, res = res, a.item(a.argmax())
             if res <= TOL:
                 # the last correction needs no further residual evaluation
                 return (X if self.inv is None else X - self.inv.dot(R)), res
@@ -285,13 +293,13 @@ class _NewtonStepper(_Stepper):
                 raise SolverDivergenceError("stage iteration diverges", residual=res)
             if self.inv is None or res > 0.1 * prev:
                 self.builds += 1
-                self._rebuild(X, R, x0, w)
+                self._rebuild(X, R, x0t, w)
             X = X - self.inv.dot(R)
         raise SolverDivergenceError(
             f"stage equations did not converge below {TOL} "
             f"in {MAX_ITER} iterations", residual=res)
 
-    def _cold(self, x0, w):
+    def _cold(self, x0t, w):
         """Stages and residual of the step from x0 by continuation in h: the
         stage equations with theta h for h, solved for theta up to exactly 1,
         each from the last theta's stages with the matrix carried (fresh at
@@ -299,13 +307,13 @@ class _NewtonStepper(_Stepper):
         self.theta_step, 1 (the cold attempt itself) or, after a run's first
         failed cold attempt, 1/2; it doubles after a success, halves after a
         failure, and the step fails once it is below MIN_THETA_STEP."""
-        h, X, theta, step, self.inv = self.h, x0[self.tile], 0.0, self.theta_step, None
+        h, X, theta, step, self.inv = self.h, x0t, 0.0, self.theta_step, None
         try:
             while theta < 1.0:
                 step = min(step, 1.0 - theta)
                 self.h = (theta + step) * h
                 try:
-                    X, res = self._newton(X, x0, w, warm=False)
+                    X, res = self._newton(X, x0t, w, warm=False)
                     theta, step = theta + step, 2.0 * step
                 except SolverDivergenceError as err:
                     step, self.inv, self.theta_step = 0.5 * step, None, 0.5
@@ -328,28 +336,30 @@ class _NewtonStepper(_Stepper):
         G = np.empty((N, s, n, self.m)) if self.m and not self.model.constant_structure else None
         # E[i, j] = int_0^{1 + c_i} l_j carries the polynomial to the next nodes
         E = dense_weights(self.scheme, 1.0 + self.scheme.c).T
-        states[0], guess, self.inv, self.theta_step = x0, None, None, 1.0
-        for k in range(N):
-            x, self.iterations, self.builds = states[k], 0, 0
+        states[0] = x = x0
+        guess, self.inv, self.theta_step, h, b = None, None, 1.0, self.h, self.scheme.b
+        for k, wk in enumerate(w):
+            x0t, self.iterations, self.builds, self.fd_eye = x[self.tile], 0, 0, None
             try:
                 if guess is not None:
                     try:
-                        X, res[k] = self._newton(guess, x, w[k], warm=True)
+                        X, res[k] = self._newton(guess, x0t, wk, warm=True)
                     except SolverDivergenceError:
                         guess = None
                 if guess is None:
-                    X, res[k] = self._cold(x, w[k])
+                    X, res[k] = self._cold(x0t, wk)
             except SolverDivergenceError as err:
                 err.step_index = k
                 raise
             its[k], builds[k] = self.iterations, self.builds
             stage_x[k] = X = X.reshape(s, n)
-            e[k], Gk, u[k], g[k] = self._drift(X, w[k])
+            e[k], Gk, u[k], gk = self._drift(X, wk)
+            g[k] = gk
             if G is not None:
                 G[k] = Gk
-            # x - h b'f and x - h E f with f = -g
-            states[k + 1] = x + self.h * self.scheme.b.dot(g[k])
-            guess = (x + self.h * E.dot(g[k])).ravel()
+            # x - h E f and x - h b'f with f = -g
+            guess = (x + h * E.dot(gk)).ravel()
+            states[k + 1] = x = x + h * b.dot(gk)
         return states, self._solution(t0, states, stage_x, e, Gk if G is None else G, u, g,
                                       iterations=its, residual=res, builds=builds)
 

@@ -171,6 +171,21 @@ def rotated_rigid_body():
                    J=rigid_body().J, G=lambda x: np.zeros((3, 0)), name="rotated-rigid-body")
 
 
+# the fixed 10^3 panel of the rigid-newton benchmark (blocks 0-15) holds nine
+# directions from which Gauss-1 at h = 0.01 fails a cold attempt (at steps 0,
+# 1, 1, 2, 4, 4, 5, 13 and 79), so a run with no continuation stops there
+RIGID_PANEL_STOPS = [
+    (0.3751813905850593, -985.9811945672426, 166.85605532517337),
+    (288.6783449626961, 949.0182186986165, -126.6066101264211),
+    (-386.20068930687506, -410.5707477110741, 826.0028381929836),
+    (-389.5287218281157, 459.2821659428707, -798.3277941533665),
+    (437.12194195233116, 506.47530081388254, -743.2409955924862),
+    (-525.7678515212276, -332.69650414380857, 782.8672955471068),
+    (516.3847093450129, -647.4470795575929, -560.4989840552886),
+    (-557.2826515978855, -338.555495685787, -758.166355471529),
+    (-539.8043443587417, -383.33851880048763, -749.4416920716895)]
+
+
 def fold_model():
     """xdot = x^2 (J = [[x]], H = x^2 / 2): the Gauss-1 stage equation
     X = x0 + (theta h / 2) X^2 has a real root only up to the fold

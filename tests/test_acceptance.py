@@ -96,18 +96,26 @@ def test_criterion_1_coefficient_exactness():
 
 def test_criterion_2_exact_energy_balance():
     """Per-step stored increment equals supplied energy for diagonal-mass
-    schemes: forced oscillator and nonlinear rigid body."""
-    worst = 0.0
+    schemes: forced oscillator and nonlinear rigid body.  Each rigid-body run
+    calls J s (iterations + s n builds + steps) times, by its record."""
+    worst, calls, budget = 0.0, [], []
     for s in (1, 2, 3):
         scheme = coll.make_scheme("gauss", s)
         traj = simulate(oscillator(), scheme, X0, pulse_input(), 0.1, 18.0)
         worst = max(worst, float(np.max(np.abs(traj.dh_bar - traj.supplied))))
-        traj = simulate(rigid_body(), scheme, np.array([1.0, 1.0, 1.0]),
-                        zero_input(0), 0.01, 100.0)
+        model = rigid_body()
+        model.J = lambda x, J=model.J: calls.append(s) or J(x)
+        traj = simulate(model, scheme, np.array([1.0, 1.0, 1.0]),
+                        zero_input(0), 0.01, 100.0, retain_stages=True)
         worst = max(worst, float(np.max(np.abs(traj.dh_bar - traj.supplied))))
-    report("criterion 2 exact balance", worst <= 1e-12,
+        its, builds = int(traj.stages.iterations.sum()), int(traj.stages.builds.sum())
+        budget.append((calls.count(s), s * (its + s * model.n * builds + len(traj.dh_tilde))))
+    report("criterion 2 exact balance",
+           worst <= 1e-12 and all(got == want for got, want in budget),
            f"max per-step |dH_bar - h y'u| = {worst:.2e} (tol 1e-12, "
-           f"3 schemes x {{oscillator 180 steps, rigid body 10^4 steps}})")
+           f"3 schemes x {{oscillator 180 steps, rigid body 10^4 steps}}); "
+           f"rigid-body J calls {[got for got, _ in budget]}, "
+           f"s (iterations + s n builds + steps) = {[want for _, want in budget]}")
 
 
 def test_criterion_3_convergence_orders_lossless():

@@ -27,10 +27,10 @@ from phint.models import (STAGEWISE, FeedbackConfig, InputSignal, PHModel,
                           mechanical, oscillator, partitioned_oscillator,
                           pulse_input, rigid_body, zero_input)
 
-from conftest import (DENSE_G, DENSE_J, DENSE_Q, DENSE_X0, ROTATED_RIGID_X0, dense_model,
-                      dense_newton_model, fold_model, lagrange_coefficients, matmul_apply,
-                      matmul_discrete_output, rotated_rigid_body, stride0_blocks,
-                      two_channel_input)
+from conftest import (DENSE_G, DENSE_J, DENSE_Q, DENSE_X0, RIGID_PANEL_STOPS,
+                      ROTATED_RIGID_X0, dense_model, dense_newton_model, fold_model,
+                      lagrange_coefficients, matmul_apply, matmul_discrete_output,
+                      rotated_rigid_body, stride0_blocks, two_channel_input)
 
 X0 = np.array([0.0, -1.0])
 ALL_SCHEMES = ([(coll.GAUSS, s) for s in range(1, 9)]
@@ -926,19 +926,6 @@ def test_newton_divergence_is_the_per_step_loops(monkeypatch):
     assert got.value.residual.hex() == want.value.residual.hex()
 
 
-# the fixed 10^3 panel of the rigid-newton benchmark (blocks 0-15) holds nine
-# directions from which Gauss-1 at h = 0.01 fails a cold attempt (at steps 0,
-# 1, 1, 2, 4, 4, 5, 13 and 79), so a run with no continuation stops there
-RIGID_PANEL_STOPS = [
-    (0.3751813905850593, -985.9811945672426, 166.85605532517337),
-    (288.6783449626961, 949.0182186986165, -126.6066101264211),
-    (-386.20068930687506, -410.5707477110741, 826.0028381929836),
-    (-389.5287218281157, 459.2821659428707, -798.3277941533665),
-    (437.12194195233116, 506.47530081388254, -743.2409955924862),
-    (-525.7678515212276, -332.69650414380857, 782.8672955471068),
-    (516.3847093450129, -647.4470795575929, -560.4989840552886),
-    (-557.2826515978855, -338.555495685787, -758.166355471529),
-    (-539.8043443587417, -383.33851880048763, -749.4416920716895)]
 # (s, x0, h) of rigid-body runs over t_end = 1 that stop without continuation
 RIGID_RESCUES = ([(1, x0, 0.01) for x0 in RIGID_PANEL_STOPS]
                  + [(s, (100.0, 200.0, 300.0), 0.1) for s in (2, 3, 4)]
@@ -1012,7 +999,7 @@ def _column_jacobian(stepper, X, R, x0, w):
     for k in range(X.size):
         Xp = X.copy()
         Xp[k] += fd_step
-        Jac[:, k] = (stepper._residual(Xp, x0, w) - R) / fd_step
+        Jac[:, k] = (stepper._residual(Xp, x0[stepper.tile], w) - R) / fd_step
     return Jac
 
 
@@ -1045,8 +1032,8 @@ def test_stacked_jacobian_build_matches_column_loop(factory, kind, s, scale, mod
     x0 = scale * rng.normal(size=model.n)
     X = np.tile(x0, s) + 1e-2 * scale * rng.normal(size=s * model.n)
     w = stepper._inputs(np.array([8.3]))[0]
-    R = stepper._residual(X, x0, w)
-    stepper._rebuild(X, R, x0, w)
+    R = stepper._residual(X, x0[stepper.tile], w)
+    stepper._rebuild(X, R, x0[stepper.tile], w)
     assert np.array_equal(stepper.inv,
                           np.linalg.inv(_column_jacobian(stepper, X, R, x0, w)))
 
@@ -1383,6 +1370,28 @@ def test_maps_memo_takes_models_up_to_scan_max_n(n):
     assert len(integrator._maps_memo) == (n <= SCAN_MAX_N)
     assert (runs[0].S is runs[1].S) == (n <= SCAN_MAX_N)
     assert np.array_equal(runs[0].S, runs[1].S)
+
+
+@pytest.mark.parametrize("m", [256, 257])
+def test_maps_memo_keeps_entries_up_to_their_byte_share(m):
+    # a 64-state Gauss-1 configuration with 256 input channels takes exactly
+    # MAPS_MEMO_BYTES / MAPS_MEMO_SIZE, maps and key; with one channel more it
+    # is built on every run, so a full memo holds MAPS_MEMO_BYTES at most
+    n, s, share = SCAN_MAX_N, 1, integrator.MAPS_MEMO_BYTES // integrator.MAPS_MEMO_SIZE
+    entry = 8 * (s + 1) * n * (n + s * m) + 8 * n * (2 * n + m)
+    assert (entry == share, entry > share) == (m == 256, m == 257)
+    rng = np.random.default_rng(5)
+    J = rng.normal(size=(n, n))
+    model = PHModel(n, m, H=lambda x: 0.5 * (x @ x), gradH=np.eye(n), J=J - J.T,
+                    G=rng.normal(size=(n, m)))
+    runs = [_make_stepper(model, coll.make_scheme(coll.GAUSS, s), zero_input(m), 0.1, None)
+            for _ in range(2)]
+    assert len(integrator._maps_memo) == (m == 256)
+    assert (runs[0].S is runs[1].S) == (m == 256)
+    assert np.array_equal(runs[0].Gamma, runs[1].Gamma)
+    if m == 256:
+        (maps,) = integrator._maps_memo.values()
+        assert sum(a.nbytes for a in maps) == 8 * (s + 1) * n * (n + s * m)
 
 
 def _loop_states(Delta, x0, drive):
